@@ -74,16 +74,20 @@ bench-sched:
 # enables the span layer with it), the traced and untraced steady-state
 # allocation gates, and the span/latency emission tests. A traced tick
 # that starts allocating per pod, or a steady tick that records spans,
-# fails here.
+# fails here. The checkpoint pair reports encode throughput (MB/s) and
+# fails when encoding allocates per metric sample or trace-ring entry.
 bench-obs:
 	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs|TestTickTracedAllocsBudget|TestPodSpansEmitted' \
 		-bench 'BenchmarkTick/|BenchmarkTickTraced/' -benchtime 20x -count 1 -v
 	$(GO) test ./internal/obs -run 'TestSpan|TestLatency' -bench 'BenchmarkObserveLatency' -benchtime 100x -count 1
+	$(GO) test . -run 'TestCheckpointEncodeAllocs' -bench 'BenchmarkCheckpoint$$' -benchtime 20x -count 1 -v
 
-# fuzz-smoke gives the chaos-plan parser a short fuzzing budget: long
-# enough to catch parse/round-trip regressions, short enough for CI.
+# fuzz-smoke gives the chaos-plan parser and checkpoint restore a short
+# fuzzing budget each: long enough to catch parse/round-trip regressions
+# and decoder panics behind the checksum, short enough for CI.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime 15s -run '^$$' ./internal/chaos
+	$(GO) test -fuzz FuzzRestore -fuzztime 15s -run '^$$' .
 
 # chaos-soak runs the everything-at-once fault profile end to end (the
 # TestChaosSoak harness test plus the mixed-profile CLI path).

@@ -33,10 +33,6 @@ import (
 // streams) to the uninterrupted run, at every shard count, chaos on or
 // off.
 
-// maxCkptTimers bounds the checkpointed timer count (a corrupted stream
-// fails loudly instead of over-allocating).
-const maxCkptTimers = 1 << 24
-
 // EnableCheckpoints arms periodic checkpointing every interval of
 // virtual time, starting at the first Run. Each firing snapshots the
 // world at a tick barrier: the newest encoding is retained in memory
@@ -116,28 +112,63 @@ func (cl *Cluster) armNextCheckpoint() {
 func (cl *Cluster) checkpointTick() {
 	cl.armNextCheckpoint()
 	cl.captureLoopState()
-	var buf bytes.Buffer
-	if err := cl.Checkpoint(&buf); err != nil {
+	// Encode straight into the buffer that becomes lastCkpt, sized from
+	// the previous checkpoint plus headroom for growth, so the encoding
+	// is neither regrown nor copied. The previous checkpoint stays the
+	// restart point until this one is complete.
+	prev := len(cl.lastCkpt)
+	cw := ckpt.NewBufferWriter(make([]byte, 0, prev+prev/16+ckpt.ChunkSize))
+	if err := cl.encode(cw); err != nil {
 		if cl.runErr == nil {
 			cl.runErr = fmt.Errorf("evolve: checkpoint at %v: %w", cl.eng.Now(), err)
 		}
 		return
 	}
-	cl.lastCkpt = append(cl.lastCkpt[:0], buf.Bytes()...)
+	blob := cw.Encoding()
+	cl.lastCkpt = blob
 	cl.ckptCount++
-	cl.ckptBytes += int64(buf.Len())
+	cl.ckptBytes += int64(len(blob))
 	if cl.ckptDir == "" {
 		return
 	}
 	name := filepath.Join(cl.ckptDir, fmt.Sprintf("ckpt-%012d.evck", int64(cl.eng.Now()/time.Second)))
+	if err := writeFileDurable(name, blob); err != nil && cl.runErr == nil {
+		cl.runErr = fmt.Errorf("evolve: checkpoint write: %w", err)
+	}
+}
+
+// writeFileDurable replaces name with data so that a crash at any point
+// leaves either the old file or the complete new one: it writes and
+// syncs a temporary file, renames it over name, then syncs the
+// directory so the rename itself survives power loss.
+func writeFileDurable(name string, data []byte) error {
 	tmp := name + ".tmp"
-	err := os.WriteFile(tmp, buf.Bytes(), 0o644)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err == nil {
 		err = os.Rename(tmp, name)
 	}
-	if err != nil && cl.runErr == nil {
-		cl.runErr = fmt.Errorf("evolve: checkpoint write: %w", err)
+	if err != nil {
+		return err
 	}
+	dir, err := os.Open(filepath.Dir(name))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // armCtrlCrash schedules the kill/restore windows of any ctrl-crash
@@ -187,6 +218,11 @@ func (cl *Cluster) armCtrlCrash() {
 // at a tick barrier — any point between Run calls, or inside the
 // periodic checkpoint timer, qualifies.
 func (cl *Cluster) Checkpoint(w io.Writer) error {
+	return cl.encode(ckpt.NewWriter(w))
+}
+
+// encode writes the world's sections to cw and closes it.
+func (cl *Cluster) encode(cw *ckpt.Writer) error {
 	if !cl.started {
 		return fmt.Errorf("evolve: nothing to checkpoint before the first Run")
 	}
@@ -201,7 +237,6 @@ func (cl *Cluster) Checkpoint(w io.Writer) error {
 			return err
 		}
 	}
-	cw := ckpt.NewWriter(w)
 	cw.Begin("evolve")
 	cw.I64(cl.opts.Seed)
 	cw.Str(normalisePolicy(cl.opts.Policy))
@@ -255,21 +290,28 @@ func (cl *Cluster) Checkpoint(w io.Writer) error {
 // its original firing order. Continue with Run — the continuation is
 // byte-identical to the uninterrupted original.
 func (cl *Cluster) Restore(r io.Reader) error {
+	var raw bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		raw.Grow(l.Len() + bytes.MinRead) // one allocation for in-memory sources
+	}
+	if _, err := raw.ReadFrom(r); err != nil {
+		return fmt.Errorf("evolve: reading checkpoint: %w", err)
+	}
+	return cl.restore(raw.Bytes())
+}
+
+// restore decodes blob into the fresh cluster. The checksum is verified
+// and the header checked against this cluster's options before the
+// world starts, so a corrupt or foreign checkpoint leaves the cluster
+// fresh for another Restore.
+func (cl *Cluster) restore(blob []byte) error {
 	if cl.started {
 		return fmt.Errorf("evolve: Restore needs a freshly constructed cluster")
 	}
-	// Keep a copy of the snapshot as it streams past: after a restore,
-	// LastCheckpoint is the snapshot this world came from, so a process
-	// that restores and then crashes again before the next periodic
-	// checkpoint still has a valid restart point.
-	var raw bytes.Buffer
-	cr, err := ckpt.NewReader(io.TeeReader(r, &raw))
+	cr, err := ckpt.NewReader(blob)
 	if err != nil {
 		return err
 	}
-	// Arm the fresh world's own timers first: RestoreTimers re-attaches
-	// checkpoint timers to them by tag.
-	cl.start()
 	cr.Begin("evolve")
 	if seed := cr.I64(); cr.Err() == nil && seed != cl.opts.Seed {
 		return fmt.Errorf("evolve: checkpoint has seed %d, this cluster %d", seed, cl.opts.Seed)
@@ -281,12 +323,9 @@ func (cl *Cluster) Restore(r io.Reader) error {
 	seq := cr.U64()
 	nsteps := cr.U64()
 	draws := cr.U64()
-	nt := cr.Int()
+	nt := cr.Count(32) // At, Seq and two string length prefixes
 	if cr.Err() != nil {
 		return cr.Err()
-	}
-	if nt < 0 || nt > maxCkptTimers {
-		return fmt.Errorf("evolve: checkpoint timer count %d out of range", nt)
 	}
 	timers := make([]sim.PendingTimer, nt)
 	for i := range timers {
@@ -309,18 +348,21 @@ func (cl *Cluster) Restore(r io.Reader) error {
 		coState.ParRounds = cr.U64()
 		coState.RoundsMark = cr.U64()
 		coState.ParMark = cr.U64()
-		ns := cr.Int()
+		ns := cr.Count(24)
 		if cr.Err() != nil {
 			return cr.Err()
-		}
-		if ns < 0 || ns > maxCkptTimers {
-			return fmt.Errorf("evolve: checkpoint shard count %d out of range", ns)
 		}
 		coState.Shards = make([]sim.ShardClock, ns)
 		for i := range coState.Shards {
 			coState.Shards[i] = sim.ShardClock{Now: cr.Dur(), Seq: cr.U64(), Nsteps: cr.U64()}
 		}
 	}
+	if cr.Err() != nil {
+		return cr.Err()
+	}
+	// Arm the fresh world's own timers first: RestoreTimers re-attaches
+	// checkpoint timers to them by tag.
+	cl.start()
 	// Substrate order mirrors Checkpoint: batch and HPC load before the
 	// cluster, whose task pods reattach their completion callbacks
 	// through the restored runner and queue state.
@@ -384,25 +426,29 @@ func (cl *Cluster) Restore(r io.Reader) error {
 	if err := cl.eng.RestoreTimers(now, seq, nsteps, timers, rebuild); err != nil {
 		return err
 	}
-	cl.eng.RNG().Burn(draws)
+	if err := cl.eng.RNG().Burn(draws); err != nil {
+		return err
+	}
 	if co != nil {
 		if err := co.RestoreState(coState); err != nil {
 			return err
 		}
 	}
-	cl.lastCkpt = raw.Bytes()
+	// After a restore, LastCheckpoint is the snapshot this world came
+	// from, so a process that restores and then crashes again before the
+	// next periodic checkpoint still has a valid restart point.
+	cl.lastCkpt = blob
 	return cl.runErr
 }
 
 // RestoreFile restores from a checkpoint file (see EnableCheckpoints
 // and LatestCheckpoint).
 func (cl *Cluster) RestoreFile(path string) error {
-	f, err := os.Open(path)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return cl.Restore(f)
+	return cl.restore(blob)
 }
 
 // LatestCheckpoint returns the path of the newest checkpoint file in

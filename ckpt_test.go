@@ -3,6 +3,9 @@ package evolve
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -294,6 +297,12 @@ func TestCheckpointFiles(t *testing.T) {
 	if !strings.HasSuffix(path, "ckpt-000000001800.evck") {
 		t.Errorf("latest checkpoint = %s, want the 30m one", path)
 	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, c.LastCheckpoint()) {
+		t.Errorf("newest file differs from LastCheckpoint (read error %v)", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temporary files left behind: %v", tmps)
+	}
 
 	r, err := New(Options{Seed: 5, Nodes: 3})
 	if err != nil {
@@ -316,6 +325,35 @@ func TestCheckpointFiles(t *testing.T) {
 	}
 	if err := r.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointWriteErrorLatches: a periodic file that cannot be
+// written (the directory was replaced by a regular file) ends the run
+// with a checkpoint-write error instead of being dropped silently.
+func TestCheckpointWriteErrorLatches(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ck")
+	c, err := New(Options{Seed: 5, Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddService(ServiceOptions{Name: "svc", BaseRate: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableCheckpoints(dir, 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(15 * time.Minute); err == nil || !strings.Contains(err.Error(), "checkpoint write") {
+		t.Fatalf("Run = %v, want a latched checkpoint-write error", err)
+	}
+	if c.LastCheckpoint() == nil {
+		t.Error("the in-memory checkpoint should survive a failed file write")
 	}
 }
 
@@ -371,5 +409,121 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 	if err := other.Restore(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("seed mismatch not caught: %v", err)
+	}
+}
+
+// TestRestoreAllOrNothing: a checkpoint with one flipped body byte (or
+// cut short) is refused by its checksum before anything is applied, so
+// the same cluster then restores the intact checkpoint and continues
+// byte-identically to the uninterrupted run.
+func TestRestoreAllOrNothing(t *testing.T) {
+	whole := ckptWorld(t, 0, "mixed")
+	if err := whole.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	want := ckptFingerprint(whole)
+
+	half := ckptWorld(t, 0, "mixed")
+	if err := half.Run(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := half.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	good := snap.Bytes()
+
+	resumed := ckptWorld(t, 0, "mixed")
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x10
+	if err := resumed.Restore(bytes.NewReader(flipped)); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("flipped byte: got %v, want a checksum error", err)
+	}
+	if err := resumed.Restore(bytes.NewReader(good[:len(good)-100])); err == nil {
+		t.Fatal("truncated checkpoint restored without error")
+	}
+	if resumed.started || resumed.Now() != 0 || resumed.LastCheckpoint() != nil {
+		t.Fatalf("failed restores touched the cluster: started=%v now=%v", resumed.started, resumed.Now())
+	}
+	if err := resumed.Restore(bytes.NewReader(good)); err != nil {
+		t.Fatalf("intact checkpoint after failed restores: %v", err)
+	}
+	if err := resumed.Run(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := ckptFingerprint(resumed); got != want {
+		t.Error("restore after a refused checkpoint diverged from the uninterrupted run")
+	}
+}
+
+// encodeWorld is a small traced world for the encode-cost checks; the
+// ring capacity is below what two hours record, so it wraps.
+func encodeWorld(tb testing.TB, horizon time.Duration) *Cluster {
+	tb.Helper()
+	c, err := New(Options{Seed: 9, Nodes: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.AddService(ServiceOptions{Name: "web", Archetype: "web", BaseRate: 200}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.SetLoad("web", Noisy(Diurnal(100, 400, time.Hour), 0.1, 3)); err != nil {
+		tb.Fatal(err)
+	}
+	c.EnableTracing(2048)
+	if err := c.Run(horizon); err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// TestCheckpointEncodeAllocs: encoding costs the same number of
+// allocations after 10 minutes as after 2 hours of the same world —
+// nothing allocates per metric sample or per trace-ring entry.
+func TestCheckpointEncodeAllocs(t *testing.T) {
+	allocs := func(horizon time.Duration) (float64, int) {
+		c := encodeWorld(t, horizon)
+		var n countWriter
+		if err := c.Checkpoint(&n); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := c.Checkpoint(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}), int(n)
+	}
+	short, shortBytes := allocs(10 * time.Minute)
+	long, longBytes := allocs(2 * time.Hour)
+	if longBytes < 4*shortBytes {
+		t.Fatalf("2h checkpoint is %d bytes, 10m %d: the world does not grow enough to test", longBytes, shortBytes)
+	}
+	if long != short {
+		t.Errorf("Checkpoint allocations: %v after 10m (%d bytes), %v after 2h (%d bytes); want equal", short, shortBytes, long, longBytes)
+	}
+}
+
+type countWriter int
+
+func (n *countWriter) Write(p []byte) (int, error) {
+	*n += countWriter(len(p))
+	return len(p), nil
+}
+
+// BenchmarkCheckpoint measures encoding throughput of a two-hour traced
+// world (MB/s of checkpoint).
+func BenchmarkCheckpoint(b *testing.B) {
+	c := encodeWorld(b, 2*time.Hour)
+	var n countWriter
+	if err := c.Checkpoint(&n); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Checkpoint(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

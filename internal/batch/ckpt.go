@@ -1,15 +1,12 @@
 package batch
 
 import (
-	"fmt"
 	"sort"
 
 	"evolve/internal/ckpt"
 	"evolve/internal/perf"
 	"evolve/internal/resource"
 )
-
-const maxCkptItems = 1 << 20
 
 func saveSpec(w *ckpt.Writer, spec *JobSpec) {
 	w.Str(spec.Name)
@@ -45,12 +42,9 @@ func loadSpec(r *ckpt.Reader) (JobSpec, error) {
 	spec.Name = r.Str()
 	spec.Priority = r.Int()
 	spec.MaxRetries = r.Int()
-	ns := r.Int()
+	ns := r.Count(8)
 	if r.Err() != nil {
 		return spec, r.Err()
-	}
-	if ns < 0 || ns > maxCkptItems {
-		return spec, fmt.Errorf("batch: ckpt: stage count %d out of range", ns)
 	}
 	spec.Stages = make([]Stage, ns)
 	for i := range spec.Stages {
@@ -59,22 +53,16 @@ func loadSpec(r *ckpt.Reader) (JobSpec, error) {
 		s.Tasks = r.Int()
 		s.Model = perf.TaskModel{Work: resource.LoadVector(r), MemSet: r.F64()}
 		s.Requests = resource.LoadVector(r)
-		nd := r.Int()
+		nd := r.Count(8)
 		if r.Err() != nil {
 			return spec, r.Err()
-		}
-		if nd < 0 || nd > maxCkptItems {
-			return spec, fmt.Errorf("batch: ckpt: dependency count %d out of range", nd)
 		}
 		for j := 0; j < nd; j++ {
 			s.DependsOn = append(s.DependsOn, r.Str())
 		}
-		nl := r.Int()
+		nl := r.Count(8)
 		if r.Err() != nil {
 			return spec, r.Err()
-		}
-		if nl < 0 || nl > maxCkptItems {
-			return spec, fmt.Errorf("batch: ckpt: selector count %d out of range", nl)
 		}
 		if nl > 0 {
 			s.NodeSelector = make(map[string]string, nl)
@@ -143,12 +131,9 @@ func (r *Runner) CkptSave(w *ckpt.Writer) {
 func (r *Runner) CkptLoad(cr *ckpt.Reader) error {
 	cr.Begin("batch")
 	r.taskSeq = cr.U64()
-	nj := cr.Int()
+	nj := cr.Count(8)
 	if cr.Err() != nil {
 		return cr.Err()
-	}
-	if nj < 0 || nj > maxCkptItems {
-		return fmt.Errorf("batch: ckpt: job count %d out of range", nj)
 	}
 	r.jobs = make(map[string]*jobState, nj)
 	for i := 0; i < nj; i++ {
@@ -168,12 +153,9 @@ func (r *Runner) CkptLoad(cr *ckpt.Reader) error {
 			st := &stageState{spec: s, retries: make(map[string]int)}
 			st.launched = cr.Bool()
 			st.remaining = cr.Int()
-			nr := cr.Int()
+			nr := cr.Count(8)
 			if cr.Err() != nil {
 				return cr.Err()
-			}
-			if nr < 0 || nr > maxCkptItems {
-				return fmt.Errorf("batch: ckpt: retry count %d out of range", nr)
 			}
 			for j := 0; j < nr; j++ {
 				k := cr.Str()
@@ -183,12 +165,9 @@ func (r *Runner) CkptLoad(cr *ckpt.Reader) error {
 		}
 		r.jobs[spec.Name] = js
 	}
-	np := cr.Int()
+	np := cr.Count(8)
 	if cr.Err() != nil {
 		return cr.Err()
-	}
-	if np < 0 || np > maxCkptItems {
-		return fmt.Errorf("batch: ckpt: inflight count %d out of range", np)
 	}
 	r.inflight = make(map[string]taskRef, np)
 	for i := 0; i < np; i++ {

@@ -30,11 +30,6 @@ import (
 // phaseAppFast reads it when an app's ready count drops to zero, and
 // the lazy rebuild does not set it — so it rides along per app.
 
-// maxCkptItems bounds checkpointed collection sizes (the 1M-pod kernel
-// fits with headroom); a corrupt length prefix fails loudly instead of
-// allocating unbounded memory.
-const maxCkptItems = 1 << 24
-
 // delayedApply is one chaos-delayed decision still waiting for its
 // timer; the checkpoint records it so restore can rebuild the timer's
 // closure (see RebuildTimer).
@@ -105,12 +100,9 @@ func saveFloats(w *ckpt.Writer, s []float64) {
 }
 
 func loadFloats(r *ckpt.Reader, dst []float64) ([]float64, error) {
-	n := r.Int()
+	n := r.Count(8)
 	if r.Err() != nil {
 		return nil, r.Err()
-	}
-	if n < 0 || n > maxCkptItems {
-		return nil, fmt.Errorf("cluster: ckpt: float slice length %d out of range", n)
 	}
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
@@ -127,12 +119,9 @@ func saveVectors(w *ckpt.Writer, s []resource.Vector) {
 }
 
 func loadVectors(r *ckpt.Reader, dst []resource.Vector) ([]resource.Vector, error) {
-	n := r.Int()
+	n := r.Count(8)
 	if r.Err() != nil {
 		return nil, r.Err()
-	}
-	if n < 0 || n > maxCkptItems {
-		return nil, fmt.Errorf("cluster: ckpt: vector slice length %d out of range", n)
 	}
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
@@ -155,12 +144,9 @@ func saveSelector(w *ckpt.Writer, sel map[string]string) {
 }
 
 func loadSelector(r *ckpt.Reader) (map[string]string, error) {
-	n := r.Int()
+	n := r.Count(8)
 	if r.Err() != nil {
 		return nil, r.Err()
-	}
-	if n < 0 || n > maxCkptItems {
-		return nil, fmt.Errorf("cluster: ckpt: selector length %d out of range", n)
 	}
 	if n == 0 {
 		return nil, nil
@@ -332,11 +318,16 @@ func (c *Cluster) loadAppState(r *ckpt.Reader, st *appState) error {
 	st.wasViolated = r.Bool()
 	st.decisionAt = r.Dur()
 	st.decisionSpan = r.U64()
-	st.noise.Burn(r.U64())
-	st.chaosRNG.Burn(r.U64())
+	noise, chaos := r.U64(), r.U64()
 	st.rc.contrib = r.Int()
 	st.rc.ok = false
-	return r.Err()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if err := st.noise.Burn(noise); err != nil {
+		return err
+	}
+	return st.chaosRNG.Burn(chaos)
 }
 
 // CkptSave serialises the cluster's full mutable state. Must be called
@@ -422,12 +413,9 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 	c.podSeq = r.U64()
 	c.delaySeq = r.U64()
 
-	npa := r.Int()
+	npa := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if npa < 0 || npa > maxCkptItems {
-		return fmt.Errorf("cluster: ckpt: delayed-apply count %d out of range", npa)
 	}
 	c.pendingApply = make(map[string]delayedApply, npa)
 	for i := 0; i < npa; i++ {
@@ -487,12 +475,9 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		}
 	}
 
-	np := r.Int()
+	np := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if np < 0 || np > maxCkptItems {
-		return fmt.Errorf("cluster: ckpt: pod count %d out of range", np)
 	}
 	for i := 0; i < np; i++ {
 		p, err := loadPod(r)

@@ -193,8 +193,14 @@ func (l *Loop) CkptLoad(r *ckpt.Reader) error {
 	if err := l.loadCtrlState(r); err != nil {
 		return err
 	}
-	l.rng.Burn(r.U64())
-	ng := r.Int()
+	draws := r.U64()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if err := l.rng.Burn(draws); err != nil {
+		return err
+	}
+	ng := r.Count(16)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -203,7 +209,7 @@ func (l *Loop) CkptLoad(r *ckpt.Reader) error {
 		app := r.Str()
 		l.retryGen[app] = r.U64()
 	}
-	np := r.Int()
+	np := r.Count(16)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -262,7 +268,7 @@ func (l *Loop) SaveState() ([]byte, error) {
 // LoadState restores controller-process state from a SaveState blob; the
 // ctrl-crash restore path calls it just before Restart.
 func (l *Loop) LoadState(blob []byte) error {
-	r, err := ckpt.NewReader(bytes.NewReader(blob))
+	r, err := ckpt.NewReader(blob)
 	if err != nil {
 		return err
 	}

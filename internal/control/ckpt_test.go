@@ -111,7 +111,7 @@ func TestLoopCkptRoundTrip(t *testing.T) {
 	}
 
 	_, _, l2 := mk()
-	r, err := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := ckpt.NewReader(buf.Bytes())
 	if err != nil {
 		t.Fatalf("reader: %v", err)
 	}

@@ -9,8 +9,6 @@ import (
 	"evolve/internal/resource"
 )
 
-const maxCkptItems = 1 << 20
-
 func saveSpec(w *ckpt.Writer, spec *JobSpec) {
 	w.Str(spec.Name)
 	w.Int(spec.Ranks)
@@ -39,12 +37,9 @@ func loadSpec(r *ckpt.Reader) (JobSpec, error) {
 	spec.Model = perf.TaskModel{Work: resource.LoadVector(r), MemSet: r.F64()}
 	spec.Priority = r.Int()
 	spec.MaxRestarts = r.Int()
-	nl := r.Int()
+	nl := r.Count(8)
 	if r.Err() != nil {
 		return spec, r.Err()
-	}
-	if nl < 0 || nl > maxCkptItems {
-		return spec, fmt.Errorf("hpc: ckpt: selector count %d out of range", nl)
 	}
 	if nl > 0 {
 		spec.NodeSelector = make(map[string]string, nl)
@@ -92,12 +87,9 @@ func (q *Queue) CkptSave(w *ckpt.Writer) {
 // (ReattachRank), driven by the cluster's live task pods.
 func (q *Queue) CkptLoad(r *ckpt.Reader) error {
 	r.Begin("hpc")
-	nj := r.Int()
+	nj := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if nj < 0 || nj > maxCkptItems {
-		return fmt.Errorf("hpc: ckpt: job count %d out of range", nj)
 	}
 	q.all = make(map[string]*jobState, nj)
 	for i := 0; i < nj; i++ {
@@ -118,12 +110,9 @@ func (q *Queue) CkptLoad(r *ckpt.Reader) error {
 		js.aborted = r.Int()
 		q.all[spec.Name] = js
 	}
-	np := r.Int()
+	np := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if np < 0 || np > maxCkptItems {
-		return fmt.Errorf("hpc: ckpt: pending count %d out of range", np)
 	}
 	q.pending = q.pending[:0]
 	for i := 0; i < np; i++ {

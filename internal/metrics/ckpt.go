@@ -1,7 +1,9 @@
 package metrics
 
 import (
-	"fmt"
+	"encoding/binary"
+	"math"
+	"time"
 
 	"evolve/internal/ckpt"
 )
@@ -23,10 +25,7 @@ func (r *Registry) CkptSave(w *ckpt.Writer) {
 		s := r.series[name]
 		w.Str(name)
 		w.Int(len(s.samples))
-		for _, sm := range s.samples {
-			w.Dur(sm.At)
-			w.F64(sm.Value)
-		}
+		saveSamples(w, s.samples)
 	}
 	hnames := r.HistogramNames()
 	w.Int(len(hnames))
@@ -56,41 +55,30 @@ func (r *Registry) CkptSave(w *ckpt.Writer) {
 // CkptLoad restores the registry from a checkpoint stream.
 func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 	cr.Begin("metrics")
-	ns := cr.Int()
+	ns := cr.Count(8)
 	if cr.Err() != nil {
 		return cr.Err()
 	}
 	for i := 0; i < ns; i++ {
 		name := cr.Str()
-		n := cr.Int()
+		n := cr.Count(sampleBytes)
 		if cr.Err() != nil {
 			return cr.Err()
 		}
-		if n < 0 || n > maxCkptSamples {
-			return fmt.Errorf("metrics: ckpt: series %q sample count %d out of range", name, n)
-		}
 		s := r.Series(name)
-		samples := make([]Sample, n)
-		for j := range samples {
-			samples[j].At = cr.Dur()
-			samples[j].Value = cr.F64()
-		}
-		s.samples = samples
+		s.samples = loadSamples(cr, make([]Sample, n))
 		s.sorted, s.sortedLen = nil, 0
 	}
-	nh := cr.Int()
+	nh := cr.Count(8)
 	if cr.Err() != nil {
 		return cr.Err()
 	}
 	for i := 0; i < nh; i++ {
 		name := cr.Str()
 		min, max, ratio := cr.F64(), cr.F64(), cr.F64()
-		nb := cr.Int()
+		nb := cr.Count(8)
 		if cr.Err() != nil {
 			return cr.Err()
-		}
-		if nb < 0 || nb > maxCkptSamples {
-			return fmt.Errorf("metrics: ckpt: histogram %q bucket count %d out of range", name, nb)
 		}
 		counts := make([]uint64, nb)
 		for j := range counts {
@@ -109,7 +97,7 @@ func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 		h.vmin = cr.F64()
 		h.vmax = cr.F64()
 	}
-	nc := cr.Int()
+	nc := cr.Count(8)
 	if cr.Err() != nil {
 		return cr.Err()
 	}
@@ -121,7 +109,38 @@ func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 	return cr.Err()
 }
 
-// maxCkptSamples bounds per-instrument element counts against corrupt
-// length prefixes (the checksum catches corruption, but only after the
-// stream has been consumed).
-const maxCkptSamples = 1 << 28
+// sampleBytes is one encoded Sample: At then Value, 8 bytes each,
+// little-endian.
+const sampleBytes = 16
+
+// saveSamples writes samples as one contiguous run of (At, Value)
+// pairs, a chunk at a time, straight into the writer's buffer.
+func saveSamples(w *ckpt.Writer, samples []Sample) {
+	const per = ckpt.ChunkSize / sampleBytes
+	for len(samples) > 0 {
+		run := samples[:min(per, len(samples))]
+		samples = samples[len(run):]
+		p := w.Next(len(run) * sampleBytes)
+		for i, sm := range run {
+			q := p[i*sampleBytes : (i+1)*sampleBytes]
+			binary.LittleEndian.PutUint64(q, uint64(sm.At))
+			binary.LittleEndian.PutUint64(q[8:], math.Float64bits(sm.Value))
+		}
+	}
+}
+
+// loadSamples fills dst from a run written by saveSamples.
+func loadSamples(r *ckpt.Reader, dst []Sample) []Sample {
+	p := r.Next(len(dst) * sampleBytes)
+	if p == nil {
+		return nil
+	}
+	for i := range dst {
+		q := p[i*sampleBytes : (i+1)*sampleBytes]
+		dst[i] = Sample{
+			At:    time.Duration(binary.LittleEndian.Uint64(q)),
+			Value: math.Float64frombits(binary.LittleEndian.Uint64(q[8:])),
+		}
+	}
+	return dst
+}

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"math"
 
 	"evolve/internal/ckpt"
+	"evolve/internal/resource"
 )
 
 // SaveControlTrace writes a controller decision decomposition; the
@@ -86,8 +88,83 @@ func loadLatHist(r *ckpt.Reader, h *LatencyHistogram) error {
 	return r.Err()
 }
 
-// CkptSave writes the tracer's full state: both rings (as the same JSONL
-// encoding the sinks receive — it round-trips exactly), sequence and
+// saveEvent writes one ring event as a fixed binary record; the PID
+// decomposition follows only when HasCtrl is set.
+func saveEvent(w *ckpt.Writer, ev *Event) {
+	w.U64(ev.Seq)
+	w.Dur(ev.At)
+	w.U8(uint8(ev.Kind))
+	w.Str(ev.Verb)
+	w.Str(ev.App)
+	w.Str(ev.Object)
+	w.Str(ev.Node)
+	w.Str(ev.Detail)
+	w.F64(ev.PerfErr)
+	w.F64(ev.SLI)
+	w.F64(ev.Objective)
+	w.F64(ev.Offered)
+	w.Int(ev.Replicas)
+	w.Int(ev.Ready)
+	w.Int(ev.NewReplicas)
+	ev.Alloc.CkptSave(w)
+	ev.NewAlloc.CkptSave(w)
+	ev.Util.CkptSave(w)
+	w.Bool(ev.HasCtrl)
+	if ev.HasCtrl {
+		SaveControlTrace(w, ev.Ctrl)
+	}
+}
+
+// loadEvent reads a record written by saveEvent.
+func loadEvent(r *ckpt.Reader) (Event, error) {
+	ev := Event{Seq: r.U64(), At: r.Dur(), Kind: Kind(r.U8())}
+	if r.Err() == nil && ev.Kind >= numKinds {
+		return Event{}, fmt.Errorf("obs: ckpt: event kind %d out of range", ev.Kind)
+	}
+	ev.Verb, ev.App, ev.Object, ev.Node, ev.Detail = r.Str(), r.Str(), r.Str(), r.Str(), r.Str()
+	ev.PerfErr, ev.SLI, ev.Objective, ev.Offered = r.F64(), r.F64(), r.F64(), r.F64()
+	ev.Replicas, ev.Ready, ev.NewReplicas = r.Int(), r.Int(), r.Int()
+	ev.Alloc, ev.NewAlloc, ev.Util = resource.LoadVector(r), resource.LoadVector(r), resource.LoadVector(r)
+	if ev.HasCtrl = r.Bool(); ev.HasCtrl {
+		ev.Ctrl = LoadControlTrace(r)
+	}
+	return ev, r.Err()
+}
+
+// saveSpan writes one ring span as a fixed binary record.
+func saveSpan(w *ckpt.Writer, sp *Span) {
+	w.U64(sp.ID)
+	w.U64(sp.Parent)
+	w.U8(uint8(sp.Kind))
+	w.Str(sp.App)
+	w.Str(sp.Object)
+	w.Str(sp.Node)
+	w.Str(sp.Detail)
+	w.I64(int64(sp.Shard))
+	w.Dur(sp.Start)
+	w.Dur(sp.End)
+	w.I64(sp.WallNs)
+}
+
+// loadSpan reads a record written by saveSpan.
+func loadSpan(r *ckpt.Reader) (Span, error) {
+	sp := Span{ID: r.U64(), Parent: r.U64(), Kind: SpanKind(r.U8())}
+	if r.Err() == nil && sp.Kind >= numSpanKinds {
+		return Span{}, fmt.Errorf("obs: ckpt: span kind %d out of range", sp.Kind)
+	}
+	sp.App, sp.Object, sp.Node, sp.Detail = r.Str(), r.Str(), r.Str(), r.Str()
+	shard := r.I64()
+	if r.Err() == nil && (shard < math.MinInt32 || shard > math.MaxInt32) {
+		return Span{}, fmt.Errorf("obs: ckpt: span shard %d out of range", shard)
+	}
+	sp.Shard = int32(shard)
+	sp.Start, sp.End = r.Dur(), r.Dur()
+	sp.WallNs = r.I64()
+	return sp, r.Err()
+}
+
+// CkptSave writes the tracer's full state: both rings (oldest first, as
+// binary records that round-trip every field bit for bit), sequence and
 // drop counters, and the latency histograms. Sinks and their latched
 // errors are caller-owned wiring and deliberately excluded.
 func (t *Tracer) CkptSave(w *ckpt.Writer) {
@@ -108,17 +185,14 @@ func (t *Tracer) CkptSave(w *ckpt.Writer) {
 		n = t.next
 	}
 	w.Int(n)
-	var enc []byte
-	emit := func(evs []Event) {
-		for i := range evs {
-			enc = AppendJSON(enc[:0], &evs[i])
-			w.Bytes(enc)
+	if t.wrapped {
+		for i := t.next; i < len(t.buf); i++ {
+			saveEvent(w, &t.buf[i])
 		}
 	}
-	if t.wrapped {
-		emit(t.buf[t.next:])
+	for i := 0; i < t.next; i++ {
+		saveEvent(w, &t.buf[i])
 	}
-	emit(t.buf[:t.next])
 
 	w.Int(len(t.spans))
 	w.U64(t.spanSeq)
@@ -129,16 +203,14 @@ func (t *Tracer) CkptSave(w *ckpt.Writer) {
 		n = t.spanNext
 	}
 	w.Int(n)
-	emitSpans := func(sps []Span) {
-		for i := range sps {
-			enc = AppendSpanJSON(enc[:0], &sps[i])
-			w.Bytes(enc)
+	if t.spanWrapped {
+		for i := t.spanNext; i < len(t.spans); i++ {
+			saveSpan(w, &t.spans[i])
 		}
 	}
-	if t.spanWrapped {
-		emitSpans(t.spans[t.spanNext:])
+	for i := 0; i < t.spanNext; i++ {
+		saveSpan(w, &t.spans[i])
 	}
-	emitSpans(t.spans[:t.spanNext])
 
 	for k := range t.lat {
 		saveLatHist(w, &t.lat[k])
@@ -187,10 +259,7 @@ func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 		t.buf[i] = Event{}
 	}
 	for i := 0; i < n; i++ {
-		ev, err := ParseEvent(r.Bytes())
-		if r.Err() != nil {
-			return r.Err()
-		}
+		ev, err := loadEvent(r)
 		if err != nil {
 			return err
 		}
@@ -219,10 +288,7 @@ func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 		t.spans[i] = Span{}
 	}
 	for i := 0; i < n; i++ {
-		sp, err := ParseSpan(r.Bytes())
-		if r.Err() != nil {
-			return r.Err()
-		}
+		sp, err := loadSpan(r)
 		if err != nil {
 			return err
 		}

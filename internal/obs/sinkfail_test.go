@@ -135,7 +135,7 @@ func TestTracerCkptRoundTrip(t *testing.T) {
 	}
 
 	tr2 := New(8)
-	r, err := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := ckpt.NewReader(buf.Bytes())
 	if err != nil {
 		t.Fatalf("reader: %v", err)
 	}

@@ -396,18 +396,28 @@ func (g *RNG) Seed() int64 { return g.seed }
 // position a checkpoint records.
 func (g *RNG) Draws() uint64 { return g.src.n }
 
+// maxDraws bounds a restored stream position. The streams a world
+// checkpoints draw a few values per tick at most, so 2^28 draws is years
+// of virtual time, and replaying them takes about a second; the bound
+// turns a corrupt position into an error instead of a long spin.
+const maxDraws = 1 << 28
+
 // Burn advances the source to stream position n (absolute, not
 // relative): a restore seeds a fresh RNG and burns it to the
-// checkpointed Draws. Burning behind the current position panics — it
-// would mean the restored stream silently rewound.
-func (g *RNG) Burn(n uint64) {
+// checkpointed Draws. A position behind the current one (the restored
+// stream would silently rewind) or beyond maxDraws is an error.
+func (g *RNG) Burn(n uint64) error {
 	if n < g.src.n {
-		panic(fmt.Sprintf("sim: RNG Burn(%d) behind current position %d", n, g.src.n))
+		return fmt.Errorf("sim: RNG position %d is behind the current %d", n, g.src.n)
+	}
+	if n > maxDraws {
+		return fmt.Errorf("sim: RNG position %d exceeds the %d-draw limit", n, uint64(maxDraws))
 	}
 	for g.src.n < n {
 		g.src.n++
 		g.src.src.Uint64()
 	}
+	return nil
 }
 
 // Fork derives an independent child source; use one child per model
