@@ -27,23 +27,24 @@ bench:
 # the trailing summary line carries its raw rows (with per-phase
 # breakdown) plus Figure 12's control-plane rows.
 bench-json:
-	$(GO) run ./cmd/evolve-bench -json > BENCH_10.json
+	$(GO) run ./cmd/evolve-bench -json > BENCH_15.json
 
 # bench-shard is the sharded-kernel regression smoke at CI scale: the
 # first three points of the Figure 6 ladder under shard counts {1, 4},
 # plus the determinism suite that pins byte-identical replay across
-# shard, worker and batching modes (the -race variant of the suite runs
-# in the race job).
+# shard and worker counts with the kernel invariant checker armed every
+# tick, and the coordinator's round protocol (the -race variant of the
+# suite runs in the race job).
 bench-shard:
 	$(GO) run ./cmd/evolve-bench -json -quick -scale-points 3 -shards 4 -only figure6
 	$(GO) test ./internal/harness -run 'TestSharded' -count 1 -v
-	$(GO) test ./internal/sim -run 'TestCoordinator|TestBatched|TestProcessEventsAt' -count 1
+	$(GO) test ./internal/sim -run 'TestCoordinator|TestDrainShards|TestBatchedRoundAllocs|TestProcessEventsAt' -count 1
 
 # bench-control is the control-plane scaling regression smoke at CI
 # scale: the quick Figure 12 ladder under worker counts {1, 4}, plus
 # the suites that pin byte-identical replay across control-plane worker
-# counts and the serial path's allocation budget (the -race variant of
-# the determinism suite runs in the race job).
+# counts and the 1-worker step's allocation budget (the -race variant
+# of the determinism suite runs in the race job).
 bench-control:
 	$(GO) run ./cmd/evolve-bench -json -quick -ctrl-workers 4 -only figure12
 	$(GO) test ./internal/harness -run 'TestCtrlWorkers|TestFigure12' -count 1 -v
@@ -59,7 +60,7 @@ bench-control:
 # within-record speedup regress (the checks disagreeing means the
 # shared serial baseline moved, not the row — see cmd/bench-compare).
 bench-compare:
-	$(GO) run ./cmd/bench-compare -old BENCH_7.json -new BENCH_10.json
+	$(GO) run ./cmd/bench-compare -old BENCH_10.json -new BENCH_15.json
 
 # bench-sched is the scheduler hot-path regression smoke: the sched
 # benchmarks at a fixed iteration count (so -benchtime noise cannot mask

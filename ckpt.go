@@ -230,12 +230,9 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 	if err != nil {
 		return err
 	}
-	co := cl.c.Coordinator()
-	var coState sim.CoordinatorState
-	if co != nil {
-		if coState, err = co.State(); err != nil {
-			return err
-		}
+	coState, err := cl.c.Coordinator().State()
+	if err != nil {
+		return err
 	}
 	cw.Begin("evolve")
 	cw.I64(cl.opts.Seed)
@@ -251,18 +248,15 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 		cw.Str(t.Tag.Kind)
 		cw.Str(t.Tag.Arg)
 	}
-	cw.Bool(co != nil)
-	if co != nil {
-		cw.U64(coState.Rounds)
-		cw.U64(coState.ParRounds)
-		cw.U64(coState.RoundsMark)
-		cw.U64(coState.ParMark)
-		cw.Int(len(coState.Shards))
-		for _, s := range coState.Shards {
-			cw.Dur(s.Now)
-			cw.U64(s.Seq)
-			cw.U64(s.Nsteps)
-		}
+	cw.U64(coState.Rounds)
+	cw.U64(coState.ParRounds)
+	cw.U64(coState.RoundsMark)
+	cw.U64(coState.ParMark)
+	cw.Int(len(coState.Shards))
+	for _, s := range coState.Shards {
+		cw.Dur(s.Now)
+		cw.U64(s.Seq)
+		cw.U64(s.Nsteps)
 	}
 	cl.runner.CkptSave(cw)
 	cl.queue.CkptSave(cw)
@@ -335,27 +329,21 @@ func (cl *Cluster) restore(blob []byte) error {
 			Tag: sim.TimerTag{Kind: cr.Str(), Arg: cr.Str()},
 		}
 	}
-	co := cl.c.Coordinator()
 	var coState sim.CoordinatorState
-	if coPresent := cr.Bool(); coPresent != (co != nil) {
-		if cr.Err() != nil {
-			return cr.Err()
-		}
-		return fmt.Errorf("evolve: checkpoint sharding does not match this cluster's Shards option")
+	coState.Rounds = cr.U64()
+	coState.ParRounds = cr.U64()
+	coState.RoundsMark = cr.U64()
+	coState.ParMark = cr.U64()
+	ns := cr.Count(24)
+	if cr.Err() != nil {
+		return cr.Err()
 	}
-	if co != nil {
-		coState.Rounds = cr.U64()
-		coState.ParRounds = cr.U64()
-		coState.RoundsMark = cr.U64()
-		coState.ParMark = cr.U64()
-		ns := cr.Count(24)
-		if cr.Err() != nil {
-			return cr.Err()
-		}
-		coState.Shards = make([]sim.ShardClock, ns)
-		for i := range coState.Shards {
-			coState.Shards[i] = sim.ShardClock{Now: cr.Dur(), Seq: cr.U64(), Nsteps: cr.U64()}
-		}
+	if want := cl.c.Coordinator().NumShards(); ns != want {
+		return fmt.Errorf("evolve: checkpoint has %d kernel shards, this cluster %d (Shards option)", ns, want)
+	}
+	coState.Shards = make([]sim.ShardClock, ns)
+	for i := range coState.Shards {
+		coState.Shards[i] = sim.ShardClock{Now: cr.Dur(), Seq: cr.U64(), Nsteps: cr.U64()}
 	}
 	if cr.Err() != nil {
 		return cr.Err()
@@ -429,10 +417,8 @@ func (cl *Cluster) restore(blob []byte) error {
 	if err := cl.eng.RNG().Burn(draws); err != nil {
 		return err
 	}
-	if co != nil {
-		if err := co.RestoreState(coState); err != nil {
-			return err
-		}
+	if err := cl.c.Coordinator().RestoreState(coState); err != nil {
+		return err
 	}
 	// After a restore, LastCheckpoint is the snapshot this world came
 	// from, so a process that restores and then crashes again before the

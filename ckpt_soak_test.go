@@ -35,16 +35,12 @@ func TestCheckpointSoak(t *testing.T) {
 	for _, shards := range shardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			whole := ckptWorld(t, shards, "mixed")
-			if err := whole.Run(time.Hour); err != nil {
-				t.Fatal(err)
-			}
+			runInvariantChecked(t, whole, time.Hour)
 			want := ckptFingerprint(whole)
 
 			c := ckptWorld(t, shards, "mixed")
 			for _, crashAt := range crashPoints {
-				if err := c.Run(crashAt - c.Now()); err != nil {
-					t.Fatal(err)
-				}
+				runInvariantChecked(t, c, crashAt-c.Now())
 				snap := c.LastCheckpoint()
 				if snap == nil {
 					t.Fatalf("no checkpoint before crash at %v", crashAt)
@@ -53,10 +49,11 @@ func TestCheckpointSoak(t *testing.T) {
 				if err := c.Restore(bytes.NewReader(snap)); err != nil {
 					t.Fatalf("restore after crash at %v: %v", crashAt, err)
 				}
+				if err := c.c.CheckInvariants(); err != nil {
+					t.Fatalf("restored at %v: %v", c.Now(), err)
+				}
 			}
-			if err := c.Run(time.Hour - c.Now()); err != nil {
-				t.Fatal(err)
-			}
+			runInvariantChecked(t, c, time.Hour-c.Now())
 			if got := ckptFingerprint(c); got != want {
 				i := 0
 				for i < len(got) && i < len(want) && got[i] == want[i] {
@@ -67,5 +64,23 @@ func TestCheckpointSoak(t *testing.T) {
 					i, want[lo:min(len(want), i+200)], got[lo:min(len(got), i+200)])
 			}
 		})
+	}
+}
+
+// runInvariantChecked advances the world by d one metrics interval at a
+// time and re-derives the kernel's dense tick state from the object
+// graph after each tick (cluster.CheckInvariants). Stepping instead of
+// arming an engine timer keeps the checker out of the checkpointed
+// timer set; slicing a run never changes its outcome.
+func runInvariantChecked(t *testing.T, c *Cluster, d time.Duration) {
+	t.Helper()
+	step := c.c.Config().MetricsInterval
+	for end := c.Now() + d; c.Now() < end; {
+		if err := c.Run(min(step, end-c.Now())); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.c.CheckInvariants(); err != nil {
+			t.Fatalf("t=%v: %v", c.Now(), err)
+		}
 	}
 }

@@ -456,6 +456,47 @@ func TestRestoreAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestCheckpointShardsZeroRestoresIntoOne: Shards 0 and 1 build the
+// same one-shard kernel, so a checkpoint taken at Shards: 0 restores
+// into a Shards: 1 world and continues byte-identically to the
+// uninterrupted Shards: 0 run. A different shard count is refused
+// before the world starts, leaving it fresh for the right checkpoint.
+func TestCheckpointShardsZeroRestoresIntoOne(t *testing.T) {
+	whole := ckptWorld(t, 0, "mixed")
+	if err := whole.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	want := ckptFingerprint(whole)
+
+	half := ckptWorld(t, 0, "mixed")
+	if err := half.Run(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := half.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	wrong := ckptWorld(t, 2, "mixed")
+	if err := wrong.Restore(bytes.NewReader(snap.Bytes())); err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Fatalf("1-shard checkpoint into a 2-shard world: got %v, want a shard-count error", err)
+	}
+	if wrong.started || wrong.Now() != 0 {
+		t.Fatalf("refused restore touched the cluster: started=%v now=%v", wrong.started, wrong.Now())
+	}
+
+	resumed := ckptWorld(t, 1, "mixed")
+	if err := resumed.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Run(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := ckptFingerprint(resumed); got != want {
+		t.Error("Shards: 1 world restored from a Shards: 0 checkpoint diverged from the uninterrupted run")
+	}
+}
+
 // encodeWorld is a small traced world for the encode-cost checks; the
 // ring capacity is below what two hours record, so it wraps.
 func encodeWorld(tb testing.TB, horizon time.Duration) *Cluster {

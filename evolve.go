@@ -88,23 +88,25 @@ type Options struct {
 	// sequential. Only worth enabling on multi-core machines with
 	// clusters of hundreds of nodes.
 	ScoreWorkers int
-	// Shards runs the simulation kernel sharded: the tick's per-node and
-	// per-app phases split across this many shard engines under a shared
-	// clock, with batched barrier commits. Results are byte-identical at
-	// any shard count; 0 or 1 keeps the single-engine kernel. Worth
-	// enabling for large topologies (thousands of nodes and up).
+	// Shards splits the simulation kernel's tick: its per-node and
+	// per-app phases run across this many shard engines under a shared
+	// clock, with batched barrier commits. 0 means 1 — every world runs
+	// the same phased tick, one shard being the smallest partition.
+	// Results are byte-identical at any shard count. Worth raising for
+	// large topologies (thousands of nodes and up) on multi-core
+	// machines.
 	Shards int
 	// ShardWorkers bounds how many same-timestamp shard events run
-	// concurrently (0 = GOMAXPROCS, 1 = serial rounds). Identical
-	// results at any value.
+	// concurrently (0 = min(Shards, GOMAXPROCS), 1 = serial rounds).
+	// Identical results at any value.
 	ShardWorkers int
 	// CtrlWorkers shards the control plane: each control period's
 	// read-only evaluate phase (observe → decide per app) fans out over
 	// this many workers, and the pending-backlog drain batches
 	// independent placements. Decisions are applied serially in
 	// canonical app order, so runs are byte-identical at any value; 0 or
-	// 1 keeps the exact serial control step. Worth enabling at hundreds
-	// of services and up.
+	// 1 evaluates inline and drains the backlog pod by pod. Worth
+	// enabling at hundreds of services and up.
 	CtrlWorkers int
 	// DebugPprof mounts net/http/pprof under /debug/pprof/ on the
 	// Handler mux so control-period profiles can be captured from a live

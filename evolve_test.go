@@ -290,8 +290,8 @@ func TestDeterministicReplayAcrossClusters(t *testing.T) {
 }
 
 // TestShardsOptionByteIdentical pins the public contract of
-// Options.Shards: the sharded kernel produces exactly the results of
-// the single-engine one.
+// Options.Shards: every shard count produces exactly the results of the
+// default one-shard kernel.
 func TestShardsOptionByteIdentical(t *testing.T) {
 	run := func(shards int) (float64, string) {
 		c, err := New(Options{Seed: 11, Nodes: 6, Shards: shards, ShardWorkers: 1})

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -120,6 +122,13 @@ func TestBadMagicAndVersion(t *testing.T) {
 	b[4]++ // bump format version
 	if _, err := NewReader(b); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("want version error, got %v", err)
+	}
+	// A file from the previous format (version 2, before the kernel had
+	// one tick path) is refused by name.
+	binary.LittleEndian.PutUint32(b[len(Magic):], 2)
+	want := fmt.Sprintf("format version 2 (this build reads %d)", Version)
+	if _, err := NewReader(b); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("want %q, got %v", want, err)
 	}
 }
 

@@ -24,11 +24,12 @@ import (
 //
 // Everything derivable is deliberately not serialised: the sorted
 // indexes are rebuilt by insertion, the scheduler snapshot and the
-// dense hot-state caches rebuild lazily on the next tick, and node
-// scratch (slow, running) is recomputed by the tick phases before
-// anything reads it. The one non-derivable cache field is rc.contrib —
-// phaseAppFast reads it when an app's ready count drops to zero, and
-// the lazy rebuild does not set it — so it rides along per app.
+// dense run/pod caches rebuild lazily on the next tick, node slowdowns
+// are recomputed from the restored usage, and the dense per-app usage
+// from the last usage sample each app recorded. The one non-derivable
+// cache field is rc.contrib — evalApp reads it when an app's ready
+// count drops to zero, and the lazy rebuild does not set it — so it
+// rides along per app.
 
 // delayedApply is one chaos-delayed decision still waiting for its
 // timer; the checkpoint records it so restore can rebuild the timer's
@@ -389,10 +390,7 @@ func (c *Cluster) CkptSave(w *ckpt.Writer) {
 	w.Int(c.lastTick.SamplesDropped)
 	w.Int(c.lastTick.SamplesStale)
 
-	w.Bool(c.hot != nil)
-	if c.hot != nil {
-		w.Dur(c.hot.lastPhaseAt)
-	}
+	w.Dur(c.hot.lastPhaseAt)
 
 	c.met.CkptSave(w)
 	w.U64(c.store.Version())
@@ -460,6 +458,7 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		n.Allocated = resource.LoadVector(r)
 		n.Usage = resource.LoadVector(r)
 		n.pc.ok = false
+		c.hot.slow[n.slot] = c.nodeSlowdown(n)
 	}
 
 	na := r.Int()
@@ -532,19 +531,33 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		SamplesStale:   r.Int(),
 	}
 
-	if r.Bool() {
-		if c.hot == nil {
-			return fmt.Errorf("cluster: ckpt: checkpoint is sharded, this world is not")
-		}
-		c.hot.lastPhaseAt = r.Dur()
-		c.hot.usageStale = false
-	} else if c.hot != nil {
-		return fmt.Errorf("cluster: ckpt: checkpoint is unsharded, this world is sharded")
-	}
+	c.hot.lastPhaseAt = r.Dur()
+	c.hot.usageStale = false
 
 	if err := c.met.CkptLoad(r); err != nil {
 		return err
 	}
+	c.restoreAppUsage()
 	c.store.SetVersion(r.U64())
 	return r.Err()
+}
+
+// restoreAppUsage rebuilds the dense per-app usage from the usage series
+// the last tick recorded, so the restored hot state agrees with the
+// restored pods (CheckInvariants). The tick itself never reads it
+// before P2 overwrites it.
+func (c *Cluster) restoreAppUsage() {
+	for _, st := range c.appList {
+		var u resource.Vector
+		for _, k := range resource.Kinds() {
+			name := "app/" + st.obj.Spec.Name + "/usage/" + k.String()
+			if !c.met.HasSeries(name) {
+				continue
+			}
+			if s, ok := c.met.Series(name).Last(); ok && s.At == c.hot.lastPhaseAt {
+				u[k] = s.Value
+			}
+		}
+		c.hot.appUsage[st.hotIdx] = u
+	}
 }

@@ -36,22 +36,17 @@ type Config struct {
 	ScoreThreshold int
 	// Shards splits the tick's per-node and per-app phases across this
 	// many shard engines driven by a sim.Coordinator under the primary
-	// engine's clock. 0 or 1 keeps the single-engine path. Entities are
-	// assigned to shards by stable name hash, and all cross-shard
-	// effects are applied at phase barriers in canonical entity order,
-	// so results are byte-identical for every shard count.
+	// engine's clock. New normalises values below 1 to 1: every world
+	// runs the same phased tick, one shard is simply the smallest
+	// partition. Entities are assigned to shards by stable name hash,
+	// and all cross-shard effects are applied at phase barriers in
+	// canonical entity order, so results are byte-identical for every
+	// shard count.
 	Shards int
 	// ShardWorkers bounds how many same-timestamp shard events execute
 	// concurrently on the shared worker pool (0 = min(Shards, GOMAXPROCS);
 	// 1 keeps rounds serial). Results are identical either way.
 	ShardWorkers int
-	// BatchedRounds lets each shard drain all its events at the shared
-	// timestamp in one coordinator round (sim.Engine.ProcessEventsAt)
-	// instead of one event per round, collapsing barrier count per tick
-	// from O(events) to O(1). The cluster's phase discipline posts no
-	// cross-shard mail mid-timestamp, so results are byte-identical in
-	// either mode; off reproduces the PR 6 round protocol exactly.
-	BatchedRounds bool
 	// DrainWorkers opts the pending-backlog scheduling drain into batched
 	// placement: pods whose feasibility-index candidate prefixes are
 	// provably disjoint are scored concurrently on the shared worker pool
@@ -67,7 +62,6 @@ func DefaultConfig() Config {
 		Interference:     true,
 		SchedulerPolicy:  sched.PolicySpread,
 		MeasurementNoise: 0.03,
-		BatchedRounds:    true,
 	}
 }
 
@@ -119,21 +113,18 @@ type appState struct {
 	noise    *sim.RNG
 	chaosRNG *sim.RNG
 
-	// Parallel-phase buffers (shard.go): writes that must not land
-	// in-place from a shard goroutine are staged here and applied at
-	// the phase barrier in appList order. The single-shard path never
-	// touches them.
-	updBuf     []registry.Object // pending registry updates, pod order
-	traceEv    obs.Event         // buffered PLO onset/clear event
+	// Phase buffers (shard.go): writes that must not land in place from
+	// a shard goroutine are staged here and committed at the barrier in
+	// appList order (commitApps).
+	traceEv    obs.Event // staged PLO onset/clear event
 	traceSet   bool
 	tickDrop   int // SamplesDropped owed to lastTick
 	tickStale  int // SamplesStale owed to lastTick
 	chaosStats chaos.Stats
 
-	// Sharded-kernel hot state (hotstate.go): hotIdx is the app's index
-	// into the dense appUsage array, rc the cached ready-replica
-	// aggregate, stamps the deferred registry version stamps owed to the
-	// flush. Unused on the single-engine path.
+	// Dense hot state (hotstate.go): hotIdx is the app's index into the
+	// dense appUsage array, rc the cached ready-replica aggregate, stamps
+	// the deferred registry version stamps owed to the commit.
 	hotIdx int32
 	rc     appRunCache
 	stamps int
@@ -177,23 +168,21 @@ type Cluster struct {
 	// place on every bind, drained in place on node failure.
 	snap         *sched.Snapshot
 	scratchQueue []*PodObject
-	scratchRun   []*PodObject
-	nodeUpd      []registry.Object // sharded path: buffered node updates
-	batchPods    []sched.PodInfo   // drain batching: current batch's views
+	batchPods    []sched.PodInfo // drain batching: current batch's views
 	batchRes     []sched.BatchResult
 	h            *clusterHandles
 
-	// Sharded kernel (nil / empty on the single-engine path). co drives
-	// the shard engines under the primary clock; shards holds each
-	// shard's partition of nodes and apps (see shard.go); hot is the
-	// dense SoA mirror the quiescent-store tick runs on (hotstate.go).
+	// Sharded kernel. co drives the shard engines under the primary
+	// clock; shards holds each shard's partition of nodes and apps (see
+	// shard.go); hot is the dense SoA mirror the tick runs on
+	// (hotstate.go).
 	co     *sim.Coordinator
 	shards []*shardState
-	hot    *hotState
+	hot    hotState
 
 	// phases, when non-nil, accumulates the per-tick phase timing
 	// breakdown (EnablePhaseTiming); traceBuf stages PLO trace events
-	// for batch emission at the flush barrier. phasePrev remembers each
+	// for batch emission at the commitApps barrier. phasePrev remembers each
 	// phase's cumulative total at the last emitted phase span so
 	// emitPhaseSpans (spans.go) can lift per-tick deltas out of it.
 	phases    *perf.PhaseBreakdown
@@ -232,6 +221,9 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	if cfg.MetricsInterval <= 0 {
 		cfg.MetricsInterval = 5 * time.Second
 	}
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
+	}
 	sch := sched.New(cfg.SchedulerPolicy)
 	if cfg.ScoreWorkers > 1 {
 		sch.SetParallel(cfg.ScoreWorkers, cfg.ScoreThreshold)
@@ -257,40 +249,28 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 
 		pendingApply: make(map[string]delayedApply),
 	}
-	if cfg.Shards > 1 {
-		c.initShards(cfg.Shards, cfg.ShardWorkers)
-	}
+	c.initShards(cfg.Shards, cfg.ShardWorkers)
 	return c
 }
 
-// Coordinator returns the shard coordinator, or nil on the
-// single-engine path.
+// Coordinator returns the shard coordinator.
 func (c *Cluster) Coordinator() *sim.Coordinator { return c.co }
 
-// EnablePhaseTiming switches on the per-tick phase breakdown and
-// returns the accumulator the tick records into (see internal/perf).
-// On the sharded path the coordinator's barrier/mailbox timers are
-// enabled too. Call before Run; the breakdown can be Reset between
-// measurement windows.
+// EnablePhaseTiming switches on the per-tick phase breakdown (and the
+// coordinator's barrier/mailbox timers) and returns the accumulator the
+// tick records into (see internal/perf). Call before Run; the breakdown
+// can be Reset between measurement windows.
 func (c *Cluster) EnablePhaseTiming() *perf.PhaseBreakdown {
-	n := 1
-	if c.co != nil {
-		n = c.co.NumShards()
-		c.co.SetTiming(true)
-	}
-	c.phases = perf.NewPhaseBreakdown(n)
+	c.co.SetTiming(true)
+	c.phases = perf.NewPhaseBreakdown(c.co.NumShards())
 	c.phasePrev = [perf.NumPhases]int64{}
 	return c.phases
 }
 
 // Run advances the simulation until the shared clock reaches the
-// absolute time until: through the coordinator when sharded, directly
-// on the engine otherwise. It returns the number of events executed.
+// absolute time until and returns the number of events executed.
 func (c *Cluster) Run(until time.Duration) uint64 {
-	if c.co != nil {
-		return c.co.Run(until)
-	}
-	return c.eng.Run(until)
+	return c.co.Run(until)
 }
 
 // Tracer returns the cluster's decision tracer (the shared no-op tracer
@@ -298,9 +278,8 @@ func (c *Cluster) Run(until time.Duration) uint64 {
 func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
 
 // SetTracer installs a decision tracer. When the tracer is enabled the
-// cluster also mirrors registry add/delete deltas onto it (Modified
-// events are skipped — they fire for every pod every tick and would
-// drown the ring and the steady-state allocation budget).
+// cluster also mirrors the registry's object lifecycle (add/delete) onto
+// it.
 func (c *Cluster) SetTracer(t *obs.Tracer) {
 	if t == nil {
 		t = obs.Nop()
@@ -310,9 +289,6 @@ func (c *Cluster) SetTracer(t *obs.Tracer) {
 		return
 	}
 	c.store.Watch("", func(ev registry.Event) {
-		if ev.Type != registry.Added && ev.Type != registry.Deleted {
-			return
-		}
 		verb := obs.VerbAdded
 		if ev.Type == registry.Deleted {
 			verb = obs.VerbDeleted
@@ -466,10 +442,9 @@ func (c *Cluster) podsOnNode(node string) []*PodObject {
 	return c.byNode[node]
 }
 
-// Pods returns all live pods sorted by name. On the dense sharded path
-// per-pod usage is materialised lazily; this accessor syncs it first,
-// so callers always see the same usage the serial tick would have
-// written.
+// Pods returns all live pods sorted by name. The tick keeps per-pod
+// usage in its dense state; this accessor materialises it first
+// (syncPodUsage), so callers always see each pod's current usage.
 func (c *Cluster) Pods() []*PodObject {
 	c.syncPodUsage()
 	return append([]*PodObject(nil), c.byName...)
@@ -827,6 +802,7 @@ func (c *Cluster) FailNode(name string) error {
 	}
 	n.Allocated = resource.Vector{}
 	n.Usage = resource.Vector{}
+	c.hot.slow[n.slot] = c.nodeSlowdown(n)
 	// Drain the node from the reusable scheduling snapshot in place: the
 	// entry keeps its name (error totals stay stable) but loses all
 	// capacity and its feasibility-index slots, so nothing schedules onto
@@ -853,6 +829,7 @@ func (c *Cluster) RestoreNode(name string) error {
 		return nil
 	}
 	n.Ready = true
+	c.hot.slow[n.slot] = c.nodeSlowdown(n)
 	c.update(n)
 	c.recordEvent("node-restored", name, "node ready again")
 	if c.tracer.Enabled() {
@@ -868,24 +845,6 @@ func (c *Cluster) RestoreNode(name string) error {
 func (c *Cluster) update(obj registry.Object) {
 	if err := c.store.Update(obj); err != nil {
 		c.registryFault(obj, err)
-	}
-}
-
-// applyUpdates commits a batch of buffered mutations in slice order with
-// the same absorb-on-fault semantics as that many update calls: the
-// registry's version trajectory and fault accounting are identical, the
-// per-call overhead is paid once. The sharded tick's barriers use it.
-// The buffered objects always come out of the cluster's own indexes —
-// the very pointers the store holds — which is what licenses the
-// ApplyOwned fast path.
-func (c *Cluster) applyUpdates(objs []registry.Object) {
-	for len(objs) > 0 {
-		n, err := c.store.ApplyOwned(objs)
-		if err == nil {
-			return
-		}
-		c.registryFault(objs[n], err)
-		objs = objs[n+1:]
 	}
 }
 

@@ -9,18 +9,15 @@ import (
 	"evolve/internal/resource"
 )
 
-// Cache-dense hot state for the sharded tick.
+// Cache-dense hot state for the tick.
 //
-// The P1→P2→P3 walk used to chase *Pod/*Node pointers for every replica
-// every tick: P2 summed requests and looked node slowdowns up through
-// c.nodes[p.Node] per pod, wrote per-pod usage, and staged a registry
-// update per pod; P3 re-read every pod's usage back off the heap. At 1M
-// pods that is pure memory-hierarchy cost — the 5× ns/pod/tick
-// degradation from 10k→1M pods in BENCH_6.
-//
-// When the registry is quiescent (no live watchers — the untraced bench
-// and production configuration), the sharded tick instead runs on dense
-// per-cluster arrays that ARE the authoritative hot-loop representation:
+// A pointer-walking tick chases *Pod/*Node pointers for every replica
+// every tick: P2 sums requests and looks node slowdowns up through
+// c.nodes[p.Node] per pod and writes per-pod usage; P3 re-reads every
+// pod's usage back off the heap. At 1M pods that is pure
+// memory-hierarchy cost — the 5× ns/pod/tick degradation from 10k→1M
+// pods in BENCH_6. The tick instead runs on dense per-cluster arrays
+// that ARE the authoritative hot-loop representation:
 //
 //	hot.slow[slot]      P1 result per node, indexed by dense node slot
 //	hot.appUsage[idx]   P2 result per app (per-replica usage vector)
@@ -31,40 +28,38 @@ import (
 //	                    services, whose usage is appUsage[idx]) or task
 //	                    pointers, in byNode order
 //
-// The caches are exact, not approximate: they hold the same addends the
-// serial loop sums, in the same order, so every float result is
-// bit-identical to the single-engine tick. They are invalidated at the
-// topology mutation points (index.go hooks, resize, eviction) and
-// rebuilt lazily at the next phase; readiness transitions need no hook
-// because each cache carries the earliest ReadyAt that could change its
-// membership and rebuilds when the clock reaches it.
+// The caches are exact, not approximate: they hold the same addends a
+// walk of the object graph sums, in the same order, so every float
+// result is bit-identical to re-deriving it (Cluster.CheckInvariants
+// does exactly that). They are invalidated at the topology mutation
+// points (index.go hooks, resize, eviction) and rebuilt lazily at the
+// next phase; readiness transitions need no hook because each cache
+// carries the earliest ReadyAt that could change its membership and
+// rebuilds when the clock reaches it.
 //
 // The object graph is synced back lazily: per-pod Usage fields are only
 // materialised (syncPodUsage) when something outside the tick actually
-// reads them — the Pods() accessor, or the first watched tick after a
-// tracer attaches. Per-object registry version stamps are deferred the
-// same way: a quiescent store has no observer of per-object versions
-// (conflict checks compare an owned object against itself), so the
-// flush advances the store's version counter by the batch size in one
-// add (registry.AdvanceVersion) instead of touching a million Meta
-// fields.
+// reads them — the Pods() accessor or a checkpoint. Per-object registry
+// version stamps are deferred the same way: Updates notify no watcher
+// and a conflict check on an owned object compares it against itself,
+// so the commits advance the store's version counter by the batch size
+// in one add (registry.AdvanceVersion) instead of touching a million
+// Meta fields.
 
 // farFuture is the readiness horizon of a cache with no starting pods.
 const farFuture = time.Duration(math.MaxInt64)
 
-// hotState is the dense SoA mirror; non-nil exactly when the kernel is
-// sharded (Config.Shards > 1).
+// hotState is the dense SoA mirror the tick phases run on.
 type hotState struct {
 	slow     []float64         // node slot → interference slowdown (P1)
 	appUsage []resource.Vector // app hot index → per-replica usage (P2)
 
-	fast        bool          // this tick runs the dense path (set per tick)
 	usageStale  bool          // pod .Usage fields lag appUsage
-	lastPhaseAt time.Duration // virtual time of the last fast P2
+	lastPhaseAt time.Duration // virtual time of the last P2
 }
 
 // appRunCache is one app's cached ready-replica aggregate — exactly
-// what the serial P2 loop re-derives per tick.
+// what a walk of the app's replicas would re-derive per tick.
 type appRunCache struct {
 	ok      bool
 	slots   []int32         // node slots of ready running replicas, byApp order
@@ -92,18 +87,12 @@ type nodePodCache struct {
 // hotAddNode assigns a dense slot to a new node. Both the incremental
 // path (indexAddNode) and ProvisionBulk register through here.
 func (c *Cluster) hotAddNode(n *NodeObject) {
-	if c.hot == nil {
-		return
-	}
 	n.slot = int32(len(c.hot.slow))
 	c.hot.slow = append(c.hot.slow, 1)
 }
 
 // hotAddApp assigns a dense usage index to a new service.
 func (c *Cluster) hotAddApp(st *appState) {
-	if c.hot == nil {
-		return
-	}
 	st.hotIdx = int32(len(c.hot.appUsage))
 	c.hot.appUsage = append(c.hot.appUsage, resource.Vector{})
 }
@@ -111,9 +100,6 @@ func (c *Cluster) hotAddApp(st *appState) {
 // hotDirtyApp invalidates an app's run cache after a membership,
 // readiness-anchor or request mutation.
 func (c *Cluster) hotDirtyApp(app string) {
-	if c.hot == nil {
-		return
-	}
 	if st, ok := c.apps[app]; ok {
 		st.rc.ok = false
 	}
@@ -121,17 +107,14 @@ func (c *Cluster) hotDirtyApp(app string) {
 
 // hotDirtyNode invalidates a node's pod cache after a bind/unbind.
 func (c *Cluster) hotDirtyNode(node string) {
-	if c.hot == nil {
-		return
-	}
 	if n, ok := c.nodes[node]; ok {
 		n.pc.ok = false
 	}
 }
 
 // rebuildAppCache re-derives the app's ready aggregate from the byApp
-// index: the same filter, addends and order as the serial loop, cached
-// until topology changes or the readiness horizon passes.
+// index: running replicas whose ReadyAt has passed, in byApp order,
+// cached until topology changes or the readiness horizon passes.
 func (c *Cluster) rebuildAppCache(st *appState, now time.Duration) {
 	rc := &st.rc
 	rc.slots = rc.slots[:0]
@@ -154,13 +137,11 @@ func (c *Cluster) rebuildAppCache(st *appState, now time.Duration) {
 	rc.ok = true
 }
 
-// phaseAppFast is P2 on the dense path: the cached aggregate replaces
-// the per-pod walk, slowdowns gather from hot.slow by slot, the result
-// lands in hot.appUsage, and no per-pod usage or registry writes
-// happen. The telemetry tail (noise, chaos, windows, handles, PLO) is
-// shared with the pointer-walking path, so every observable number is
-// identical.
-func (c *Cluster) phaseAppFast(st *appState, now time.Duration) {
+// evalApp is one app's share of P2: the cached aggregate replaces the
+// per-pod walk, slowdowns gather from hot.slow by slot, the result lands
+// in hot.appUsage, and no per-pod usage or registry writes happen; the
+// telemetry half is appTelemetry.
+func (c *Cluster) evalApp(st *appState, now time.Duration) {
 	spec := st.obj.Spec
 	lambda := st.loadFn(now)
 	if lambda < 0 {
@@ -179,9 +160,10 @@ func (c *Cluster) phaseAppFast(st *appState, now time.Duration) {
 			Throughput:  0,
 			Saturated:   lambda > 0,
 		}
-		// The serial loop would clear each replica's leftover usage once;
-		// the dense path clears them all by zeroing appUsage below. Owe
-		// the flush the version stamps of that one-time clear.
+		// With nothing serving, no replica consumes anything: zeroing
+		// appUsage below clears the usage every replica carried from the
+		// last served tick. Owe the commit the version stamps of that
+		// one-time clear (one Update per replica that carried usage).
 		st.stamps = rc.contrib
 		rc.contrib = 0
 	} else {
@@ -196,12 +178,12 @@ func (c *Cluster) phaseAppFast(st *appState, now time.Duration) {
 		rc.contrib = rc.ready
 	}
 	c.hot.appUsage[st.hotIdx] = result.Usage
-	c.phaseAppTail(st, now, lambda, rc.ready, result)
+	c.appTelemetry(st, now, lambda, rc.ready, result)
 }
 
 // rebuildNodeCache re-derives the node's running-pod composition from
 // the byNode index, preserving byNode order so the P3 gather sums the
-// same addends in the same order as the serial loop.
+// same addends in the same order as a walk of the node's pods.
 func (c *Cluster) rebuildNodeCache(n *NodeObject, now time.Duration) {
 	pc := &n.pc
 	pc.entries = pc.entries[:0]
@@ -230,16 +212,16 @@ func (c *Cluster) rebuildNodeCache(n *NodeObject, now time.Duration) {
 	pc.ok = true
 }
 
-// phaseNodeUsageFast is P3 on the dense path: usage gathers from the
+// sumNodeUsage is one node's share of P3: usage gathers from the
 // 16-byte-per-app appUsage table (and live task pods) instead of
 // walking every pod object.
-func (c *Cluster) phaseNodeUsageFast(n *NodeObject, now time.Duration) {
+func (c *Cluster) sumNodeUsage(n *NodeObject, now time.Duration) {
 	pc := &n.pc
 	if !pc.ok || pc.horizon <= now {
 		c.rebuildNodeCache(n, now)
 	}
 	var usage resource.Vector
-	h := c.hot
+	h := &c.hot
 	for _, e := range pc.entries {
 		if e >= 0 {
 			usage = usage.Add(h.appUsage[e])
@@ -251,17 +233,22 @@ func (c *Cluster) phaseNodeUsageFast(n *NodeObject, now time.Duration) {
 	n.running = pc.running
 }
 
-// flushAppsFast is the app-side barrier on the dense path. With no
-// watchers there is nothing to notify and no per-object version to
-// stamp eagerly: the per-pod registry work collapses to one counter
-// advance, leaving an O(apps) residue walk (fault tallies, chaos
-// absorption) in appList order.
-func (c *Cluster) flushAppsFast() {
+// commitApps is the serial barrier after P2, walking appList in name
+// order: fault tallies and chaos stats fold into the tick and the
+// injector, the per-replica version stamps collapse into one counter
+// advance, and the PLO onset/clear events the phase staged are recorded
+// in one batch in that same order.
+func (c *Cluster) commitApps() {
 	chaosOn := c.chaos != nil
 	stamps := 0
+	c.traceBuf = c.traceBuf[:0]
 	for _, st := range c.appList {
 		stamps += st.stamps
 		st.stamps = 0
+		if st.traceSet {
+			c.traceBuf = append(c.traceBuf, st.traceEv)
+			st.traceSet = false
+		}
 		c.lastTick.SamplesDropped += st.tickDrop
 		c.lastTick.SamplesStale += st.tickStale
 		st.tickDrop, st.tickStale = 0, 0
@@ -271,12 +258,15 @@ func (c *Cluster) flushAppsFast() {
 		}
 	}
 	c.store.AdvanceVersion(stamps)
+	if len(c.traceBuf) > 0 {
+		c.tracer.RecordBatch(c.traceBuf)
+	}
 }
 
-// flushNodesFast is the node-side barrier on the dense path: the same
-// totals accumulation in nodeList order (bit-identical sums), minus the
-// per-node registry stamping, which becomes one version advance.
-func (c *Cluster) flushNodesFast(now time.Duration) {
+// commitNodes is the serial barrier after P3: the cluster totals
+// accumulate in nodeList order (so the float sums do not depend on the
+// shard count) and the per-node version stamps become one advance.
+func (c *Cluster) commitNodes(now time.Duration) {
 	var capTotal, allocTotal, usageTotal resource.Vector
 	emptyNodes := 0
 	for _, n := range c.nodeList {
@@ -300,20 +290,20 @@ func (c *Cluster) flushNodesFast(now time.Duration) {
 	}
 	ch.pods.Add(now, float64(len(c.pods)))
 	ch.pending.Add(now, float64(len(c.pending)))
+	// Consolidation signal: ready nodes hosting nothing could be
+	// suspended; the energy model (internal/cost) consumes this.
 	ch.emptyNodes.Add(now, float64(emptyNodes))
 }
 
 // syncPodUsage materialises per-pod Usage fields from the dense state.
 // A service replica carries its app's last evaluated usage iff it was
-// running and ready at the last fast phase (exactly the set the serial
-// loop stamps); every other replica's usage is zero — eviction clears
-// usage and a replica can only become not-ready by being re-bound,
-// which passes through eviction, so a not-ready replica's usage is
-// always zero on the serial path too. Task pods own their usage and are
-// never touched.
+// running and ready at the last P2; every other replica's usage is zero
+// — eviction clears usage and a replica can only become not-ready by
+// being re-bound, which passes through eviction. Task pods own their
+// usage and are never touched.
 func (c *Cluster) syncPodUsage() {
-	h := c.hot
-	if h == nil || !h.usageStale {
+	h := &c.hot
+	if !h.usageStale {
 		return
 	}
 	for _, st := range c.appList {

@@ -105,6 +105,9 @@ func (c *Cluster) indexBind(p *PodObject) {
 	c.hotDirtyNode(p.Node)
 	if !p.IsTask() {
 		c.hotDirtyApp(p.App)
+		// A replica bound with no startup delay at the last tick's
+		// timestamp counts as serving then; re-materialise it.
+		c.hot.usageStale = true
 	}
 }
 
@@ -125,22 +128,19 @@ func (c *Cluster) indexMarkPending(p *PodObject) {
 }
 
 // indexAddNode keeps nodeList name-sorted; nodes are never removed.
-// When the kernel is sharded, the node also joins its shard's
-// partition (stable name hash — see shard.go).
+// The node also joins its shard's partition (stable name hash — see
+// shard.go).
 func (c *Cluster) indexAddNode(n *NodeObject) {
 	i := sort.Search(len(c.nodeList), func(j int) bool { return c.nodeList[j].Name > n.Name })
 	c.nodeList = append(c.nodeList, nil)
 	copy(c.nodeList[i+1:], c.nodeList[i:])
 	c.nodeList[i] = n
 	c.hotAddNode(n)
-	if c.shards != nil {
-		c.shards[shardOfNode(n.Name, len(c.shards))].addNode(n)
-	}
+	c.shards[shardOfNode(n.Name, len(c.shards))].addNode(n)
 }
 
 // indexAddApp keeps appList name-sorted; services are never removed.
-// When the kernel is sharded, the service also joins its shard's
-// partition.
+// The service also joins its shard's partition.
 func (c *Cluster) indexAddApp(st *appState) {
 	name := st.obj.Spec.Name
 	i := sort.Search(len(c.appList), func(j int) bool { return c.appList[j].obj.Spec.Name > name })
@@ -148,7 +148,5 @@ func (c *Cluster) indexAddApp(st *appState) {
 	copy(c.appList[i+1:], c.appList[i:])
 	c.appList[i] = st
 	c.hotAddApp(st)
-	if c.shards != nil {
-		c.shards[shardOfApp(name, len(c.shards))].addApp(st)
-	}
+	c.shards[shardOfApp(name, len(c.shards))].addApp(st)
 }

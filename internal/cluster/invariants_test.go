@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,9 +16,19 @@ import (
 //  1. node.Allocated equals the sum of its hosted pods' requests,
 //  2. node.Allocated never exceeds node.Allocatable,
 //  3. no running pod sits on an unready or unknown node,
-//  4. every pod in the map is also in the registry and vice versa.
+//  4. every pod in the map is also in the registry and vice versa,
+//  5. Cluster.CheckInvariants holds before and after Pods() materialises
+//     per-pod usage: the dense tick state matches the object graph.
 func checkInvariants(t *testing.T, c *Cluster, step int) {
 	t.Helper()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	defer func() {
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("step %d (usage materialised): %v", step, err)
+		}
+	}()
 	sum := make(map[string]resource.Vector)
 	for _, p := range c.Pods() {
 		switch p.Phase {
@@ -307,5 +318,78 @@ func TestObservationInvariants(t *testing.T) {
 	}
 	if total != 20*15*time.Second {
 		t.Errorf("intervals sum to %v", total)
+	}
+}
+
+// TestCheckInvariantsCatchesCorruption plants one wrong value in each
+// dense cache of a warm cluster and demands that CheckInvariants both
+// fails and names the corrupted cache. Without these cases a checker
+// that compared nothing would pass every soak.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	warm := func(t *testing.T) *Cluster {
+		t.Helper()
+		c := newTestCluster(t, 2)
+		c.cfg.Interference = true
+		for _, name := range []string{"api", "web"} {
+			spec := testService(name)
+			spec.InitialReplicas = 3
+			if err := c.CreateService(spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetLoadFunc(name, func(time.Duration) float64 { return 400 }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.SubmitTask(testTask("batch-0", 2000, 1e9)); err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		c.Engine().Run(4 * c.cfg.MetricsInterval)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("warm cluster already inconsistent: %v", err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cluster)
+		want    string
+	}{
+		{"rc.alloc", func(c *Cluster) {
+			rc := &c.apps["web"].rc
+			if !rc.ok || rc.ready == 0 {
+				t.Fatal("web run cache not live")
+			}
+			rc.alloc[resource.CPU] += 1
+		}, "rc.alloc"},
+		{"pc.entries", func(c *Cluster) {
+			pc := &c.nodes["node-0"].pc
+			if !pc.ok || len(pc.entries) == 0 {
+				t.Fatal("node-0 pod cache not live")
+			}
+			pc.entries = pc.entries[1:]
+		}, "pc.entries"},
+		{"hot.slow", func(c *Cluster) {
+			c.hot.slow[c.nodes["node-1"].slot] = 1.25
+		}, "hot.slow"},
+		{"node Usage", func(c *Cluster) {
+			n := c.nodes["node-1"]
+			if !n.pc.ok {
+				t.Fatal("node-1 pod cache not live")
+			}
+			n.Usage[resource.Memory] *= 2
+		}, "Usage"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := warm(t)
+			tc.corrupt(c)
+			err := c.CheckInvariants()
+			if err == nil {
+				t.Fatalf("corrupted %s passed CheckInvariants", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %s", err, tc.want)
+			}
+		})
 	}
 }

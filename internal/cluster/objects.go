@@ -67,14 +67,12 @@ type NodeObject struct {
 	Usage resource.Vector
 
 	// Tick scratch, owned by the node's shard during parallel phases:
-	// slow is the interference slowdown computed from last tick's usage,
-	// running the bound-and-running pod count from the usage refresh.
-	slow    float64
+	// running is the bound-and-running pod count from the usage refresh.
 	running int
 
-	// Sharded-kernel hot state (hotstate.go): slot is the node's index
-	// into the cluster's dense arrays, pc the cached running-pod
-	// composition P3 gathers from. Unused on the single-engine path.
+	// Dense hot state (hotstate.go): slot is the node's index into the
+	// cluster's dense arrays, pc the cached running-pod composition P3
+	// gathers from.
 	slot int32
 	pc   nodePodCache
 }

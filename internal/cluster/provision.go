@@ -79,12 +79,9 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 		}
 		pos := provisionLayout(names, len(c.shards))
 		backing := make([]NodeObject, p.Nodes)
-		slotBase := 0
-		if c.hot != nil {
-			slotBase = len(c.hot.slow)
-			for i := 0; i < p.Nodes; i++ {
-				c.hot.slow = append(c.hot.slow, 1)
-			}
+		slotBase := len(c.hot.slow)
+		for i := 0; i < p.Nodes; i++ {
+			c.hot.slow = append(c.hot.slow, 1)
 		}
 		for i := 0; i < p.Nodes; i++ {
 			n := &backing[pos[i]]
@@ -93,9 +90,7 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 				Capacity:    p.NodeCapacity,
 				Allocatable: p.NodeCapacity.Scale(0.94),
 				Ready:       true,
-			}
-			if c.hot != nil {
-				n.slot = int32(slotBase + pos[i])
+				slot:        int32(slotBase + pos[i]),
 			}
 			if err := c.store.Create(n); err != nil {
 				return err
@@ -218,7 +213,7 @@ func fits(req, free resource.Vector) bool {
 // provisionLayout returns each node's position in a shard-major layout:
 // shard 0's nodes first (in name order, matching the phase loops), then
 // shard 1's, and so on. With nshards <= 1 the layout is plain name
-// order — the serial tick's nodeList walk.
+// order — the nodeList walk.
 func provisionLayout(names []string, nshards int) []int {
 	order := make([]int, len(names))
 	for i := range order {
@@ -250,9 +245,6 @@ func provisionLayout(names []string, nshards int) []int {
 // reshardNodes rebuilds every shard's node partition from the sorted
 // nodeList; appending in list order keeps each partition sorted.
 func (c *Cluster) reshardNodes() {
-	if c.shards == nil {
-		return
-	}
 	for _, sh := range c.shards {
 		sh.nodes = sh.nodes[:0]
 	}
@@ -265,9 +257,6 @@ func (c *Cluster) reshardNodes() {
 // reshardApps rebuilds every shard's app partition from the sorted
 // appList.
 func (c *Cluster) reshardApps() {
-	if c.shards == nil {
-		return
-	}
 	for _, sh := range c.shards {
 		sh.apps = sh.apps[:0]
 	}

@@ -15,46 +15,42 @@ import (
 
 // Sharded tick.
 //
-// With cfg.Shards > 1 the cluster's entities are partitioned onto shard
+// The cluster's entities are partitioned onto max(1, cfg.Shards) shard
 // engines by stable name hash — nodes and apps each land on one shard
-// forever — and the tick decomposes into three phases fanned out as one
+// forever — and tick (tick.go) fans each of its three phases out as one
 // event per shard at the current timestamp, driven to completion by
-// sim.Coordinator.DrainShards between the serial sections:
+// sim.Coordinator.DrainShards between the serial sections.
 //
-//	P1 per-node:  interference slowdown from last tick's usage
-//	P2 per-app:   load → perf model → telemetry windows and series
-//	P3 per-node:  usage summation from the pods bound to the node
-//
-// Each phase only writes state its shard owns (its nodes' scratch
-// fields, its apps' windows and metric instruments) plus per-app
-// buffers; everything with a canonical global order — registry writes,
-// trace events, fault counters, float totals — is staged and applied at
-// the barrier in appList/nodeList name order. Phase reads of foreign
-// state (an app reading the slowdown of a node on another shard, a node
-// summing usage written by apps on other shards) always cross a phase
-// barrier, never a concurrent write. That discipline, plus per-app
-// keyed random streams (sim.PartitionedRNG), is why any shard count —
-// and any worker count — replays byte-identically against the
-// single-engine path in tick.go.
+// Each phase only writes state its shard owns (its nodes' dense slots
+// and scratch, its apps' windows, metric instruments and dense usage
+// entry) plus per-app buffers; everything with a canonical global order
+// — trace events, fault counters, registry version stamps, float totals
+// — is staged and committed at the barrier in appList/nodeList name
+// order. Phase reads of foreign state (an app reading the slowdown of a
+// node on another shard, a node summing usage written by apps on other
+// shards) always cross a phase barrier, never a concurrent write. That
+// discipline, plus per-app keyed random streams (sim.PartitionedRNG),
+// is why any shard count — and any worker count — replays
+// byte-identically; Cluster.CheckInvariants re-derives the dense state
+// from the object graph to catch a phase that breaks it.
 
 // shardState is one shard's partition of the cluster.
 type shardState struct {
-	c          *Cluster
-	eng        *sim.Engine
-	idx        int           // shard index, for phase-timing attribution
-	apps       []*appState   // this shard's services, name order
-	nodes      []*NodeObject // this shard's nodes, name order
-	scratchRun []*PodObject  // per-shard running-replica scratch
+	c     *Cluster
+	eng   *sim.Engine
+	idx   int           // shard index, for phase-timing attribution
+	apps  []*appState   // this shard's services, name order
+	nodes []*NodeObject // this shard's nodes, name order
 
 	// Cached phase closures so the per-tick fan-out allocates nothing.
 	p1, p2, p3 func()
 }
 
-// initShards builds the coordinator, the dense hot state and the
-// (initially empty) shard partitions; indexAddNode/indexAddApp route
-// entities to their shard as they are created. workers <= 0 defaults to
-// min(n, GOMAXPROCS): more workers than shards can never run, and more
-// workers than cores only adds scheduler pressure.
+// initShards builds the coordinator and the (initially empty) shard
+// partitions; indexAddNode/indexAddApp route entities to their shard as
+// they are created. workers <= 0 defaults to min(n, GOMAXPROCS): more
+// workers than shards can never run, and more workers than cores only
+// adds scheduler pressure.
 func (c *Cluster) initShards(n, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -63,8 +59,6 @@ func (c *Cluster) initShards(n, workers int) {
 		}
 	}
 	c.co = sim.NewCoordinator(c.eng, n, workers)
-	c.co.SetBatched(c.cfg.BatchedRounds)
-	c.hot = &hotState{}
 	c.shards = make([]*shardState, n)
 	for i := range c.shards {
 		sh := &shardState{c: c, eng: c.co.Shard(i), idx: i}
@@ -94,27 +88,24 @@ func (sh *shardState) addApp(st *appState) {
 	sh.apps[i] = st
 }
 
-// phase1 refreshes interference slowdowns for the shard's nodes,
-// mirroring each into the dense slow array P2 gathers from.
+// phase1 refreshes the interference slowdowns of the shard's nodes in
+// the dense slow array the next tick's P2 gathers from.
 func (sh *shardState) phase1() {
 	c := sh.c
 	var t0 time.Time
 	if c.phases != nil {
 		t0 = time.Now()
 	}
-	hot := c.hot
+	slow := c.hot.slow
 	for _, n := range sh.nodes {
-		c.nodeSlowdown(n)
-		hot.slow[n.slot] = n.slow
+		slow[n.slot] = c.nodeSlowdown(n)
 	}
 	if c.phases != nil {
 		c.phases.AddShard(sh.idx, perf.PhaseP1, time.Since(t0).Nanoseconds())
 	}
 }
 
-// phase2 evaluates the shard's apps against their offered load — on the
-// dense path (quiescent store) via the cached ready aggregates, else
-// via the staging pointer walk.
+// phase2 evaluates the shard's apps against their offered load.
 func (sh *shardState) phase2() {
 	c := sh.c
 	var t0 time.Time
@@ -122,182 +113,36 @@ func (sh *shardState) phase2() {
 		t0 = time.Now()
 	}
 	now := sh.eng.Now()
-	if c.hot.fast {
-		for _, st := range sh.apps {
-			c.phaseAppFast(st, now)
-		}
-	} else {
-		for _, st := range sh.apps {
-			sh.scratchRun = c.phaseApp(st, now, sh.scratchRun)
-		}
+	for _, st := range sh.apps {
+		c.evalApp(st, now)
 	}
 	if c.phases != nil {
 		c.phases.AddShard(sh.idx, perf.PhaseP2, time.Since(t0).Nanoseconds())
 	}
 }
 
-// phase3 re-derives per-node usage from the pods bound to the shard's
-// nodes.
+// phase3 re-derives the usage of the shard's nodes.
 func (sh *shardState) phase3() {
 	c := sh.c
 	var t0 time.Time
 	if c.phases != nil {
 		t0 = time.Now()
 	}
-	if c.hot.fast {
-		now := sh.eng.Now()
-		for _, n := range sh.nodes {
-			c.phaseNodeUsageFast(n, now)
-		}
-	} else {
-		for _, n := range sh.nodes {
-			c.phaseNodeUsage(n)
-		}
+	now := sh.eng.Now()
+	for _, n := range sh.nodes {
+		c.sumNodeUsage(n, now)
 	}
 	if c.phases != nil {
 		c.phases.AddShard(sh.idx, perf.PhaseP3, time.Since(t0).Nanoseconds())
 	}
 }
 
-// tickSharded is the body of the tick after schedulePending when the
-// kernel is sharded: fan each phase out as one event per shard at the
-// current instant, drain to the barrier, apply the staged cross-shard
-// effects in canonical order. Ordering note: the phases run to
-// completion inside this call — before the tick event returns — so a
-// control-loop event queued at the same timestamp (with a lower
-// sequence number than the phase events) still observes a fully
-// consistent cluster, exactly as it does after the serial tick.
-func (c *Cluster) tickSharded() {
-	now := c.now()
-	// The dense path requires a quiescent registry: nobody to notify,
-	// nobody observing per-object versions. A tracer (or any watcher)
-	// drops the tick back to the staging path, whose flush notifies in
-	// canonical order; pod usage deferred by earlier dense ticks is
-	// materialised first so the staging path (and the watchers) see
-	// exactly the state the serial tick would have left.
-	fast := c.store.Quiescent()
-	if !fast {
-		c.syncPodUsage()
-	}
-	c.hot.fast = fast
-
-	pb := c.phases
-	var tickT0 time.Time
-	if pb != nil {
-		tickT0 = time.Now() // whole-kernel wall time, for the tick-max tail
-	}
-	for _, sh := range c.shards {
-		sh.eng.Post(now, sh.p1)
-	}
-	c.co.DrainShards(now)
-	for _, sh := range c.shards {
-		sh.eng.Post(now, sh.p2)
-	}
-	c.co.DrainShards(now)
-	var t0 time.Time
-	if pb != nil {
-		t0 = time.Now()
-	}
-	if fast {
-		c.flushAppsFast()
-	} else {
-		c.flushApps()
-	}
-	if pb != nil {
-		pb.Add(perf.PhaseFlushApps, time.Since(t0).Nanoseconds())
-	}
-	for _, sh := range c.shards {
-		sh.eng.Post(now, sh.p3)
-	}
-	c.co.DrainShards(now)
-	if pb != nil {
-		t0 = time.Now()
-	}
-	if fast {
-		c.flushNodesFast(now)
-	} else {
-		c.flushNodes(now)
-	}
-	if fast {
-		c.hot.usageStale = true
-		c.hot.lastPhaseAt = now
-	}
-	if pb != nil {
-		pb.Add(perf.PhaseFlushNodes, time.Since(t0).Nanoseconds())
-		bar, mail := c.co.TakeTimings()
-		pb.Add(perf.PhaseBarrier, bar)
-		pb.Add(perf.PhaseMailbox, mail)
-		pb.Ticks++
-		pb.ObserveTick(time.Since(tickT0).Nanoseconds())
-		if c.tracer.Enabled() {
-			// Phase timing plus tracing is a bench/debug configuration;
-			// lift this tick's per-phase deltas into instant spans.
-			c.emitPhaseSpans(now, pb, c.co)
-		}
-	}
-}
-
-// phaseApp is one app's share of P2 — the same arithmetic, stream draws
-// and window writes as the serial loop in tick.go, with every globally
-// ordered side effect staged on the appState instead of applied
-// in-place: registry updates into updBuf, the PLO onset/clear trace
-// event into traceEv, fault tallies into tickDrop/tickStale/chaosStats.
-// flushApps applies them at the barrier in appList order, which makes
-// the observable effect sequence identical to the serial loop's.
-func (c *Cluster) phaseApp(st *appState, now time.Duration, scratch []*PodObject) []*PodObject {
-	spec := st.obj.Spec
-	lambda := st.loadFn(now)
-	if lambda < 0 {
-		lambda = 0
-	}
-
-	pods := c.byApp[spec.Name]
-	running := scratch[:0]
-	for _, p := range pods {
-		if p.Phase == Running && p.ReadyAt <= now {
-			running = append(running, p)
-		}
-	}
-
-	var result perf.Result
-	if len(running) == 0 {
-		result = perf.Result{
-			MeanLatency: spec.Model.MaxLatency,
-			P99Latency:  spec.Model.MaxLatency,
-			Throughput:  0,
-			Saturated:   lambda > 0,
-		}
-		for _, p := range pods {
-			if !p.Usage.IsZero() {
-				p.Usage = resource.Vector{}
-				st.updBuf = append(st.updBuf, p)
-			}
-		}
-	} else {
-		var alloc resource.Vector
-		var slow float64
-		for _, p := range running {
-			alloc = alloc.Add(p.Requests)
-			slow += c.nodes[p.Node].slow
-		}
-		alloc = alloc.Scale(1 / float64(len(running)))
-		slow /= float64(len(running))
-		result = spec.Model.Evaluate(lambda, len(running), alloc, slow)
-		for _, p := range running {
-			p.Usage = result.Usage
-			st.updBuf = append(st.updBuf, p)
-		}
-	}
-
-	c.phaseAppTail(st, now, lambda, len(running), result)
-	return running
-}
-
-// phaseAppTail is the telemetry half of P2 — noise, chaos sampling,
-// window appends, metric handles, PLO tracking — shared verbatim by the
-// pointer-walking and dense paths so both produce identical observable
-// numbers. ready is the serving replica count this tick.
-func (c *Cluster) phaseAppTail(st *appState, now time.Duration, lambda float64, ready int, result perf.Result) {
+// appTelemetry is the telemetry half of P2 — noise, chaos sampling,
+// window appends, metric handles, PLO tracking. Everything it writes is
+// app-owned or staged on the appState (the PLO trace event, fault
+// tallies, chaos stats) for commitApps. ready is the serving replica
+// count this tick.
+func (c *Cluster) appTelemetry(st *appState, now time.Duration, lambda float64, ready int, result perf.Result) {
 	spec := st.obj.Spec
 	noise := 1.0
 	if c.cfg.MeasurementNoise > 0 {
@@ -314,9 +159,9 @@ func (c *Cluster) phaseAppTail(st *appState, now time.Duration, lambda float64, 
 	case plo.Throughput:
 		sli = throughput
 	}
-	// Same burn accounting as the serial tick: the sample covers one
-	// metrics interval of service time. App-owned state only, so the
-	// shard worker may write it without staging.
+	// Each sample stands for one metrics interval of service time; the
+	// tracker's burn accounting charges it against the error budget.
+	// App-owned state only, so the shard worker may write it unstaged.
 	st.tracker.ObserveFor(sli, c.cfg.MetricsInterval.Seconds())
 
 	st.winTicks++
@@ -398,71 +243,4 @@ func (c *Cluster) phaseAppTail(st *appState, now time.Duration, lambda float64, 
 	if sli > 0 {
 		st.histogram(c.met).Observe(sli)
 	}
-}
-
-// flushApps applies P2's staged side effects at the barrier, walking
-// appList in name order — the same order the serial loop visits apps —
-// so registry version numbers, trace events and fault tallies come out
-// identical to the single-engine path. PLO trace events are collected
-// in that walk and recorded in one batch at the end: the registry
-// updates between them emit no trace events of their own (the watch
-// mirror skips Modified), so the recorded sequence matches the
-// interleaved serial one.
-func (c *Cluster) flushApps() {
-	chaosOn := c.chaos != nil
-	c.traceBuf = c.traceBuf[:0]
-	for _, st := range c.appList {
-		if len(st.updBuf) > 0 {
-			c.applyUpdates(st.updBuf)
-			st.updBuf = st.updBuf[:0]
-		}
-		if st.traceSet {
-			c.traceBuf = append(c.traceBuf, st.traceEv)
-			st.traceSet = false
-		}
-		c.lastTick.SamplesDropped += st.tickDrop
-		c.lastTick.SamplesStale += st.tickStale
-		st.tickDrop, st.tickStale = 0, 0
-		if chaosOn {
-			c.chaos.Absorb(st.chaosStats)
-			st.chaosStats = chaos.Stats{}
-		}
-	}
-	if len(c.traceBuf) > 0 {
-		c.tracer.RecordBatch(c.traceBuf)
-		c.traceBuf = c.traceBuf[:0]
-	}
-}
-
-// flushNodes commits P3's results serially: node registry updates in
-// nodeList order (one batch, same version trajectory as per-node
-// updates) and the float totals for the cluster series, accumulated in
-// nodeList order so the sums are bit-identical to the serial loop's.
-func (c *Cluster) flushNodes(now time.Duration) {
-	var capTotal, allocTotal, usageTotal resource.Vector
-	emptyNodes := 0
-	c.nodeUpd = c.nodeUpd[:0]
-	for _, n := range c.nodeList {
-		c.nodeUpd = append(c.nodeUpd, n)
-		if !n.Ready {
-			continue
-		}
-		if n.running == 0 {
-			emptyNodes++
-		}
-		capTotal = capTotal.Add(n.Allocatable)
-		allocTotal = allocTotal.Add(n.Allocated)
-		usageTotal = usageTotal.Add(n.Usage)
-	}
-	c.applyUpdates(c.nodeUpd)
-	allocFrac := allocTotal.Div(capTotal)
-	usageFrac := usageTotal.Div(capTotal)
-	ch := c.clusterSeries()
-	for _, k := range resource.Kinds() {
-		ch.allocated[k].Add(now, allocFrac[k])
-		ch.usage[k].Add(now, usageFrac[k])
-	}
-	ch.pods.Add(now, float64(len(c.pods)))
-	ch.pending.Add(now, float64(len(c.pending)))
-	ch.emptyNodes.Add(now, float64(emptyNodes))
 }

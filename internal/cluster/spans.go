@@ -14,19 +14,16 @@ import (
 // paths — schedulePending/bind, eviction, decision application, gang
 // admission, the post-barrier section of the sharded tick — so span IDs
 // are assigned in a deterministic order at any shard/worker count. A
-// span's Shard field carries the kernel shard that owns its app (-1
-// unsharded) and is the only field allowed to differ between runs at
-// different shard counts.
+// span's Shard field carries the kernel shard that owns its app (0 in a
+// one-shard world; -1 marks spans no single shard owns) and is the only
+// field allowed to differ between runs at different shard counts.
 //
 // Because the simulation is deterministic, intervals are recorded
 // completed: a bind already knows ReadyAt, so the root lifecycle span
 // is emitted at first bind with its end in the (virtual) future.
 
-// appShard returns the kernel shard that owns an app, -1 unsharded.
+// appShard returns the kernel shard that owns an app.
 func (c *Cluster) appShard(app string) int32 {
-	if c.co == nil {
-		return -1
-	}
 	return int32(shardOfApp(app, len(c.shards)))
 }
 

@@ -3,10 +3,7 @@ package cluster
 import (
 	"time"
 
-	"evolve/internal/chaos"
-	"evolve/internal/obs"
 	"evolve/internal/perf"
-	"evolve/internal/plo"
 	"evolve/internal/resource"
 )
 
@@ -14,265 +11,87 @@ import (
 // service against its offered load, refresh usage accounting and record
 // the telemetry the controllers and experiments consume.
 //
-// This is the hot path of every simulation. It walks the incremental
-// indexes (index.go) instead of re-deriving sorted views, writes through
-// cached metric handles (handles.go) instead of by-name lookups, and
-// reuses the cluster's scratch buffers — in steady state (nothing
+// After the pending drain the work runs as three phases, each fanned out
+// as one event per shard at the current instant and driven to its
+// barrier by sim.Coordinator.DrainShards (see shard.go for the phase
+// discipline, hotstate.go for the dense arrays the phases read and
+// write):
+//
+//	P2 per app:  load → perf model → telemetry windows and series
+//	P3 per node: usage summation from the node's running pods
+//	P1 per node: interference slowdown from that usage, which the next
+//	             tick's P2 reads (telemetry lag)
+//
+// with serial commits in canonical order after P2 (commitApps) and P3
+// (commitNodes). P1 runs last so that, between ticks, hot.slow always
+// equals the slowdown of each node's current usage; FailNode and
+// RestoreNode refresh it when they change a node outside the tick.
+//
+// The phases run to completion inside this call — before the tick
+// event returns — so a control-loop event queued at the same timestamp
+// observes a fully consistent cluster. In steady state (nothing
 // pending, topology unchanged) a tick performs no allocations
 // (TestTickSteadyStateAllocs enforces this).
 func (c *Cluster) tick() {
-	c.lastTick = TickResult{At: c.now()}
+	now := c.now()
+	c.lastTick = TickResult{At: now}
 	c.schedulePending()
 
-	if c.co != nil {
-		// Sharded kernel: the same work, decomposed into per-node and
-		// per-app phases fanned out across the shard engines (shard.go).
-		// Byte-identical to the path below for any shard count.
-		c.tickSharded()
-		return
+	pb := c.phases
+	var tickT0, t0 time.Time
+	if pb != nil {
+		tickT0 = time.Now() // whole-kernel wall time, for the tick-max tail
 	}
-
-	// Node interference from last tick's usage (telemetry lag); n.slow
-	// is tick scratch on the node object.
-	for _, n := range c.nodeList {
-		c.nodeSlowdown(n)
+	for _, sh := range c.shards {
+		sh.eng.Post(now, sh.p2)
 	}
-
-	now := c.now()
-	for _, st := range c.appList {
-		spec := st.obj.Spec
-		lambda := st.loadFn(now)
-		if lambda < 0 {
-			lambda = 0
-		}
-
-		pods := c.byApp[spec.Name]
-		running := c.scratchRun[:0]
-		for _, p := range pods {
-			// A replica serves only once it has finished starting up.
-			if p.Phase == Running && p.ReadyAt <= now {
-				running = append(running, p)
-			}
-		}
-		// Keep the (possibly grown) backing for the next app/tick.
-		c.scratchRun = running
-
-		var result perf.Result
-		if len(running) == 0 {
-			// No capacity at all: total outage, modelled as the latency
-			// cap and zero throughput.
-			result = perf.Result{
-				MeanLatency: spec.Model.MaxLatency,
-				P99Latency:  spec.Model.MaxLatency,
-				Throughput:  0,
-				Saturated:   lambda > 0,
-			}
-			// With nothing serving, no replica consumes anything: clear
-			// usage left over from the last served tick so starting or
-			// failed replicas stop feeding stale node interference.
-			for _, p := range pods {
-				if !p.Usage.IsZero() {
-					p.Usage = resource.Vector{}
-					c.update(p)
-				}
-			}
-		} else {
-			// Effective per-replica allocation: the mean grant; mean
-			// slowdown across hosting nodes.
-			var alloc resource.Vector
-			var slow float64
-			for _, p := range running {
-				alloc = alloc.Add(p.Requests)
-				slow += c.nodes[p.Node].slow
-			}
-			alloc = alloc.Scale(1 / float64(len(running)))
-			slow /= float64(len(running))
-			result = spec.Model.Evaluate(lambda, len(running), alloc, slow)
-			// Push per-pod usage for next tick's interference.
-			for _, p := range running {
-				p.Usage = result.Usage
-				c.update(p)
-			}
-		}
-
-		// Measurement noise on the SLIs, drawn from the app's own keyed
-		// stream so the value does not depend on app iteration order.
-		noise := 1.0
-		if c.cfg.MeasurementNoise > 0 {
-			noise = st.noise.Jitter(1, c.cfg.MeasurementNoise)
-		}
-		meanLat := result.MeanLatency.Seconds() * noise
-		p99Lat := result.P99Latency.Seconds() * noise
-		throughput := result.Throughput * noise
-
-		sli := meanLat
-		switch spec.PLO.Metric {
-		case plo.P99Latency:
-			sli = p99Lat
-		case plo.Throughput:
-			sli = throughput
-		}
-		// Each sample stands for one metrics interval of service time; the
-		// tracker's burn accounting charges it against the error budget.
-		st.tracker.ObserveFor(sli, c.cfg.MetricsInterval.Seconds())
-
-		// Sensor path: what the controllers will see at the next Observe.
-		// Chaos interposes here — the ground truth above (PLO tracker,
-		// metric series, violation counters) always records reality; only
-		// the controller-facing window can lose, freeze or distort samples.
-		// With no injector this is the straight-through path plus one
-		// counter increment and a nil check.
-		st.winTicks++
-		s := sensedSample{sli: sli, mean: meanLat, p99: p99Lat, tput: throughput, offered: lambda, usage: result.Usage, util: result.Utilisation}
-		deliver, stale := true, false
-		if c.chaos != nil {
-			switch v, factor := c.chaos.SampleWith(st.chaosRNG, &st.chaosStats, spec.Name, now, c); v {
-			case chaos.SampleDrop:
-				deliver = false
-				c.lastTick.SamplesDropped++
-			case chaos.SampleFreeze:
-				if st.haveSensed {
-					s, stale = st.sensed, true
-					c.lastTick.SamplesStale++
-				} else {
-					// Nothing to freeze to yet: the sample is simply lost.
-					deliver = false
-					c.lastTick.SamplesDropped++
-				}
-			default:
-				if factor != 1 {
-					s.sli *= factor
-					s.mean *= factor
-					s.p99 *= factor
-					s.tput *= factor
-				}
-			}
-		}
-		if deliver {
-			st.winSLI = append(st.winSLI, s.sli)
-			st.winMean = append(st.winMean, s.mean)
-			st.winP99 = append(st.winP99, s.p99)
-			st.winThroughput = append(st.winThroughput, s.tput)
-			st.winOffered = append(st.winOffered, s.offered)
-			st.winUsage = append(st.winUsage, s.usage)
-			st.winUtil = append(st.winUtil, s.util)
-			if stale {
-				st.winStale++
-			} else {
-				st.sensed, st.haveSensed = s, true
-			}
-		}
-		if result.Saturated {
-			st.winSaturated = true
-		}
-
-		h := st.handles(c.met)
-		h.latMean.Add(now, meanLat)
-		h.latP99.Add(now, p99Lat)
-		h.throughput.Add(now, throughput)
-		h.offered.Add(now, lambda)
-		h.replicas.Add(now, float64(st.obj.DesiredReplicas))
-		h.ready.Add(now, float64(len(running)))
-		for _, k := range resource.Kinds() {
-			h.alloc[k].Add(now, st.obj.Alloc[k])
-			h.usage[k].Add(now, result.Usage[k])
-		}
-		violated := 0.0
-		if st.tracker.PLO().Violated(sli) {
-			st.violationsCounter(c.met).Inc()
-			violated = 1
-		}
-		if isViolated := violated == 1; isViolated != st.wasViolated {
-			st.wasViolated = isViolated
-			if c.tracer.Enabled() {
-				verb := obs.VerbClear
-				if isViolated {
-					verb = obs.VerbOnset
-				}
-				c.tracer.Record(obs.Event{
-					At: now, Kind: obs.KindPLO, Verb: verb, App: spec.Name,
-					SLI: sli, Objective: spec.PLO.Target, PerfErr: spec.PLO.Error(sli),
-				})
-			}
-		}
-		h.sli.Add(now, sli)
-		h.violation.Add(now, violated)
-		h.burnRate.Add(now, st.tracker.Burn().BurnRate())
-		if sli > 0 {
-			st.histogram(c.met).Observe(sli)
-		}
-		if c.chaos != nil {
-			// SampleWith accumulated into the app's private sink (shared
-			// shape with the parallel path); fold it into the injector.
-			c.chaos.Absorb(st.chaosStats)
-			st.chaosStats = chaos.Stats{}
+	c.co.DrainShards(now)
+	if pb != nil {
+		t0 = time.Now()
+	}
+	c.commitApps()
+	if pb != nil {
+		pb.Add(perf.PhaseFlushApps, time.Since(t0).Nanoseconds())
+	}
+	for _, sh := range c.shards {
+		sh.eng.Post(now, sh.p3)
+	}
+	c.co.DrainShards(now)
+	if pb != nil {
+		t0 = time.Now()
+	}
+	c.commitNodes(now)
+	c.hot.usageStale = true
+	c.hot.lastPhaseAt = now
+	if pb != nil {
+		pb.Add(perf.PhaseFlushNodes, time.Since(t0).Nanoseconds())
+	}
+	for _, sh := range c.shards {
+		sh.eng.Post(now, sh.p1)
+	}
+	c.co.DrainShards(now)
+	if pb != nil {
+		bar, mail := c.co.TakeTimings()
+		pb.Add(perf.PhaseBarrier, bar)
+		pb.Add(perf.PhaseMailbox, mail)
+		pb.Ticks++
+		pb.ObserveTick(time.Since(tickT0).Nanoseconds())
+		if c.tracer.Enabled() {
+			// Phase timing plus tracing is a bench/debug configuration;
+			// lift this tick's per-phase deltas into instant spans.
+			c.emitPhaseSpans(now, pb, c.co)
 		}
 	}
-
-	// Refresh node usage sums and cluster-level series.
-	var capTotal, allocTotal, usageTotal resource.Vector
-	emptyNodes := 0
-	for _, n := range c.nodeList {
-		var usage resource.Vector
-		running := 0
-		for _, p := range c.byNode[n.Name] {
-			if p.Phase == Running {
-				usage = usage.Add(p.Usage)
-				running++
-			}
-		}
-		n.Usage = usage
-		c.update(n)
-		if !n.Ready {
-			continue
-		}
-		if running == 0 {
-			emptyNodes++
-		}
-		capTotal = capTotal.Add(n.Allocatable)
-		allocTotal = allocTotal.Add(n.Allocated)
-		usageTotal = usageTotal.Add(usage)
-	}
-	allocFrac := allocTotal.Div(capTotal)
-	usageFrac := usageTotal.Div(capTotal)
-	ch := c.clusterSeries()
-	for _, k := range resource.Kinds() {
-		ch.allocated[k].Add(now, allocFrac[k])
-		ch.usage[k].Add(now, usageFrac[k])
-	}
-	ch.pods.Add(now, float64(len(c.pods)))
-	ch.pending.Add(now, float64(len(c.pending)))
-	// Consolidation signal: ready nodes hosting nothing could be
-	// suspended; the energy model (internal/cost) consumes this.
-	ch.emptyNodes.Add(now, float64(emptyNodes))
 }
 
-// nodeSlowdown refreshes n.slow — the interference slowdown derived
-// from last tick's usage. Shared by the serial tick and phase1 of the
-// sharded tick.
-func (c *Cluster) nodeSlowdown(n *NodeObject) {
-	s := 1.0
-	if c.cfg.Interference && n.Ready {
-		pressure, _ := n.Usage.DominantShare(n.Allocatable)
-		s = perf.InterferenceSlowdown(pressure)
+// nodeSlowdown returns the interference slowdown of a node's current
+// usage; P1 stores it per node for the next tick's P2.
+func (c *Cluster) nodeSlowdown(n *NodeObject) float64 {
+	if !c.cfg.Interference || !n.Ready {
+		return 1
 	}
-	n.slow = s
-}
-
-// phaseNodeUsage re-derives one node's usage sum and running-pod count
-// from its bound pods; the sharded tick's P3 calls it per shard, and
-// flushNodes consumes n.running for the consolidation signal.
-func (c *Cluster) phaseNodeUsage(n *NodeObject) {
-	var usage resource.Vector
-	running := 0
-	for _, p := range c.byNode[n.Name] {
-		if p.Phase == Running {
-			usage = usage.Add(p.Usage)
-			running++
-		}
-	}
-	n.Usage = usage
-	n.running = running
+	pressure, _ := n.Usage.DominantShare(n.Allocatable)
+	return perf.InterferenceSlowdown(pressure)
 }
 
 // UtilisationSummary returns the time-weighted mean cluster allocation

@@ -10,8 +10,9 @@ import (
 // TestTickClearsStaleUsageDuringOutage is a regression test for the
 // no-capacity branch of tick: when a service has no serving replica,
 // any usage still recorded on its pods (from a period when they did
-// serve) must be zeroed, otherwise the dead usage keeps feeding node
-// interference for every tick of the outage.
+// serve) must be cleared — as seen through Pods() and the node's Usage —
+// otherwise the dead usage keeps feeding node interference for every
+// tick of the outage.
 func TestTickClearsStaleUsageDuringOutage(t *testing.T) {
 	c := newTestCluster(t, 1)
 	spec := testService("web")
@@ -41,10 +42,17 @@ func TestTickClearsStaleUsageDuringOutage(t *testing.T) {
 
 	c.Engine().Run(2 * c.cfg.MetricsInterval) // outage tick must clear it
 
-	if !p.Usage.IsZero() {
-		t.Errorf("stale usage not cleared during outage: %v", p.Usage)
+	// Read back through the public accessor, which materialises each
+	// pod's usage from the tick's dense state.
+	for _, got := range c.Pods() {
+		if got == p && !got.Usage.IsZero() {
+			t.Errorf("stale usage not cleared during outage: %v", got.Usage)
+		}
 	}
 	if got := c.nodes["node-0"].Usage; !got.IsZero() {
 		t.Errorf("node usage should be zero during outage, got %v", got)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

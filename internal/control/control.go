@@ -134,30 +134,13 @@ type Traceable interface {
 	DecisionTrace() obs.ControlTrace
 }
 
-// TraceDecision records one control step onto the tracer: a "decide"
-// event built from the observation/decision pair, with the controller's
-// decomposition attached when it is Traceable, plus an "adapt" event
-// when the adaptive-gain count advanced since prevAdapts. It returns the
-// new adaptation count for the caller to carry into the next period.
-// Cheap no-op when the tracer is disabled.
-func TraceDecision(tr *obs.Tracer, o Observation, d Decision, c Controller, prevAdapts int) int {
-	if !tr.Enabled() {
-		return prevAdapts
-	}
-	ev, adapts := decideEvent(o, d, c, prevAdapts)
-	tr.Record(ev)
-	if adapts > prevAdapts {
-		tr.Record(adaptEvent(ev))
-	}
-	return adapts
-}
-
 // decideEvent builds the "decide" trace event for one control step and
 // returns it with the controller's adaptation count (prevAdapts when the
-// controller is not Traceable). Pure value construction — no tracer
+// controller is not Traceable); an "adapt" event (adaptEvent) follows it
+// when that count advanced. Pure value construction — no tracer
 // access, no controller mutation beyond the Rationale/DecisionTrace
-// reads — so the parallel evaluate phase can call it from workers and
-// hand the events to the serial apply phase for recording.
+// reads — so the evaluate phase can call it from workers and hand the
+// events to the serial apply phase for recording.
 func decideEvent(o Observation, d Decision, c Controller, prevAdapts int) (obs.Event, int) {
 	ev := obs.Event{
 		At:          o.Now,

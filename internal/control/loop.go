@@ -69,9 +69,9 @@ type LoopConfig struct {
 	// that many concurrent workers, partitioning apps with sim.ShardOf.
 	// The apply phase (stats, tracer records, actuation, retries) stays
 	// serial in canonical app order, so runs are byte-identical at any
-	// value. 0 or 1 keeps the exact serial step. Workers is configuration,
-	// not state: checkpoints ignore it and a restored loop uses whatever
-	// the restoring process configured.
+	// value. 0 or 1 evaluates inline on the simulation goroutine. Workers
+	// is configuration, not state: checkpoints ignore it and a restored
+	// loop uses whatever the restoring process configured.
 	Workers int
 	// Harden and Retry take defaults when zero.
 	Harden HardenConfig
@@ -80,7 +80,7 @@ type LoopConfig struct {
 
 // BatchActuator is optionally implemented by plants that can amortise
 // per-decision work across one control period's apply phase. The loop
-// brackets the parallel-eval apply walk with Begin/End; everything the
+// brackets every period's apply walk with Begin/End; everything the
 // plant caches inside the window must be invariant for the duration of
 // the step event (the simulated world cannot change mid-event), so
 // results stay byte-identical. Retries and chaos-delayed applies fire
@@ -91,9 +91,9 @@ type BatchActuator interface {
 }
 
 // CtrlTiming accumulates control-period wall time, split into the
-// evaluate fan-out and the serial apply walk. Serial (Workers<=1) loops
-// attribute the whole step to ApplyNs. Wall-clock observation only —
-// never part of the simulated state.
+// evaluate phase (inline at Workers<=1, fanned out otherwise) and the
+// serial apply walk. Wall-clock observation only — never part of the
+// simulated state.
 type CtrlTiming struct {
 	Periods uint64
 	EvalNs  int64
@@ -148,7 +148,7 @@ type Loop struct {
 	pendingRetries map[string]retryEntry
 	retrySeq       uint64
 
-	// Parallel-eval scratch (stepSharded): the per-period eval tuples in
+	// Evaluate-phase scratch (step): the per-period eval tuples in
 	// canonical app order, the per-worker index partitions, and the
 	// reusable pool jobs. All reused across periods.
 	evalBuf    []ctrlEval
@@ -156,7 +156,7 @@ type Loop struct {
 	evalJobs   []evalJob
 
 	// timing/phases are wall-clock observation hooks (EnableTiming /
-	// SetPhases); both nil by default so the serial step stays untouched.
+	// SetPhases); both nil by default so an untimed step reads no clock.
 	timing *CtrlTiming
 	phases *perf.PhaseBreakdown
 
@@ -168,7 +168,7 @@ type Loop struct {
 }
 
 // ctrlEval is one app's evaluate-phase result: everything the serial
-// apply walk needs to replay the exact serial step without re-deciding.
+// apply walk needs to take the app's turn without re-deciding.
 type ctrlEval struct {
 	app    string
 	h      *Hardened
@@ -299,8 +299,8 @@ func (l *Loop) LastDecision(app string) (Decision, bool) {
 func (l *Loop) Stats() LoopStats { return l.stats }
 
 // EnableTiming turns on control-period wall-clock accounting and returns
-// the accumulator (idempotent). Timing wraps the serial step in two
-// time.Now calls; the step body itself is unchanged.
+// the accumulator (idempotent). Timing brackets each phase of the step
+// with time.Now calls; the step body itself is unchanged.
 func (l *Loop) EnableTiming() *CtrlTiming {
 	if l.timing == nil {
 		l.timing = &CtrlTiming{}
@@ -372,76 +372,18 @@ func (l *Loop) Restart() {
 	l.cancel = l.eng.Every(l.cfg.Interval, l.step)
 }
 
-// step runs one control period: the exact serial walk at Workers<=1,
-// the evaluate/apply split otherwise. Both produce byte-identical
-// results; see DESIGN.md "Control-plane sharding & deterministic apply".
+// step runs one control period in two phases. Evaluate (observe →
+// harden → decide → trace-event construction) is read-only with respect
+// to shared state: it touches only per-app state (the app's observation
+// window, its Hardened wrapper, its controller) and draws no shared
+// RNG, so it runs inline at Workers<=1 and fans out over cfg.Workers
+// partitions otherwise (apps assigned by sim.ShardOf, stable across
+// runs and worker counts). Apply then walks the tuples serially in
+// canonical app order: every order-sensitive effect — stats, tracer
+// records, retry-jitter draws, actuations — happens there, so the
+// output is byte-identical at any worker count. See DESIGN.md
+// "Control-plane sharding & deterministic apply".
 func (l *Loop) step() {
-	if l.cfg.Workers > 1 {
-		l.stepSharded()
-		return
-	}
-	if l.timing == nil && l.phases == nil {
-		l.stepSerial()
-		return
-	}
-	t0 := time.Now()
-	l.stepSerial()
-	// The serial step interleaves evaluation and actuation per app, so
-	// the whole period is attributed to apply.
-	l.recordTiming(0, time.Since(t0).Nanoseconds())
-}
-
-// stepSerial runs one control period over every app, in the plant's
-// (sorted) app order so the decision sequence is deterministic. This is
-// the original single-threaded step, kept verbatim so the 1-worker path
-// holds its allocation budget.
-func (l *Loop) stepSerial() {
-	rec, _ := l.plant.(Recorder)
-	for _, app := range l.plant.Apps() {
-		h, ok := l.ctrl[app]
-		if !ok {
-			continue
-		}
-		o, err := l.plant.Observe(app)
-		if err != nil {
-			l.onFatal(fmt.Errorf("control: observe %s: %w", app, err))
-			return
-		}
-		wasDegraded := h.Degraded()
-		d := h.Decide(o)
-		l.stats.Decisions++
-		l.lastDecision[app] = d
-		l.prevAdapts[app] = TraceDecision(l.tracer, o, d, h.inner, l.prevAdapts[app])
-		if h.Degraded() != wasDegraded {
-			l.traceHealth(h, o, wasDegraded, rec)
-		}
-		if h.Degraded() {
-			l.stats.DegradedPeriods++
-		}
-		// A new decision supersedes any outstanding retries for the app.
-		l.retryGen[app]++
-		l.actuate(app, d, 0, l.retryGen[app])
-		if rec != nil {
-			if ex, ok := h.inner.(Explainer); ok {
-				if r := ex.Rationale(); r != "" && r != l.lastRationale[app] {
-					l.lastRationale[app] = r
-					rec.RecordEvent("autoscale", app, r)
-				}
-			}
-		}
-	}
-}
-
-// stepSharded is the parallel control period: a read-only evaluate
-// fan-out over cfg.Workers partitions (apps assigned by sim.ShardOf, so
-// the partition is stable across runs and worker counts), then a serial
-// apply walk in canonical app order replaying exactly what stepSerial
-// would have done. Evaluation touches only per-app state (the app's
-// observation window, its Hardened wrapper, its controller) and draws no
-// shared RNG, so the tuples are independent of worker scheduling; every
-// order-sensitive effect — stats, tracer records, retry-jitter draws,
-// actuations — happens in the apply walk.
-func (l *Loop) stepSharded() {
 	apps := l.plant.Apps()
 	buf := l.evalBuf[:0]
 	for _, app := range apps {
@@ -468,34 +410,7 @@ func (l *Loop) stepSharded() {
 			l.evalOne(&buf[i])
 		}
 	} else {
-		for len(l.evalGroups) < workers {
-			l.evalGroups = append(l.evalGroups, nil)
-		}
-		for len(l.evalJobs) < workers {
-			l.evalJobs = append(l.evalJobs, evalJob{l: l})
-		}
-		groups := l.evalGroups[:workers]
-		for w := range groups {
-			groups[w] = groups[w][:0]
-		}
-		for i := range buf {
-			w := sim.ShardOf(buf[i].app, workers)
-			groups[w] = append(groups[w], int32(i))
-		}
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			if len(groups[w]) == 0 {
-				continue
-			}
-			job := &l.evalJobs[w]
-			job.idx, job.wg = groups[w], &wg
-			wg.Add(1)
-			par.Submit(job)
-		}
-		for _, i := range groups[0] {
-			l.evalOne(&buf[i])
-		}
-		wg.Wait()
+		l.evalParallel(workers)
 	}
 	var evalNs int64
 	if timing {
@@ -509,7 +424,41 @@ func (l *Loop) stepSharded() {
 	}
 }
 
-// evalOne computes one app's evaluate tuple. Called from pool workers:
+// evalParallel fans the evaluate phase over workers partitions on the
+// shared bounded pool; the calling goroutine evaluates partition 0.
+func (l *Loop) evalParallel(workers int) {
+	buf := l.evalBuf
+	for len(l.evalGroups) < workers {
+		l.evalGroups = append(l.evalGroups, nil)
+	}
+	for len(l.evalJobs) < workers {
+		l.evalJobs = append(l.evalJobs, evalJob{l: l})
+	}
+	groups := l.evalGroups[:workers]
+	for w := range groups {
+		groups[w] = groups[w][:0]
+	}
+	for i := range buf {
+		w := sim.ShardOf(buf[i].app, workers)
+		groups[w] = append(groups[w], int32(i))
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		if len(groups[w]) == 0 {
+			continue
+		}
+		job := &l.evalJobs[w]
+		job.idx, job.wg = groups[w], &wg
+		wg.Add(1)
+		par.Submit(job)
+	}
+	for _, i := range groups[0] {
+		l.evalOne(&buf[i])
+	}
+	wg.Wait()
+}
+
+// evalOne computes one app's evaluate tuple. May run on pool workers:
 // it must only read loop maps (no writes happen during the fan-out) and
 // mutate per-app state.
 func (l *Loop) evalOne(e *ctrlEval) {
@@ -530,11 +479,10 @@ func (l *Loop) evalOne(e *ctrlEval) {
 
 // applyEvals replays the buffered evaluate tuples serially in canonical
 // app order: the stats, tracer records, health transitions, actuations
-// and retry scheduling land in exactly the sequence stepSerial produces.
+// and retry scheduling land in one fixed sequence at any worker count.
 // An observe error surfaces at its canonical position and stops the
-// walk, matching the serial early return (later apps have already been
-// evaluated then — the one divergence from serial, and only on runs
-// that are failing fatally anyway).
+// walk (later apps have already been evaluated then; the run is failing
+// fatally anyway).
 func (l *Loop) applyEvals() {
 	rec, _ := l.plant.(Recorder)
 	if ba, ok := l.plant.(BatchActuator); ok {

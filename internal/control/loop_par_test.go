@@ -8,9 +8,9 @@ import (
 	"evolve/internal/sim"
 )
 
-// Gates for the sharded control loop: worker-count invariance of every
-// observable output, and the allocation budget of the serial path the
-// 1-worker configuration must keep taking.
+// Gates for the control loop's evaluate/apply step: worker-count
+// invariance of every observable output, an independent check of the
+// apply walk's order and content, and the 1-worker allocation budget.
 
 // quietPlant is a minimal plant for worker sweeps: per-app replica
 // state that decisions actually move, plus an order log so actuation
@@ -51,39 +51,91 @@ func (p *quietPlant) RecordEvent(kind, object, message string) {
 	p.events = append(p.events, kind+"/"+object+": "+message)
 }
 
-// runWorkerSweep drives one loop at the given worker count and returns
-// its observable fingerprint: actuation order, final replica state,
-// events and stats, all rendered to a string.
+// actuation is one ApplyDecision the plant received.
+type actuation struct {
+	at  time.Duration
+	app string
+	d   Decision
+}
+
+// sweepPlant logs every actuation with its period; recordingController
+// logs every decision it returns. Each app owns its controller, so the
+// evaluate fan-out writes each decision log from one goroutine only.
+type sweepPlant struct {
+	*quietPlant
+	acts []actuation
+}
+
+func (p *sweepPlant) ApplyDecision(app string, d Decision) error {
+	p.acts = append(p.acts, actuation{at: p.now(), app: app, d: d})
+	return p.quietPlant.ApplyDecision(app, d)
+}
+
+type recordingController struct {
+	countingController
+	decided []Decision
+}
+
+func (c *recordingController) Decide(o Observation) Decision {
+	d := c.countingController.Decide(o)
+	c.decided = append(c.decided, d)
+	return d
+}
+
+// runWorkerSweep drives one loop at the given worker count, checks the
+// apply walk against the controllers' own decision logs, and returns
+// the loop's observable fingerprint: actuation order, final replica
+// state, events and stats, all rendered to a string.
 func runWorkerSweep(t *testing.T, workers int) string {
 	t.Helper()
 	eng := sim.NewEngine(7)
-	plant := newQuietPlant(eng.Now, 23)
+	plant := &sweepPlant{quietPlant: newQuietPlant(eng.Now, 23)}
 	l := NewLoop(eng, plant, LoopConfig{Interval: 15 * time.Second, Workers: workers})
+	ctrls := make(map[string]*recordingController, len(plant.apps))
 	for _, app := range plant.apps {
-		l.Add(app, &countingController{})
+		ctrls[app] = &recordingController{}
+		l.Add(app, ctrls[app])
 	}
 	l.OnFatal(func(err error) { t.Fatalf("loop fatal (workers=%d): %v", workers, err) })
 	l.Start()
 	eng.Run(5 * time.Minute)
+
+	// Each period actuates every app exactly once, in the plant's
+	// canonical (sorted) app order, with the decision that app's
+	// controller returned that period.
+	const periods = 20 // 5m / 15s
+	if want := periods * len(plant.apps); len(plant.acts) != want {
+		t.Fatalf("workers=%d: %d actuations, want %d", workers, len(plant.acts), want)
+	}
+	for i, a := range plant.acts {
+		period, k := i/len(plant.apps), i%len(plant.apps)
+		if wantAt := time.Duration(period+1) * 15 * time.Second; a.at != wantAt || a.app != plant.apps[k] {
+			t.Fatalf("workers=%d: actuation %d is %s at %v, want %s at %v",
+				workers, i, a.app, a.at, plant.apps[k], wantAt)
+		}
+		if got := ctrls[a.app].decided; period >= len(got) || got[period] != a.d {
+			t.Fatalf("workers=%d: %s period %d actuated %+v, controller decided %+v", workers, a.app, period, a.d, got)
+		}
+	}
 	return fmt.Sprintf("order=%v\nreplicas=%v\nevents=%v\nstats=%+v",
 		plant.order, fmt.Sprintf("%v", plant.replicas), plant.events, l.Stats())
 }
 
-// TestLoopWorkersDeterministic: the sharded evaluate/apply split must
-// actuate the same decisions in the same order as the serial loop at
-// every worker count, including workers beyond the app count.
+// TestLoopWorkersDeterministic: the evaluate/apply step must actuate the
+// same decisions in the same order at every worker count, including
+// counts that do not divide the app count.
 func TestLoopWorkersDeterministic(t *testing.T) {
 	want := runWorkerSweep(t, 1)
-	for _, workers := range []int{2, 3, 7, 32} {
+	for _, workers := range []int{2, 4, 7} {
 		if got := runWorkerSweep(t, workers); got != want {
-			t.Errorf("workers=%d: output diverged from serial loop\n got: %s\nwant: %s", workers, got, want)
+			t.Errorf("workers=%d: output diverged from the 1-worker loop\n got: %s\nwant: %s", workers, got, want)
 		}
 	}
 }
 
 // TestControlEvalAllocs pins the steady-state allocation budget of the
-// serial (1-worker) control step: the path every existing scenario
-// takes must not regress when the sharded machinery is compiled in.
+// 1-worker control step (inline evaluate, then the apply walk): the
+// configuration every default scenario takes.
 // The plant here is deliberately allocation-free so the measurement
 // isolates the loop itself (observe → harden → decide → actuate).
 func TestControlEvalAllocs(t *testing.T) {
@@ -104,13 +156,13 @@ func TestControlEvalAllocs(t *testing.T) {
 		horizon += 15 * time.Second
 		eng.Run(horizon)
 	})
-	t.Logf("serial control period: %.1f allocs (16 apps)", allocs)
+	t.Logf("1-worker control period: %.1f allocs (16 apps)", allocs)
 	// Budget: the order-log fmt.Sprintf in the plant costs 2 allocations
 	// per app (measured 32.0 for 16 apps); the loop machinery itself
 	// must add nothing on top. 40 leaves slack for fmt internals
 	// shifting across Go releases while still catching a single new
 	// per-app allocation in the loop (which would read 48+).
 	if maxAllocs := 40.0; allocs > maxAllocs {
-		t.Errorf("serial control period allocates %.1f times, want <= %.0f", allocs, maxAllocs)
+		t.Errorf("1-worker control period allocates %.1f times, want <= %.0f", allocs, maxAllocs)
 	}
 }

@@ -133,7 +133,10 @@ func TestChaosSoak(t *testing.T) {
 	sc.Name = "soak"
 	sc.Duration = 2 * time.Hour
 	sc.Chaos = "mixed"
-	res, err := r.Run(sc, chaosPolicies()[0])
+	// Every tick of the soak re-derives the dense tick state from the
+	// object graph: crashes, evictions and re-binds are where a cache
+	// invalidation would be missed.
+	res, err := r.RunWithHooks(sc, chaosPolicies()[0], invariantHooks(t))
 	if err != nil {
 		t.Fatal(err)
 	}

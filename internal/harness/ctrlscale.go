@@ -40,8 +40,8 @@ type CtrlScaleRow struct {
 	Reps    int `json:"reps"`
 	// MSPerPeriod is the fastest rep's wall milliseconds per control
 	// period (min-of-reps de-noises the comparison); EvalMS/ApplyMS
-	// split that rep into the evaluate fan-out and the serial apply
-	// walk. Serial (1-worker) rows attribute the whole step to apply.
+	// split that rep into the evaluate phase (inline at 1 worker, fanned
+	// out otherwise) and the serial apply walk.
 	MSPerPeriod float64 `json:"ms_per_period"`
 	EvalMS      float64 `json:"eval_ms"`
 	ApplyMS     float64 `json:"apply_ms"`

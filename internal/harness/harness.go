@@ -73,23 +73,16 @@ type Scenario struct {
 	// means fault-free. The injector is seeded from Seed, so chaos runs
 	// replay bit-for-bit.
 	Chaos string
-	// Shards runs the cluster on the sharded kernel (cluster.Config's
-	// Shards); 0 or 1 keeps the single-engine path. Results are
-	// byte-identical either way. ShardWorkers bounds same-timestamp
-	// parallelism (0 = GOMAXPROCS).
+	// Shards is the kernel's shard count (cluster.Config's Shards; 0
+	// means 1). Results are byte-identical at any value. ShardWorkers
+	// bounds same-timestamp parallelism (0 = min(Shards, GOMAXPROCS)).
 	Shards       int
 	ShardWorkers int
-	// UnbatchedRounds disables same-timestamp event batching on the
-	// sharded coordinator (cluster.Config.BatchedRounds), reproducing
-	// the one-event-per-barrier protocol. The harness's phase-disciplined
-	// workloads are byte-identical either way; the flag exists so the
-	// determinism suite can pin that.
-	UnbatchedRounds bool
 	// CtrlWorkers shards the control plane: the control period's
 	// evaluate phase fans out over this many workers (control.LoopConfig
 	// Workers) and the scheduling drain batches disjoint placements
-	// (cluster.Config.DrainWorkers). 0 or 1 keeps the exact serial
-	// paths; results are byte-identical at any value.
+	// (cluster.Config.DrainWorkers). 0 or 1 evaluates inline and drains
+	// pod by pod; results are byte-identical at any value.
 	CtrlWorkers int
 }
 
@@ -257,7 +250,6 @@ func runScenario(sc Scenario, pol Policy, hooks []Hook, tr *obs.Tracer) (*Result
 	}
 	ccfg.Shards = sc.Shards
 	ccfg.ShardWorkers = sc.ShardWorkers
-	ccfg.BatchedRounds = !sc.UnbatchedRounds
 	ccfg.DrainWorkers = sc.CtrlWorkers
 	c := cluster.New(eng, ccfg)
 	c.SetTracer(tr)

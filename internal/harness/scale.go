@@ -47,19 +47,17 @@ type ScaleRow struct {
 	MSPerTick    float64 `json:"ms_per_tick"`
 	NsPerPodTick float64 `json:"ns_per_pod_tick"`
 	// Events counts kernel events executed during the fastest rep;
-	// ShardEvents breaks down the whole run per shard engine (empty at
-	// 1 shard).
+	// ShardEvents breaks down the whole run per shard engine.
 	Events      uint64   `json:"events"`
 	ShardEvents []uint64 `json:"shard_events,omitempty"`
-	// Phases is the mean per-tick phase breakdown over the timed reps
-	// (sharded runs only): where a tick's wall time actually goes.
+	// Phases is the mean per-tick phase breakdown over the timed reps:
+	// where a tick's wall time actually goes.
 	Phases []perf.PhaseMS `json:"phases,omitempty"`
 	// TickMaxMS is the slowest single kernel tick across all timed reps
-	// (sharded runs only) — the latency tail MSPerTick's mean hides.
+	// — the latency tail MSPerTick's mean hides.
 	TickMaxMS float64 `json:"tick_max_ms,omitempty"`
 	// RoundsPerTick is the mean coordinator shard rounds per tick over
-	// the timed reps (sharded runs only): how many barrier crossings one
-	// tick costs.
+	// the timed reps: how many barrier crossings one tick costs.
 	RoundsPerTick float64 `json:"rounds_per_tick,omitempty"`
 	// Speedup is wall(1 shard)/wall(this row) at the same point; 1.0 for
 	// the baseline rows.
@@ -240,10 +238,8 @@ type scaleRun struct {
 func newScaleRun(seed int64, pt ScalePoint, shards, workers int) (*scaleRun, error) {
 	eng := sim.NewEngine(seed)
 	ccfg := cluster.DefaultConfig()
-	if shards > 1 {
-		ccfg.Shards = shards
-		ccfg.ShardWorkers = workers
-	}
+	ccfg.Shards = shards
+	ccfg.ShardWorkers = workers
 	c := cluster.New(eng, ccfg)
 	density := (pt.Pods + pt.Nodes - 1) / pt.Nodes
 	specs := scaleServices(pt.Pods, density)
@@ -269,10 +265,8 @@ func newScaleRun(seed int64, pt ScalePoint, shards, workers int) (*scaleRun, err
 	run := &scaleRun{shards: shards, c: c, interva: ccfg.MetricsInterval}
 	run.horizon = run.interva
 	c.Run(run.horizon)
-	if shards > 1 {
-		run.pb = c.EnablePhaseTiming()
-		run.rounds0, _ = c.Coordinator().Rounds()
-	}
+	run.pb = c.EnablePhaseTiming()
+	run.rounds0, _ = c.Coordinator().Rounds()
 	return run, nil
 }
 
@@ -292,7 +286,7 @@ func (sr *scaleRun) rep(ticks int) {
 func (sr *scaleRun) row(pt ScalePoint, workers, ticks int) ScaleRow {
 	row := ScaleRow{
 		Nodes: pt.Nodes, Pods: pt.Pods, Shards: sr.shards, Workers: workers,
-		EffectiveWorkers: 1, Ticks: ticks, Reps: sr.reps,
+		Ticks: ticks, Reps: sr.reps,
 		WallMS:    float64(sr.wall.Microseconds()) / 1000,
 		MSPerTick: float64(sr.wall.Microseconds()) / 1000 / float64(ticks),
 		Events:    sr.events,
@@ -300,17 +294,14 @@ func (sr *scaleRun) row(pt ScalePoint, workers, ticks int) ScaleRow {
 	if pt.Pods > 0 && ticks > 0 {
 		row.NsPerPodTick = float64(sr.wall.Nanoseconds()) / float64(ticks) / float64(pt.Pods)
 	}
-	if co := sr.c.Coordinator(); co != nil {
-		row.ShardEvents = co.ShardSteps(nil)
-		row.EffectiveWorkers = co.Workers()
-	}
-	if sr.pb != nil {
-		row.Phases = sr.pb.PerTickMS()
-		row.TickMaxMS = float64(sr.pb.TickMaxNs) / 1e6
-		if total := sr.reps * ticks; total > 0 {
-			rounds, _ := sr.c.Coordinator().Rounds()
-			row.RoundsPerTick = float64(rounds-sr.rounds0) / float64(total)
-		}
+	co := sr.c.Coordinator()
+	row.ShardEvents = co.ShardSteps(nil)
+	row.EffectiveWorkers = co.Workers()
+	row.Phases = sr.pb.PerTickMS()
+	row.TickMaxMS = float64(sr.pb.TickMaxNs) / 1e6
+	if total := sr.reps * ticks; total > 0 {
+		rounds, _ := co.Rounds()
+		row.RoundsPerTick = float64(rounds-sr.rounds0) / float64(total)
 	}
 	return row
 }

@@ -15,7 +15,8 @@ import (
 // fingerprints) is untouched by span emission.
 //
 // Shard attribution: Span.Shard names the kernel shard that owns the
-// span's subject (-1 when unsharded or not shard-local). It is the ONE
+// span's subject — 0 in a one-shard world — or -1 when no single shard
+// owns it (control-plane spans, gang admission, kernel phase totals). It is the ONE
 // field allowed to vary between runs at different shard counts; every
 // other field — IDs, parents, times, names — must be byte-identical,
 // and the determinism suite compares span streams with Shard masked.
@@ -100,8 +101,8 @@ type Span struct {
 	Object string
 	Node   string
 	Detail string
-	// Shard is the owning kernel shard, -1 when unsharded. See the
-	// package comment: the only field that may vary with shard count.
+	// Shard is the owning kernel shard, -1 when not shard-local. See
+	// the package comment: the only field that may vary with shard count.
 	Shard int32
 	// Start and End bound the interval in virtual time (Start == End for
 	// instant spans).

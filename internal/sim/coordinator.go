@@ -17,11 +17,11 @@ import (
 // baseline:
 //
 //   - The kernel always advances the earliest-timestamp engine. When
-//     one or more shards sit at the shared minimum, all of them step
-//     exactly one event (a "round") before anything else runs; the
-//     primary only steps when no shard shares the minimum, so shard
-//     work scheduled by a primary event at time t completes before the
-//     next primary event at t.
+//     one or more shards sit at the shared minimum, all of them drain
+//     every event they hold at that timestamp (a "round") before
+//     anything else runs; the primary only steps when no shard shares
+//     the minimum, so shard work scheduled by a primary event at time t
+//     completes before the next primary event at t.
 //   - Within a round, shard events touch only their own shard's state.
 //     Cross-shard effects are not applied in place: they are posted to
 //     a per-source-shard mailbox and applied at the round barrier in
@@ -35,7 +35,6 @@ type Coordinator struct {
 	primary *Engine
 	shards  []*Engine
 	workers int
-	batched bool // drain all same-t events per shard per round
 
 	mail [][]func() // mail[src] = messages posted by shard src this round
 
@@ -54,26 +53,19 @@ type Coordinator struct {
 	mailNs    int64 // drainMail wall time at round barriers
 }
 
-// stepJob runs one shard engine's share of a round; pointers into the
-// coordinator's prealloc slice go to the pool, so a round allocates
-// nothing. In batched mode it drains every event at t; otherwise it
-// processes exactly one. steps is written before wg.Done and read only
-// after wg.Wait, so the WaitGroup orders the accesses.
+// stepJob runs one shard engine's share of a round — every event it
+// holds at t; pointers into the coordinator's prealloc slice go to the
+// pool, so a round allocates nothing. steps is written before wg.Done
+// and read only after wg.Wait, so the WaitGroup orders the accesses.
 type stepJob struct {
-	eng     *Engine
-	wg      *sync.WaitGroup
-	t       Time
-	batched bool
-	steps   int
+	eng   *Engine
+	wg    *sync.WaitGroup
+	t     Time
+	steps int
 }
 
 func (j *stepJob) Run() {
-	if j.batched {
-		j.steps = j.eng.ProcessEventsAt(j.t)
-	} else {
-		j.eng.ProcessNextEvent()
-		j.steps = 1
-	}
+	j.steps = j.eng.ProcessEventsAt(j.t)
 	j.wg.Done()
 }
 
@@ -114,21 +106,6 @@ func (co *Coordinator) Shard(i int) *Engine { return co.shards[i] }
 
 // Workers returns the configured round parallelism.
 func (co *Coordinator) Workers() int { return co.workers }
-
-// SetBatched switches the round protocol between one-event-per-round
-// (false, the PR 6 baseline) and batched rounds (true): each active
-// shard drains all its events at the shared timestamp before the
-// barrier, collapsing barriers per tick from O(events) to O(1). Both
-// modes are individually deterministic at any shard/worker count; they
-// differ only in where the mailbox drain interleaves relative to
-// same-timestamp shard events, so workloads that post cross-shard mail
-// mid-timestamp may order work differently *between* modes (phase-
-// disciplined users like the cluster substrate, which exchange no
-// mid-phase mail, are byte-identical across both).
-func (co *Coordinator) SetBatched(on bool) { co.batched = on }
-
-// Batched reports whether batched rounds are enabled.
-func (co *Coordinator) Batched() bool { return co.batched }
 
 // SetTiming enables (or disables) accumulation of barrier-wait and
 // mailbox-drain wall time; TakeTimings reads and resets the counters.
@@ -208,9 +185,8 @@ func (co *Coordinator) drainMail() int {
 }
 
 // stepRound executes one round: every shard whose next live event sits
-// exactly at t processes one event (or, in batched mode, all its events
-// at t), then the mailbox drains at the barrier. It returns the number
-// of shard events executed.
+// exactly at t drains all its events at t, then the mailbox drains at
+// the barrier. It returns the number of shard events executed.
 func (co *Coordinator) stepRound(t Time) int {
 	co.active = co.active[:0]
 	for i, sh := range co.shards {
@@ -232,17 +208,10 @@ func (co *Coordinator) stepRound(t Time) int {
 			j.eng = co.shards[co.active[k]]
 			j.wg = &co.wg
 			j.t = t
-			j.batched = co.batched
 			j.steps = 0
 			par.Submit(j)
 		}
-		lead := co.shards[co.active[0]]
-		if co.batched {
-			executed = lead.ProcessEventsAt(t)
-		} else {
-			lead.ProcessNextEvent()
-			executed = 1
-		}
+		executed = co.shards[co.active[0]].ProcessEventsAt(t)
 		var w0 time.Time
 		if co.timing {
 			w0 = time.Now()
@@ -256,12 +225,7 @@ func (co *Coordinator) stepRound(t Time) int {
 		}
 	} else {
 		for _, i := range co.active {
-			if co.batched {
-				executed += co.shards[i].ProcessEventsAt(t)
-			} else {
-				co.shards[i].ProcessNextEvent()
-				executed++
-			}
+			executed += co.shards[i].ProcessEventsAt(t)
 		}
 	}
 	var m0 time.Time
@@ -287,13 +251,13 @@ func (co *Coordinator) DrainShards(t Time) int {
 			break
 		}
 		n += stepped
-		// In batched mode every active shard drained all its events at t
-		// — including same-timestamp follow-ups it scheduled for itself —
-		// so only a barrier message could have armed a new event at t. A
-		// mail-free round is therefore the last one; skipping the
-		// confirming peek round halves the per-phase round count for the
-		// common fan-out (one phase event per shard, no mail).
-		if co.batched && co.mailed == 0 {
+		// Every active shard drained all its events at t — including
+		// same-timestamp follow-ups it scheduled for itself — so only a
+		// barrier message could have armed a new event at t. A mail-free
+		// round is therefore the last one; skipping the confirming peek
+		// round halves the per-phase round count for the common fan-out
+		// (one phase event per shard, no mail).
+		if co.mailed == 0 {
 			break
 		}
 	}

@@ -205,10 +205,9 @@ func TestShardOfStableAndInRange(t *testing.T) {
 // PartitionedRNG stream; shards post cross-shard mail that mutates a
 // shared journal at the barrier. The journal string must be identical
 // for any (shard count kept fixed) worker count.
-func coordScenario(workers int, batched bool) string {
+func coordScenario(workers int) string {
 	primary := NewEngine(7)
 	co := NewCoordinator(primary, 4, workers)
-	co.SetBatched(batched)
 	prng := NewPartitionedRNG(7)
 	journal := ""
 	// Per-shard state: a counter advanced by the shard's own stream.
@@ -238,22 +237,14 @@ func coordScenario(workers int, batched bool) string {
 }
 
 func TestCoordinatorDeterministicAcrossWorkers(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		base := coordScenario(1, batched)
-		if base == "" {
-			t.Fatal("scenario produced no journal")
-		}
-		for _, w := range []int{2, 4, 8} {
-			if got := coordScenario(w, batched); got != base {
-				t.Errorf("batched=%v workers=%d journal diverged from serial baseline", batched, w)
-			}
-		}
+	base := coordScenario(1)
+	if base == "" {
+		t.Fatal("scenario produced no journal")
 	}
-	// This scenario posts exactly one event per shard per timestamp, so
-	// the two round protocols interleave identically and must agree with
-	// each other too.
-	if coordScenario(1, false) != coordScenario(1, true) {
-		t.Error("batched and unbatched journals diverged on a one-event-per-round workload")
+	for _, w := range []int{2, 4, 8} {
+		if got := coordScenario(w); got != base {
+			t.Errorf("workers=%d journal diverged from serial baseline", w)
+		}
 	}
 }
 
@@ -365,43 +356,52 @@ func TestProcessEventsAt(t *testing.T) {
 	}
 }
 
-// Batched rounds must collapse a k-events-per-shard tick from k rounds
-// (k barriers) to one, without changing what each shard executes. The
-// journals are per-shard: shard events only touch their own state, and
-// cross-shard interleaving is exactly what the two protocols are free
-// to order differently.
-func TestBatchedRoundsCollapseBarriers(t *testing.T) {
-	run := func(batched bool) (journals [2]string, rounds uint64) {
-		primary := NewEngine(3)
-		co := NewCoordinator(primary, 2, 1)
-		co.SetBatched(batched)
-		primary.Every(time.Second, func() {
-			now := primary.Now()
+// A mail-free DrainShards takes exactly one round per phase: every
+// active shard drains all its events at the timestamp — including the
+// same-timestamp follow-ups it posts for itself — and with no barrier
+// mail nothing can arm another event at t, so no confirming round runs.
+// Each shard still executes its own events in FIFO order.
+func TestDrainShardsOneRoundPerPhase(t *testing.T) {
+	primary := NewEngine(3)
+	co := NewCoordinator(primary, 2, 1)
+	var journals [2]string
+	const phases, events = 3, 5
+	primary.Every(time.Second, func() {
+		now := primary.Now()
+		for ph := 0; ph < phases; ph++ {
 			for i := 0; i < co.NumShards(); i++ {
-				i := i
-				for k := 0; k < 5; k++ {
+				i, ph := i, ph
+				for k := 0; k < events; k++ {
 					k := k
 					co.Shard(i).Post(now, func() {
-						journals[i] += fmt.Sprintf("%v/e%d ", now, k)
+						journals[i] += fmt.Sprintf("%v/p%de%d ", now, ph, k)
+						if k == events-1 {
+							// A same-timestamp follow-up drains in the same round.
+							co.Shard(i).Post(now, func() { journals[i] += "+ " })
+						}
 					})
 				}
 			}
 			co.DrainShards(now)
-		})
-		co.Run(10 * time.Second)
-		total, _ := co.Rounds()
-		return journals, total
+		}
+	})
+	co.Run(10 * time.Second)
+	if total, _ := co.Rounds(); total != 10*phases {
+		t.Errorf("rounds = %d, want %d (one per phase per tick)", total, 10*phases)
 	}
-	serialJournals, serialRounds := run(false)
-	batchedJournals, batchedRounds := run(true)
-	if serialJournals != batchedJournals {
-		t.Error("batched rounds changed a shard's execution journal")
-	}
-	if serialRounds != 10*5 {
-		t.Errorf("unbatched rounds = %d, want 50 (one per event per tick)", serialRounds)
-	}
-	if batchedRounds != 10 {
-		t.Errorf("batched rounds = %d, want 10 (one per tick)", batchedRounds)
+	for i, j := range journals {
+		want := ""
+		for tick := 1; tick <= 10; tick++ {
+			for ph := 0; ph < phases; ph++ {
+				for k := 0; k < events; k++ {
+					want += fmt.Sprintf("%v/p%de%d ", time.Duration(tick)*time.Second, ph, k)
+				}
+				want += "+ "
+			}
+		}
+		if j != want {
+			t.Errorf("shard %d journal out of order:\n got %s\nwant %s", i, j, want)
+		}
 	}
 }
 
@@ -411,7 +411,6 @@ func TestBatchedRoundsCollapseBarriers(t *testing.T) {
 func TestBatchedRoundAllocs(t *testing.T) {
 	primary := NewEngine(1)
 	co := NewCoordinator(primary, 1, 1)
-	co.SetBatched(true)
 	sink := 0
 	fn := func() { sink++ }
 	var at Time

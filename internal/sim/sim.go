@@ -279,7 +279,7 @@ func (e *Engine) ProcessNextEvent() (t Time, ok bool) {
 // ProcessEventsAt executes every live event whose timestamp is exactly
 // t — including events that callbacks post back at t while the batch
 // drains — and returns the number executed. It is the batch primitive
-// behind the coordinator's batched rounds: one call empties a shard's
+// behind the coordinator's rounds: one call empties a shard's
 // work at the shared minimum, so the round barrier is paid once per
 // timestamp instead of once per event. Events earlier than t must not
 // be queued (the coordinator only calls this at the global minimum);
