@@ -27,7 +27,7 @@ bench:
 # the trailing summary line carries its raw rows (with per-phase
 # breakdown) plus Figure 12's control-plane rows.
 bench-json:
-	$(GO) run ./cmd/evolve-bench -json > BENCH_15.json
+	$(GO) run ./cmd/evolve-bench -json > BENCH_16.json
 
 # bench-shard is the sharded-kernel regression smoke at CI scale: the
 # first three points of the Figure 6 ladder under shard counts {1, 4},
@@ -41,26 +41,22 @@ bench-shard:
 	$(GO) test ./internal/sim -run 'TestCoordinator|TestDrainShards|TestBatchedRoundAllocs|TestProcessEventsAt' -count 1
 
 # bench-control is the control-plane scaling regression smoke at CI
-# scale: the quick Figure 12 ladder under worker counts {1, 4}, plus
-# the suites that pin byte-identical replay across control-plane worker
-# counts and the 1-worker step's allocation budget (the -race variant
-# of the determinism suite runs in the race job).
+# scale: the quick Figure 12 ladder, the sweep's smoke test, and the
+# control step's invariant check and zero-allocation gate.
 bench-control:
-	$(GO) run ./cmd/evolve-bench -json -quick -ctrl-workers 4 -only figure12
-	$(GO) test ./internal/harness -run 'TestCtrlWorkers|TestFigure12' -count 1 -v
-	$(GO) test ./internal/control -run 'TestLoopWorkersDeterministic|TestControlEvalAllocs' -count 1
-	$(GO) test ./internal/sched -run 'TestScheduleBatch|TestDisjointCandidates' -count 1
-	$(GO) test ./internal/cluster -run 'TestDrainBatched' -count 1
+	$(GO) run ./cmd/evolve-bench -json -quick -only figure12
+	$(GO) test ./internal/harness -run 'TestFigure12' -count 1 -v
+	$(GO) test ./internal/control -run 'TestLoopWorkersDeterministic|TestControlEvalAllocs' -count 1 -v
 
 # bench-compare guards the committed scale trajectory: the current
 # record's kernel rows must not regress ms_per_tick or shard speedup —
-# nor its control-plane rows ms_per_period or worker speedup — by more
-# than 15% against the previous PR's record on matching points. Serial
-# rows fail on absolute ms; parallel rows fail when both ms and
+# nor its control-plane rows ms_per_period — by more than 15% against
+# the previous record on matching points. 1-shard and control-plane
+# rows fail on absolute ms; multi-shard rows fail when both ms and
 # within-record speedup regress (the checks disagreeing means the
-# shared serial baseline moved, not the row — see cmd/bench-compare).
+# shared 1-shard baseline moved, not the row — see cmd/bench-compare).
 bench-compare:
-	$(GO) run ./cmd/bench-compare -old BENCH_10.json -new BENCH_15.json
+	$(GO) run ./cmd/bench-compare -old BENCH_15.json -new BENCH_16.json
 
 # bench-sched is the scheduler hot-path regression smoke: the sched
 # benchmarks at a fixed iteration count (so -benchtime noise cannot mask

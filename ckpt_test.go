@@ -20,16 +20,7 @@ import (
 // contract is "same construction + checkpoint = same world".
 func ckptWorld(t *testing.T, shards int, chaos string) *Cluster {
 	t.Helper()
-	return ckptWorldCtrl(t, shards, chaos, 0)
-}
-
-// ckptWorldCtrl is ckptWorld with the control plane sharded: worker
-// count is construction-time config, not checkpointed state, so restore
-// tests can also swap it across the barrier.
-func ckptWorldCtrl(t *testing.T, shards int, chaos string, ctrlWorkers int) *Cluster {
-	t.Helper()
-	c, err := New(Options{Seed: 21, Nodes: 6, Shards: shards, ShardWorkers: 1,
-		CtrlWorkers: ctrlWorkers, Chaos: chaos})
+	c, err := New(Options{Seed: 21, Nodes: 6, Shards: shards, ShardWorkers: 1, Chaos: chaos})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,43 +117,6 @@ func TestCheckpointRestoreContinueByteIdentical(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestCheckpointRestoreWithCtrlWorkers extends the headline invariant
-// across the control-plane sharding knob: a run with CtrlWorkers=3 that
-// checkpoints at 30m and restores into a CtrlWorkers=1 world (and vice
-// versa) must still land byte-identical to the serial uninterrupted
-// run — worker count is configuration, not state, so it may legally
-// change across the restore barrier without moving a byte.
-func TestCheckpointRestoreWithCtrlWorkers(t *testing.T) {
-	whole := ckptWorldCtrl(t, 2, "mixed", 1)
-	if err := whole.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	want := ckptFingerprint(whole)
-
-	for _, w := range [][2]int{{3, 1}, {1, 3}, {3, 3}} {
-		t.Run(fmt.Sprintf("before=%d/after=%d", w[0], w[1]), func(t *testing.T) {
-			half := ckptWorldCtrl(t, 2, "mixed", w[0])
-			if err := half.Run(30 * time.Minute); err != nil {
-				t.Fatal(err)
-			}
-			var snap bytes.Buffer
-			if err := half.Checkpoint(&snap); err != nil {
-				t.Fatal(err)
-			}
-			resumed := ckptWorldCtrl(t, 2, "mixed", w[1])
-			if err := resumed.Restore(bytes.NewReader(snap.Bytes())); err != nil {
-				t.Fatal(err)
-			}
-			if err := resumed.Run(30 * time.Minute); err != nil {
-				t.Fatal(err)
-			}
-			if got := ckptFingerprint(resumed); got != want {
-				t.Errorf("ctrl-workers %d→%d: restored run diverged from serial uninterrupted run", w[0], w[1])
-			}
-		})
 	}
 }
 

@@ -46,10 +46,8 @@ type item struct {
 // benchOpts carries the flags that shape individual items.
 type benchOpts struct {
 	shards      int  // shard counts to sweep in figure6: 0 = {1,4,8}, N = {1,N}
-	quick       bool // reduced figure6 ladder (the CI scale)
+	quick       bool // reduced figure6 and figure12 ladders (the CI scale)
 	scalePoints int  // truncate the figure6 ladder to its first N points (0 = all)
-
-	ctrlWorkers int // worker counts to sweep in figure12: 0 = {1,2,4,8}, N = {1,N}
 
 	// scaleRows collects figure6's raw per-run rows for the -json
 	// summary and BENCH_7.json; ctrlRows the same for figure12.
@@ -72,9 +70,6 @@ func (o *benchOpts) scaleConfig(seed int64) harness.ScaleConfig {
 // ctrlScaleConfig resolves the figure12 sweep from the flags.
 func (o *benchOpts) ctrlScaleConfig(seed int64) harness.CtrlScaleConfig {
 	cfg := harness.DefaultCtrlScaleConfig(seed, o.quick)
-	if o.ctrlWorkers > 0 {
-		cfg.Workers = []int{1, o.ctrlWorkers}
-	}
 	if o.scalePoints > 0 && o.scalePoints < len(cfg.Points) {
 		cfg.Points = cfg.Points[:o.scalePoints]
 	}
@@ -152,8 +147,7 @@ type summary struct {
 	Shards int                `json:"shards"`
 	Scale  []harness.ScaleRow `json:"scale,omitempty"`
 	// CtrlScale holds figure12's raw rows — ms per control period split
-	// into eval/apply per (fleet, worker count) run — when figure12 was
-	// selected.
+	// into eval/apply per fleet size — when figure12 was selected.
 	CtrlScale []harness.CtrlScaleRow `json:"ctrl_scale,omitempty"`
 	// ScaleHits counts figure6 rows served from the -scale-cache
 	// directory instead of being re-run.
@@ -166,15 +160,13 @@ type summary struct {
 
 // schedIndex records the scheduler feasibility index's effectiveness on
 // a fixed mixed workload (see harness.SchedIndexStats): how many node
-// probes the per-resource prefixes saved, and whether the parallel score
-// fan-out engaged on this machine.
+// probes the per-resource prefixes saved.
 type schedIndex struct {
-	Nodes         int     `json:"nodes"`
-	Pods          int     `json:"pods"`
-	Probed        uint64  `json:"probed"`
-	Pruned        uint64  `json:"pruned"`
-	PrunedFrac    float64 `json:"pruned_frac"`
-	ParallelCalls uint64  `json:"parallel_calls"`
+	Nodes      int     `json:"nodes"`
+	Pods       int     `json:"pods"`
+	Probed     uint64  `json:"probed"`
+	Pruned     uint64  `json:"pruned"`
+	PrunedFrac float64 `json:"pruned_frac"`
 }
 
 // measureSchedIndex runs the fixed index-effectiveness workload.
@@ -184,7 +176,6 @@ func measureSchedIndex() schedIndex {
 	si := schedIndex{
 		Nodes: nodes, Pods: pods,
 		Probed: st.Probed, Pruned: st.Pruned,
-		ParallelCalls: st.ParallelCalls,
 	}
 	if total := st.Probed + st.Pruned; total > 0 {
 		si.PrunedFrac = float64(st.Pruned) / float64(total)
@@ -202,13 +193,12 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	shards := flag.Int("shards", 0, "figure6: sweep shard counts {1,N} instead of the default {1,4,8}")
-	ctrlWorkers := flag.Int("ctrl-workers", 0, "figure12: sweep control-plane worker counts {1,N} instead of the default {1,2,4,8}")
-	quick := flag.Bool("quick", false, "figure6: reduced topology ladder (the CI scale)")
+	quick := flag.Bool("quick", false, "figure6, figure12: reduced ladders (the CI scale)")
 	scalePoints := flag.Int("scale-points", 0, "figure6: truncate the ladder to its first N points (0 = full ladder)")
 	scaleCache := flag.String("scale-cache", "", "directory for the content-addressed figure6 row cache (keyed on binary hash + run parameters; omit to always re-run)")
 	flag.Parse()
 
-	opts := &benchOpts{shards: *shards, quick: *quick, scalePoints: *scalePoints, ctrlWorkers: *ctrlWorkers}
+	opts := &benchOpts{shards: *shards, quick: *quick, scalePoints: *scalePoints}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -73,7 +73,6 @@ func main() {
 		ckptDir   = flag.String("ckpt-dir", "", "directory for periodic ckpt-*.evck checkpoint files (requires -ckpt-every)")
 		ckptEvery = flag.Duration("ckpt-every", 0, "take a world checkpoint at this virtual-time interval (e.g. 30s, 5m); 0 disables")
 		resume    = flag.Bool("resume", false, "restore the latest checkpoint in -ckpt-dir before running; the run continues to -duration")
-		ctrlW     = flag.Int("ctrl-workers", 0, "shard the control plane across this many workers (byte-identical results; 0/1 = evaluate inline)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -serve and -metrics-addr handlers")
 	)
 	flag.Parse()
@@ -107,7 +106,7 @@ func main() {
 
 	c, err := evolve.New(evolve.Options{
 		Seed: *seed, Nodes: *nodes, Policy: *policy, Chaos: *chaosPlan,
-		CtrlWorkers: *ctrlW, DebugPprof: *pprofOn,
+		DebugPprof: *pprofOn,
 	})
 	if err != nil {
 		fatal(err)

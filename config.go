@@ -36,9 +36,6 @@ type FileConfig struct {
 	// Shards runs the kernel sharded (see Options.Shards); results are
 	// byte-identical at any shard count.
 	Shards int `json:"shards"`
-	// CtrlWorkers shards the control plane (see Options.CtrlWorkers);
-	// results are byte-identical at any worker count.
-	CtrlWorkers int `json:"ctrlWorkers"`
 
 	Pools []PoolConfig `json:"pools"`
 
@@ -157,7 +154,6 @@ func NewFromConfig(r io.Reader) (*Cluster, time.Duration, error) {
 		HPCQueue:      fc.HPCQueue,
 		Chaos:         fc.Chaos,
 		Shards:        fc.Shards,
-		CtrlWorkers:   fc.CtrlWorkers,
 	}
 	for _, p := range fc.Pools {
 		opts.Pools = append(opts.Pools, PoolOptions{Name: p.Name, Nodes: p.Nodes})

@@ -81,6 +81,19 @@ func TestNewFromConfigErrors(t *testing.T) {
 	}
 }
 
+// TestNewFromConfigRefusesCtrlWorkers: the config file's "ctrlWorkers"
+// key went with the parallel control plane; a file that still carries
+// it must be refused by name, not silently ignored.
+func TestNewFromConfigRefusesCtrlWorkers(t *testing.T) {
+	for _, v := range []string{"0", "1", "4"} {
+		cfg := `{"ctrlWorkers": ` + v + `, "services": [{"name": "x", "baseRate": 1}]}`
+		_, _, err := NewFromConfig(strings.NewReader(cfg))
+		if err == nil || !strings.Contains(err.Error(), "ctrlWorkers") {
+			t.Errorf("ctrlWorkers=%s: err = %v, want an unknown-field error naming ctrlWorkers", v, err)
+		}
+	}
+}
+
 func TestBuildLoadShapes(t *testing.T) {
 	fn, err := buildLoad(LoadConfig{Kind: "step", Before: 10, After: 30, AtMinutes: 5}, 10, 1)
 	if err != nil {

@@ -81,12 +81,12 @@ type Options struct {
 	// injector is seeded from Seed, so a (seed, plan) pair replays
 	// bit-for-bit. Empty means fault-free.
 	Chaos string
-	// ScoreWorkers opts scheduler scoring into the parallel fan-out:
-	// placements probing at least sched.DefaultParallelThreshold
-	// candidate nodes score across this many concurrent shards.
-	// Placements are byte-identical at any value; 0 or 1 stays
-	// sequential. Only worth enabling on multi-core machines with
-	// clusters of hundreds of nodes.
+	// ScoreWorkers accepts only 0 or 1: placement scoring is always
+	// sequential, and New refuses larger values.
+	//
+	// Deprecated: the parallel score fan-out was removed because it
+	// never beat sequential scoring end to end. The field goes away in
+	// a later release.
 	ScoreWorkers int
 	// Shards splits the simulation kernel's tick: its per-node and
 	// per-app phases run across this many shard engines under a shared
@@ -100,13 +100,13 @@ type Options struct {
 	// concurrently (0 = min(Shards, GOMAXPROCS), 1 = serial rounds).
 	// Identical results at any value.
 	ShardWorkers int
-	// CtrlWorkers shards the control plane: each control period's
-	// read-only evaluate phase (observe → decide per app) fans out over
-	// this many workers, and the pending-backlog drain batches
-	// independent placements. Decisions are applied serially in
-	// canonical app order, so runs are byte-identical at any value; 0 or
-	// 1 evaluates inline and drains the backlog pod by pod. Worth
-	// enabling at hundreds of services and up.
+	// CtrlWorkers accepts only 0 or 1: the control plane always
+	// evaluates inline and drains the pending backlog pod by pod, and
+	// New refuses larger values.
+	//
+	// Deprecated: the parallel control plane was removed because it
+	// never beat the inline step end to end. The field goes away in a
+	// later release.
 	CtrlWorkers int
 	// DebugPprof mounts net/http/pprof under /debug/pprof/ on the
 	// Handler mux so control-period profiles can be captured from a live
@@ -261,6 +261,12 @@ func (cl *Cluster) start() {
 
 // New builds a cluster from options.
 func New(opts Options) (*Cluster, error) {
+	if opts.ScoreWorkers != 0 && opts.ScoreWorkers != 1 {
+		return nil, fmt.Errorf("evolve: ScoreWorkers %d: parallel scoring was removed; use 0 or 1", opts.ScoreWorkers)
+	}
+	if opts.CtrlWorkers != 0 && opts.CtrlWorkers != 1 {
+		return nil, fmt.Errorf("evolve: CtrlWorkers %d: the parallel control plane was removed; use 0 or 1", opts.CtrlWorkers)
+	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -290,10 +296,8 @@ func New(opts Options) (*Cluster, error) {
 	if opts.MeasurementNoise > 0 {
 		ccfg.MeasurementNoise = opts.MeasurementNoise
 	}
-	ccfg.ScoreWorkers = opts.ScoreWorkers
 	ccfg.Shards = opts.Shards
 	ccfg.ShardWorkers = opts.ShardWorkers
-	ccfg.DrainWorkers = opts.CtrlWorkers
 	c := cluster.New(eng, ccfg)
 	if len(opts.Pools) > 0 {
 		for _, pool := range opts.Pools {
@@ -326,7 +330,7 @@ func New(opts Options) (*Cluster, error) {
 		runner:  batch.NewRunner(c),
 		ctrl:    make(map[string]control.Controller),
 		factory: factory,
-		loop:    control.NewLoop(eng, c, control.LoopConfig{Interval: opts.ControlInterval, Seed: opts.Seed, Workers: opts.CtrlWorkers}),
+		loop:    control.NewLoop(eng, c, control.LoopConfig{Interval: opts.ControlInterval, Seed: opts.Seed}),
 
 		tracer: obs.Nop(),
 	}

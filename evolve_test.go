@@ -32,6 +32,34 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesWorkerOptions: the deprecated ScoreWorkers and
+// CtrlWorkers fields accept only 0 or 1. Any other value must fail New
+// with an error naming the field, never quietly run the serial path.
+func TestNewRefusesWorkerOptions(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		opts  func(n int) Options
+	}{
+		{"ScoreWorkers", func(n int) Options { return Options{ScoreWorkers: n} }},
+		{"CtrlWorkers", func(n int) Options { return Options{CtrlWorkers: n} }},
+	} {
+		for _, n := range []int{2, 8, -1} {
+			c, err := New(tc.opts(n))
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s=%d: err = %v, want an error naming %s", tc.field, n, err, tc.field)
+			}
+			if c != nil {
+				t.Errorf("%s=%d: New built a world alongside its error", tc.field, n)
+			}
+		}
+		for _, n := range []int{0, 1} {
+			if _, err := New(tc.opts(n)); err != nil {
+				t.Errorf("%s=%d rejected: %v", tc.field, n, err)
+			}
+		}
+	}
+}
+
 func TestAddServiceValidation(t *testing.T) {
 	c, err := New(Options{})
 	if err != nil {

@@ -134,22 +134,10 @@ func (cl *Cluster) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		var from, to time.Duration
-		if v := q.Get("from"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				http.Error(w, "bad from: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			from = d
-		}
-		if v := q.Get("to"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				http.Error(w, "bad to: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			to = d
+		from, to, _, err := windowParams(q)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		spans := cl.tracer.SpanSnapshot(obs.SpanFilter{})
 		if pod := q.Get("pod"); pod != "" {

@@ -178,6 +178,7 @@ func TestHTTPRoutes(t *testing.T) {
 		{"/debug/timeline?pod=svc-1", http.StatusOK, "text/plain", "pod svc-1 (app svc)"},
 		{"/debug/timeline?pod=nope", http.StatusNotFound, "", "no lifecycle span"},
 		{"/debug/timeline?from=xyz", http.StatusBadRequest, "", "bad from"},
+		{"/debug/timeline?to=xyz", http.StatusBadRequest, "", "bad to"},
 		{"/debug/timeline?kind=pending", http.StatusBadRequest, "", "unknown parameter(s): kind"},
 		{"/debug/controllers", http.StatusOK, "application/json", `"trace"`},
 	}

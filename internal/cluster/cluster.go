@@ -26,14 +26,6 @@ type Config struct {
 	// MeasurementNoise adds multiplicative jitter to SLI measurements
 	// (fraction, e.g. 0.05); real telemetry is never clean.
 	MeasurementNoise float64
-	// ScoreWorkers opts placement scoring into the parallel fan-out: the
-	// given number of shards score concurrently once a single placement
-	// probes at least ScoreThreshold candidate nodes. 0 or 1 keeps
-	// scoring sequential. Placements are byte-identical either way.
-	ScoreWorkers int
-	// ScoreThreshold is the candidate count that engages the fan-out
-	// (default sched.DefaultParallelThreshold).
-	ScoreThreshold int
 	// Shards splits the tick's per-node and per-app phases across this
 	// many shard engines driven by a sim.Coordinator under the primary
 	// engine's clock. New normalises values below 1 to 1: every world
@@ -47,12 +39,6 @@ type Config struct {
 	// concurrently on the shared worker pool (0 = min(Shards, GOMAXPROCS);
 	// 1 keeps rounds serial). Results are identical either way.
 	ShardWorkers int
-	// DrainWorkers opts the pending-backlog scheduling drain into batched
-	// placement: pods whose feasibility-index candidate prefixes are
-	// provably disjoint are scored concurrently on the shared worker pool
-	// and committed in queue order. 0 or 1 keeps the exact serial per-pod
-	// loop. Placements are byte-identical either way (see sched.ScheduleBatch).
-	DrainWorkers int
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -168,8 +154,6 @@ type Cluster struct {
 	// place on every bind, drained in place on node failure.
 	snap         *sched.Snapshot
 	scratchQueue []*PodObject
-	batchPods    []sched.PodInfo // drain batching: current batch's views
-	batchRes     []sched.BatchResult
 	h            *clusterHandles
 
 	// Sharded kernel. co drives the shard engines under the primary
@@ -225,9 +209,6 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		cfg.Shards = 1
 	}
 	sch := sched.New(cfg.SchedulerPolicy)
-	if cfg.ScoreWorkers > 1 {
-		sch.SetParallel(cfg.ScoreWorkers, cfg.ScoreThreshold)
-	}
 	c := &Cluster{
 		eng: eng,
 		// One engine draw seeds every per-entity stream; taken here, in
@@ -612,19 +593,15 @@ func (c *Cluster) schedulePending() {
 	queue := append(c.scratchQueue[:0], c.pending...)
 	c.scratchQueue = queue
 	c.refreshSnapshot()
-	if c.cfg.DrainWorkers > 1 {
-		c.drainBatched(queue)
-	} else {
-		for _, p := range queue {
-			c.schedOne(p)
-		}
+	for _, p := range queue {
+		c.schedOne(p)
 	}
 	if c.phases != nil {
 		c.phases.Add(perf.PhaseSchedDrain, time.Since(t0).Nanoseconds())
 	}
 }
 
-// schedOne is the serial per-pod placement step of the drain: schedule,
+// schedOne is the per-pod placement step of the drain: schedule,
 // bind, patch the snapshot; absorb bind faults; on rejection count it,
 // trace it, and try priority preemption.
 func (c *Cluster) schedOne(p *PodObject) {
@@ -675,89 +652,6 @@ func (c *Cluster) schedOne(p *PodObject) {
 		// Evictions touched several nodes; rebuild rather than patch.
 		c.refreshSnapshot()
 	}
-}
-
-// drainBatched walks the queue like the serial loop but, where a run of
-// consecutive pods has pairwise-disjoint candidate prefixes in the
-// feasibility index, scores them concurrently through
-// sched.ScheduleBatch before binding in queue order. Disjointness
-// proves each member's feasible set is untouched by the others'
-// commits, so the chosen nodes — and every bind-side event, counter,
-// and latency sample, emitted in the same queue order — are
-// byte-identical to the serial walk. Any non-OK result or bind fault
-// abandons the rest of its batch and the pod re-enters the exact
-// serial step, reproducing unschedulable messages and preemption
-// behaviour against the same committed state a serial walk would see.
-func (c *Cluster) drainBatched(queue []*PodObject) {
-	i := 0
-	for i < len(queue) {
-		n := c.batchRun(queue[i:])
-		if n < 2 {
-			c.schedOne(queue[i])
-			i++
-			continue
-		}
-		batch := c.batchPods[:n]
-		if cap(c.batchRes) < n {
-			c.batchRes = make([]sched.BatchResult, n)
-		}
-		res := c.batchRes[:n]
-		c.sch.ScheduleBatch(batch, c.snap, res)
-		done := 0
-		for j := 0; j < n; j++ {
-			if !res[j].OK {
-				// Unschedulable through the batch: stop here and let the
-				// serial step replay it for the exact error and preemption.
-				break
-			}
-			p := queue[i+j]
-			if berr := c.bind(p, res[j].Node); berr != nil {
-				c.bindFault(p, res[j].Node, berr)
-				c.refreshSnapshot()
-				// The fault invalidated the batch's pre-scored results;
-				// the remaining members re-enter the loop fresh.
-				done = j + 1
-				break
-			}
-			c.snap.Commit(res[j].Node, batch[j])
-			done = j + 1
-		}
-		if done == 0 {
-			// First member failed: place it serially so progress is made.
-			c.schedOne(queue[i])
-			done = 1
-		}
-		i += done
-	}
-}
-
-// batchRun measures the longest prefix of queue whose members have
-// pairwise-disjoint candidate prefixes, filling c.batchPods with their
-// scheduler views. Bounded by resource.NumKinds: same-kind prefixes
-// nest, so disjoint members necessarily index through different
-// resource kinds.
-func (c *Cluster) batchRun(queue []*PodObject) int {
-	limit := len(queue)
-	if limit > int(resource.NumKinds) {
-		limit = int(resource.NumKinds)
-	}
-	pods := c.batchPods[:0]
-	for _, p := range queue[:limit] {
-		info := sched.PodInfo{Name: p.Name, App: p.App, Requests: p.Requests, Priority: p.Priority, NodeSelector: p.NodeSelector}
-		disjoint := true
-		for j := range pods {
-			if !c.snap.DisjointCandidates(&pods[j], &info) {
-				disjoint = false
-				break
-			}
-		}
-		if !disjoint {
-			break
-		}
-		pods = append(pods, info)
-	}
-	c.batchPods = pods
-	return len(pods)
 }
 
 // refreshSnapshot rebuilds the reusable scheduling snapshot (and its

@@ -139,8 +139,8 @@ type Traceable interface {
 // controller is not Traceable); an "adapt" event (adaptEvent) follows it
 // when that count advanced. Pure value construction — no tracer
 // access, no controller mutation beyond the Rationale/DecisionTrace
-// reads — so the evaluate phase can call it from workers and hand the
-// events to the serial apply phase for recording.
+// reads — so the evaluate phase can build the events and hand them to
+// the apply phase for recording.
 func decideEvent(o Observation, d Decision, c Controller, prevAdapts int) (obs.Event, int) {
 	ev := obs.Event{
 		At:          o.Now,

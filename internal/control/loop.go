@@ -3,11 +3,9 @@ package control
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"evolve/internal/obs"
-	"evolve/internal/par"
 	"evolve/internal/perf"
 	"evolve/internal/sim"
 )
@@ -64,15 +62,6 @@ type LoopConfig struct {
 	// simulation engine's streams, so retries (which only happen under
 	// faults) never perturb fault-free runs.
 	Seed int64
-	// Workers fans the read-only evaluate phase of each control period
-	// (observe → harden → decide → trace-fragment construction) out over
-	// that many concurrent workers, partitioning apps with sim.ShardOf.
-	// The apply phase (stats, tracer records, actuation, retries) stays
-	// serial in canonical app order, so runs are byte-identical at any
-	// value. 0 or 1 evaluates inline on the simulation goroutine. Workers
-	// is configuration, not state: checkpoints ignore it and a restored
-	// loop uses whatever the restoring process configured.
-	Workers int
 	// Harden and Retry take defaults when zero.
 	Harden HardenConfig
 	Retry  RetryConfig
@@ -91,8 +80,7 @@ type BatchActuator interface {
 }
 
 // CtrlTiming accumulates control-period wall time, split into the
-// evaluate phase (inline at Workers<=1, fanned out otherwise) and the
-// serial apply walk. Wall-clock observation only — never part of the
+// evaluate phase and the apply walk. Wall-clock observation only — never part of the
 // simulated state.
 type CtrlTiming struct {
 	Periods uint64
@@ -148,12 +136,9 @@ type Loop struct {
 	pendingRetries map[string]retryEntry
 	retrySeq       uint64
 
-	// Evaluate-phase scratch (step): the per-period eval tuples in
-	// canonical app order, the per-worker index partitions, and the
-	// reusable pool jobs. All reused across periods.
-	evalBuf    []ctrlEval
-	evalGroups [][]int32
-	evalJobs   []evalJob
+	// evalBuf is the evaluate-phase scratch (step): the per-period eval
+	// tuples in canonical app order, reused across periods.
+	evalBuf []ctrlEval
 
 	// timing/phases are wall-clock observation hooks (EnableTiming /
 	// SetPhases); both nil by default so an untimed step reads no clock.
@@ -167,8 +152,8 @@ type Loop struct {
 	cancel  func() // stops the periodic step (armed by Start/Restart)
 }
 
-// ctrlEval is one app's evaluate-phase result: everything the serial
-// apply walk needs to take the app's turn without re-deciding.
+// ctrlEval is one app's evaluate-phase result: everything the apply
+// walk needs to take the app's turn without re-deciding.
 type ctrlEval struct {
 	app    string
 	h      *Hardened
@@ -182,22 +167,6 @@ type ctrlEval struct {
 	traced bool
 	adapts int
 	ev     obs.Event
-}
-
-// evalJob runs one worker's partition of the evaluate phase on the
-// shared bounded pool.
-type evalJob struct {
-	l   *Loop
-	idx []int32
-	wg  *sync.WaitGroup
-}
-
-// Run implements par.Job.
-func (j *evalJob) Run() {
-	defer j.wg.Done()
-	for _, i := range j.idx {
-		j.l.evalOne(&j.l.evalBuf[i])
-	}
 }
 
 // retryEntry is the rebuildable description of one scheduled retry.
@@ -373,16 +342,12 @@ func (l *Loop) Restart() {
 }
 
 // step runs one control period in two phases. Evaluate (observe →
-// harden → decide → trace-event construction) is read-only with respect
-// to shared state: it touches only per-app state (the app's observation
-// window, its Hardened wrapper, its controller) and draws no shared
-// RNG, so it runs inline at Workers<=1 and fans out over cfg.Workers
-// partitions otherwise (apps assigned by sim.ShardOf, stable across
-// runs and worker counts). Apply then walks the tuples serially in
-// canonical app order: every order-sensitive effect — stats, tracer
-// records, retry-jitter draws, actuations — happens there, so the
-// output is byte-identical at any worker count. See DESIGN.md
-// "Control-plane sharding & deterministic apply".
+// harden → decide → trace-event construction) touches only per-app
+// state: the app's observation window, its Hardened wrapper and its
+// controller. Apply then walks the tuples in canonical app order inside
+// the plant's actuation batch: every order-sensitive effect — stats,
+// tracer records, retry-jitter draws, actuations — happens there. See
+// DESIGN.md "Control step: inline evaluate, batched apply".
 func (l *Loop) step() {
 	apps := l.plant.Apps()
 	buf := l.evalBuf[:0]
@@ -395,22 +360,14 @@ func (l *Loop) step() {
 	if len(buf) == 0 {
 		return
 	}
-	workers := l.cfg.Workers
-	if workers > len(buf) {
-		workers = len(buf)
-	}
 
 	var t0 time.Time
 	timing := l.timing != nil || l.phases != nil
 	if timing {
 		t0 = time.Now()
 	}
-	if workers <= 1 {
-		for i := range buf {
-			l.evalOne(&buf[i])
-		}
-	} else {
-		l.evalParallel(workers)
+	for i := range buf {
+		l.evalOne(&buf[i])
 	}
 	var evalNs int64
 	if timing {
@@ -424,43 +381,7 @@ func (l *Loop) step() {
 	}
 }
 
-// evalParallel fans the evaluate phase over workers partitions on the
-// shared bounded pool; the calling goroutine evaluates partition 0.
-func (l *Loop) evalParallel(workers int) {
-	buf := l.evalBuf
-	for len(l.evalGroups) < workers {
-		l.evalGroups = append(l.evalGroups, nil)
-	}
-	for len(l.evalJobs) < workers {
-		l.evalJobs = append(l.evalJobs, evalJob{l: l})
-	}
-	groups := l.evalGroups[:workers]
-	for w := range groups {
-		groups[w] = groups[w][:0]
-	}
-	for i := range buf {
-		w := sim.ShardOf(buf[i].app, workers)
-		groups[w] = append(groups[w], int32(i))
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		if len(groups[w]) == 0 {
-			continue
-		}
-		job := &l.evalJobs[w]
-		job.idx, job.wg = groups[w], &wg
-		wg.Add(1)
-		par.Submit(job)
-	}
-	for _, i := range groups[0] {
-		l.evalOne(&buf[i])
-	}
-	wg.Wait()
-}
-
-// evalOne computes one app's evaluate tuple. May run on pool workers:
-// it must only read loop maps (no writes happen during the fan-out) and
-// mutate per-app state.
+// evalOne computes one app's evaluate tuple.
 func (l *Loop) evalOne(e *ctrlEval) {
 	o, err := l.plant.Observe(e.app)
 	if err != nil {
@@ -477,9 +398,9 @@ func (l *Loop) evalOne(e *ctrlEval) {
 	}
 }
 
-// applyEvals replays the buffered evaluate tuples serially in canonical
-// app order: the stats, tracer records, health transitions, actuations
-// and retry scheduling land in one fixed sequence at any worker count.
+// applyEvals replays the buffered evaluate tuples in canonical app
+// order: the stats, tracer records, health transitions, actuations and
+// retry scheduling land in one fixed sequence.
 // An observe error surfaces at its canonical position and stops the
 // walk (later apps have already been evaluated then; the run is failing
 // fatally anyway).

@@ -155,9 +155,6 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 					sc := determinismScenario(101, tc.plan)
 					sc.Shards = shards
 					sc.ShardWorkers = 1
-					// The control plane shards along for the ride: its
-					// evaluate/apply split must not move a byte either.
-					sc.CtrlWorkers = shards
 					gotReport, gotTrace, gotSpans := runFingerprint(t, sc)
 					if gotReport != wantReport {
 						t.Errorf("shards=%d: Report diverged from 1-shard baseline\n got: %s\nwant: %s",
@@ -207,54 +204,6 @@ func TestShardedUntracedByteIdentical(t *testing.T) {
 					}
 				}
 			})
-		})
-	}
-}
-
-// TestCtrlWorkersByteIdentical is the control-plane analogue of the
-// kernel gate: the converged scenario replays byte-identically —
-// Report, trace stream, masked span stream — at control-plane worker
-// counts {2, 4, 7} against the 1-worker baseline, on both the 1-shard and
-// 4-shard kernels, chaos off and on. The worker counts cross the app
-// count on purpose (7 workers over a handful of apps exercises the
-// clamp); under `go test -race` this is also the race gate for the
-// evaluate fan-out and the batched backlog drain.
-func TestCtrlWorkersByteIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		plan string
-	}{
-		{"fault-free", ""},
-		{"chaos", chaosEverything},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			base := determinismScenario(303, tc.plan)
-			base.CtrlWorkers = 1 // inline evaluate
-			wantReport, wantTrace, wantSpans := runFingerprint(t, base)
-			if wantTrace == "" || wantSpans == "" {
-				t.Fatal("baseline produced an empty trace or span stream")
-			}
-			for _, shards := range []int{1, 4} {
-				for _, workers := range []int{2, 4, 7} {
-					sc := determinismScenario(303, tc.plan)
-					sc.Shards = shards
-					sc.ShardWorkers = 1
-					sc.CtrlWorkers = workers
-					gotReport, gotTrace, gotSpans := runFingerprint(t, sc)
-					if gotReport != wantReport {
-						t.Errorf("shards=%d ctrl-workers=%d: Report diverged from 1-worker baseline\n got: %s\nwant: %s",
-							shards, workers, gotReport, wantReport)
-					}
-					if gotTrace != wantTrace {
-						t.Errorf("shards=%d ctrl-workers=%d: trace stream diverged (%d vs %d bytes)",
-							shards, workers, len(gotTrace), len(wantTrace))
-					}
-					if gotSpans != wantSpans {
-						t.Errorf("shards=%d ctrl-workers=%d: span stream diverged (%d vs %d bytes)",
-							shards, workers, len(gotSpans), len(wantSpans))
-					}
-				}
-			}
 		})
 	}
 }

@@ -78,12 +78,6 @@ type Scenario struct {
 	// bounds same-timestamp parallelism (0 = min(Shards, GOMAXPROCS)).
 	Shards       int
 	ShardWorkers int
-	// CtrlWorkers shards the control plane: the control period's
-	// evaluate phase fans out over this many workers (control.LoopConfig
-	// Workers) and the scheduling drain batches disjoint placements
-	// (cluster.Config.DrainWorkers). 0 or 1 evaluates inline and drains
-	// pod by pod; results are byte-identical at any value.
-	CtrlWorkers int
 }
 
 // Validate reports scenario construction errors.
@@ -250,7 +244,6 @@ func runScenario(sc Scenario, pol Policy, hooks []Hook, tr *obs.Tracer) (*Result
 	}
 	ccfg.Shards = sc.Shards
 	ccfg.ShardWorkers = sc.ShardWorkers
-	ccfg.DrainWorkers = sc.CtrlWorkers
 	c := cluster.New(eng, ccfg)
 	c.SetTracer(tr)
 	if len(sc.Pools) > 0 {
@@ -336,7 +329,7 @@ func runScenario(sc Scenario, pol Policy, hooks []Hook, tr *obs.Tracer) (*Result
 	// Control loop: the shared hardened driver (degraded-mode wrapper,
 	// retry ladder). On fault-free runs it traces and decides exactly as
 	// the old inline loop did.
-	loop := control.NewLoop(eng, c, control.LoopConfig{Interval: sc.ControlInterval, Seed: sc.Seed, Workers: sc.CtrlWorkers})
+	loop := control.NewLoop(eng, c, control.LoopConfig{Interval: sc.ControlInterval, Seed: sc.Seed})
 	loop.SetTracer(c.Tracer())
 	loop.OnFatal(func(err error) { fail(fmt.Errorf("harness: control: %w", err)) })
 	for name, ctrl := range controllers {

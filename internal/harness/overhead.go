@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"evolve/internal/control"
@@ -71,12 +70,9 @@ func MeasureDecisionLatency(apps, iters int) time.Duration {
 // overheadSnapshot builds the scheduler and indexed snapshot the
 // placement measurements run against: the same node distribution the
 // brute-force measurement always used, loaded into the snapshot path the
-// cluster's pending-pod loop takes, with the parallel score fan-out
-// armed at GOMAXPROCS (a no-op below the engagement threshold and on
-// single-core machines; placements are byte-identical either way).
+// cluster's pending-pod loop takes.
 func overheadSnapshot(nodes int) (*sched.Scheduler, *sched.Snapshot) {
 	s := sched.New(sched.PolicySpread)
-	s.SetParallel(runtime.GOMAXPROCS(0), 0)
 	snap := sched.NewSnapshot()
 	snap.Reset()
 	rng := sim.NewRNG(7)

@@ -18,9 +18,7 @@
 // Both paths are allocation-free in steady state: filters report typed,
 // preallocated Reason values instead of formatted errors, and the rich
 // per-node messages of an Unschedulable error are materialised only on
-// the failure path. Scoring above a configurable node count can fan out
-// over a shared worker pool (SetParallel); the reduction is deterministic,
-// so placements are byte-identical with parallelism on or off.
+// the failure path.
 package sched
 
 import (
@@ -29,7 +27,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"evolve/internal/resource"
 )
@@ -353,8 +350,7 @@ const (
 )
 
 // Stats counts the scheduler's probe work since the last ResetStats —
-// the observability surface for the feasibility index and the parallel
-// fan-out.
+// the observability surface for the feasibility index.
 type Stats struct {
 	// Calls counts Schedule/ScheduleOn invocations (gang members included).
 	Calls uint64
@@ -362,11 +358,6 @@ type Stats struct {
 	Probed uint64
 	// Pruned counts nodes the feasibility index skipped without probing.
 	Pruned uint64
-	// ParallelCalls counts placements that used the parallel score fan-out.
-	ParallelCalls uint64
-	// BatchCalls counts placements scored through ScheduleBatch (the
-	// drain's disjoint-candidate batching).
-	BatchCalls uint64
 	// GangCalls and Preempts count the higher-level operations.
 	GangCalls uint64
 	Preempts  uint64
@@ -374,7 +365,7 @@ type Stats struct {
 
 // Scheduler runs the framework. Configure with New or assemble plugins
 // directly. A Scheduler owns reusable scratch and is not safe for
-// concurrent use; the internal parallel fan-out is synchronous per call.
+// concurrent use.
 type Scheduler struct {
 	filters []FilterPlugin
 	scorers []ScorePlugin
@@ -390,8 +381,6 @@ type Scheduler struct {
 	// the cached headroom inline with zero interface dispatch.
 	stdFilters bool
 
-	par parallelCfg
-
 	// Reusable scratch (see the respective call sites). The scheduler is
 	// single-caller; one buffer of each suffices.
 	gangSnap  *Snapshot
@@ -400,12 +389,6 @@ type Scheduler struct {
 	pCand     []PodInfo
 	pVict     []PodInfo
 	pKept     []PodInfo
-	parPod    PodInfo
-	parRes    []shardBest
-	parJobs   []shardJob
-	parWG     sync.WaitGroup
-	batchJobs []batchJob
-	batchWG   sync.WaitGroup
 	// schedPod/schedInv back the pod and reciprocal-allocatable pointers
 	// handed to plugin interfaces and the fused kernel. Escape analysis
 	// sends indirect-call pointer arguments to the heap; pointing them at
@@ -590,17 +573,13 @@ func (s *Scheduler) scheduleOn(pod *PodInfo, snap *Snapshot) (string, error) {
 	s.stats.Probed += uint64(len(cand))
 	s.stats.Pruned += uint64(snap.Live() - len(cand))
 	var best int32
-	switch {
-	case s.par.workers > 1 && len(cand) >= s.par.minNodes:
-		s.stats.ParallelCalls++
-		best = s.parallelBest(pod, snap, cand)
-	case len(cand) == len(snap.nodes):
+	if len(cand) == len(snap.nodes) {
 		// The index pruned nothing and no entry is drained: probe in
 		// memory order instead of chasing the free-sorted permutation —
 		// same candidates, same (score, name) total order, same winner,
 		// but sequential loads.
 		best, _ = s.bestOfAll(pod, snap)
-	default:
+	} else {
 		best, _ = s.bestOf(pod, snap, cand)
 	}
 	if best < 0 {

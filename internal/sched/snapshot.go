@@ -25,7 +25,7 @@ import (
 // ScheduleOn / Commit / Fail. Commit and Fail maintain the index
 // incrementally; a full rebuild is only needed when node state changes
 // behind the snapshot's back. A Snapshot is not safe for concurrent
-// mutation; the parallel score fan-out only reads it.
+// mutation.
 type Snapshot struct {
 	nodes []NodeInfo
 	free  []resource.Vector
@@ -301,44 +301,6 @@ func (sn *Snapshot) candidatePrefix(pod *PodInfo) (kind, n int) {
 		return 0, len(sn.order[0])
 	}
 	return bestK, bestLen
-}
-
-// maxDisjointScan bounds the membership scan in DisjointCandidates: the
-// check is O(shorter prefix), so past this length the answer is a
-// conservative "overlapping" rather than a linear walk per queue pod.
-const maxDisjointScan = 32
-
-// DisjointCandidates reports whether the two pods' candidate prefixes
-// are provably disjoint. Disjoint candidates mean disjoint feasible
-// sets (feasible ⊆ candidates), so committing one pod's placement
-// cannot change which node the other would pick — the licence for
-// scoring both concurrently against the same snapshot and committing
-// in queue order (ScheduleBatch). Conservative: false negatives only.
-//
-// Two prefixes of the same kind's order always nest, so disjoint pods
-// necessarily index through different resource kinds — batches are
-// bounded by resource.NumKinds. An empty prefix (unschedulable pod)
-// reports overlapping so the caller routes it through the serial path
-// and its error message sees the exact committed state.
-func (sn *Snapshot) DisjointCandidates(a, b *PodInfo) bool {
-	ka, na := sn.candidatePrefix(a)
-	kb, nb := sn.candidatePrefix(b)
-	if na == 0 || nb == 0 || ka == kb {
-		return false
-	}
-	if na > nb {
-		ka, na, kb, nb = kb, nb, ka, na
-	}
-	if na > maxDisjointScan {
-		return false
-	}
-	pos := sn.pos[kb]
-	for _, e := range sn.order[ka][:na] {
-		if pos[e] < int32(nb) {
-			return false
-		}
-	}
-	return true
 }
 
 // CheckInvariants verifies the snapshot's internal consistency: cache

@@ -142,81 +142,6 @@ func TestSnapshotCandidatesComplete(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism runs the same placement sequence with the
-// parallel fan-out off and forced on: every decision must be
-// byte-identical regardless of sharding.
-func TestParallelDeterminism(t *testing.T) {
-	for _, workers := range []int{2, 3, 8} {
-		seq, par := New(PolicySpread), New(PolicySpread)
-		par.SetParallel(workers, 1) // engage on every placement
-		rng := rand.New(rand.NewSource(23))
-		snapSeq, snapPar := NewSnapshot(), NewSnapshot()
-		snapSeq.Reset()
-		snapPar.Reset()
-		for i := 0; i < 700; i++ {
-			n := randNode(rng, i)
-			snapSeq.AddNode(n)
-			snapPar.AddNode(n)
-		}
-		snapSeq.Build()
-		snapPar.Build()
-		for i := 0; i < 300; i++ {
-			p := randPod(rng, i)
-			a, errA := seq.ScheduleOn(p, snapSeq)
-			b, errB := par.ScheduleOn(p, snapPar)
-			if a != b || (errA == nil) != (errB == nil) {
-				t.Fatalf("workers=%d step %d: sequential chose (%q,%v), parallel (%q,%v)",
-					workers, i, a, errA, b, errB)
-			}
-			if errA == nil {
-				snapSeq.Commit(a, p)
-				snapPar.Commit(b, p)
-			}
-		}
-		if par.Stats().ParallelCalls == 0 {
-			t.Fatalf("workers=%d: parallel path never engaged", workers)
-		}
-	}
-}
-
-// TestParallelSmallCandidateSets: worker counts near or above the
-// candidate count must not panic and must keep choosing the sequential
-// winner. Regression test for the ceil-chunk shard split, where shard
-// lo = i*ceil(n/w) could run past the candidate slice (e.g. workers=7,
-// 10 candidates ⇒ cand[12:10]).
-func TestParallelSmallCandidateSets(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, workers := range []int{2, 3, 7, 10, 16, 64} {
-		for nodes := 1; nodes <= 12; nodes++ {
-			seq, par := New(PolicySpread), New(PolicySpread)
-			par.SetParallel(workers, 1)
-			snapSeq, snapPar := NewSnapshot(), NewSnapshot()
-			snapSeq.Reset()
-			snapPar.Reset()
-			for i := 0; i < nodes; i++ {
-				n := randNode(rng, i)
-				snapSeq.AddNode(n)
-				snapPar.AddNode(n)
-			}
-			snapSeq.Build()
-			snapPar.Build()
-			for i := 0; i < 20; i++ {
-				p := randPod(rng, i)
-				a, errA := seq.ScheduleOn(p, snapSeq)
-				b, errB := par.ScheduleOn(p, snapPar)
-				if a != b || (errA == nil) != (errB == nil) {
-					t.Fatalf("workers=%d nodes=%d step %d: sequential (%q,%v), parallel (%q,%v)",
-						workers, nodes, i, a, errA, b, errB)
-				}
-				if errA == nil {
-					snapSeq.Commit(a, p)
-					snapPar.Commit(b, p)
-				}
-			}
-		}
-	}
-}
-
 // TestAddNodeDuplicatePanics: a duplicate node name would corrupt the
 // byName↔order correspondence, so AddNode must refuse it loudly.
 func TestAddNodeDuplicatePanics(t *testing.T) {
@@ -229,25 +154,6 @@ func TestAddNodeDuplicatePanics(t *testing.T) {
 		}
 	}()
 	snap.AddNode(NodeInfo{Name: "node-a", Allocatable: resource.New(2, 2, 2, 2)})
-}
-
-// TestParallelThreshold: below minNodes the fan-out must stay off.
-func TestParallelThreshold(t *testing.T) {
-	s := New(PolicySpread)
-	s.SetParallel(4, 0) // 0 → DefaultParallelThreshold
-	snap := NewSnapshot()
-	snap.Reset()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ { // well under the 512 default
-		snap.AddNode(randNode(rng, i))
-	}
-	snap.Build()
-	if _, err := s.ScheduleOn(pod("p", 100), snap); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().ParallelCalls != 0 {
-		t.Error("fan-out engaged below the node threshold")
-	}
 }
 
 // TestFusedScoreMatchesPlugins: the fused kernels must agree with the
