@@ -169,7 +169,7 @@ func BenchmarkFigure6Scalability(b *testing.B) {
 		Ticks:  4,
 	}
 	for i := 0; i < b.N; i++ {
-		fig, _, err := harness.Figure6(nil, cfg)
+		fig, _, err := harness.Figure6(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

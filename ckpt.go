@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"evolve/internal/ckpt"
@@ -78,11 +77,9 @@ func (cl *Cluster) LastCheckpoint() []byte {
 // captureLoopState refreshes the controller-process blob the ctrl-crash
 // restore path uses (the control plane's own checkpoint file).
 func (cl *Cluster) captureLoopState() {
-	blob, err := cl.loop.SaveState()
+	blob, err := cl.w.Loop.SaveState()
 	if err != nil {
-		if cl.runErr == nil {
-			cl.runErr = fmt.Errorf("evolve: controller state capture: %w", err)
-		}
+		cl.w.Fail(fmt.Errorf("controller state capture: %w", err))
 		return
 	}
 	cl.lastLoopState = blob
@@ -105,8 +102,8 @@ func (cl *Cluster) armCheckpoints() {
 // a restored run keeps the checkpoint cadence (an Every re-arms after
 // the callback, which would leave the timer out of its own snapshot).
 func (cl *Cluster) armNextCheckpoint() {
-	cl.eng.TagNext("ckpt", "")
-	cl.eng.After(cl.ckptEvery, cl.checkpointTick)
+	cl.w.Engine.TagNext("ckpt", "")
+	cl.w.Engine.After(cl.ckptEvery, cl.checkpointTick)
 }
 
 func (cl *Cluster) checkpointTick() {
@@ -119,9 +116,7 @@ func (cl *Cluster) checkpointTick() {
 	prev := len(cl.lastCkpt)
 	cw := ckpt.NewBufferWriter(make([]byte, 0, prev+prev/16+ckpt.ChunkSize))
 	if err := cl.encode(cw); err != nil {
-		if cl.runErr == nil {
-			cl.runErr = fmt.Errorf("evolve: checkpoint at %v: %w", cl.eng.Now(), err)
-		}
+		cl.w.Fail(fmt.Errorf("checkpoint at %v: %w", cl.w.Engine.Now(), err))
 		return
 	}
 	blob := cw.Encoding()
@@ -131,9 +126,9 @@ func (cl *Cluster) checkpointTick() {
 	if cl.ckptDir == "" {
 		return
 	}
-	name := filepath.Join(cl.ckptDir, fmt.Sprintf("ckpt-%012d.evck", int64(cl.eng.Now()/time.Second)))
-	if err := writeFileDurable(name, blob); err != nil && cl.runErr == nil {
-		cl.runErr = fmt.Errorf("evolve: checkpoint write: %w", err)
+	name := filepath.Join(cl.ckptDir, fmt.Sprintf("ckpt-%012d.evck", int64(cl.w.Engine.Now()/time.Second)))
+	if err := writeFileDurable(name, blob); err != nil {
+		cl.w.Fail(fmt.Errorf("checkpoint write: %w", err))
 	}
 }
 
@@ -175,7 +170,7 @@ func writeFileDurable(name string, data []byte) error {
 // faults in the chaos plan. The injector itself cannot arm these — they
 // need the control loop and the checkpoint store — so the facade does.
 func (cl *Cluster) armCtrlCrash() {
-	inj := cl.c.Chaos()
+	inj := cl.w.Cluster.Chaos()
 	if inj == nil {
 		return
 	}
@@ -188,26 +183,24 @@ func (cl *Cluster) armCtrlCrash() {
 	cl.captureLoopState()
 	for i, f := range crashes {
 		idx := strconv.Itoa(i)
-		cl.eng.TagNext("ctrl-crash", idx+"/kill")
-		cl.eng.At(f.From, func() {
-			cl.loop.Kill()
+		cl.w.Engine.TagNext("ctrl-crash", idx+"/kill")
+		cl.w.Engine.At(f.From, func() {
+			cl.w.Loop.Kill()
 			inj.CountCtrlCrash()
-			cl.c.RecordEvent("ctrl-crash", "control-plane", "controller killed (injected fault)")
+			cl.w.Cluster.RecordEvent("ctrl-crash", "control-plane", "controller killed (injected fault)")
 		})
 		if f.To > f.From {
-			cl.eng.TagNext("ctrl-crash", idx+"/restore")
-			cl.eng.At(f.To, func() {
+			cl.w.Engine.TagNext("ctrl-crash", idx+"/restore")
+			cl.w.Engine.At(f.To, func() {
 				if st := cl.lastLoopState; st != nil {
-					if err := cl.loop.LoadState(st); err != nil {
-						if cl.runErr == nil {
-							cl.runErr = fmt.Errorf("evolve: controller restart: %w", err)
-						}
+					if err := cl.w.Loop.LoadState(st); err != nil {
+						cl.w.Fail(fmt.Errorf("controller restart: %w", err))
 						return
 					}
 				}
-				cl.loop.Restart()
+				cl.w.Loop.Restart()
 				inj.CountCtrlRestart()
-				cl.c.RecordEvent("ctrl-restart", "control-plane", "controller restarted from last checkpoint")
+				cl.w.Cluster.RecordEvent("ctrl-restart", "control-plane", "controller restarted from last checkpoint")
 			})
 		}
 	}
@@ -226,21 +219,21 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 	if !cl.started {
 		return fmt.Errorf("evolve: nothing to checkpoint before the first Run")
 	}
-	timers, err := cl.eng.PendingTimers()
+	timers, err := cl.w.Engine.PendingTimers()
 	if err != nil {
 		return err
 	}
-	coState, err := cl.c.Coordinator().State()
+	coState, err := cl.w.Cluster.Coordinator().State()
 	if err != nil {
 		return err
 	}
 	cw.Begin("evolve")
 	cw.I64(cl.opts.Seed)
-	cw.Str(normalisePolicy(cl.opts.Policy))
-	cw.Dur(cl.eng.Now())
-	cw.U64(cl.eng.Seq())
-	cw.U64(cl.eng.Steps())
-	cw.U64(cl.eng.RNG().Draws())
+	cw.Str(cl.policy)
+	cw.Dur(cl.w.Engine.Now())
+	cw.U64(cl.w.Engine.Seq())
+	cw.U64(cl.w.Engine.Steps())
+	cw.U64(cl.w.Engine.RNG().Draws())
 	cw.Int(len(timers))
 	for _, t := range timers {
 		cw.Dur(t.At)
@@ -258,11 +251,11 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 		cw.U64(s.Seq)
 		cw.U64(s.Nsteps)
 	}
-	cl.runner.CkptSave(cw)
-	cl.queue.CkptSave(cw)
-	cl.c.CkptSave(cw)
-	cl.loop.CkptSave(cw)
-	inj := cl.c.Chaos()
+	cl.w.Runner.CkptSave(cw)
+	cl.w.Queue.CkptSave(cw)
+	cl.w.Cluster.CkptSave(cw)
+	cl.w.Loop.CkptSave(cw)
+	inj := cl.w.Cluster.Chaos()
 	cw.Bool(inj != nil)
 	if inj != nil {
 		inj.CkptSave(cw)
@@ -310,8 +303,8 @@ func (cl *Cluster) restore(blob []byte) error {
 	if seed := cr.I64(); cr.Err() == nil && seed != cl.opts.Seed {
 		return fmt.Errorf("evolve: checkpoint has seed %d, this cluster %d", seed, cl.opts.Seed)
 	}
-	if pol := cr.Str(); cr.Err() == nil && pol != normalisePolicy(cl.opts.Policy) {
-		return fmt.Errorf("evolve: checkpoint has policy %q, this cluster %q", pol, normalisePolicy(cl.opts.Policy))
+	if pol := cr.Str(); cr.Err() == nil && pol != cl.policy {
+		return fmt.Errorf("evolve: checkpoint has policy %q, this cluster %q", pol, cl.policy)
 	}
 	now := cr.Dur()
 	seq := cr.U64()
@@ -338,7 +331,7 @@ func (cl *Cluster) restore(blob []byte) error {
 	if cr.Err() != nil {
 		return cr.Err()
 	}
-	if want := cl.c.Coordinator().NumShards(); ns != want {
+	if want := cl.w.Cluster.Coordinator().NumShards(); ns != want {
 		return fmt.Errorf("evolve: checkpoint has %d kernel shards, this cluster %d (Shards option)", ns, want)
 	}
 	coState.Shards = make([]sim.ShardClock, ns)
@@ -354,25 +347,25 @@ func (cl *Cluster) restore(blob []byte) error {
 	// Substrate order mirrors Checkpoint: batch and HPC load before the
 	// cluster, whose task pods reattach their completion callbacks
 	// through the restored runner and queue state.
-	if err := cl.runner.CkptLoad(cr); err != nil {
+	if err := cl.w.Runner.CkptLoad(cr); err != nil {
 		return err
 	}
-	if err := cl.queue.CkptLoad(cr); err != nil {
+	if err := cl.w.Queue.CkptLoad(cr); err != nil {
 		return err
 	}
 	reattach := func(p *cluster.PodObject) (func(string, bool), error) {
-		if fn, err := cl.runner.ReattachTask(p.Name); err == nil {
+		if fn, err := cl.w.Runner.ReattachTask(p.Name); err == nil {
 			return fn, nil
 		}
-		return cl.queue.ReattachRank(p.Name, p.Task.Job)
+		return cl.w.Queue.ReattachRank(p.Name, p.Task.Job)
 	}
-	if err := cl.c.CkptLoad(cr, reattach); err != nil {
+	if err := cl.w.Cluster.CkptLoad(cr, reattach); err != nil {
 		return err
 	}
-	if err := cl.loop.CkptLoad(cr); err != nil {
+	if err := cl.w.Loop.CkptLoad(cr); err != nil {
 		return err
 	}
-	inj := cl.c.Chaos()
+	inj := cl.w.Cluster.Chaos()
 	if injPresent := cr.Bool(); injPresent != (inj != nil) {
 		if cr.Err() != nil {
 			return cr.Err()
@@ -405,26 +398,26 @@ func (cl *Cluster) restore(blob []byte) error {
 	rebuild := func(tag sim.TimerTag) (func(), error) {
 		switch tag.Kind {
 		case "retry":
-			return cl.loop.RebuildTimer(tag.Kind, tag.Arg)
+			return cl.w.Loop.RebuildTimer(tag.Kind, tag.Arg)
 		case "task", "act-delay":
-			return cl.c.RebuildTimer(tag.Kind, tag.Arg)
+			return cl.w.Cluster.RebuildTimer(tag.Kind, tag.Arg)
 		}
 		return nil, fmt.Errorf("evolve: no rebuilder for timer %s/%s", tag.Kind, tag.Arg)
 	}
-	if err := cl.eng.RestoreTimers(now, seq, nsteps, timers, rebuild); err != nil {
+	if err := cl.w.Engine.RestoreTimers(now, seq, nsteps, timers, rebuild); err != nil {
 		return err
 	}
-	if err := cl.eng.RNG().Burn(draws); err != nil {
+	if err := cl.w.Engine.RNG().Burn(draws); err != nil {
 		return err
 	}
-	if err := cl.c.Coordinator().RestoreState(coState); err != nil {
+	if err := cl.w.Cluster.Coordinator().RestoreState(coState); err != nil {
 		return err
 	}
 	// After a restore, LastCheckpoint is the snapshot this world came
 	// from, so a process that restores and then crashes again before the
 	// next periodic checkpoint still has a valid restart point.
 	cl.lastCkpt = blob
-	return cl.runErr
+	return cl.err()
 }
 
 // RestoreFile restores from a checkpoint file (see EnableCheckpoints
@@ -449,14 +442,4 @@ func LatestCheckpoint(dir string) (string, error) {
 	}
 	sort.Strings(matches)
 	return matches[len(matches)-1], nil
-}
-
-// normalisePolicy maps the Options.Policy aliases onto canonical names
-// so checkpoint compatibility checks compare like with like.
-func normalisePolicy(p string) string {
-	p = strings.ToLower(p)
-	if p == "" {
-		return "evolve"
-	}
-	return p
 }

@@ -49,7 +49,7 @@ func TestCheckpointSoak(t *testing.T) {
 				if err := c.Restore(bytes.NewReader(snap)); err != nil {
 					t.Fatalf("restore after crash at %v: %v", crashAt, err)
 				}
-				if err := c.c.CheckInvariants(); err != nil {
+				if err := c.w.Cluster.CheckInvariants(); err != nil {
 					t.Fatalf("restored at %v: %v", c.Now(), err)
 				}
 			}
@@ -74,12 +74,12 @@ func TestCheckpointSoak(t *testing.T) {
 // timer set; slicing a run never changes its outcome.
 func runInvariantChecked(t *testing.T, c *Cluster, d time.Duration) {
 	t.Helper()
-	step := c.c.Config().MetricsInterval
+	step := c.w.Cluster.Config().MetricsInterval
 	for end := c.Now() + d; c.Now() < end; {
 		if err := c.Run(min(step, end-c.Now())); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.c.CheckInvariants(); err != nil {
+		if err := c.w.Cluster.CheckInvariants(); err != nil {
 			t.Fatalf("t=%v: %v", c.Now(), err)
 		}
 	}

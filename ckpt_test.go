@@ -366,6 +366,51 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 }
 
+// TestCheckpointPolicyAliases: the checkpoint header carries the
+// canonical policy name, so worlds built with "" and "EVOLVE" restore
+// each other's checkpoints, while another policy is refused.
+func TestCheckpointPolicyAliases(t *testing.T) {
+	build := func(policy string) *Cluster {
+		c, err := New(Options{Seed: 4, Nodes: 3, Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AddService(ServiceOptions{Name: "svc", BaseRate: 100}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetLoad("svc", Constant(150)); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, pair := range [][2]string{{"", "EVOLVE"}, {"EVOLVE", ""}} {
+		src := build(pair[0])
+		if err := src.Run(5 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := src.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := build("hpa").Restore(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "policy") {
+			t.Errorf("%q checkpoint into hpa: %v, want a policy mismatch", pair[0], err)
+		}
+		dst := build(pair[1])
+		if err := dst.Restore(&buf); err != nil {
+			t.Fatalf("%q checkpoint into %q: %v", pair[0], pair[1], err)
+		}
+		if err := src.Run(5 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Run(5 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := src.Report().String(), dst.Report().String(); a != b {
+			t.Errorf("%q → %q continuation differs:\n%s\nvs\n%s", pair[0], pair[1], a, b)
+		}
+	}
+}
+
 // TestRestoreAllOrNothing: a checkpoint with one flipped body byte (or
 // cut short) is refused by its checksum before anything is applied, so
 // the same cluster then restores the intact checkpoint and continues

@@ -103,8 +103,8 @@ func items(opts *benchOpts) []item {
 		}),
 		fig("figure4", func(_ *harness.Runner, seed int64) (*harness.Figure, error) { return harness.Figure4(seed) }),
 		fig("figure5", harness.Figure5),
-		fig("figure6", func(r *harness.Runner, seed int64) (*harness.Figure, error) {
-			f, rows, err := harness.Figure6(r, opts.scaleConfig(seed))
+		fig("figure6", func(_ *harness.Runner, seed int64) (*harness.Figure, error) {
+			f, rows, err := harness.Figure6(opts.scaleConfig(seed))
 			opts.scaleRows = rows
 			return f, err
 		}),
@@ -113,8 +113,8 @@ func items(opts *benchOpts) []item {
 		fig("figure9", harness.Figure9),
 		fig("figure10", harness.Figure10),
 		fig("figure11", harness.Figure11),
-		fig("figure12", func(r *harness.Runner, seed int64) (*harness.Figure, error) {
-			f, rows, err := harness.Figure12(r, opts.ctrlScaleConfig(seed))
+		fig("figure12", func(_ *harness.Runner, seed int64) (*harness.Figure, error) {
+			f, rows, err := harness.Figure12(opts.ctrlScaleConfig(seed))
 			opts.ctrlRows = rows
 			return f, err
 		}),
@@ -149,9 +149,6 @@ type summary struct {
 	// CtrlScale holds figure12's raw rows — ms per control period split
 	// into eval/apply per fleet size — when figure12 was selected.
 	CtrlScale []harness.CtrlScaleRow `json:"ctrl_scale,omitempty"`
-	// ScaleHits counts figure6 rows served from the -scale-cache
-	// directory instead of being re-run.
-	ScaleHits uint64 `json:"scale_hits,omitempty"`
 	// EffectiveWorkers is the largest resolved shard parallelism across
 	// the scale rows — what ShardWorkers=0 actually ran with on this
 	// machine (min(shards, GOMAXPROCS)).
@@ -195,7 +192,6 @@ func main() {
 	shards := flag.Int("shards", 0, "figure6: sweep shard counts {1,N} instead of the default {1,4,8}")
 	quick := flag.Bool("quick", false, "figure6, figure12: reduced ladders (the CI scale)")
 	scalePoints := flag.Int("scale-points", 0, "figure6: truncate the ladder to its first N points (0 = full ladder)")
-	scaleCache := flag.String("scale-cache", "", "directory for the content-addressed figure6 row cache (keyed on binary hash + run parameters; omit to always re-run)")
 	flag.Parse()
 
 	opts := &benchOpts{shards: *shards, quick: *quick, scalePoints: *scalePoints}
@@ -264,9 +260,6 @@ func main() {
 	}
 
 	runner := harness.NewRunner(*parallel)
-	if *scaleCache != "" {
-		runner.SetScaleCacheDir(*scaleCache)
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fatal(err)
@@ -316,7 +309,6 @@ func main() {
 			Shards:           *shards,
 			Scale:            opts.scaleRows,
 			CtrlScale:        opts.ctrlRows,
-			ScaleHits:        st.ScaleHits,
 			EffectiveWorkers: effWorkers,
 		}); err != nil {
 			fatal(err)

@@ -19,18 +19,16 @@ import (
 	"strings"
 	"time"
 
-	"evolve/internal/baseline"
-	"evolve/internal/control"
-	"evolve/internal/core"
 	"evolve/internal/harness"
 	"evolve/internal/hpc"
 	"evolve/internal/workload"
+	"evolve/internal/world"
 )
 
 func main() {
 	var (
 		seed     = flag.Int64("seed", 1, "scenario seed")
-		policy   = flag.String("policy", "evolve", "resource policy: evolve, hpa, vpa, static")
+		policy   = flag.String("policy", "evolve", "resource policy: "+strings.Join(world.PolicyNames(), ", "))
 		overprov = flag.Float64("overprovision", 1, "initial-allocation factor (static users set 2-3)")
 		services = flag.String("services", "web:400,gateway:300,kvstore:200",
 			"comma-separated archetype:baseRate list, driven by 0.5x..3x diurnals")
@@ -48,15 +46,14 @@ func main() {
 	}
 	mkScenario := func(nodes int) harness.Scenario {
 		sc := harness.Scenario{
-			Name:            "plan",
-			Seed:            *seed,
-			Nodes:           nodes,
-			NodeCapacity:    harness.StandardNode(),
-			Duration:        *duration,
-			Warmup:          *duration / 12,
-			ControlInterval: 15 * time.Second,
-			Apps:            apps,
-			HPCPolicy:       hpc.Backfill,
+			Name:         "plan",
+			Seed:         *seed,
+			Nodes:        nodes,
+			NodeCapacity: world.DefaultNodeShape(),
+			Duration:     *duration,
+			Warmup:       *duration / 12,
+			Apps:         apps,
+			HPCPolicy:    hpc.Backfill,
 		}
 		if *batchN > 0 {
 			sc.BatchJobs = harness.BatchStream(*batchN, *duration/time.Duration(*batchN+1), 2)
@@ -66,10 +63,11 @@ func main() {
 		}
 		return sc
 	}
-	pol, err := policyByName(*policy, *overprov)
+	name, factory, err := world.Policy(*policy)
 	if err != nil {
 		fatal(err)
 	}
+	pol := harness.Policy{Name: name, Factory: factory, Overprovision: *overprov}
 
 	// A candidate is feasible when violations stay under the budget and
 	// all streamed jobs complete.
@@ -136,21 +134,12 @@ func parseServices(spec string, seed int64) ([]harness.AppLoad, error) {
 		if err != nil || base <= 0 {
 			return nil, fmt.Errorf("bad base rate in %q", item)
 		}
-		var arch workload.Archetype
-		switch parts[0] {
-		case "web":
-			arch = workload.Web
-		case "gateway":
-			arch = workload.Gateway
-		case "kvstore":
-			arch = workload.KVStore
-		case "inference":
-			arch = workload.Inference
-		default:
-			return nil, fmt.Errorf("unknown archetype %q", parts[0])
+		arch, err := workload.ParseArchetype(parts[0])
+		if err != nil {
+			return nil, err
 		}
 		apps = append(apps, harness.AppLoad{
-			Spec: workload.Service(arch, fmt.Sprintf("%s-%d", parts[0], idx), base, 2),
+			Spec: workload.Service(arch, fmt.Sprintf("%s-%d", arch, idx), base, 2),
 			Pattern: workload.Noisy{
 				Inner: workload.Diurnal{Trough: base * 0.5, Peak: base * 3, Period: 2 * time.Hour},
 				Frac:  0.08, Seed: seed + idx,
@@ -162,23 +151,6 @@ func parseServices(spec string, seed int64) ([]harness.AppLoad, error) {
 		return nil, fmt.Errorf("no services given")
 	}
 	return apps, nil
-}
-
-func policyByName(name string, overprov float64) (harness.Policy, error) {
-	var f control.Factory
-	switch name {
-	case "evolve":
-		f = core.Factory(core.DefaultConfig())
-	case "hpa":
-		f = baseline.HPAFactory(baseline.DefaultHPAConfig())
-	case "vpa":
-		f = baseline.VPAFactory(baseline.DefaultVPAConfig())
-	case "static":
-		f = baseline.StaticFactory()
-	default:
-		return harness.Policy{}, fmt.Errorf("unknown policy %q", name)
-	}
-	return harness.Policy{Name: name, Factory: f, Overprovision: overprov}, nil
 }
 
 func fatal(err error) {

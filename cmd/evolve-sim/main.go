@@ -33,6 +33,7 @@ import (
 	"evolve"
 	"evolve/internal/chaos"
 	"evolve/internal/obs"
+	"evolve/internal/world"
 )
 
 // outputs collects everything finish should emit after the run.
@@ -53,7 +54,7 @@ func main() {
 	var (
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		nodes    = flag.Int("nodes", 5, "number of nodes")
-		policy   = flag.String("policy", "evolve", "resource policy: evolve, hpa, vpa, static, pid-cpu-only")
+		policy   = flag.String("policy", "evolve", "resource policy: "+strings.Join(world.PolicyNames(), ", "))
 		duration = flag.Duration("duration", 2*time.Hour, "virtual run time")
 		services = flag.String("services", "web:400,gateway:300,kvstore:200,inference:30",
 			"comma-separated archetype:baseRate service list (names default to the archetype)")

@@ -73,6 +73,7 @@ func TestNewFromConfigErrors(t *testing.T) {
 		`{"services": [{"name": "x", "baseRate": 1, "load": {"kind": "zigzag"}}]}`, // bad load kind
 		`{"unknownField": true, "services": []}`,                                   // unknown field
 		`{"policy": "magic", "services": [{"name":"x","baseRate":1}]}`,
+		`{"hpcQueue": "fifo", "services": [{"name":"x","baseRate":1}]}`,
 	}
 	for i, cfg := range cases {
 		if _, _, err := NewFromConfig(strings.NewReader(cfg)); err == nil {

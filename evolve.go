@@ -32,19 +32,15 @@ import (
 	"strings"
 	"time"
 
-	"evolve/internal/baseline"
 	"evolve/internal/batch"
-	"evolve/internal/chaos"
-	"evolve/internal/cluster"
 	"evolve/internal/control"
-	"evolve/internal/core"
 	"evolve/internal/hpc"
 	"evolve/internal/obs"
 	"evolve/internal/perf"
 	"evolve/internal/plo"
 	"evolve/internal/resource"
-	"evolve/internal/sim"
 	"evolve/internal/workload"
+	"evolve/internal/world"
 )
 
 // Options configures a Cluster.
@@ -59,16 +55,17 @@ type Options struct {
 	NodeShape string
 	// ControlInterval is how often the policy runs (default 15s).
 	ControlInterval time.Duration
-	// Policy selects the resource manager: "evolve" (default), "hpa",
-	// "vpa", "static", or "pid-cpu-only".
+	// Policy selects the resource manager, in any case: "evolve"
+	// (default), "hpa", "vpa", "static", or "pid-cpu-only".
 	Policy string
 	// Overprovision scales every service's initial allocation (static
 	// deployments usually carry a safety factor). Default 1.
 	Overprovision float64
 	// MeasurementNoise is the SLI jitter fraction (default 0.03).
 	MeasurementNoise float64
-	// HPCQueue selects the gang queue discipline: "backfill" (default),
-	// "easy" (backfill with head reservation) or "fcfs".
+	// HPCQueue selects the gang queue discipline, in any case:
+	// "backfill" (default), "easy" (backfill with head reservation) or
+	// "fcfs". Any other name fails New.
 	HPCQueue string
 	// Pools, when set, replaces the flat Nodes topology with labeled
 	// pools; workloads carrying a matching Pool option are confined to
@@ -215,15 +212,11 @@ func FromTraceCSV(r io.Reader) (LoadFunc, error) {
 // control loop. Not safe for concurrent use.
 type Cluster struct {
 	opts    Options
-	eng     *sim.Engine
-	c       *cluster.Cluster
-	runner  *batch.Runner
-	queue   *hpc.Queue
+	policy  string // canonical policy name, carried in checkpoint headers
+	w       *world.World
 	ctrl    map[string]control.Controller
 	factory control.Factory
-	loop    *control.Loop
 	started bool
-	runErr  error
 
 	tracer *obs.Tracer
 
@@ -250,11 +243,11 @@ func (cl *Cluster) start() {
 	}
 	cl.started = true
 	if cl.tracer.Enabled() {
-		cl.c.SetTracer(cl.tracer)
+		cl.w.Cluster.SetTracer(cl.tracer)
 	}
-	cl.loop.SetTracer(cl.tracer)
-	cl.c.Start()
-	cl.loop.Start()
+	cl.w.Loop.SetTracer(cl.tracer)
+	cl.w.Cluster.Start()
+	cl.w.Loop.Start()
 	cl.armCtrlCrash()
 	cl.armCheckpoints()
 }
@@ -273,98 +266,51 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 5
 	}
-	if opts.NodeShape == "" {
-		opts.NodeShape = "cpu=16 memory=64Gi diskio=1G netio=2G"
-	}
-	if opts.ControlInterval <= 0 {
-		opts.ControlInterval = 15 * time.Second
-	}
 	if opts.Overprovision <= 0 {
 		opts.Overprovision = 1
 	}
-	shape, err := resource.ParseVector(opts.NodeShape)
-	if err != nil {
-		return nil, fmt.Errorf("evolve: node shape: %w", err)
-	}
-	factory, err := policyFactory(opts.Policy)
-	if err != nil {
-		return nil, err
-	}
-
-	eng := sim.NewEngine(opts.Seed)
-	ccfg := cluster.DefaultConfig()
-	if opts.MeasurementNoise > 0 {
-		ccfg.MeasurementNoise = opts.MeasurementNoise
-	}
-	ccfg.Shards = opts.Shards
-	ccfg.ShardWorkers = opts.ShardWorkers
-	c := cluster.New(eng, ccfg)
-	if len(opts.Pools) > 0 {
-		for _, pool := range opts.Pools {
-			if pool.Name == "" || pool.Nodes <= 0 {
-				return nil, fmt.Errorf("evolve: invalid pool %+v", pool)
-			}
-			for i := 0; i < pool.Nodes; i++ {
-				name := fmt.Sprintf("%s-%d", pool.Name, i)
-				if err := c.AddLabeledNode(name, shape, map[string]string{"pool": pool.Name}); err != nil {
-					return nil, err
-				}
-			}
+	var shape resource.Vector
+	if opts.NodeShape != "" {
+		var err error
+		if shape, err = resource.ParseVector(opts.NodeShape); err != nil {
+			return nil, fmt.Errorf("evolve: node shape: %w", err)
 		}
-	} else if err := c.AddNodes("node", opts.Nodes, shape); err != nil {
-		return nil, err
 	}
-	if opts.Chaos != "" {
-		plan, err := chaos.Parse(opts.Chaos)
-		if err != nil {
-			return nil, fmt.Errorf("evolve: chaos: %w", err)
-		}
-		inj := chaos.NewInjector(plan, opts.Seed)
-		c.SetChaos(inj)
-		inj.Arm(eng, c)
+	policy, factory, err := world.Policy(opts.Policy)
+	if err != nil {
+		return nil, fmt.Errorf("evolve: %w", err)
 	}
-	cl := &Cluster{
+	queue, err := hpc.ParsePolicy(opts.HPCQueue)
+	if err != nil {
+		return nil, fmt.Errorf("evolve: %w", err)
+	}
+	pools := make([]world.Pool, len(opts.Pools))
+	for i, p := range opts.Pools {
+		pools[i] = world.Pool{Name: p.Name, Count: p.Nodes, Labels: map[string]string{"pool": p.Name}}
+	}
+	w, err := world.New(world.Config{
+		Seed:             opts.Seed,
+		Nodes:            opts.Nodes,
+		NodeShape:        shape,
+		Pools:            pools,
+		ControlInterval:  opts.ControlInterval,
+		MeasurementNoise: opts.MeasurementNoise,
+		Shards:           opts.Shards,
+		ShardWorkers:     opts.ShardWorkers,
+		Chaos:            opts.Chaos,
+		HPCPolicy:        queue,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("evolve: %w", err)
+	}
+	return &Cluster{
 		opts:    opts,
-		eng:     eng,
-		c:       c,
-		runner:  batch.NewRunner(c),
+		policy:  policy,
+		w:       w,
 		ctrl:    make(map[string]control.Controller),
 		factory: factory,
-		loop:    control.NewLoop(eng, c, control.LoopConfig{Interval: opts.ControlInterval, Seed: opts.Seed}),
-
-		tracer: obs.Nop(),
-	}
-	cl.loop.OnFatal(func(err error) {
-		if cl.runErr == nil {
-			cl.runErr = fmt.Errorf("evolve: %w", err)
-		}
-	})
-	qp := hpc.Backfill
-	switch strings.ToLower(opts.HPCQueue) {
-	case "fcfs":
-		qp = hpc.FCFS
-	case "easy":
-		qp = hpc.EASY
-	}
-	cl.queue = hpc.NewQueue(c, qp)
-	return cl, nil
-}
-
-func policyFactory(name string) (control.Factory, error) {
-	switch strings.ToLower(name) {
-	case "", "evolve":
-		return core.Factory(core.DefaultConfig()), nil
-	case "hpa":
-		return baseline.HPAFactory(baseline.DefaultHPAConfig()), nil
-	case "vpa":
-		return baseline.VPAFactory(baseline.DefaultVPAConfig()), nil
-	case "static":
-		return baseline.StaticFactory(), nil
-	case "pid-cpu-only":
-		return core.SingleResourceFactory(), nil
-	default:
-		return nil, fmt.Errorf("evolve: unknown policy %q (want evolve, hpa, vpa, static or pid-cpu-only)", name)
-	}
+		tracer:  obs.Nop(),
+	}, nil
 }
 
 // AddService deploys a replicated service sized for its base rate.
@@ -381,18 +327,9 @@ func (cl *Cluster) AddService(o ServiceOptions) error {
 	if o.Replicas <= 0 {
 		o.Replicas = 2
 	}
-	var arch workload.Archetype
-	switch strings.ToLower(o.Archetype) {
-	case "", "web":
-		arch = workload.Web
-	case "gateway":
-		arch = workload.Gateway
-	case "kvstore":
-		arch = workload.KVStore
-	case "inference":
-		arch = workload.Inference
-	default:
-		return fmt.Errorf("evolve: unknown archetype %q", o.Archetype)
+	arch, err := workload.ParseArchetype(o.Archetype)
+	if err != nil {
+		return fmt.Errorf("evolve: %w", err)
 	}
 	spec := workload.Service(arch, o.Name, o.BaseRate, o.Replicas)
 	if o.LatencyObjective > 0 && o.ThroughputObjective > 0 {
@@ -414,12 +351,12 @@ func (cl *Cluster) AddService(o ServiceOptions) error {
 	if cl.opts.Overprovision != 1 {
 		spec.InitialAlloc = spec.InitialAlloc.Scale(cl.opts.Overprovision).Min(spec.MaxAlloc)
 	}
-	if err := cl.c.CreateService(spec); err != nil {
+	if err := cl.w.Cluster.CreateService(spec); err != nil {
 		return err
 	}
 	ctrl := cl.factory(o.Name)
 	cl.ctrl[o.Name] = ctrl
-	cl.loop.Add(o.Name, ctrl)
+	cl.w.Loop.Add(o.Name, ctrl)
 	return nil
 }
 
@@ -428,7 +365,7 @@ func (cl *Cluster) SetLoad(service string, fn LoadFunc) error {
 	if fn == nil {
 		return fmt.Errorf("evolve: nil load function")
 	}
-	return cl.c.SetLoadFunc(service, fn)
+	return cl.w.Cluster.SetLoadFunc(service, fn)
 }
 
 // SubmitBatchJob schedules a DAG job for submission at SubmitAt.
@@ -445,10 +382,10 @@ func (cl *Cluster) SubmitBatchJob(o BatchJobOptions) error {
 			job.Stages[i].NodeSelector = map[string]string{"pool": o.Pool}
 		}
 	}
-	cl.eng.TagNext("batch-submit", o.Name)
-	cl.eng.At(o.SubmitAt, func() {
-		if err := cl.runner.Submit(job); err != nil {
-			panic(fmt.Sprintf("evolve: batch submit %s: %v", o.Name, err))
+	cl.w.Engine.TagNext("batch-submit", o.Name)
+	cl.w.Engine.At(o.SubmitAt, func() {
+		if err := cl.w.Runner.Submit(job); err != nil {
+			cl.w.Fail(fmt.Errorf("batch submit %s: %w", o.Name, err))
 		}
 	})
 	return nil
@@ -475,10 +412,10 @@ func (cl *Cluster) SubmitHPCJob(o HPCJobOptions) error {
 	if o.Pool != "" {
 		job.NodeSelector = map[string]string{"pool": o.Pool}
 	}
-	cl.eng.TagNext("hpc-submit", o.Name)
-	cl.eng.At(o.SubmitAt, func() {
-		if err := cl.queue.Submit(job); err != nil {
-			panic(fmt.Sprintf("evolve: hpc submit %s: %v", o.Name, err))
+	cl.w.Engine.TagNext("hpc-submit", o.Name)
+	cl.w.Engine.At(o.SubmitAt, func() {
+		if err := cl.w.Queue.Submit(job); err != nil {
+			cl.w.Fail(fmt.Errorf("hpc submit %s: %w", o.Name, err))
 		}
 	})
 	return nil
@@ -488,19 +425,30 @@ func (cl *Cluster) SubmitHPCJob(o HPCJobOptions) error {
 // control loop (see internal/control.Loop: integral freeze while the
 // sensor path is blind, hold-last-safe past the staleness budget, and
 // bounded retry of transiently failed actuations). It may be called
-// repeatedly to run in stages. A non-transient control-plane error stops
-// being absorbed and is returned; it is sticky across calls.
+// repeatedly to run in stages. A failure inside the run — a
+// non-transient control-plane error, a refused batch or HPC submission,
+// a failed checkpoint — stops the world at that instant (Now reports
+// it) and is returned. It is sticky: later calls advance nothing and
+// return it again.
 func (cl *Cluster) Run(d time.Duration) error {
 	if d <= 0 {
 		return fmt.Errorf("evolve: non-positive run duration")
 	}
 	cl.start()
-	cl.c.Run(cl.eng.Now() + d)
-	return cl.runErr
+	cl.w.Cluster.Run(cl.w.Engine.Now() + d)
+	return cl.err()
+}
+
+// err returns the world's sticky failure, if any.
+func (cl *Cluster) err() error {
+	if err := cl.w.Err(); err != nil {
+		return fmt.Errorf("evolve: %w", err)
+	}
+	return nil
 }
 
 // Now returns the current virtual time.
-func (cl *Cluster) Now() time.Duration { return cl.eng.Now() }
+func (cl *Cluster) Now() time.Duration { return cl.w.Engine.Now() }
 
 // ServiceReport summarises one service's outcome so far.
 type ServiceReport struct {
@@ -568,17 +516,17 @@ func (r Report) String() string {
 
 // Report computes the summary over everything run so far.
 func (cl *Cluster) Report() Report {
-	met := cl.c.Metrics()
-	now := cl.eng.Now()
+	met := cl.w.Cluster.Metrics()
+	now := cl.w.Engine.Now()
 	r := Report{Elapsed: now}
-	names := cl.c.Apps()
+	names := cl.w.Cluster.Apps()
 	sort.Strings(names)
 	for _, name := range names {
-		tr, err := cl.c.Tracker(name)
+		tr, err := cl.w.Cluster.Tracker(name)
 		if err != nil {
 			continue
 		}
-		app, err := cl.c.App(name)
+		app, err := cl.w.Cluster.App(name)
 		if err != nil {
 			continue
 		}
@@ -597,11 +545,9 @@ func (cl *Cluster) Report() Report {
 	r.ClusterCPUUsed = met.Series("cluster/usage/cpu").TimeWeightedMean(0, now)
 	r.BatchJobsCompleted = met.Counter("batch/jobs-completed").Value()
 	r.HPCJobsCompleted = met.Counter("hpc/jobs-completed").Value()
-	if cl.queue != nil {
-		r.HPCMeanWait, _, _ = cl.queue.Stats()
-	}
+	r.HPCMeanWait, _, _ = cl.w.Queue.Stats()
 	r.Preemptions = met.Counter("sched/preemptions").Value()
-	ls := cl.loop.Stats()
+	ls := cl.w.Loop.Stats()
 	r.DegradedPeriods = ls.DegradedPeriods
 	r.ActuationRetries = ls.Retries
 	r.Abandoned = ls.Abandoned
@@ -621,7 +567,7 @@ func (cl *Cluster) Report() Report {
 
 // Violations returns the PLO violation fraction for one service.
 func (cl *Cluster) Violations(service string) (float64, error) {
-	tr, err := cl.c.Tracker(service)
+	tr, err := cl.w.Cluster.Tracker(service)
 	if err != nil {
 		return 0, err
 	}
@@ -630,10 +576,10 @@ func (cl *Cluster) Violations(service string) (float64, error) {
 
 // HPCStatus returns "queued", "running", "done" or "failed" for a
 // submitted HPC job.
-func (cl *Cluster) HPCStatus(job string) (string, error) { return cl.queue.Status(job) }
+func (cl *Cluster) HPCStatus(job string) (string, error) { return cl.w.Queue.Status(job) }
 
 // BatchDone reports whether a DAG job finished and its makespan.
-func (cl *Cluster) BatchDone(job string) (time.Duration, bool) { return cl.runner.Done(job) }
+func (cl *Cluster) BatchDone(job string) (time.Duration, bool) { return cl.w.Runner.Done(job) }
 
 // EventRecord is one entry of the cluster's operational journal.
 type EventRecord struct {
@@ -647,7 +593,7 @@ type EventRecord struct {
 // evictions, preemptions, migrations, task completions, node failures.
 // The journal is bounded to the most recent ~2k events.
 func (cl *Cluster) Events() []EventRecord {
-	evs := cl.c.Events()
+	evs := cl.w.Cluster.Events()
 	out := make([]EventRecord, len(evs))
 	for i, e := range evs {
 		out[i] = EventRecord{At: e.At, Kind: e.Kind, Object: e.Object, Message: e.Message}
@@ -670,8 +616,8 @@ func (cl *Cluster) EnableTracing(capacity int) *obs.Tracer {
 	// it) so callers can attach a sink before the registry replays its
 	// existing objects as trace events.
 	if cl.started {
-		cl.c.SetTracer(cl.tracer)
-		cl.loop.SetTracer(cl.tracer)
+		cl.w.Cluster.SetTracer(cl.tracer)
+		cl.w.Loop.SetTracer(cl.tracer)
 	}
 	return cl.tracer
 }
@@ -685,7 +631,7 @@ func (cl *Cluster) Tracer() *obs.Tracer { return cl.tracer }
 // every series, counters, and the SLI histograms with cumulative
 // buckets.
 func (cl *Cluster) WriteMetrics(w io.Writer) error {
-	return obs.WriteMetrics(w, cl.c.Metrics(), cl.tracer)
+	return obs.WriteMetrics(w, cl.w.Cluster.Metrics(), cl.tracer)
 }
 
 // ControllerState is one entry of the /debug/controllers view: what a
@@ -722,11 +668,11 @@ func (cl *Cluster) ControllerStates() []ControllerState {
 		if ex, ok := ctrl.(control.Explainer); ok {
 			st.Rationale = ex.Rationale()
 		}
-		if h, ok := cl.loop.Hardened(name); ok {
+		if h, ok := cl.w.Loop.Hardened(name); ok {
 			st.Degraded = h.Degraded()
 			st.Health = h.Status()
 		}
-		if d, ok := cl.loop.LastDecision(name); ok {
+		if d, ok := cl.w.Loop.LastDecision(name); ok {
 			st.Replicas = d.Replicas
 			st.Alloc = make(map[string]float64, resource.NumKinds)
 			for _, k := range resource.Kinds() {
@@ -743,7 +689,7 @@ func (cl *Cluster) ControllerStates() []ControllerState {
 }
 
 // SeriesNames lists the recorded telemetry series.
-func (cl *Cluster) SeriesNames() []string { return cl.c.Metrics().SeriesNames() }
+func (cl *Cluster) SeriesNames() []string { return cl.w.Cluster.Metrics().SeriesNames() }
 
 // SeriesSample is one recorded point of a telemetry series.
 type SeriesSample struct {
@@ -756,10 +702,10 @@ type SeriesSample struct {
 // programmatic post-processing (the harness's recovery analysis);
 // WriteSeriesCSV is the textual equivalent.
 func (cl *Cluster) SeriesSamples(name string) ([]SeriesSample, error) {
-	if !cl.c.Metrics().HasSeries(name) {
+	if !cl.w.Cluster.Metrics().HasSeries(name) {
 		return nil, fmt.Errorf("%w: %q (see SeriesNames)", ErrUnknownSeries, name)
 	}
-	samples := cl.c.Metrics().Series(name).Samples()
+	samples := cl.w.Cluster.Metrics().Series(name).Samples()
 	out := make([]SeriesSample, len(samples))
 	for i, p := range samples {
 		out[i] = SeriesSample{At: p.At, Value: p.Value}
@@ -774,10 +720,10 @@ var ErrUnknownSeries = errors.New("evolve: unknown series")
 // WriteSeriesCSV dumps one telemetry series ("app/web/latency-mean",
 // "cluster/usage/cpu", …) as seconds,value CSV.
 func (cl *Cluster) WriteSeriesCSV(name string, w io.Writer) error {
-	if !cl.c.Metrics().HasSeries(name) {
+	if !cl.w.Cluster.Metrics().HasSeries(name) {
 		return fmt.Errorf("%w: %q (see SeriesNames)", ErrUnknownSeries, name)
 	}
-	s := cl.c.Metrics().Series(name)
+	s := cl.w.Cluster.Metrics().Series(name)
 	if _, err := fmt.Fprintln(w, "seconds,value"); err != nil {
 		return err
 	}

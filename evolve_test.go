@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"evolve/internal/hpc"
+	"evolve/internal/world"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -22,12 +25,52 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{NodeShape: "cpu"}); err == nil {
 		t.Error("bad node shape should fail")
 	}
-	if _, err := New(Options{Policy: "magic"}); err == nil {
-		t.Error("unknown policy should fail")
+}
+
+// TestPolicyRegistry: every registry name, in any case, builds a world
+// through New, and an unknown name's error lists the valid names.
+func TestPolicyRegistry(t *testing.T) {
+	for _, p := range world.PolicyNames() {
+		for _, name := range []string{p, strings.ToUpper(p)} {
+			if _, err := New(Options{Policy: name}); err != nil {
+				t.Errorf("policy %s rejected: %v", name, err)
+			}
+		}
 	}
-	for _, p := range []string{"evolve", "hpa", "vpa", "static", "pid-cpu-only"} {
-		if _, err := New(Options{Policy: p}); err != nil {
-			t.Errorf("policy %s rejected: %v", p, err)
+	_, err := New(Options{Policy: "magic"})
+	if err == nil {
+		t.Fatal("unknown policy should fail")
+	}
+	for _, p := range world.PolicyNames() {
+		if !strings.Contains(err.Error(), p) {
+			t.Errorf("unknown-policy error %q does not list %s", err, p)
+		}
+	}
+}
+
+// TestHPCQueueNames: Options.HPCQueue takes the hpc.Policy names in any
+// case, "" means backfill, and anything else fails New instead of
+// silently running backfill.
+func TestHPCQueueNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want hpc.Policy
+		ok   bool
+	}{
+		{"", hpc.Backfill, true},
+		{"backfill", hpc.Backfill, true},
+		{"easy", hpc.EASY, true},
+		{"fcfs", hpc.FCFS, true},
+		{"FCFS", hpc.FCFS, true},
+		{"fifo", 0, false},
+	} {
+		got, err := hpc.ParsePolicy(tc.name)
+		_, newErr := New(Options{HPCQueue: tc.name})
+		if tc.ok && (err != nil || got != tc.want || newErr != nil) {
+			t.Errorf("%q: ParsePolicy = %v, %v; New err = %v; want %v", tc.name, got, err, newErr, tc.want)
+		}
+		if !tc.ok && (err == nil || newErr == nil) {
+			t.Errorf("%q: ParsePolicy err = %v, New err = %v; want both to fail", tc.name, err, newErr)
 		}
 	}
 }
@@ -183,6 +226,46 @@ func TestBatchAndHPCJobs(t *testing.T) {
 	rep := c.Report()
 	if rep.BatchJobsCompleted != 1 || rep.HPCJobsCompleted != 1 {
 		t.Errorf("report jobs: %+v", rep)
+	}
+}
+
+// TestSubmitFailuresStopTheRun: a submission refused when its event
+// fires (here a duplicate job name) fails the run instead of panicking
+// out of it. Run returns the error, the clock stays at the failing
+// instant, and the error is sticky across further Run calls.
+func TestSubmitFailuresStopTheRun(t *testing.T) {
+	for _, tc := range []struct {
+		kind   string
+		submit func(c *Cluster, at time.Duration) error
+	}{
+		{"batch", func(c *Cluster, at time.Duration) error {
+			return c.SubmitBatchJob(BatchJobOptions{Name: "j", SubmitAt: at})
+		}},
+		{"hpc", func(c *Cluster, at time.Duration) error {
+			return c.SubmitHPCJob(HPCJobOptions{Name: "j", Ranks: 2, SubmitAt: at})
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			c, err := New(Options{Seed: 3, Nodes: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, at := range []time.Duration{5 * time.Minute, 12 * time.Minute} {
+				if err := tc.submit(c, at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = c.Run(time.Hour)
+			if err == nil || !strings.Contains(err.Error(), tc.kind+" submit j") || !strings.Contains(err.Error(), "already submitted") {
+				t.Fatalf("Run = %v, want a %s duplicate-submit error", err, tc.kind)
+			}
+			if c.Now() != 12*time.Minute {
+				t.Errorf("Now = %v, want the failing instant 12m", c.Now())
+			}
+			if again := c.Run(time.Hour); again == nil || again.Error() != err.Error() || c.Now() != 12*time.Minute {
+				t.Errorf("second Run = %v at %v, want the same error at 12m", again, c.Now())
+			}
+		})
 	}
 }
 

@@ -54,9 +54,13 @@ func DefaultRetryConfig() RetryConfig {
 	return RetryConfig{MaxAttempts: 3, Base: 2 * time.Second, Cap: 30 * time.Second, Jitter: 0.25}
 }
 
+// DefaultInterval is the control period when LoopConfig.Interval is
+// zero.
+const DefaultInterval = 15 * time.Second
+
 // LoopConfig parameterises a control loop.
 type LoopConfig struct {
-	// Interval is the control period.
+	// Interval is the control period (DefaultInterval when zero).
 	Interval time.Duration
 	// Seed drives the retry jitter. The loop's RNG is independent of the
 	// simulation engine's streams, so retries (which only happen under
@@ -181,7 +185,7 @@ type retryEntry struct {
 // Start once.
 func NewLoop(eng *sim.Engine, plant Plant, cfg LoopConfig) *Loop {
 	if cfg.Interval <= 0 {
-		cfg.Interval = 15 * time.Second
+		cfg.Interval = DefaultInterval
 	}
 	if cfg.Retry.MaxAttempts <= 0 {
 		cfg.Retry.MaxAttempts = DefaultRetryConfig().MaxAttempts

@@ -8,6 +8,7 @@ import (
 	"evolve/internal/chaos"
 	"evolve/internal/core"
 	"evolve/internal/workload"
+	"evolve/internal/world"
 )
 
 // chaosBase is the scenario under the chaos table: one web service on a
@@ -22,7 +23,7 @@ func chaosBase(seed int64) Scenario {
 		Name:            "chaos",
 		Seed:            seed,
 		Nodes:           4,
-		NodeCapacity:    StandardNode(),
+		NodeCapacity:    world.DefaultNodeShape(),
 		Duration:        75 * time.Minute,
 		Warmup:          10 * time.Minute,
 		ControlInterval: 15 * time.Second,

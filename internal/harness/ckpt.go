@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"evolve"
+	"evolve/internal/control"
 )
 
 // Table 8 exercises the crash-consistency layer end to end, so unlike
@@ -18,7 +19,7 @@ const (
 	ckptTableWarmup = 10 * time.Minute
 	// ckptTableInterval is the control interval the recovery-period
 	// column is denominated in (the facade default).
-	ckptTableInterval = 15 * time.Second
+	ckptTableInterval = control.DefaultInterval
 	// rejoinWindow is how long the crashed run's control trajectory
 	// must track the no-crash run's before it counts as rejoined.
 	rejoinWindow = 5 * time.Minute

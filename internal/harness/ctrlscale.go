@@ -7,7 +7,6 @@ import (
 	"evolve/internal/cluster"
 	"evolve/internal/control"
 	"evolve/internal/core"
-	"evolve/internal/sim"
 )
 
 // Figure 12 — control-plane scalability. Figure 6 made the telemetry
@@ -83,7 +82,7 @@ func DefaultCtrlScaleConfig(seed int64, quick bool) CtrlScaleConfig {
 // Unlike Figure 6 the rows are not content-address cached: each row is
 // seconds of wall clock, and the runner is accepted only for signature
 // symmetry with the other sweeps.
-func Figure12(_ *Runner, cfg CtrlScaleConfig) (*Figure, []CtrlScaleRow, error) {
+func Figure12(cfg CtrlScaleConfig) (*Figure, []CtrlScaleRow, error) {
 	if len(cfg.Points) == 0 {
 		cfg.Points = DefaultCtrlScalePoints(false)
 	}
@@ -133,43 +132,26 @@ type ctrlScaleRun struct {
 // newCtrlScaleRun stands up one fleet, arms the EVOLVE controllers,
 // and runs one untimed warmup control period.
 func newCtrlScaleRun(seed int64, pt CtrlScalePoint) (*ctrlScaleRun, error) {
-	eng := sim.NewEngine(seed)
-	c := cluster.New(eng, cluster.DefaultConfig())
 	pods := pt.Apps * pt.PodsPerApp
 	density := (pods + pt.Nodes - 1) / pt.Nodes
 	specs := make([]cluster.ServiceSpec, pt.Apps)
 	for i := range specs {
 		specs[i] = scaleService(fmt.Sprintf("svc-%04d", i), pt.PodsPerApp, density)
 	}
-	err := c.ProvisionBulk(cluster.Provision{
-		NodePrefix:   "node",
-		Nodes:        pt.Nodes,
-		NodeCapacity: StandardNode(),
-		Services:     specs,
-	})
+	c, err := provisionScale(seed, cluster.DefaultConfig(), pt.Nodes, specs)
 	if err != nil {
 		return nil, fmt.Errorf("harness: ctrl scale point %d apps: %w", pt.Apps, err)
 	}
-	if unplaced := c.Metrics().Counter("provision/unplaced").Value(); unplaced > 0 {
-		return nil, fmt.Errorf("harness: ctrl scale point %d apps: %d replicas did not fit", pt.Apps, unplaced)
-	}
-	for _, spec := range specs {
-		lambda := 20 * float64(spec.InitialReplicas)
-		if err := c.SetLoadFunc(spec.Name, func(time.Duration) float64 { return lambda }); err != nil {
-			return nil, err
-		}
-	}
-	c.Start()
-	loop := control.NewLoop(eng, c, control.LoopConfig{Seed: seed})
+	loop := control.NewLoop(c.Engine(), c, control.LoopConfig{Seed: seed})
 	factory := core.Factory(core.DefaultConfig())
 	for _, spec := range specs {
 		loop.Add(spec.Name, factory(spec.Name))
 	}
-	run := &ctrlScaleRun{c: c, loop: loop, period: 15 * time.Second}
+	run := &ctrlScaleRun{c: c, loop: loop, period: control.DefaultInterval}
 	loop.OnFatal(func(err error) {
 		if run.runErr == nil {
 			run.runErr = err
-			eng.Stop()
+			c.Engine().Stop()
 		}
 	})
 	loop.Start()

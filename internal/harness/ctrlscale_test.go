@@ -11,7 +11,7 @@ func TestFigure12Smoke(t *testing.T) {
 		Points:  []CtrlScalePoint{{Apps: 8, PodsPerApp: 4, Nodes: 16}, {Apps: 12, PodsPerApp: 2, Nodes: 16}},
 		Periods: 2,
 	}
-	fig, rows, err := Figure12(nil, cfg)
+	fig, rows, err := Figure12(cfg)
 	if err != nil {
 		t.Fatalf("Figure12: %v", err)
 	}

@@ -12,11 +12,8 @@ import (
 	"evolve/internal/resource"
 	"evolve/internal/sched"
 	"evolve/internal/workload"
+	"evolve/internal/world"
 )
-
-// StandardNode is the node shape used across the evaluation: 16 cores,
-// 64 GiB, 1 GB/s disk, 2 GB/s network.
-func StandardNode() resource.Vector { return resource.New(16000, 64<<30, 1e9, 2e9) }
 
 // StandardPolicies returns the five policies of the headline comparison.
 // Static requests appear twice because a user who never adjusts them must
@@ -113,7 +110,7 @@ func BuildScenario(mix Mix, seed int64) Scenario {
 		Name:            string(mix),
 		Seed:            seed,
 		Nodes:           5,
-		NodeCapacity:    StandardNode(),
+		NodeCapacity:    world.DefaultNodeShape(),
 		Duration:        2 * time.Hour,
 		Warmup:          10 * time.Minute,
 		ControlInterval: 15 * time.Second,
@@ -248,7 +245,7 @@ func Table2(r *Runner, seed int64) (*Table, error) {
 			Name:            "ablation-" + a.String(),
 			Seed:            seed,
 			Nodes:           5,
-			NodeCapacity:    StandardNode(),
+			NodeCapacity:    world.DefaultNodeShape(),
 			Duration:        50 * time.Minute,
 			Warmup:          5 * time.Minute,
 			ControlInterval: 15 * time.Second,

@@ -13,6 +13,7 @@ import (
 	"evolve/internal/resource"
 	"evolve/internal/sched"
 	"evolve/internal/workload"
+	"evolve/internal/world"
 )
 
 // hpaPolicy is the standard HPA factory used in extension figures.
@@ -89,7 +90,7 @@ func Figure8(r *Runner, seed int64) (*Figure, error) {
 		Columns: []string{"web latency (ms)", "web ready replicas", "cluster pending pods"},
 	}
 	sc := Scenario{
-		Name: "failure", Seed: seed, Nodes: 4, NodeCapacity: StandardNode(),
+		Name: "failure", Seed: seed, Nodes: 4, NodeCapacity: world.DefaultNodeShape(),
 		Duration: 70 * time.Minute, Warmup: 5 * time.Minute,
 		ControlInterval: 15 * time.Second,
 		Apps: []AppLoad{{
@@ -153,7 +154,7 @@ func Figure9(r *Runner, seed int64) (*Figure, error) {
 		spec := workload.Service(workload.Web, "web", base, 2)
 		spec.StartupDelay = delay
 		sc := Scenario{
-			Name: "startup", Seed: seed, Nodes: 8, NodeCapacity: StandardNode(),
+			Name: "startup", Seed: seed, Nodes: 8, NodeCapacity: world.DefaultNodeShape(),
 			Duration: 40 * time.Minute, Warmup: 5 * time.Minute,
 			ControlInterval: 15 * time.Second,
 			Apps: []AppLoad{{
@@ -239,7 +240,7 @@ func Table6(r *Runner, seed int64) (*Table, error) {
 		sc := Scenario{
 			Name:            "silos",
 			Seed:            seed,
-			NodeCapacity:    StandardNode(),
+			NodeCapacity:    world.DefaultNodeShape(),
 			Duration:        2 * time.Hour,
 			Warmup:          10 * time.Minute,
 			ControlInterval: 15 * time.Second,
@@ -312,7 +313,7 @@ func Figure11(r *Runner, seed int64) (*Figure, error) {
 		// so parallel runs stay deterministic.
 		pattern := workload.NewMMPP(base, base*ratio, 8*time.Minute, 2*time.Minute, seed+int64(ratio))
 		sc := Scenario{
-			Name: "burst", Seed: seed, Nodes: 8, NodeCapacity: StandardNode(),
+			Name: "burst", Seed: seed, Nodes: 8, NodeCapacity: world.DefaultNodeShape(),
 			Duration: 2 * time.Hour, Warmup: 10 * time.Minute,
 			ControlInterval: 15 * time.Second,
 			Apps: []AppLoad{{

@@ -12,6 +12,7 @@ import (
 	"evolve/internal/resource"
 	"evolve/internal/sim"
 	"evolve/internal/workload"
+	"evolve/internal/world"
 )
 
 // seriesPoints extracts (t, value) pairs from a cluster metric series.
@@ -140,7 +141,7 @@ func Figure3(r *Runner, seed int64) (*Figure, []StepStats, error) {
 	stepAt := 10 * time.Minute
 	mkScenario := func() Scenario {
 		return Scenario{
-			Name: "step", Seed: seed, Nodes: 10, NodeCapacity: StandardNode(),
+			Name: "step", Seed: seed, Nodes: 10, NodeCapacity: world.DefaultNodeShape(),
 			Duration: 40 * time.Minute, Warmup: 5 * time.Minute,
 			ControlInterval: 15 * time.Second,
 			Apps: []AppLoad{{

@@ -19,8 +19,8 @@ import (
 	"evolve/internal/obs"
 	"evolve/internal/resource"
 	"evolve/internal/sched"
-	"evolve/internal/sim"
 	"evolve/internal/workload"
+	"evolve/internal/world"
 )
 
 // AppLoad pairs a service spec with its offered-load pattern.
@@ -42,11 +42,7 @@ type TimedHPC struct {
 }
 
 // NodePool declares a labeled group of identical nodes.
-type NodePool struct {
-	Name   string
-	Count  int
-	Labels map[string]string
-}
+type NodePool = world.Pool
 
 // Scenario describes one complete experiment environment.
 type Scenario struct {
@@ -233,33 +229,24 @@ func runScenario(sc Scenario, pol Policy, hooks []Hook, tr *obs.Tracer) (*Result
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if sc.ControlInterval <= 0 {
-		sc.ControlInterval = 15 * time.Second
+	w, err := world.New(world.Config{
+		Seed:             sc.Seed,
+		Nodes:            sc.Nodes,
+		NodeShape:        sc.NodeCapacity,
+		Pools:            sc.Pools,
+		ControlInterval:  sc.ControlInterval,
+		SchedulerPolicy:  sc.SchedulerPolicy,
+		MeasurementNoise: sc.MeasurementNoise,
+		Shards:           sc.Shards,
+		ShardWorkers:     sc.ShardWorkers,
+		Chaos:            sc.Chaos,
+		HPCPolicy:        sc.HPCPolicy,
+		Tracer:           tr,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: scenario %s: %w", sc.Name, err)
 	}
-	eng := sim.NewEngine(sc.Seed)
-	ccfg := cluster.DefaultConfig()
-	ccfg.SchedulerPolicy = sc.SchedulerPolicy
-	if sc.MeasurementNoise > 0 {
-		ccfg.MeasurementNoise = sc.MeasurementNoise
-	}
-	ccfg.Shards = sc.Shards
-	ccfg.ShardWorkers = sc.ShardWorkers
-	c := cluster.New(eng, ccfg)
-	c.SetTracer(tr)
-	if len(sc.Pools) > 0 {
-		for _, pool := range sc.Pools {
-			for i := 0; i < pool.Count; i++ {
-				name := fmt.Sprintf("%s-%d", pool.Name, i)
-				if err := c.AddLabeledNode(name, sc.NodeCapacity, pool.Labels); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else if err := c.AddNodes("node", sc.Nodes, sc.NodeCapacity); err != nil {
-		return nil, err
-	}
-
-	controllers := make(map[string]control.Controller, len(sc.Apps))
+	c := w.Cluster
 	for _, a := range sc.Apps {
 		spec := a.Spec
 		if pol.Overprovision > 0 && pol.Overprovision != 1 {
@@ -271,81 +258,45 @@ func runScenario(sc Scenario, pol Policy, hooks []Hook, tr *obs.Tracer) (*Result
 		if err := c.SetLoadFunc(spec.Name, a.Pattern.Rate); err != nil {
 			return nil, err
 		}
-		controllers[spec.Name] = pol.Factory(spec.Name)
+		w.Loop.Add(spec.Name, pol.Factory(spec.Name))
 	}
 
-	// Any error raised inside an event callback stops the engine and
-	// fails the run: a bad scenario fails its own result instead of
-	// panicking a whole parallel sweep.
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-			eng.Stop()
-		}
-	}
-
-	// Batch and HPC streams.
-	runner := batch.NewRunner(c)
+	// A submission refused inside an event callback fails the world:
+	// a bad scenario fails its own result instead of panicking a whole
+	// parallel sweep.
 	for _, tb := range sc.BatchJobs {
 		job := tb.Job
-		eng.At(tb.At, func() {
-			if err := runner.Submit(job); err != nil {
-				fail(fmt.Errorf("harness: batch submit %s: %w", job.Name, err))
+		w.Engine.At(tb.At, func() {
+			if err := w.Runner.Submit(job); err != nil {
+				w.Fail(fmt.Errorf("batch submit %s: %w", job.Name, err))
 			}
 		})
 	}
-	var queue *hpc.Queue
-	if len(sc.HPCJobs) > 0 {
-		queue = hpc.NewQueue(c, sc.HPCPolicy)
-		for _, th := range sc.HPCJobs {
-			job := th.Job
-			eng.At(th.At, func() {
-				if err := queue.Submit(job); err != nil {
-					fail(fmt.Errorf("harness: hpc submit %s: %w", job.Name, err))
-				}
-			})
-		}
+	for _, th := range sc.HPCJobs {
+		job := th.Job
+		w.Engine.At(th.At, func() {
+			if err := w.Queue.Submit(job); err != nil {
+				w.Fail(fmt.Errorf("hpc submit %s: %w", job.Name, err))
+			}
+		})
 	}
-
 	for _, h := range hooks {
 		do := h.Do
-		eng.At(h.At, func() { do(c) })
-	}
-
-	// Chaos: compile and install the fault plan, seeded from the scenario
-	// seed so (seed, plan) replays identically.
-	if sc.Chaos != "" {
-		plan, err := chaos.Parse(sc.Chaos)
-		if err != nil {
-			return nil, fmt.Errorf("harness: scenario %s: %w", sc.Name, err)
-		}
-		inj := chaos.NewInjector(plan, sc.Seed)
-		c.SetChaos(inj)
-		inj.Arm(eng, c)
+		w.Engine.At(h.At, func() { do(c) })
 	}
 
 	c.Start()
-	// Control loop: the shared hardened driver (degraded-mode wrapper,
-	// retry ladder). On fault-free runs it traces and decides exactly as
-	// the old inline loop did.
-	loop := control.NewLoop(eng, c, control.LoopConfig{Interval: sc.ControlInterval, Seed: sc.Seed})
-	loop.SetTracer(c.Tracer())
-	loop.OnFatal(func(err error) { fail(fmt.Errorf("harness: control: %w", err)) })
-	for name, ctrl := range controllers {
-		loop.Add(name, ctrl)
-	}
-	loop.Start()
-
+	w.Loop.Start()
 	c.Run(sc.Duration)
-	if runErr != nil {
-		return nil, fmt.Errorf("harness: scenario %s under %s: %w", sc.Name, pol.Name, runErr)
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("harness: scenario %s under %s: %w", sc.Name, pol.Name, err)
 	}
-	return summarise(sc, pol, c, runner, queue, loop), nil
+	return summarise(sc, pol, w), nil
 }
 
-func summarise(sc Scenario, pol Policy, c *cluster.Cluster, runner *batch.Runner, queue *hpc.Queue, loop *control.Loop) *Result {
+func summarise(sc Scenario, pol Policy, w *world.World) *Result {
 	from, to := sc.Warmup, sc.Duration
+	c := w.Cluster
 	met := c.Metrics()
 	res := &Result{Scenario: sc.Name, Policy: pol.Name, Cluster: c}
 
@@ -378,14 +329,10 @@ func summarise(sc Scenario, pol Policy, c *cluster.Cluster, runner *batch.Runner
 	res.Unschedulable = met.Counter("sched/unschedulable").Value()
 	res.Evictions = met.Counter("evictions/preempted").Value() + met.Counter("evictions/node-failure").Value() + met.Counter("evictions/killed").Value()
 
-	if queue != nil {
-		res.HPCMeanWait, res.HPCMeanRuntime, res.HPCCompleted = queue.Stats()
-	}
-	if runner != nil {
-		st := met.Series("batch/makespan").AllStats()
-		res.BatchCompleted = st.Count
-		res.BatchMakespan = time.Duration(st.Mean * float64(time.Second))
-	}
+	res.HPCMeanWait, res.HPCMeanRuntime, res.HPCCompleted = w.Queue.Stats()
+	st := met.Series("batch/makespan").AllStats()
+	res.BatchCompleted = st.Count
+	res.BatchMakespan = time.Duration(st.Mean * float64(time.Second))
 	bill := cost.Summarise(met, sc.NodeCapacity.Scale(0.94), sc.Nodes, from, to,
 		cost.DefaultPricing(), cost.DefaultPowerModel())
 	res.Dollars, res.WattHour = bill.Dollars, bill.WattHour
@@ -397,7 +344,7 @@ func summarise(sc Scenario, pol Policy, c *cluster.Cluster, runner *batch.Runner
 		res.ActuationFaults = st.Rejected + st.Delayed + st.Partial
 		res.NodeCrashes = st.NodeCrashes
 	}
-	ls := loop.Stats()
+	ls := w.Loop.Stats()
 	res.Retries = ls.Retries
 	res.Abandoned = ls.Abandoned
 	res.DegradedPeriods = ls.DegradedPeriods

@@ -13,6 +13,7 @@ import (
 	"evolve/internal/metrics"
 	"evolve/internal/resource"
 	"evolve/internal/workload"
+	"evolve/internal/world"
 )
 
 // tinyScenario is a fast scenario for harness-mechanics tests.
@@ -21,7 +22,7 @@ func tinyScenario() Scenario {
 		Name:            "tiny",
 		Seed:            7,
 		Nodes:           3,
-		NodeCapacity:    StandardNode(),
+		NodeCapacity:    world.DefaultNodeShape(),
 		Duration:        20 * time.Minute,
 		Warmup:          2 * time.Minute,
 		ControlInterval: 15 * time.Second,

@@ -10,6 +10,7 @@ import (
 	"evolve/internal/resource"
 	"evolve/internal/sched"
 	"evolve/internal/sim"
+	"evolve/internal/world"
 )
 
 // syntheticObservation builds a plausible observation for overhead
@@ -79,8 +80,8 @@ func overheadSnapshot(nodes int) (*sched.Scheduler, *sched.Snapshot) {
 	for i := 0; i < nodes; i++ {
 		snap.AddNode(sched.NodeInfo{
 			Name:        fmt.Sprintf("node-%04d", i),
-			Allocatable: StandardNode(),
-			Allocated:   StandardNode().Scale(rng.Uniform(0.1, 0.8)),
+			Allocatable: world.DefaultNodeShape(),
+			Allocated:   world.DefaultNodeShape().Scale(rng.Uniform(0.1, 0.8)),
 		})
 	}
 	snap.Build()

@@ -30,10 +30,9 @@ type Runner struct {
 	sem      chan struct{}
 	traceDir string
 
-	mu       sync.Mutex
-	cache    map[string]*runEntry
-	scaleDir string // on-disk scale-row cache root (scalecache.go); "" = off
-	stats    RunnerStats
+	mu    sync.Mutex
+	cache map[string]*runEntry
+	stats RunnerStats
 }
 
 // RunnerStats counts what the runner actually did.
@@ -46,9 +45,6 @@ type RunnerStats struct {
 	// Uncacheable is the number of runs whose scenario could not be
 	// fingerprinted (or carried hooks) and executed outside the cache.
 	Uncacheable uint64
-	// ScaleHits is the number of Figure 6 scale rows served from the
-	// on-disk scale-row cache (scalecache.go) instead of being re-run.
-	ScaleHits uint64
 }
 
 // RunJob is one unit of work for RunMany. Jobs with hooks bypass the

@@ -9,6 +9,7 @@ import (
 	"evolve/internal/plo"
 	"evolve/internal/resource"
 	"evolve/internal/sim"
+	"evolve/internal/world"
 )
 
 // Figure 6 — simulation-kernel scalability. The old control-plane
@@ -108,11 +109,8 @@ func DefaultScaleConfig(seed int64, quick bool) ScaleConfig {
 
 // Figure6 runs the kernel scale sweep and returns both the rendered
 // figure (X = pods, one ms/tick column per shard count) and the raw
-// per-run rows. Rows are content-addressed through the runner's scale
-// cache (scalecache.go) when one is configured: a re-run of the same
-// binary with the same parameters serves the sweep from disk.
-func Figure6(r *Runner, cfg ScaleConfig) (*Figure, []ScaleRow, error) {
-	r = ensureRunner(r)
+// per-run rows.
+func Figure6(cfg ScaleConfig) (*Figure, []ScaleRow, error) {
 	if len(cfg.Shards) == 0 {
 		cfg.Shards = []int{1, 4, 8}
 	}
@@ -132,7 +130,7 @@ func Figure6(r *Runner, cfg ScaleConfig) (*Figure, []ScaleRow, error) {
 	}
 	rows := make([]ScaleRow, 0, len(cfg.Points)*len(cfg.Shards))
 	for _, pt := range cfg.Points {
-		ptRows, err := runScalePointSet(r, cfg, pt)
+		ptRows, err := runScalePointSet(cfg, pt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -161,7 +159,7 @@ func scaleService(name string, replicas, density int) cluster.ServiceSpec {
 	if density < 1 {
 		density = 1
 	}
-	node := StandardNode().Scale(0.94)
+	node := world.DefaultNodeShape().Scale(0.94)
 	req := resource.New(500, 1<<30, 1e6, 1e6)
 	for _, k := range resource.Kinds() {
 		if cap := node[k] / float64(density) * 0.9; req[k] > cap {
@@ -236,24 +234,41 @@ type scaleRun struct {
 // newScaleRun stands up one topology under the given shard count and
 // runs the untimed warmup tick (caches, free lists, branch predictors).
 func newScaleRun(seed int64, pt ScalePoint, shards, workers int) (*scaleRun, error) {
-	eng := sim.NewEngine(seed)
 	ccfg := cluster.DefaultConfig()
 	ccfg.Shards = shards
 	ccfg.ShardWorkers = workers
-	c := cluster.New(eng, ccfg)
 	density := (pt.Pods + pt.Nodes - 1) / pt.Nodes
-	specs := scaleServices(pt.Pods, density)
-	err := c.ProvisionBulk(cluster.Provision{
-		NodePrefix:   "node",
-		Nodes:        pt.Nodes,
-		NodeCapacity: StandardNode(),
-		Services:     specs,
-	})
+	c, err := provisionScale(seed, ccfg, pt.Nodes, scaleServices(pt.Pods, density))
 	if err != nil {
 		return nil, fmt.Errorf("harness: scale point %d/%d: %w", pt.Nodes, pt.Pods, err)
 	}
+	run := &scaleRun{shards: shards, c: c, interva: ccfg.MetricsInterval}
+	run.horizon = run.interva
+	c.Run(run.horizon)
+	run.pb = c.EnablePhaseTiming()
+	run.rounds0, _ = c.Coordinator().Rounds()
+	return run, nil
+}
+
+// provisionScale stands up a scale-ladder cluster: the services are
+// bulk-placed on default-shape nodes (every replica must fit), each
+// serves a constant 20 ops/s per replica, and the tick is started. The
+// ladders do not build through world.New: they need no control loop or
+// HPC queue, and the queue's dispatch timer would add events to the
+// Figure 6 rows.
+func provisionScale(seed int64, ccfg cluster.Config, nodes int, specs []cluster.ServiceSpec) (*cluster.Cluster, error) {
+	c := cluster.New(sim.NewEngine(seed), ccfg)
+	err := c.ProvisionBulk(cluster.Provision{
+		NodePrefix:   "node",
+		Nodes:        nodes,
+		NodeCapacity: world.DefaultNodeShape(),
+		Services:     specs,
+	})
+	if err != nil {
+		return nil, err
+	}
 	if unplaced := c.Metrics().Counter("provision/unplaced").Value(); unplaced > 0 {
-		return nil, fmt.Errorf("harness: scale point %d/%d: %d replicas did not fit", pt.Nodes, pt.Pods, unplaced)
+		return nil, fmt.Errorf("%d replicas did not fit", unplaced)
 	}
 	for _, spec := range specs {
 		lambda := 20 * float64(spec.InitialReplicas)
@@ -262,12 +277,7 @@ func newScaleRun(seed int64, pt ScalePoint, shards, workers int) (*scaleRun, err
 		}
 	}
 	c.Start()
-	run := &scaleRun{shards: shards, c: c, interva: ccfg.MetricsInterval}
-	run.horizon = run.interva
-	c.Run(run.horizon)
-	run.pb = c.EnablePhaseTiming()
-	run.rounds0, _ = c.Coordinator().Rounds()
-	return run, nil
+	return c, nil
 }
 
 // rep drives ticks metric ticks and keeps the fastest rep's wall time.
@@ -316,41 +326,24 @@ func (sr *scaleRun) row(pt ScalePoint, workers, ticks int) ScaleRow {
 // shard counts; min-of-reps then discards it everywhere equally. All
 // clusters of the point stay provisioned until its rows freeze, which
 // peaks at shard-count × topology resident — fine even at the 1M-pod
-// top of the ladder. Cached rows skip provisioning entirely.
-func runScalePointSet(r *Runner, cfg ScaleConfig, pt ScalePoint) ([]ScaleRow, error) {
-	rows := make([]ScaleRow, len(cfg.Shards))
-	keys := make([]string, len(cfg.Shards))
+// top of the ladder.
+func runScalePointSet(cfg ScaleConfig, pt ScalePoint) ([]ScaleRow, error) {
 	runs := make([]*scaleRun, len(cfg.Shards))
-	live := false
 	for i, shards := range cfg.Shards {
-		keys[i] = scaleRowKey(cfg.Seed, pt, shards, cfg.Workers, cfg.Ticks)
-		if row, hit := r.cachedScaleRow(keys[i]); hit {
-			rows[i] = row
-			continue
-		}
 		run, err := newScaleRun(cfg.Seed, pt, shards, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
 		runs[i] = run
-		live = true
-	}
-	if !live {
-		return rows, nil
 	}
 	for rep := 0; rep < scaleReps; rep++ {
 		for _, run := range runs {
-			if run != nil {
-				run.rep(cfg.Ticks)
-			}
+			run.rep(cfg.Ticks)
 		}
 	}
+	rows := make([]ScaleRow, len(runs))
 	for i, run := range runs {
-		if run == nil {
-			continue
-		}
 		rows[i] = run.row(pt, cfg.Workers, cfg.Ticks)
-		r.storeScaleRow(keys[i], rows[i])
 		runs[i] = nil // release the topology before the next point provisions
 	}
 	return rows, nil

@@ -9,6 +9,7 @@ import (
 	"evolve/internal/core"
 	"evolve/internal/resource"
 	"evolve/internal/workload"
+	"evolve/internal/world"
 )
 
 // TestStressConvergedAtScale runs a 40-node cluster with 16 diurnal
@@ -43,7 +44,7 @@ func TestStressConvergedAtScale(t *testing.T) {
 		Name:            "stress",
 		Seed:            99,
 		Nodes:           40,
-		NodeCapacity:    StandardNode(),
+		NodeCapacity:    world.DefaultNodeShape(),
 		Duration:        4 * time.Hour,
 		Warmup:          15 * time.Minute,
 		ControlInterval: 15 * time.Second,

@@ -76,6 +76,20 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy is the inverse of Policy.String, in any case. The empty
+// name means Backfill.
+func ParsePolicy(name string) (Policy, error) {
+	if name == "" {
+		return Backfill, nil
+	}
+	for _, p := range []Policy{FCFS, Backfill, EASY} {
+		if strings.EqualFold(name, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown hpc queue %q (want backfill, easy or fcfs)", name)
+}
+
 type jobState struct {
 	spec        JobSpec
 	submittedAt time.Duration

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"evolve/internal/cluster"
@@ -44,6 +46,20 @@ func (a Archetype) String() string {
 
 // Archetypes lists all service archetypes.
 func Archetypes() []Archetype { return []Archetype{Web, Gateway, KVStore, Inference} }
+
+// ParseArchetype is the inverse of Archetype.String, in any case. The
+// empty name means Web.
+func ParseArchetype(name string) (Archetype, error) {
+	if name == "" {
+		return Web, nil
+	}
+	for _, a := range Archetypes() {
+		if strings.EqualFold(name, a.String()) {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown archetype %q (want web, gateway, kvstore or inference)", name)
+}
 
 // Service builds a ServiceSpec for the archetype, sized so that
 // initialReplicas at the initial allocation comfortably serve baseRate
