@@ -60,11 +60,12 @@ bench-compare:
 
 # bench-sched is the scheduler hot-path regression smoke: the sched
 # benchmarks at a fixed iteration count (so -benchtime noise cannot mask
-# a panic or a blow-up) plus the steady-state allocation gates — a
-# regression in either fails the job.
+# a panic or a blow-up), the steady-state allocation gates, and the
+# drain's deterministic probe-count gate (TestDrainProbesPerReplica) — a
+# regression in any fails the job.
 bench-sched:
 	$(GO) test ./internal/sched -run 'SteadyStateAllocs' -bench . -benchtime 100x -count 1 -v
-	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs' -bench 'BenchmarkScheduleGang|BenchmarkSchedulePending/pods-500$$' -benchtime 20x -count 1
+	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs|TestDrainProbesPerReplica' -bench 'BenchmarkScheduleGang|BenchmarkSchedulePending/pods-500$$' -benchtime 20x -count 1
 
 # bench-obs is the observability overhead job: the span-off vs span-on
 # tick pair (BenchmarkTick vs BenchmarkTickTraced — installing a tracer

@@ -134,13 +134,12 @@ type report struct {
 // summary closes a -json stream: total wall-clock plus runner counters,
 // the bench trajectory future PRs compare against.
 type summary struct {
-	ID          string     `json:"id"`
-	TotalWallMS float64    `json:"total_wall_ms"`
-	Workers     int        `json:"workers"`
-	Runs        uint64     `json:"runs"`
-	CacheHits   uint64     `json:"cache_hits"`
-	Uncacheable uint64     `json:"uncacheable"`
-	SchedIndex  schedIndex `json:"sched_index"`
+	ID          string  `json:"id"`
+	TotalWallMS float64 `json:"total_wall_ms"`
+	Workers     int     `json:"workers"`
+	Runs        uint64  `json:"runs"`
+	CacheHits   uint64  `json:"cache_hits"`
+	Uncacheable uint64  `json:"uncacheable"`
 	// Shards echoes the -shards flag (0 = default {1,4,8} sweep); Scale
 	// holds figure6's raw rows — wall-clock, ns/op and per-shard event
 	// counts per (topology, shard count) run — when figure6 was selected.
@@ -153,31 +152,6 @@ type summary struct {
 	// the scale rows — what ShardWorkers=0 actually ran with on this
 	// machine (min(shards, GOMAXPROCS)).
 	EffectiveWorkers int `json:"effective_workers,omitempty"`
-}
-
-// schedIndex records the scheduler feasibility index's effectiveness on
-// a fixed mixed workload (see harness.SchedIndexStats): how many node
-// probes the per-resource prefixes saved.
-type schedIndex struct {
-	Nodes      int     `json:"nodes"`
-	Pods       int     `json:"pods"`
-	Probed     uint64  `json:"probed"`
-	Pruned     uint64  `json:"pruned"`
-	PrunedFrac float64 `json:"pruned_frac"`
-}
-
-// measureSchedIndex runs the fixed index-effectiveness workload.
-func measureSchedIndex() schedIndex {
-	const nodes, pods = 512, 5000
-	st := harness.SchedIndexStats(nodes, pods)
-	si := schedIndex{
-		Nodes: nodes, Pods: pods,
-		Probed: st.Probed, Pruned: st.Pruned,
-	}
-	if total := st.Probed + st.Pruned; total > 0 {
-		si.PrunedFrac = float64(st.Pruned) / float64(total)
-	}
-	return si
 }
 
 func main() {
@@ -305,7 +279,6 @@ func main() {
 			Runs:             st.Runs,
 			CacheHits:        st.CacheHits,
 			Uncacheable:      st.Uncacheable,
-			SchedIndex:       measureSchedIndex(),
 			Shards:           *shards,
 			Scale:            opts.scaleRows,
 			CtrlScale:        opts.ctrlRows,

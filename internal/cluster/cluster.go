@@ -142,18 +142,21 @@ type Cluster struct {
 	byName   []*PodObject            // every live pod, name order
 	byNode   map[string][]*PodObject // bound pods per node, name order
 	byApp    map[string][]*PodObject // live service replicas per app, (CreatedAt, name) order
-	pending  []*PodObject            // pending pods: priority desc, FIFO, name
+	pending  []*PodObject            // pending pods: priority desc, FIFO, name (see draining)
 	nodeList []*NodeObject           // every node, name order
 	appList  []*appState             // services, name order
 
 	// Reusable scratch. The simulation is single-threaded and the tick
 	// never re-enters itself, so one buffer of each suffices; reuse is
 	// what makes the steady-state tick allocation-free. snap is the
-	// reusable scheduling view with its feasibility index (see
-	// sched.Snapshot): rebuilt once per scheduling round, patched in
-	// place on every bind, drained in place on node failure.
+	// reusable scheduling view with its class heap (see sched.Snapshot):
+	// rebuilt once per scheduling round, patched in place on every bind,
+	// drained in place on node failure. draining is set while a round
+	// walks its queue: binds then leave their entries in pending, and
+	// the round ends with one compaction (compactPending).
 	snap         *sched.Snapshot
 	scratchQueue []*PodObject
+	draining     bool
 	h            *clusterHandles
 
 	// Sharded kernel. co drives the shard engines under the primary
@@ -393,7 +396,7 @@ func (c *Cluster) Scheduler() *sched.Scheduler { return c.sch }
 // Each call returns freshly allocated slices, so callers (gang
 // scheduling, the public NodeInfos, queueing layers) may hold the result
 // across cluster mutations; the pending-pod loop uses the reusable
-// indexed snapshot in refreshSnapshot instead.
+// snapshot in refreshSnapshot instead.
 func (c *Cluster) nodeInfos() []sched.NodeInfo {
 	infos := make([]sched.NodeInfo, 0, len(c.nodeList))
 	for _, n := range c.nodeList {
@@ -578,10 +581,10 @@ func (c *Cluster) evict(p *PodObject, reason string) {
 // not fit stay pending (retried next tick). High-priority pods may
 // preempt strictly lower-priority ones when no node fits.
 //
-// The loop iterates a snapshot of the pending queue (binds remove from
-// the live queue, preemption evictions insert into it) against the
-// reusable scheduler snapshot: built once per round and patched after
-// each bind, instead of re-deriving every node's pod list per pod.
+// The loop iterates a copy of the pending queue (preemption evictions
+// insert into the live one) against the reusable scheduler snapshot:
+// built once per round and patched after each bind, instead of
+// re-deriving every node's pod list per pod.
 func (c *Cluster) schedulePending() {
 	if len(c.pending) == 0 {
 		return
@@ -590,15 +593,38 @@ func (c *Cluster) schedulePending() {
 	if c.phases != nil {
 		t0 = time.Now()
 	}
-	queue := append(c.scratchQueue[:0], c.pending...)
-	c.scratchQueue = queue
-	c.refreshSnapshot()
-	for _, p := range queue {
-		c.schedOne(p)
-	}
+	c.scratchQueue = append(c.scratchQueue[:0], c.pending...)
+	c.drain(c.scratchQueue)
 	if c.phases != nil {
 		c.phases.Add(perf.PhaseSchedDrain, time.Since(t0).Nanoseconds())
 	}
+}
+
+// drain places the queued pods in order. Binds leave their entries in
+// c.pending instead of paying a memmove each (indexBind), so the round
+// ends with one order-preserving pass over the queue.
+func (c *Cluster) drain(queue []*PodObject) {
+	c.refreshSnapshot()
+	c.draining = true
+	for _, p := range queue {
+		c.schedOne(p)
+	}
+	c.draining = false
+	c.compactPending()
+}
+
+// compactPending keeps the pods still Pending, in order, and drops
+// adjacent duplicates: a pod bound earlier in the round and then
+// preempted is re-queued next to its own stale entry.
+func (c *Cluster) compactPending() {
+	kept := c.pending[:0]
+	for _, p := range c.pending {
+		if p.Phase == Pending && (len(kept) == 0 || kept[len(kept)-1] != p) {
+			kept = append(kept, p)
+		}
+	}
+	clear(c.pending[len(kept):])
+	c.pending = kept
 }
 
 // schedOne is the per-pod placement step of the drain: schedule,
@@ -654,12 +680,11 @@ func (c *Cluster) schedOne(p *PodObject) {
 	}
 }
 
-// refreshSnapshot rebuilds the reusable scheduling snapshot (and its
-// feasibility index) from the incremental indexes: O(nodes + bound pods)
-// to load plus O(kinds · nodes log nodes) to index, no steady-state
+// refreshSnapshot reloads the reusable scheduling snapshot from the
+// incremental indexes: O(nodes + bound pods), no steady-state
 // allocation. Binds patch the snapshot incrementally via Commit; only
 // multi-node changes (preemption evictions, mid-round bind faults) pay
-// for a rebuild.
+// for a reload.
 func (c *Cluster) refreshSnapshot() {
 	c.snap.Reset()
 	for _, n := range c.nodeList {
@@ -676,7 +701,6 @@ func (c *Cluster) refreshSnapshot() {
 			c.snap.AddPod(sched.PodInfo{Name: p.Name, App: p.App, Requests: p.Requests, Priority: p.Priority})
 		}
 	}
-	c.snap.Build()
 }
 
 // FailNode marks a node unready and evicts its pods; service replicas
@@ -699,8 +723,8 @@ func (c *Cluster) FailNode(name string) error {
 	c.hot.slow[n.slot] = c.nodeSlowdown(n)
 	// Drain the node from the reusable scheduling snapshot in place: the
 	// entry keeps its name (error totals stay stable) but loses all
-	// capacity and its feasibility-index slots, so nothing schedules onto
-	// it this round. Without this a failure landing mid-round could
+	// capacity and is never offered again, so nothing schedules onto it
+	// this round. Without this a failure landing mid-round could
 	// re-bind the just-evicted pods onto the dead node via the stale
 	// snapshot.
 	c.snap.Fail(name)

@@ -266,7 +266,7 @@ func TestFailNodeDrainsSchedulerSnapshot(t *testing.T) {
 }
 
 // TestChaosNodeKillIndexConsistency: under the node-kill chaos profile
-// the feasibility index never offers the failed node while it is down,
+// the scheduler snapshot never offers the failed node while it is down,
 // stays internally consistent, and picks the node up again after
 // restore. Extends TestFailNodeDrainsSchedulerSnapshot to the chaos
 // path (extra replicas force scheduling rounds during the outage).

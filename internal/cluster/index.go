@@ -19,7 +19,9 @@ import "sort"
 //   - byApp[a] holds exactly the live service replicas of app a (non-task
 //     pods), ordered by (CreatedAt, name) — the appPods order;
 //   - pending holds exactly the pods with Phase == Pending, ordered by
-//     (priority desc, CreatedAt, name) — the scheduling order;
+//     (priority desc, CreatedAt, name) — the scheduling order. While a
+//     drain round runs it also keeps the entries of pods bound in the
+//     round, still in order (compactPending drops them at its end);
 //   - nodeList holds every node, ordered by name;
 //   - appList holds every service's state, ordered by name.
 //
@@ -98,9 +100,12 @@ func (c *Cluster) indexRemovePod(p *PodObject) {
 }
 
 // indexBind moves a pod from the pending queue onto its node's index.
-// Call after p.Node is set.
+// Call after p.Node is set. During a drain round the pending entry stays
+// until the round's compaction.
 func (c *Cluster) indexBind(p *PodObject) {
-	c.pending = podRemove(c.pending, p, pendingLess)
+	if !c.draining {
+		c.pending = podRemove(c.pending, p, pendingLess)
+	}
 	c.byNode[p.Node] = podInsert(c.byNode[p.Node], p, byNameLess)
 	c.hotDirtyNode(p.Node)
 	if !p.IsTask() {

@@ -26,7 +26,9 @@ import (
 //   - hot.appUsage against the last usage sample the app recorded, and
 //     per-pod usage as syncPodUsage materialises it: the app's usage on
 //     replicas serving at the last tick, zero elsewhere, the full grant
-//     on running tasks.
+//     on running tasks;
+//   - the pending queue: exactly the live Pending pods, strictly in
+//     scheduling order (so free of duplicates).
 //
 // Test and soak hook: read-only, O(pods + nodes), allocates.
 func (c *Cluster) CheckInvariants() error {
@@ -71,6 +73,30 @@ func (c *Cluster) CheckInvariants() error {
 		if _, err := c.store.Get(KindPod, p.Name); err != nil {
 			return fmt.Errorf("cluster: pod %s missing from the registry: %v", p.Name, err)
 		}
+	}
+	return c.checkPending()
+}
+
+// checkPending re-derives the pending queue: every entry a live Pending
+// pod, each strictly after the one before, and as many entries as there
+// are Pending pods.
+func (c *Cluster) checkPending() error {
+	want := 0
+	for _, p := range c.byName {
+		if p.Phase == Pending {
+			want++
+		}
+	}
+	for i, p := range c.pending {
+		if p.Phase != Pending || c.pods[p.Name] != p {
+			return fmt.Errorf("cluster: pending[%d] is %s, phase %v, live %v", i, p.Name, p.Phase, c.pods[p.Name] == p)
+		}
+		if i > 0 && !pendingLess(c.pending[i-1], p) {
+			return fmt.Errorf("cluster: pending[%d] %s does not sort after %s", i, p.Name, c.pending[i-1].Name)
+		}
+	}
+	if len(c.pending) != want {
+		return fmt.Errorf("cluster: pending queue holds %d pods, %d are Pending", len(c.pending), want)
 	}
 	return nil
 }

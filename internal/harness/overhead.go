@@ -68,10 +68,10 @@ func MeasureDecisionLatency(apps, iters int) time.Duration {
 	return elapsed / time.Duration(total)
 }
 
-// overheadSnapshot builds the scheduler and indexed snapshot the
-// placement measurements run against: the same node distribution the
-// brute-force measurement always used, loaded into the snapshot path the
-// cluster's pending-pod loop takes.
+// overheadSnapshot builds the scheduler and snapshot the placement
+// measurement runs against: the same node distribution the brute-force
+// measurement always used, loaded into the snapshot path the cluster's
+// pending-pod loop takes.
 func overheadSnapshot(nodes int) (*sched.Scheduler, *sched.Snapshot) {
 	s := sched.New(sched.PolicySpread)
 	snap := sched.NewSnapshot()
@@ -84,19 +84,23 @@ func overheadSnapshot(nodes int) (*sched.Scheduler, *sched.Snapshot) {
 			Allocated:   world.DefaultNodeShape().Scale(rng.Uniform(0.1, 0.8)),
 		})
 	}
-	snap.Build()
 	return s, snap
 }
 
 // MeasureScheduleLatency times one placement decision over a cluster of
-// the given node count: a ScheduleOn call against a steady indexed
-// snapshot, which is what the cluster pays per pending pod.
+// the given node count: a ScheduleOn call against a steady snapshot. The
+// pods alternate between two services, so every call scans all nodes —
+// the cost of a pod whose class the snapshot's heap does not hold. A
+// further replica of the previous pod's service costs O(log nodes).
 func MeasureScheduleLatency(nodes, iters int) time.Duration {
 	s, snap := overheadSnapshot(nodes)
-	pod := sched.PodInfo{Name: "p", App: "svc", Requests: resource.New(1000, 2<<30, 10e6, 10e6), Priority: 100}
+	pods := [2]sched.PodInfo{
+		{Name: "p", App: "svc-a", Requests: resource.New(1000, 2<<30, 10e6, 10e6), Priority: 100},
+		{Name: "q", App: "svc-b", Requests: resource.New(1000, 2<<30, 10e6, 10e6), Priority: 100},
+	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if _, err := s.ScheduleOn(pod, snap); err != nil {
+		if _, err := s.ScheduleOn(pods[i%2], snap); err != nil {
 			panic(err)
 		}
 	}
@@ -104,34 +108,6 @@ func MeasureScheduleLatency(nodes, iters int) time.Duration {
 		return 0
 	}
 	return time.Since(start) / time.Duration(iters)
-}
-
-// SchedIndexStats drives a mixed bind workload (varied pod sizes, so the
-// feasibility index has real pruning to do) over a cluster of the given
-// node count and returns the scheduler's probe counters — the
-// index-effectiveness record evolve-bench embeds in its JSON summary.
-func SchedIndexStats(nodes, pods int) sched.Stats {
-	s, snap := overheadSnapshot(nodes)
-	rng := sim.NewRNG(11)
-	for i := 0; i < pods; i++ {
-		// Mix small pods with near-node-sized ones: the latter only fit on
-		// the emptiest nodes, which is where prefix pruning bites.
-		cpu := rng.Uniform(200, 2000)
-		if i%4 == 0 {
-			cpu = rng.Uniform(8000, 15000)
-		}
-		pod := sched.PodInfo{
-			Name:     fmt.Sprintf("p-%04d", i),
-			App:      fmt.Sprintf("svc-%d", i%7),
-			Requests: resource.New(cpu, cpu*(1<<30)/1000, 10e6, 10e6),
-		}
-		name, err := s.ScheduleOn(pod, snap)
-		if err != nil {
-			continue // cluster full for this size: still a counted probe
-		}
-		snap.Commit(name, pod)
-	}
-	return s.Stats()
 }
 
 // Table4 reports control-plane overhead: per-decision and per-placement

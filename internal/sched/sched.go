@@ -11,9 +11,12 @@
 //   - Schedule walks a plain []NodeInfo. It is the brute-force reference:
 //     every node is probed. Use it for hypothetical queries over ad-hoc
 //     snapshots (EASY backfill, examples, tests).
-//   - ScheduleOn walks a *Snapshot, whose per-resource feasibility index
-//     prunes the probe set to the nodes that can possibly fit the pod
-//     (see snapshot.go). The cluster's pending-pod loop uses this path.
+//   - ScheduleOn reads a *Snapshot, which caches a max-heap of the
+//     feasible nodes for the last pod class it served (see snapshot.go):
+//     a run of replicas of one service costs one O(nodes) scan, then
+//     O(log nodes) per replica, because each Commit rescores only the
+//     node that received the pod. The cluster's pending-pod loop and gang
+//     placement use this path.
 //
 // Both paths are allocation-free in steady state: filters report typed,
 // preallocated Reason values instead of formatted errors, and the rich
@@ -350,14 +353,17 @@ const (
 )
 
 // Stats counts the scheduler's probe work since the last ResetStats —
-// the observability surface for the feasibility index.
+// the observability surface for the snapshot's class heap.
 type Stats struct {
 	// Calls counts Schedule/ScheduleOn invocations (gang members included).
 	Calls uint64
-	// Probed counts nodes that ran the filter/score probe.
+	// Probed counts nodes that ran the filter/score probe: every node per
+	// Schedule call, every live node per heap rebuild, and the committed
+	// node per Snapshot.Commit when it is in the cached heap.
 	Probed uint64
-	// Pruned counts nodes the feasibility index skipped without probing.
-	Pruned uint64
+	// Reused counts ScheduleOn calls answered from a cached heap, without
+	// a scan. It is high when consecutive pods share a class.
+	Reused uint64
 	// GangCalls and Preempts count the higher-level operations.
 	GangCalls uint64
 	Preempts  uint64
@@ -529,8 +535,8 @@ func (s *Scheduler) scoreNode(pod *PodInfo, node *NodeInfo, inv *resource.Vector
 // Schedule picks the best node for the pod, or returns *Unschedulable.
 // Ties break lexicographically by node name for determinism. This is the
 // brute-force reference path: every node is probed. The cluster hot path
-// uses ScheduleOn, which prunes through the snapshot's feasibility index;
-// both paths pick identical nodes (see the equivalence tests).
+// uses ScheduleOn, which reads the snapshot's class heap; both paths pick
+// identical nodes (see the equivalence tests).
 func (s *Scheduler) Schedule(pod PodInfo, nodes []NodeInfo) (string, error) {
 	s.stats.Calls++
 	s.stats.Probed += uint64(len(nodes))
@@ -556,40 +562,31 @@ func (s *Scheduler) Schedule(pod PodInfo, nodes []NodeInfo) (string, error) {
 	return nodes[best].Name, nil
 }
 
-// ScheduleOn picks the best node for the pod from the snapshot, probing
-// only the candidates the feasibility index admits. The choice is
-// byte-identical to Schedule over the same node set.
+// ScheduleOn picks the best node for the pod from the snapshot. A pod of
+// the class the snapshot's heap already serves is answered from the heap
+// top; any other pod rebuilds the heap with one scan (see snapshot.go).
+// The choice is identical to Schedule over the same live node set.
 func (s *Scheduler) ScheduleOn(pod PodInfo, snap *Snapshot) (string, error) {
 	s.schedPod = pod
 	return s.scheduleOn(&s.schedPod, snap)
 }
 
 func (s *Scheduler) scheduleOn(pod *PodInfo, snap *Snapshot) (string, error) {
-	if !snap.built {
-		snap.Build()
-	}
-	cand := snap.candidates(pod)
 	s.stats.Calls++
-	s.stats.Probed += uint64(len(cand))
-	s.stats.Pruned += uint64(snap.Live() - len(cand))
-	var best int32
-	if len(cand) == len(snap.nodes) {
-		// The index pruned nothing and no entry is drained: probe in
-		// memory order instead of chasing the free-sorted permutation —
-		// same candidates, same (score, name) total order, same winner,
-		// but sequential loads.
-		best, _ = s.bestOfAll(pod, snap)
+	if snap.serves(s, pod) {
+		s.stats.Reused++
+		snap.heapify()
 	} else {
-		best, _ = s.bestOf(pod, snap, cand)
+		snap.rebuild(s, pod)
 	}
-	if best < 0 {
+	if len(snap.heap) == 0 {
 		return "", s.unschedulable(pod, snap.nodes)
 	}
-	return snap.nodes[best].Name, nil
+	return snap.nodes[snap.heap[0]].Name, nil
 }
 
 // fitsFree reports req <= free without copying either vector; small
-// enough to inline into the probe loops.
+// enough to inline into the rebuild scan.
 func fitsFree(req, free *resource.Vector) bool {
 	for i := range req {
 		if req[i] > free[i] {
@@ -599,60 +596,10 @@ func fitsFree(req, free *resource.Vector) bool {
 	return true
 }
 
-// plainProbe reports whether the probe loops can reduce the filter
+// plainProbe reports whether the rebuild scan can reduce the filter
 // chain to a bare headroom compare: standard filters and no selector.
 func (s *Scheduler) plainProbe(pod *PodInfo) bool {
 	return s.stdFilters && len(pod.NodeSelector) == 0
-}
-
-// bestOf probes the candidate entries sequentially, returning the entry
-// with the highest (score, then lexicographically-smallest name) and its
-// score, or (-1, -Inf) when none is feasible. The common case — standard
-// filters, no node selector, built-in policy — is specialised so the
-// inner loop carries no interface or indirect calls.
-func (s *Scheduler) bestOf(pod *PodInfo, snap *Snapshot, cand []int32) (int32, float64) {
-	best := int32(-1)
-	bestScore := math.Inf(-1)
-	plain := s.plainProbe(pod)
-	for _, e := range cand {
-		node := &snap.nodes[e]
-		if plain {
-			if !fitsFree(&pod.Requests, &snap.free[e]) {
-				continue
-			}
-		} else if !s.feasible(pod, node, &snap.free[e]) {
-			continue
-		}
-		score := s.scoreNode(pod, node, &snap.inv[e])
-		if best < 0 || score > bestScore || (score == bestScore && node.Name < snap.nodes[best].Name) {
-			best, bestScore = e, score
-		}
-	}
-	return best, bestScore
-}
-
-// bestOfAll is bestOf over every entry in memory order — the
-// no-pruning fast path. Candidate sets equal to the whole entry list
-// only arise when every entry is live, so no liveness check is needed.
-func (s *Scheduler) bestOfAll(pod *PodInfo, snap *Snapshot) (int32, float64) {
-	best := int32(-1)
-	bestScore := math.Inf(-1)
-	plain := s.plainProbe(pod)
-	for e := range snap.nodes {
-		node := &snap.nodes[e]
-		if plain {
-			if !fitsFree(&pod.Requests, &snap.free[e]) {
-				continue
-			}
-		} else if !s.feasible(pod, node, &snap.free[e]) {
-			continue
-		}
-		score := s.scoreNode(pod, node, &snap.inv[e])
-		if best < 0 || score > bestScore || (score == bestScore && node.Name < snap.nodes[best].Name) {
-			best, bestScore = int32(e), score
-		}
-	}
-	return best, bestScore
 }
 
 // ScheduleGang places all pods or none (rigid HPC jobs). Placements are
@@ -690,7 +637,6 @@ func (s *Scheduler) scheduleGang(pods []PodInfo, nodes []NodeInfo, emit func(i i
 	for i := range nodes {
 		snap.AddNode(nodes[i])
 	}
-	snap.Build()
 	// Place the largest members first: hardest to fit. Size is the
 	// dominant share against the component-wise max over the gang.
 	ref := resource.New(1, 1, 1, 1)

@@ -2,59 +2,63 @@ package sched
 
 import (
 	"fmt"
-	"slices"
-	"strings"
+	"maps"
 
 	"evolve/internal/resource"
 )
 
-// Snapshot is a reusable scheduling view of the cluster: the node states
-// plus derived per-node caches (free headroom, reciprocal allocatable)
-// and a per-resource feasibility index that lets ScheduleOn probe only
-// the nodes that can possibly fit a pod.
+// Snapshot is a reusable scheduling view of the cluster: the node states,
+// derived per-node caches (free headroom, reciprocal allocatable), and a
+// score heap for the last pod class it served.
 //
-// The index keeps, for every resource kind, the live node entries sorted
-// by free capacity descending (ties: name ascending). A pod requesting r
-// of kind k can only fit on the prefix of order[k] whose free[k] >= r, so
-// the candidate set for a pod is the shortest such prefix across its
-// requested kinds. Every node feasible for the pod lies in *every*
-// kind's prefix, so probing one prefix loses nothing — the equivalence
-// with a brute-force scan is exact (see TestSnapshotEquivalence).
+// A pod's class is its (App, Requests, NodeSelector): the only pod fields
+// the standard filters and the fused policy kernels read, so two pods of
+// one class get the same node from the same snapshot. The snapshot keeps
+// one max-heap of the live entries feasible for the last class, ordered by
+// (score desc, name asc) — Schedule's argmax and tie-break — and answers
+// the next pod of that class with the heap top. A commit changes the score
+// of only the node that received the pod, whatever the pod's class, so
+// Commit rescores that one entry and restores heap order in O(log n). A
+// pod of another class, or from another Scheduler, rebuilds the heap with
+// one O(n) scan that also finds the argmax; the heapify waits for the
+// first pod that reuses the heap, so alternating classes cost no more
+// than a plain scan. Fail, Reset, AddNode and AddPod drop the heap.
+// Custom plugin sets (NewCustom) may score on any pod field, so they
+// rebuild on every call and never leave a heap behind.
 //
-// Lifecycle: Reset, AddNode (+AddPod) per node, Build, then any mix of
-// ScheduleOn / Commit / Fail. Commit and Fail maintain the index
-// incrementally; a full rebuild is only needed when node state changes
-// behind the snapshot's back. A Snapshot is not safe for concurrent
+// Lifecycle: Reset, AddNode (+AddPod) per node, then any mix of
+// ScheduleOn / Commit / Fail. A Snapshot is not safe for concurrent
 // mutation.
 type Snapshot struct {
 	nodes []NodeInfo
 	free  []resource.Vector
 	inv   []resource.Vector
-	// byName maps live node name → entry index. Failed entries are
-	// removed; len(byName) is the live count.
+	// live[e] is false once entry e has failed. byName maps live node
+	// name → entry index; len(byName) is the live count.
+	live   []bool
 	byName map[string]int32
 	// podBufs[e] is the snapshot-owned pod buffer for entry e. nodes[e].
 	// Pods aliases caller memory until the first mutation (owned[e]
 	// false), then points into podBufs[e].
 	podBufs [][]PodInfo
 	owned   []bool
-	// order[k] holds the live entries sorted by free[k] descending, name
-	// ascending; pos[k][e] is e's position in order[k] (-1 when failed).
-	order [resource.NumKinds][]int32
-	pos   [resource.NumKinds][]int32
-	built bool
 
-	stats SnapshotStats
+	// The class heap. sch is the scheduler that scored it (nil: no heap)
+	// and cls the class, with NodeSelector copied into sel so later
+	// caller edits cannot change the key. heap holds exactly the live
+	// entries feasible for cls; score[e] is entry e's score and hpos[e]
+	// its heap position (-1 when absent). Until heaped is set only
+	// heap[0] is ordered: a rebuild leaves the argmax there.
+	sch    *Scheduler
+	cls    PodInfo
+	sel    map[string]string
+	heap   []int32
+	hpos   []int32
+	score  []float64
+	heaped bool
 }
 
-// SnapshotStats counts snapshot maintenance work.
-type SnapshotStats struct {
-	Builds  uint64 // full index (re)builds
-	Commits uint64 // incremental pod commits
-	Fails   uint64 // node drains
-}
-
-// NewSnapshot returns an empty snapshot ready for Reset/AddNode/Build.
+// NewSnapshot returns an empty snapshot ready for Reset/AddNode.
 func NewSnapshot() *Snapshot {
 	return &Snapshot{byName: make(map[string]int32)}
 }
@@ -64,21 +68,18 @@ func (sn *Snapshot) Reset() {
 	sn.nodes = sn.nodes[:0]
 	sn.free = sn.free[:0]
 	sn.inv = sn.inv[:0]
+	sn.live = sn.live[:0]
 	clear(sn.byName)
 	sn.owned = sn.owned[:0]
-	for k := range sn.order {
-		sn.order[k] = sn.order[k][:0]
-		sn.pos[k] = sn.pos[k][:0]
-	}
-	sn.built = false
+	sn.sch = nil
 }
 
 // AddNode appends a node to the snapshot. info.Pods is aliased until the
 // first Commit touches the entry (copy-on-write); callers that keep
-// mutating the source slice should pass a copy or use AddPod. Call Build
-// after the last AddNode. Node names must be unique: a duplicate would
-// silently shadow the earlier entry in byName while both stay probeable
-// through the index, so AddNode panics rather than corrupt the snapshot.
+// mutating the source slice should pass a copy or use AddPod. Node names
+// must be unique: a duplicate would silently shadow the earlier entry in
+// byName while both stay probeable, so AddNode panics rather than corrupt
+// the snapshot.
 func (sn *Snapshot) AddNode(info NodeInfo) {
 	if _, dup := sn.byName[info.Name]; dup {
 		panic("sched: duplicate node name " + info.Name)
@@ -87,9 +88,10 @@ func (sn *Snapshot) AddNode(info NodeInfo) {
 	sn.nodes = append(sn.nodes, info)
 	sn.free = append(sn.free, info.Free())
 	sn.inv = append(sn.inv, invAllocatable(info.Allocatable))
+	sn.live = append(sn.live, true)
 	sn.byName[info.Name] = e
 	sn.owned = append(sn.owned, false)
-	sn.built = false
+	sn.sch = nil
 }
 
 // AddPod appends a pod to the most recently added node, using
@@ -103,6 +105,7 @@ func (sn *Snapshot) AddPod(p PodInfo) {
 	sn.ensureOwned(e)
 	sn.podBufs[e] = append(sn.podBufs[e], p)
 	sn.nodes[e].Pods = sn.podBufs[e]
+	sn.sch = nil
 }
 
 // ensureOwned moves entry e's pod list into the snapshot-owned buffer so
@@ -119,117 +122,44 @@ func (sn *Snapshot) ensureOwned(e int) {
 	sn.owned[e] = true
 }
 
-// Build (re)computes the feasibility index over the current entries.
-// ScheduleOn builds lazily, but calling it explicitly after the AddNode
-// loop keeps the build cost out of the first placement.
-func (sn *Snapshot) Build() {
-	sn.stats.Builds++
-	n := len(sn.nodes)
-	for k := range sn.order {
-		order := sn.order[k][:0]
-		for e := range sn.nodes {
-			if _, live := sn.byName[sn.nodes[e].Name]; live {
-				order = append(order, int32(e))
-			}
-		}
-		kk := k
-		slices.SortFunc(order, func(a, b int32) int {
-			fa, fb := sn.free[a][kk], sn.free[b][kk]
-			if fa != fb {
-				if fa > fb {
-					return -1
-				}
-				return 1
-			}
-			return strings.Compare(sn.nodes[a].Name, sn.nodes[b].Name)
-		})
-		sn.order[k] = order
-		pos := sn.pos[k][:0]
-		for len(pos) < n {
-			pos = append(pos, -1)
-		}
-		for i, e := range order {
-			pos[e] = int32(i)
-		}
-		sn.pos[k] = pos
-	}
-	sn.built = true
-}
-
-// Commit applies a pod placement to the snapshot: allocation, headroom,
-// pod list, and index position are all updated incrementally (the entry
-// only ever moves toward the low-headroom end of each kind's order).
-// Returns false when the node is unknown or failed.
+// Commit applies a pod placement to the snapshot: allocation, headroom
+// and pod list, then the class heap's entry for the node. Returns false
+// when the node is unknown or failed.
 func (sn *Snapshot) Commit(node string, p PodInfo) bool {
 	e, ok := sn.byName[node]
 	if !ok {
 		return false
 	}
-	sn.stats.Commits++
 	sn.nodes[e].Allocated = sn.nodes[e].Allocated.Add(p.Requests)
 	sn.free[e] = sn.nodes[e].Free()
 	sn.ensureOwned(int(e))
 	sn.podBufs[e] = append(sn.podBufs[e], p)
 	sn.nodes[e].Pods = sn.podBufs[e]
-	if !sn.built {
-		return true
-	}
-	for k := range sn.order {
-		sn.siftDown(k, e)
+	if sn.sch != nil {
+		sn.rescore(e)
 	}
 	return true
 }
 
-// siftDown restores order[k] around entry e after its free capacity
-// decreased: bubble it toward the tail while a right neighbour should
-// precede it.
-func (sn *Snapshot) siftDown(k int, e int32) {
-	order, pos := sn.order[k], sn.pos[k]
-	i := pos[e]
-	for int(i) < len(order)-1 {
-		n := order[i+1]
-		fe, fn := sn.free[e][k], sn.free[n][k]
-		if fn > fe || (fn == fe && sn.nodes[n].Name < sn.nodes[e].Name) {
-			order[i], order[i+1] = n, e
-			pos[n], pos[e] = i, i+1
-			i++
-			continue
-		}
-		break
-	}
-}
-
 // Fail drains a node in place, exactly like the cluster's FailNode used
 // to do on the flat snapshot: the entry keeps its name (so error totals
-// and traces stay stable) but loses capacity, pods, and its index slots,
-// making it unreachable through candidates().
+// and traces stay stable) but loses capacity and pods, and is never
+// offered again.
 func (sn *Snapshot) Fail(node string) bool {
 	e, ok := sn.byName[node]
 	if !ok {
 		return false
 	}
-	sn.stats.Fails++
 	delete(sn.byName, node)
 	sn.nodes[e] = NodeInfo{Name: node}
 	sn.free[e] = resource.Vector{}
 	sn.inv[e] = resource.Vector{}
+	sn.live[e] = false
 	if int(e) < len(sn.podBufs) {
 		sn.podBufs[e] = sn.podBufs[e][:0]
 	}
 	sn.owned[e] = false
-	if !sn.built {
-		return true
-	}
-	for k := range sn.order {
-		order, pos := sn.order[k], sn.pos[k]
-		i := pos[e]
-		copy(order[i:], order[i+1:])
-		sn.order[k] = order[:len(order)-1]
-		for j := int(i); j < len(sn.order[k]); j++ {
-			pos[sn.order[k][j]] = int32(j)
-		}
-		pos[e] = -1
-	}
+	sn.sch = nil
 	return true
 }
 
@@ -254,58 +184,159 @@ func (sn *Snapshot) Lookup(name string) (*NodeInfo, bool) {
 	return &sn.nodes[e], true
 }
 
-// Stats returns the maintenance counters.
-func (sn *Snapshot) Stats() SnapshotStats { return sn.stats }
-
-// candidates returns the entries that can possibly fit the pod: the
-// shortest per-kind prefix of nodes with enough free capacity in that
-// kind. The returned slice aliases the index — read-only, valid until
-// the next mutation. A pod with no positive request gets every live
-// entry.
-func (sn *Snapshot) candidates(pod *PodInfo) []int32 {
-	k, n := sn.candidatePrefix(pod)
-	return sn.order[k][:n]
+// serves reports whether the cached heap answers pod for scheduler s.
+func (sn *Snapshot) serves(s *Scheduler, pod *PodInfo) bool {
+	return sn.sch == s && sn.cls.App == pod.App && sn.cls.Requests == pod.Requests &&
+		maps.Equal(sn.cls.NodeSelector, pod.NodeSelector)
 }
 
-// candidatePrefix locates the pod's candidate set in the feasibility
-// index: the kind whose feasible prefix is shortest, and that prefix's
-// length. A pod with no positive request gets kind 0's whole order
-// (every live entry).
-func (sn *Snapshot) candidatePrefix(pod *PodInfo) (kind, n int) {
-	if !sn.built {
-		sn.Build()
+// rebuild scans every live entry once, keeps those feasible for pod with
+// their scores, and moves the best to heap[0]; heapify orders the rest
+// when the class is reused. The heap is cached for pod's class only when
+// s is a built-in policy.
+func (sn *Snapshot) rebuild(s *Scheduler, pod *PodInfo) {
+	s.stats.Probed += uint64(sn.Live())
+	sn.sch = nil
+	if s.fused != nil {
+		sn.sch = s
+		sn.cls.App, sn.cls.Requests, sn.cls.NodeSelector = pod.App, pod.Requests, nil
+		if len(pod.NodeSelector) > 0 {
+			if sn.sel == nil {
+				sn.sel = make(map[string]string, len(pod.NodeSelector))
+			}
+			clear(sn.sel)
+			maps.Copy(sn.sel, pod.NodeSelector)
+			sn.cls.NodeSelector = sn.sel
+		}
 	}
-	bestK, bestLen := -1, 0
-	for k := 0; k < int(resource.NumKinds); k++ {
-		req := pod.Requests[k]
-		if req <= 0 {
+	n := len(sn.nodes)
+	if cap(sn.hpos) < n {
+		sn.hpos, sn.score = make([]int32, n), make([]float64, n)
+	}
+	hpos, score := sn.hpos[:n], sn.score[:n]
+	sn.hpos, sn.score = hpos, score
+	h := sn.heap[:0]
+	best, bestScore := int32(-1), 0.0
+	plain := s.plainProbe(pod)
+	for e := range sn.nodes {
+		hpos[e] = -1
+		if !sn.live[e] {
 			continue
 		}
-		order := sn.order[k]
-		// First position whose free[k] < req; order is free-descending so
-		// the feasible prefix is order[:i].
-		lo, hi := 0, len(order)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if sn.free[order[mid]][k] >= req {
-				lo = mid + 1
-			} else {
-				hi = mid
+		node := &sn.nodes[e]
+		if plain {
+			if !fitsFree(&pod.Requests, &sn.free[e]) {
+				continue
 			}
+		} else if !s.feasible(pod, node, &sn.free[e]) {
+			continue
 		}
-		if bestK < 0 || lo < bestLen {
-			bestK, bestLen = k, lo
+		sc := s.scoreNode(pod, node, &sn.inv[e])
+		score[e] = sc
+		if best < 0 || sc > bestScore || (sc == bestScore && node.Name < sn.nodes[best].Name) {
+			best, bestScore = int32(e), sc
 		}
+		hpos[e] = int32(len(h))
+		h = append(h, int32(e))
 	}
-	if bestK < 0 {
-		return 0, len(sn.order[0])
+	sn.heap, sn.heaped = h, false
+	if best >= 0 {
+		sn.swap(0, int(sn.hpos[best]))
 	}
-	return bestK, bestLen
+}
+
+// heapify orders the whole heap the first time a rebuilt class is reused.
+func (sn *Snapshot) heapify() {
+	if sn.heaped {
+		return
+	}
+	for i := len(sn.heap)/2 - 1; i >= 0; i-- {
+		sn.down(i)
+	}
+	sn.heaped = true
+}
+
+// rescore re-probes entry e for the cached class after a commit and
+// moves it in the heap, or out of it once the class no longer fits. A
+// commit only shrinks headroom, so an entry outside the heap stays out.
+func (sn *Snapshot) rescore(e int32) {
+	i := int(sn.hpos[e])
+	if i < 0 {
+		return
+	}
+	s := sn.sch
+	s.stats.Probed++
+	if !s.feasible(&sn.cls, &sn.nodes[e], &sn.free[e]) {
+		last := len(sn.heap) - 1
+		sn.swap(i, last)
+		sn.heap = sn.heap[:last]
+		sn.hpos[e] = -1
+		if i < last && sn.heaped {
+			sn.down(sn.up(i))
+		}
+		return
+	}
+	sn.score[e] = s.scoreNode(&sn.cls, &sn.nodes[e], &sn.inv[e])
+	if sn.heaped {
+		sn.down(sn.up(i))
+	}
+}
+
+// before reports whether entry a ranks above entry b: higher score, then
+// the lexicographically smaller name.
+func (sn *Snapshot) before(a, b int32) bool {
+	if sn.score[a] != sn.score[b] {
+		return sn.score[a] > sn.score[b]
+	}
+	return sn.nodes[a].Name < sn.nodes[b].Name
+}
+
+func (sn *Snapshot) swap(i, j int) {
+	h := sn.heap
+	h[i], h[j] = h[j], h[i]
+	sn.hpos[h[i]] = int32(i)
+	sn.hpos[h[j]] = int32(j)
+}
+
+// up moves heap[i] toward the root while it ranks above its parent and
+// returns its final position.
+func (sn *Snapshot) up(i int) int {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !sn.before(sn.heap[i], sn.heap[p]) {
+			break
+		}
+		sn.swap(i, p)
+		i = p
+	}
+	return i
+}
+
+// down moves heap[i] toward the leaves while a child ranks above it.
+func (sn *Snapshot) down(i int) {
+	h := sn.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && sn.before(h[r], h[c]) {
+			c = r
+		}
+		if !sn.before(h[c], h[i]) {
+			return
+		}
+		sn.swap(i, c)
+		i = c
+	}
 }
 
 // CheckInvariants verifies the snapshot's internal consistency: cache
-// coherence, index ordering, and the index↔liveness correspondence.
-// Test hook; O(kinds × nodes log nodes).
+// coherence, liveness, and — when a class heap is cached — the heap
+// re-derived from scratch: its members are exactly the live entries
+// feasible for the class, every stored score equals a fresh kernel call
+// on fresh caches, and, once heapified, the heap order holds. Test hook;
+// O(nodes).
 func (sn *Snapshot) CheckInvariants() error {
 	for name, e := range sn.byName {
 		if int(e) >= len(sn.nodes) || sn.nodes[e].Name != name {
@@ -317,41 +348,55 @@ func (sn *Snapshot) CheckInvariants() error {
 		if sn.free[e] != want {
 			return fmt.Errorf("sched: entry %d free cache %v, want %v", e, sn.free[e], want)
 		}
-		if _, live := sn.byName[sn.nodes[e].Name]; live {
-			if want := invAllocatable(sn.nodes[e].Allocatable); sn.inv[e] != want {
-				return fmt.Errorf("sched: entry %d inv cache %v, want %v", e, sn.inv[e], want)
-			}
-			// invAllocatable precondition: no allocation on a zero-capacity
-			// dimension, or fused and plugin-chain scores diverge.
-			for k := range sn.nodes[e].Allocatable {
-				if sn.nodes[e].Allocatable[k] == 0 && sn.nodes[e].Allocated[k] > 0 {
-					return fmt.Errorf("sched: entry %d (%s) allocated %v of zero-capacity kind %d",
-						e, sn.nodes[e].Name, sn.nodes[e].Allocated[k], k)
-				}
+		_, live := sn.byName[sn.nodes[e].Name]
+		if live != sn.live[e] {
+			return fmt.Errorf("sched: entry %d (%s) live flag %v, byName says %v", e, sn.nodes[e].Name, sn.live[e], live)
+		}
+		if !live {
+			continue
+		}
+		if want := invAllocatable(sn.nodes[e].Allocatable); sn.inv[e] != want {
+			return fmt.Errorf("sched: entry %d inv cache %v, want %v", e, sn.inv[e], want)
+		}
+		// invAllocatable precondition: no allocation on a zero-capacity
+		// dimension, or fused and plugin-chain scores diverge.
+		for k := range sn.nodes[e].Allocatable {
+			if sn.nodes[e].Allocatable[k] == 0 && sn.nodes[e].Allocated[k] > 0 {
+				return fmt.Errorf("sched: entry %d (%s) allocated %v of zero-capacity kind %d",
+					e, sn.nodes[e].Name, sn.nodes[e].Allocated[k], k)
 			}
 		}
 	}
-	if !sn.built {
+	if sn.sch == nil {
 		return nil
 	}
-	for k := range sn.order {
-		order, pos := sn.order[k], sn.pos[k]
-		if len(order) != len(sn.byName) {
-			return fmt.Errorf("sched: order[%d] holds %d entries, %d live", k, len(order), len(sn.byName))
+	members := 0
+	for e := range sn.nodes {
+		node := &sn.nodes[e]
+		free, inv := node.Free(), invAllocatable(node.Allocatable)
+		fits := sn.live[e] && sn.sch.feasible(&sn.cls, node, &free)
+		in := sn.hpos[e] >= 0
+		if fits != in {
+			return fmt.Errorf("sched: entry %d (%s) feasible=%v but in heap=%v", e, node.Name, fits, in)
 		}
-		for i, e := range order {
-			if pos[e] != int32(i) {
-				return fmt.Errorf("sched: pos[%d][%d]=%d, want %d", k, e, pos[e], i)
-			}
-			if i == 0 {
-				continue
-			}
-			p := order[i-1]
-			fp, fe := sn.free[p][k], sn.free[e][k]
-			if fp < fe || (fp == fe && sn.nodes[p].Name >= sn.nodes[e].Name) {
-				return fmt.Errorf("sched: order[%d] violated at %d: %s(%v) before %s(%v)",
-					k, i, sn.nodes[p].Name, fp, sn.nodes[e].Name, fe)
-			}
+		if !in {
+			continue
+		}
+		members++
+		if i := sn.hpos[e]; int(i) >= len(sn.heap) || sn.heap[i] != int32(e) {
+			return fmt.Errorf("sched: hpos[%d]=%d does not point back at entry %d", e, i, e)
+		}
+		if want := sn.sch.scoreNode(&sn.cls, node, &inv); sn.score[e] != want {
+			return fmt.Errorf("sched: entry %d (%s) cached score %v, kernel gives %v", e, node.Name, sn.score[e], want)
+		}
+	}
+	if members != len(sn.heap) {
+		return fmt.Errorf("sched: heap holds %d entries, %d are feasible", len(sn.heap), members)
+	}
+	for i := 1; sn.heaped && i < len(sn.heap); i++ {
+		if p := (i - 1) / 2; sn.before(sn.heap[i], sn.heap[p]) {
+			return fmt.Errorf("sched: heap order violated at %d: %s above parent %s",
+				i, sn.nodes[sn.heap[i]].Name, sn.nodes[sn.heap[p]].Name)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"evolve/internal/resource"
@@ -49,8 +50,8 @@ func randPod(rng *rand.Rand, i int) PodInfo {
 
 // TestSnapshotEquivalence drives a snapshot and a plain mirror slice
 // through the same randomized bind/fail sequence and demands identical
-// decisions from ScheduleOn (index-pruned) and Schedule (brute force) at
-// every step — the index must never hide a feasible node or change the
+// decisions from ScheduleOn (class heap) and Schedule (brute force) at
+// every step — the heap must never hide a feasible node or change the
 // winner.
 func TestSnapshotEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
@@ -66,7 +67,6 @@ func TestSnapshotEquivalence(t *testing.T) {
 					snap.AddNode(n)
 					mirror = append(mirror, n)
 				}
-				snap.Build()
 				for i := 0; i < 400; i++ {
 					if rng.Intn(25) == 0 && snap.Live() > 2 {
 						// Fail a random live node in both views.
@@ -105,40 +105,205 @@ func TestSnapshotEquivalence(t *testing.T) {
 						t.Fatalf("step %d: %v", i, err)
 					}
 				}
-				st := indexed.Stats()
-				if st.Pruned == 0 {
-					t.Error("index pruned nothing over 400 randomized placements")
+			})
+		}
+	}
+}
+
+// TestSnapshotHeapMatchesBruteForce is the independent spec of the class
+// heap: over random worlds it interleaves runs of same-class pods (the
+// reuse path), commits of pods from other classes straight into the
+// snapshot (the rescore-any-class path), node failures and selector-
+// bearing pods, for both policies and a custom plugin set, and demands
+// at every step that ScheduleOn agrees with a brute-force Schedule over a
+// mirror and that CheckInvariants re-derives the cached heap.
+func TestSnapshotHeapMatchesBruteForce(t *testing.T) {
+	custom, err := NewCustom([]FilterPlugin{SelectorFilter{}, FitFilter{}},
+		[]ScorePlugin{LeastAllocated{W: 2}, BalancedAllocation{W: 1}, AppSpread{W: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		for _, mk := range []struct {
+			name string
+			s    func() *Scheduler
+		}{
+			{"spread", func() *Scheduler { return New(PolicySpread) }},
+			{"binpack", func() *Scheduler { return New(PolicyBinPack) }},
+			{"custom", func() *Scheduler { return custom }},
+		} {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, mk.name), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(100 + seed))
+				heaped, brute := mk.s(), mk.s()
+				heaped.ResetStats()
+				snap := NewSnapshot()
+				var mirror []NodeInfo
+				for i := 0; i < 50; i++ {
+					n := randNode(rng, i)
+					snap.AddNode(n)
+					mirror = append(mirror, n)
+				}
+				commit := func(node string, p PodInfo) {
+					if !snap.Commit(node, p) {
+						t.Fatalf("commit of %s to %q refused", p.Name, node)
+					}
+					for j := range mirror {
+						if mirror[j].Name == node {
+							mirror[j].Allocated = mirror[j].Allocated.Add(p.Requests)
+							mirror[j].Pods = append(mirror[j].Pods, p)
+						}
+					}
+				}
+				step := 0
+				var class PodInfo
+				for run := 0; run < 60; run++ {
+					switch rng.Intn(6) {
+					case 0: // a node fails
+						victim := mirror[rng.Intn(len(mirror))].Name
+						if snap.Fail(victim) {
+							for j := range mirror {
+								if mirror[j].Name == victim {
+									mirror[j] = NodeInfo{Name: victim}
+								}
+							}
+						}
+					case 1: // a pod of another class lands on a random live node
+						live := mirror[rng.Intn(len(mirror))]
+						if _, ok := snap.Lookup(live.Name); ok {
+							p := randPod(rng, 10000+run)
+							p.Requests = p.Requests.Scale(0.2)
+							commit(live.Name, p)
+						}
+					}
+					// A run of same-class replicas, each placed and committed.
+					// A third of the runs continue the previous class, so the
+					// cached heap must have absorbed the failure or the other
+					// class's commit above; half of those flip its selector,
+					// which makes it a different class.
+					prev := class
+					class = randPod(rng, run)
+					if run > 0 && rng.Intn(3) == 0 {
+						class = prev
+						if rng.Intn(2) == 0 {
+							if class.NodeSelector == nil {
+								class.NodeSelector = map[string]string{"pool": "hpc"}
+							} else {
+								class.NodeSelector = nil
+							}
+						}
+					}
+					for r := rng.Intn(12) + 1; r > 0; r-- {
+						step++
+						p := class
+						p.Name = fmt.Sprintf("%s-r%d", class.Name, r)
+						got, errHeap := heaped.ScheduleOn(p, snap)
+						want, errBrute := brute.Schedule(p, liveOnly(mirror))
+						if (errHeap == nil) != (errBrute == nil) || got != want {
+							t.Fatalf("step %d: heap chose %q (err %v), brute chose %q (err %v)",
+								step, got, errHeap, want, errBrute)
+						}
+						if err := snap.CheckInvariants(); err != nil {
+							t.Fatalf("step %d: %v", step, err)
+						}
+						if errHeap != nil {
+							break
+						}
+						commit(got, p)
+						if err := snap.CheckInvariants(); err != nil {
+							t.Fatalf("step %d after commit: %v", step, err)
+						}
+					}
+				}
+				st := heaped.Stats()
+				if mk.name == "custom" {
+					if st.Reused != 0 {
+						t.Errorf("custom plugin set reused a heap %d times", st.Reused)
+					}
+				} else if st.Reused == 0 {
+					t.Errorf("no call reused a heap over %d placements", st.Calls)
 				}
 			})
 		}
 	}
 }
 
-// TestSnapshotCandidatesComplete cross-checks the prefix property
-// directly: every node the brute-force filter chain accepts must be in
-// the candidate set.
-func TestSnapshotCandidatesComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	s := New(PolicySpread)
+// TestSnapshotHeapKeyedByScheduler: a heap one policy built must not
+// answer the same pod for another policy sharing the snapshot.
+func TestSnapshotHeapKeyedByScheduler(t *testing.T) {
 	snap := NewSnapshot()
-	snap.Reset()
-	for i := 0; i < 80; i++ {
-		snap.AddNode(randNode(rng, i))
-	}
-	snap.Build()
-	for i := 0; i < 300; i++ {
-		p := randPod(rng, i)
-		cand := snap.candidates(&p)
-		inCand := make(map[int32]bool, len(cand))
-		for _, e := range cand {
-			inCand[e] = true
+	snap.AddNode(node("empty", 4000, 0))
+	snap.AddNode(node("busy", 4000, 3000))
+	p := pod("p", 500)
+	for _, c := range []struct {
+		s    *Scheduler
+		want string
+	}{{New(PolicySpread), "empty"}, {New(PolicyBinPack), "busy"}, {New(PolicySpread), "empty"}} {
+		if got, err := c.s.ScheduleOn(p, snap); err != nil || got != c.want {
+			t.Fatalf("ScheduleOn = %q, %v; want %q", got, err, c.want)
 		}
-		for e := range snap.nodes {
-			free := snap.nodes[e].Free()
-			if s.feasible(&p, &snap.nodes[e], &free) && !inCand[int32(e)] {
-				t.Fatalf("pod %d: feasible node %s missing from candidates", i, snap.nodes[e].Name)
+	}
+}
+
+// liveOnly drops failed (capacity-less) mirror entries: the snapshot
+// never offers a failed node, even to a pod that requests nothing.
+func liveOnly(nodes []NodeInfo) []NodeInfo {
+	out := make([]NodeInfo, 0, len(nodes))
+	for _, n := range nodes {
+		if n.Allocatable != (resource.Vector{}) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestSnapshotCheckInvariantsCatchesHeapCorruption: each way the cached
+// heap can go wrong — a stale score, a broken order, a feasible node
+// missing, an infeasible node present — must be reported.
+func TestSnapshotCheckInvariantsCatchesHeapCorruption(t *testing.T) {
+	build := func() (*Snapshot, *Scheduler) {
+		s := New(PolicySpread)
+		snap := NewSnapshot()
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 20; i++ {
+			snap.AddNode(randNode(rng, i))
+		}
+		// The second call reuses the heap, which orders all of it.
+		for i := 0; i < 2; i++ {
+			if _, err := s.ScheduleOn(pod("p", 500), snap); err != nil {
+				t.Fatal(err)
 			}
 		}
+		if err := snap.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return snap, s
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(sn *Snapshot)
+		want    string
+	}{
+		{"stale score", func(sn *Snapshot) { sn.score[sn.heap[len(sn.heap)-1]] -= 1e-9 }, "cached score"},
+		{"order", func(sn *Snapshot) { sn.swap(0, len(sn.heap)-1) }, "heap order"},
+		{"missing member", func(sn *Snapshot) {
+			e := sn.heap[len(sn.heap)-1]
+			sn.heap = sn.heap[:len(sn.heap)-1]
+			sn.hpos[e] = -1
+		}, "in heap=false"},
+		{"infeasible member", func(sn *Snapshot) {
+			e := sn.heap[0]
+			sn.nodes[e].Allocated = sn.nodes[e].Allocatable
+			sn.free[e] = resource.Vector{}
+		}, "in heap=true"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			snap, _ := build()
+			c.corrupt(snap)
+			err := snap.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("CheckInvariants = %v, want an error naming %q", err, c.want)
+			}
+		})
 	}
 }
 
@@ -190,7 +355,6 @@ func TestSnapshotFailAndTotal(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		snap.AddNode(node(fmt.Sprintf("node-%d", i), 4000, 0))
 	}
-	snap.Build()
 	snap.Fail("node-1")
 	if snap.Live() != 2 || snap.Len() != 3 {
 		t.Fatalf("Live=%d Len=%d, want 2/3", snap.Live(), snap.Len())
@@ -229,17 +393,26 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 		snap.AddNode(n)
 		nodes = append(nodes, n)
 	}
-	snap.Build()
+	// Alternating a pod and a selector-bearing pod of another app makes
+	// every call a heap rebuild; repeating one pod reads the cached top.
 	p := pod("steady", 500)
-	if _, err := s.ScheduleOn(p, snap); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.ScheduleOn(p, snap); err != nil {
-			t.Fatal(err)
+	q := pod("other", 700)
+	q.App, q.NodeSelector = "other", map[string]string{"pool": "hpc"}
+	for _, c := range []struct {
+		name string
+		pods []PodInfo
+	}{{"cached", []PodInfo{p}}, {"rebuild", []PodInfo{p, q}}} {
+		i := 0
+		call := func() {
+			if _, err := s.ScheduleOn(c.pods[i%len(c.pods)], snap); err != nil {
+				t.Fatal(err)
+			}
+			i++
 		}
-	}); allocs > 0 {
-		t.Errorf("ScheduleOn steady state allocates %.1f objects/op, want 0", allocs)
+		call()
+		if allocs := testing.AllocsPerRun(200, call); allocs > 0 {
+			t.Errorf("ScheduleOn steady state (%s) allocates %.1f objects/op, want 0", c.name, allocs)
+		}
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		if _, err := s.Schedule(p, nodes); err != nil {
@@ -329,30 +502,54 @@ func TestGangEquivalentOnSnapshots(t *testing.T) {
 
 func benchSnapshot(b *testing.B, n int) (*Scheduler, *Snapshot) {
 	b.Helper()
-	s := New(PolicySpread)
 	snap := NewSnapshot()
+	loadBenchNodes(snap, n)
+	return New(PolicySpread), snap
+}
+
+// loadBenchNodes (re)fills snap with n random nodes, the same ones on
+// every call.
+func loadBenchNodes(snap *Snapshot, n int) {
 	snap.Reset()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < n; i++ {
 		snap.AddNode(randNode(rng, i))
 	}
-	snap.Build()
-	return s, snap
 }
 
+// BenchmarkScheduleOn times the per-replica placement path: each call is
+// committed, as the cluster's drain does. "replicas" places pods of one
+// class, so every call after the first reads the heap top and the commit
+// rescores one node; "switch" alternates two classes, so every call pays
+// the full rebuild scan. A snapshot that fills up is reloaded off the
+// clock.
 func BenchmarkScheduleOn(b *testing.B) {
 	for _, n := range []int{100, 1000, 5000} {
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			s, snap := benchSnapshot(b, n)
-			p := pod("p", 500)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.ScheduleOn(p, snap); err != nil {
-					b.Fatal(err)
+		for _, mode := range []string{"replicas", "switch"} {
+			b.Run(fmt.Sprintf("nodes=%d/%s", n, mode), func(b *testing.B) {
+				s, snap := benchSnapshot(b, n)
+				pods := [2]PodInfo{pod("a", 500), pod("b", 700)}
+				pods[1].App = "other"
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p := pods[0]
+					if mode == "switch" {
+						p = pods[i%2]
+					}
+					name, err := s.ScheduleOn(p, snap)
+					if err != nil {
+						b.StopTimer()
+						loadBenchNodes(snap, n)
+						b.StartTimer()
+						if name, err = s.ScheduleOn(p, snap); err != nil {
+							b.Fatal(err)
+						}
+					}
+					snap.Commit(name, p)
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
