@@ -36,7 +36,8 @@ import (
 // virtual time, starting at the first Run. Each firing snapshots the
 // world at a tick barrier: the newest encoding is retained in memory
 // (LastCheckpoint) and, when dir is non-empty, also written to
-// dir/ckpt-<seconds>.evck (atomically, via rename). The firing also
+// dir/ckpt-<seconds>.evck (atomically, via rename), after which all but
+// the newest two checkpoint files in dir are deleted. The firing also
 // refreshes the controller-process state that ctrl-crash windows
 // restore from — with checkpoints off, a crashed controller restarts
 // from its construction-time state instead. Call before the first Run.
@@ -129,7 +130,38 @@ func (cl *Cluster) checkpointTick() {
 	name := filepath.Join(cl.ckptDir, fmt.Sprintf("ckpt-%012d.evck", int64(cl.w.Engine.Now()/time.Second)))
 	if err := writeFileDurable(name, blob); err != nil {
 		cl.w.Fail(fmt.Errorf("checkpoint write: %w", err))
+		return
 	}
+	if err := pruneCheckpoints(cl.ckptDir); err != nil {
+		cl.w.Fail(fmt.Errorf("checkpoint prune: %w", err))
+	}
+}
+
+// keptCheckpoints is how many checkpoint files a directory keeps: the
+// newest, and the one before it as a fallback restart point.
+const keptCheckpoints = 2
+
+// pruneCheckpoints deletes all but the newest keptCheckpoints files in
+// dir, so a long run's checkpoint directory stays bounded on disk. It
+// runs only after the newest file is durable.
+func pruneCheckpoints(dir string) error {
+	matches, err := checkpointFiles(dir)
+	if err != nil {
+		return err
+	}
+	for _, name := range matches[:max(0, len(matches)-keptCheckpoints)] {
+		if err := os.Remove(name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkpointFiles lists dir's checkpoint files oldest-first.
+func checkpointFiles(dir string) ([]string, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, "ckpt-*.evck"))
+	sort.Strings(matches)
+	return matches, err
 }
 
 // writeFileDurable replaces name with data so that a crash at any point
@@ -230,6 +262,7 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 	cw.Begin("evolve")
 	cw.I64(cl.opts.Seed)
 	cw.Str(cl.policy)
+	cw.Dur(cl.opts.History)
 	cw.Dur(cl.w.Engine.Now())
 	cw.U64(cl.w.Engine.Seq())
 	cw.U64(cl.w.Engine.Steps())
@@ -305,6 +338,9 @@ func (cl *Cluster) restore(blob []byte) error {
 	}
 	if pol := cr.Str(); cr.Err() == nil && pol != cl.policy {
 		return fmt.Errorf("evolve: checkpoint has policy %q, this cluster %q", pol, cl.policy)
+	}
+	if h := cr.Dur(); cr.Err() == nil && h != cl.opts.History {
+		return fmt.Errorf("evolve: checkpoint has History %v, this cluster %v", h, cl.opts.History)
 	}
 	now := cr.Dur()
 	seq := cr.U64()
@@ -433,13 +469,12 @@ func (cl *Cluster) RestoreFile(path string) error {
 // LatestCheckpoint returns the path of the newest checkpoint file in
 // dir, as written by EnableCheckpoints.
 func LatestCheckpoint(dir string) (string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "ckpt-*.evck"))
+	matches, err := checkpointFiles(dir)
 	if err != nil {
 		return "", err
 	}
 	if len(matches) == 0 {
 		return "", fmt.Errorf("evolve: no checkpoints in %s", dir)
 	}
-	sort.Strings(matches)
 	return matches[len(matches)-1], nil
 }

@@ -47,10 +47,15 @@ func ckptWorld(t *testing.T, shards int, chaos string) *Cluster {
 }
 
 // ckptFingerprint flattens everything observable about a run — report,
-// event log, trace ring and span ring — into one comparable string.
+// event log, every series' retained window, trace ring and span ring —
+// into one comparable string.
 func ckptFingerprint(c *Cluster) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%+v\n--events--\n%+v\n", c.Report(), c.Events())
+	for _, name := range c.SeriesNames() {
+		s, err := c.SeriesSamples(name)
+		fmt.Fprintf(&b, "--series %s (%v)--\n%v\n", name, err, s)
+	}
 	for _, ev := range c.Tracer().Snapshot(obs.Filter{}) {
 		fmt.Fprintf(&b, "%+v\n", ev)
 	}
@@ -311,6 +316,35 @@ func TestCheckpointWriteErrorLatches(t *testing.T) {
 	}
 }
 
+// TestCheckpointPruneErrorLatches: a stale checkpoint file that cannot
+// be deleted (here a non-empty directory with a checkpoint's name) fails
+// the run like a failed write, once the newest file is durable.
+func TestCheckpointPruneErrorLatches(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "ckpt-000000000000.evck", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{Seed: 5, Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddService(ServiceOptions{Name: "svc", BaseRate: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableCheckpoints(dir, 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(25 * time.Minute); err == nil || !strings.Contains(err.Error(), "checkpoint prune") {
+		t.Fatalf("Run = %v, want a latched checkpoint-prune error", err)
+	}
+	if c.Now() != 20*time.Minute {
+		t.Errorf("run stopped at %v, want 20m: the first prune with a stale file to delete", c.Now())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ckpt-000000001200.evck")); err != nil {
+		t.Errorf("the newest checkpoint should be durable before the prune: %v", err)
+	}
+}
+
 func TestCheckpointValidation(t *testing.T) {
 	c, err := New(Options{Seed: 2, Nodes: 3})
 	if err != nil {
@@ -497,10 +531,11 @@ func TestCheckpointShardsZeroRestoresIntoOne(t *testing.T) {
 }
 
 // encodeWorld is a small traced world for the encode-cost checks; the
-// ring capacity is below what two hours record, so it wraps.
+// ring capacity is below what two hours record, so it wraps. It retains
+// two hours of telemetry, so its metric history grows with the horizon.
 func encodeWorld(tb testing.TB, horizon time.Duration) *Cluster {
 	tb.Helper()
-	c, err := New(Options{Seed: 9, Nodes: 2})
+	c, err := New(Options{Seed: 9, Nodes: 2, History: 2 * time.Hour})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -105,9 +105,15 @@ func main() {
 		return
 	}
 
+	// Exports read series back, so they get the whole run; otherwise
+	// the facade's default retention window bounds memory.
+	var history time.Duration
+	if *dump != "" || *serve != "" {
+		history = *duration
+	}
 	c, err := evolve.New(evolve.Options{
 		Seed: *seed, Nodes: *nodes, Policy: *policy, Chaos: *chaosPlan,
-		DebugPprof: *pprofOn,
+		History: history, DebugPprof: *pprofOn,
 	})
 	if err != nil {
 		fatal(err)

@@ -134,7 +134,8 @@ func buildLoad(lc LoadConfig, base float64, seed int64) (LoadFunc, error) {
 
 // NewFromConfig builds a fully-wired cluster from a JSON scenario and
 // returns it with the configured run duration (0 when unset; callers
-// choose their own horizon then).
+// choose their own horizon then). A set duration is also the cluster's
+// Options.History, so series exports cover the whole scenario.
 func NewFromConfig(r io.Reader) (*Cluster, time.Duration, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -154,6 +155,9 @@ func NewFromConfig(r io.Reader) (*Cluster, time.Duration, error) {
 		HPCQueue:      fc.HPCQueue,
 		Chaos:         fc.Chaos,
 		Shards:        fc.Shards,
+		// A scenario with a horizon retains its whole run, so series
+		// exports cover it; without one the History default applies.
+		History: minutes(fc.DurationMinutes),
 	}
 	for _, p := range fc.Pools {
 		opts.Pools = append(opts.Pools, PoolOptions{Name: p.Name, Nodes: p.Nodes})

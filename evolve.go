@@ -105,6 +105,14 @@ type Options struct {
 	// never beat the inline step end to end. The field goes away in a
 	// later release.
 	CtrlWorkers int
+	// History is how much telemetry each series retains: the samples of
+	// the last History of virtual time, which is what SeriesSamples,
+	// WriteSeriesCSV and /series return and what checkpoints carry.
+	// Report and /metrics do not depend on it — they read the latest
+	// sample and exact whole-run aggregates. Zero means 15 minutes;
+	// set it to the run length to export whole trajectories. Negative
+	// values fail New.
+	History time.Duration
 	// DebugPprof mounts net/http/pprof under /debug/pprof/ on the
 	// Handler mux so control-period profiles can be captured from a live
 	// process. Off by default: the profiling endpoints expose stacks and
@@ -112,6 +120,9 @@ type Options struct {
 	// port.
 	DebugPprof bool
 }
+
+// defaultHistory is the telemetry retention of Options.History zero.
+const defaultHistory = 15 * time.Minute
 
 // PoolOptions declares one labeled node pool; its nodes carry the label
 // pool=<Name>.
@@ -260,6 +271,12 @@ func New(opts Options) (*Cluster, error) {
 	if opts.CtrlWorkers != 0 && opts.CtrlWorkers != 1 {
 		return nil, fmt.Errorf("evolve: CtrlWorkers %d: the parallel control plane was removed; use 0 or 1", opts.CtrlWorkers)
 	}
+	if opts.History < 0 {
+		return nil, fmt.Errorf("evolve: negative History %v", opts.History)
+	}
+	if opts.History == 0 {
+		opts.History = defaultHistory
+	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -299,6 +316,7 @@ func New(opts Options) (*Cluster, error) {
 		ShardWorkers:     opts.ShardWorkers,
 		Chaos:            opts.Chaos,
 		HPCPolicy:        queue,
+		History:          opts.History,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("evolve: %w", err)
@@ -530,7 +548,7 @@ func (cl *Cluster) Report() Report {
 		if err != nil {
 			continue
 		}
-		sli := met.Series("app/" + name + "/sli").AllStats().Mean
+		sli := met.Series("app/" + name + "/sli").Total().Mean()
 		r.Services = append(r.Services, ServiceReport{
 			Name:              name,
 			Objective:         tr.PLO().String(),
@@ -541,8 +559,8 @@ func (cl *Cluster) Report() Report {
 			BurnRate:          tr.Burn().BurnRate(),
 		})
 	}
-	r.ClusterCPUAllocated = met.Series("cluster/allocated/cpu").TimeWeightedMean(0, now)
-	r.ClusterCPUUsed = met.Series("cluster/usage/cpu").TimeWeightedMean(0, now)
+	r.ClusterCPUAllocated = met.Series("cluster/allocated/cpu").Total().TimeWeightedMean(now)
+	r.ClusterCPUUsed = met.Series("cluster/usage/cpu").Total().TimeWeightedMean(now)
 	r.BatchJobsCompleted = met.Counter("batch/jobs-completed").Value()
 	r.HPCJobsCompleted = met.Counter("hpc/jobs-completed").Value()
 	r.HPCMeanWait, _, _ = cl.w.Queue.Stats()
@@ -697,10 +715,11 @@ type SeriesSample struct {
 	Value float64
 }
 
-// SeriesSamples returns the recorded points of one telemetry series
-// ("app/web/violation", "cluster/usage/cpu", …) oldest-first, for
-// programmatic post-processing (the harness's recovery analysis);
-// WriteSeriesCSV is the textual equivalent.
+// SeriesSamples returns the retained points of one telemetry series
+// ("app/web/violation", "cluster/usage/cpu", …) oldest-first — the last
+// Options.History of the run — for programmatic post-processing (the
+// harness's recovery analysis); WriteSeriesCSV is the textual
+// equivalent.
 func (cl *Cluster) SeriesSamples(name string) ([]SeriesSample, error) {
 	if !cl.w.Cluster.Metrics().HasSeries(name) {
 		return nil, fmt.Errorf("%w: %q (see SeriesNames)", ErrUnknownSeries, name)
@@ -717,8 +736,9 @@ func (cl *Cluster) SeriesSamples(name string) ([]SeriesSample, error) {
 // named series does not exist; other errors indicate write failures.
 var ErrUnknownSeries = errors.New("evolve: unknown series")
 
-// WriteSeriesCSV dumps one telemetry series ("app/web/latency-mean",
-// "cluster/usage/cpu", …) as seconds,value CSV.
+// WriteSeriesCSV dumps the retained window (Options.History) of one
+// telemetry series ("app/web/latency-mean", "cluster/usage/cpu", …) as
+// seconds,value CSV.
 func (cl *Cluster) WriteSeriesCSV(name string, w io.Writer) error {
 	if !cl.w.Cluster.Metrics().HasSeries(name) {
 		return fmt.Errorf("%w: %q (see SeriesNames)", ErrUnknownSeries, name)

@@ -32,7 +32,10 @@ func main() {
 }
 
 func run(policy string) (violations, meanSLI float64) {
-	c, err := evolve.New(evolve.Options{Seed: 21, Nodes: 5, Policy: policy})
+	const horizon = 90 * time.Minute
+	// History covers the whole run so the EVOLVE_DUMP export below holds
+	// every sample, not just the default retention window.
+	c, err := evolve.New(evolve.Options{Seed: 21, Nodes: 5, Policy: policy, History: horizon})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func run(policy string) (violations, meanSLI float64) {
 	if err := c.SetLoad("kv", evolve.FlashCrowd(200, 600, 30*time.Minute, 20*time.Minute)); err != nil {
 		log.Fatal(err)
 	}
-	if err := c.Run(90 * time.Minute); err != nil {
+	if err := c.Run(horizon); err != nil {
 		log.Fatal(err)
 	}
 	v, err := c.Violations("kv")

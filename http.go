@@ -20,7 +20,8 @@ import (
 //	GET /healthz            liveness probe
 //	GET /report             the Report as JSON
 //	GET /series             recorded telemetry series names as JSON
-//	GET /series/<name>      one series as seconds,value CSV
+//	GET /series/<name>      one series' retained window (Options.History)
+//	                        as seconds,value CSV
 //	GET /events             the operational journal as JSON
 //	GET /metrics            telemetry in Prometheus text format (0.0.4)
 //	GET /debug/trace        decision-trace events as JSONL; filter with

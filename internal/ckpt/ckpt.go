@@ -34,7 +34,7 @@ import (
 const Magic = "EVCK"
 
 // Version is the checkpoint format version; Restore rejects mismatches.
-const Version uint32 = 3
+const Version uint32 = 4
 
 // headerLen is the magic plus the 4-byte version; trailerLen the
 // checksum after the body.

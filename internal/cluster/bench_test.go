@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -22,12 +23,20 @@ var benchSizes = []int{50, 500, 5000}
 // ticking it performs telemetry and accounting only, no placement churn.
 func newBenchCluster(tb testing.TB, pods int) (*Cluster, *sim.Engine) {
 	tb.Helper()
+	return newBenchClusterHistory(tb, pods, 0)
+}
+
+// newBenchClusterHistory is newBenchCluster with the given metric
+// retention window (0 keeps every sample).
+func newBenchClusterHistory(tb testing.TB, pods int, history time.Duration) (*Cluster, *sim.Engine) {
+	tb.Helper()
 	eng := sim.NewEngine(7)
 	cfg := Config{
 		MetricsInterval:  5 * time.Second,
 		Interference:     true,
 		SchedulerPolicy:  sched.PolicySpread,
 		MeasurementNoise: 0.03,
+		MetricsHistory:   history,
 	}
 	c := New(eng, cfg)
 	nodes := pods/8 + 1
@@ -191,5 +200,45 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { c.tick() })
 	if allocs > 0.5 {
 		t.Errorf("steady-state tick allocates %.1f objects/run, want ~0", allocs)
+	}
+}
+
+// TestTickWindowedHistoryAllocs is the state-bounded gate of the metric
+// retention window: once every series holds one window, appends compact
+// the window into the existing backing array, so after exactly one
+// window of warm-up — no capacity headroom pre-paid — ticks spanning two
+// more windows allocate nothing at all. The clock advances tick by tick
+// (calling tick in place would stamp every sample with one time and
+// never evict), and every app is observed each tick so the controller
+// windows stay at one sample.
+func TestTickWindowedHistoryAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short")
+	}
+	const history = 5 * time.Minute
+	c, eng := newBenchClusterHistory(t, 200, history)
+	apps := c.Apps()
+	observe := func() {
+		for _, app := range apps {
+			if _, err := c.Observe(app); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng.Run(eng.Now() + history)
+	observe()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for end := eng.Now() + 2*history; eng.Now() < end; {
+		eng.Run(eng.Now() + c.cfg.MetricsInterval)
+		observe()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d allocations over two windows of ticks after one window of warm-up, want 0", n)
+	}
+	if s := c.Metrics().Series("cluster/pods"); s.Total().Count <= s.Len() {
+		t.Fatalf("cluster/pods retains all %d samples: nothing was evicted", s.Len())
 	}
 }

@@ -39,6 +39,9 @@ type Config struct {
 	// concurrently on the shared worker pool (0 = min(Shards, GOMAXPROCS);
 	// 1 keeps rounds serial). Results are identical either way.
 	ShardWorkers int
+	// MetricsHistory is every telemetry series' retention window (see
+	// metrics.Series); 0 keeps every sample for the whole run.
+	MetricsHistory time.Duration
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -219,7 +222,7 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		// or shard count.
 		prng:  sim.NewPartitionedRNG(eng.RNG().Int63()),
 		store: registry.NewStore(),
-		met:   metrics.NewRegistry(),
+		met:   metrics.NewWindowedRegistry(cfg.MetricsHistory),
 		cfg:   cfg,
 		sch:   sch,
 		nodes: make(map[string]*NodeObject),

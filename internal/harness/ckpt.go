@@ -23,6 +23,10 @@ const (
 	// rejoinWindow is how long the crashed run's control trajectory
 	// must track the no-crash run's before it counts as rejoined.
 	rejoinWindow = 5 * time.Minute
+	// ckptTableHorizon is every cell's run length; the cells retain
+	// their telemetry for all of it, since the table reads whole
+	// trajectories.
+	ckptTableHorizon = 75 * time.Minute
 )
 
 // ckptRun is one cell of the Table 8 sweep.
@@ -54,7 +58,7 @@ type ckptCell struct {
 // runCkptCell runs the 75-minute diurnal web world of the chaos table
 // under one (interval, crash) combination.
 func runCkptCell(seed int64, cr ckptRun) (ckptCell, error) {
-	c, err := evolve.New(evolve.Options{Seed: seed, Nodes: 4, Chaos: cr.crash})
+	c, err := evolve.New(evolve.Options{Seed: seed, Nodes: 4, Chaos: cr.crash, History: ckptTableHorizon})
 	if err != nil {
 		return ckptCell{}, err
 	}
@@ -72,7 +76,7 @@ func runCkptCell(seed int64, cr ckptRun) (ckptCell, error) {
 			return ckptCell{}, err
 		}
 	}
-	if err := c.Run(75 * time.Minute); err != nil {
+	if err := c.Run(ckptTableHorizon); err != nil {
 		return ckptCell{}, err
 	}
 	cell := ckptCell{}

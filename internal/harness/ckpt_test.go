@@ -3,6 +3,9 @@ package harness
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"evolve/internal/cluster"
 )
 
 // TestTable8Reproducible is the bit-for-bit acceptance check for the
@@ -62,5 +65,22 @@ func TestTable8Shape(t *testing.T) {
 	}
 	if txt.Len() == 0 {
 		t.Error("empty render")
+	}
+}
+
+// TestTable8CellKeepsWholeRun guards the table against the facade's
+// default retention window: every cell reads whole trajectories, so a
+// cell's violation series must start at the first metrics tick and run
+// to the horizon, one sample per tick.
+func TestTable8CellKeepsWholeRun(t *testing.T) {
+	cell, err := runCkptCell(1, ckptRun{every: 15 * time.Minute, crash: "ctrl-crash@38m-43m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := cluster.DefaultConfig().MetricsInterval
+	v := cell.viol
+	if want := int(ckptTableHorizon / tick); len(v) != want || v[0].At != tick || v[len(v)-1].At != ckptTableHorizon {
+		t.Fatalf("violation series holds %d samples from %v to %v, want %d from the first tick at %v to %v",
+			len(v), v[0].At, v[len(v)-1].At, want, tick, ckptTableHorizon)
 	}
 }

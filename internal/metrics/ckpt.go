@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"time"
 
@@ -12,8 +13,10 @@ import (
 // restored in place when they already exist on the live registry — the
 // cluster holds resolved pointers to hot series and counters, so the
 // pointers must keep pointing at the restored state — and lazily
-// injected otherwise. The percentile memo is deliberately not
-// serialised; it rebuilds on first query.
+// injected otherwise. A series carries its retained window and its
+// whole-run aggregate (Total), never the evicted samples. The
+// percentile memo is deliberately not serialised; it rebuilds on first
+// query.
 
 // CkptSave writes every series, histogram and counter in sorted name
 // order.
@@ -24,8 +27,15 @@ func (r *Registry) CkptSave(w *ckpt.Writer) {
 	for _, name := range names {
 		s := r.series[name]
 		w.Str(name)
-		w.Int(len(s.samples))
-		saveSamples(w, s.samples)
+		t := s.total
+		w.Int(t.Count)
+		w.F64(t.Sum)
+		w.F64(t.area)
+		w.F64(t.cur)
+		w.Dur(t.at)
+		win := s.Samples()
+		w.Int(len(win))
+		saveSamples(w, win)
 	}
 	hnames := r.HistogramNames()
 	w.Int(len(hnames))
@@ -61,13 +71,26 @@ func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 	}
 	for i := 0; i < ns; i++ {
 		name := cr.Str()
+		t := Total{Count: cr.Int(), Sum: cr.F64(), area: cr.F64(), cur: cr.F64(), at: cr.Dur()}
 		n := cr.Count(sampleBytes)
 		if cr.Err() != nil {
 			return cr.Err()
 		}
 		s := r.Series(name)
-		s.samples = loadSamples(cr, make([]Sample, n))
-		s.sorted, s.sortedLen = nil, 0
+		// A windowed series gets as much headroom again as its window,
+		// so appends after the restore compact rarely.
+		capacity := n
+		if s.history > 0 {
+			capacity = 2 * n
+		}
+		if s.samples = loadSamples(cr, make([]Sample, n, capacity)); cr.Err() != nil {
+			return cr.Err()
+		}
+		if err := s.validWindow(t); err != nil {
+			return err
+		}
+		s.total = t
+		s.sorted, s.sortedN = nil, 0
 	}
 	nh := cr.Count(8)
 	if cr.Err() != nil {
@@ -107,6 +130,27 @@ func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 		r.Counter(name).n = n
 	}
 	return cr.Err()
+}
+
+// validWindow checks a decoded window against its aggregate: samples in
+// time order, at least one retained exactly when any were appended, and
+// none older than the retention window.
+func (s *Series) validWindow(t Total) error {
+	w := s.samples
+	switch {
+	case t.Count < len(w) || (t.Count == 0) != (len(w) == 0):
+		return fmt.Errorf("metrics: series %q: %d retained samples of %d appended", s.Name, len(w), t.Count)
+	case len(w) == 0:
+		return nil
+	case s.history > 0 && w[0].At <= w[len(w)-1].At-s.history:
+		return fmt.Errorf("metrics: series %q: sample at %v is outside the %v retention window", s.Name, w[0].At, s.history)
+	}
+	for i := 1; i < len(w); i++ {
+		if w[i].At < w[i-1].At {
+			return fmt.Errorf("metrics: series %q: sample at %v after %v", s.Name, w[i].At, w[i-1].At)
+		}
+	}
+	return nil
 }
 
 // sampleBytes is one encoded Sample: At then Value, 8 bytes each,

@@ -18,44 +18,157 @@ type Sample struct {
 	Value float64
 }
 
-// Series is an append-only time series. It keeps every sample; experiment
-// horizons are short enough (hours of virtual time at seconds-scale
-// sampling) that this stays small, and it lets figures re-render any
-// window after the fact.
+// Series is an append-only time series with an optional retention
+// window. A series with history 0 keeps every sample, which lets the
+// evaluation harness re-render any window of a run after the fact. A
+// series with history h retains the samples with At > last − h, where
+// last is the newest sample's time, and keeps exact whole-run
+// aggregates alongside (see Total), so memory and checkpoints stay
+// bounded by the window while the whole-run figures stay exact.
+//
+// The retained window is defined by time, never by capacity: older
+// samples may linger in the backing array until the next compaction,
+// but no read ever sees them, so a restored series — whose array has a
+// different capacity — reads exactly like the uninterrupted one.
 type Series struct {
 	Name    string
+	history time.Duration // retention window; 0 keeps everything
+
+	// samples ends with the retained window; evicted samples may
+	// precede it. Add touches only the tail until the array is full,
+	// then copies the window down over the evicted front and appends in
+	// place, so once the capacity covers the window appends stop
+	// allocating.
 	samples []Sample
+
+	total Total
 
 	// Percentile queries sort a window of values; summaries ask for
 	// several percentiles (and re-ask across tables sharing a cached
-	// run), so the sorted window is memoised per (from, to, len). The
-	// mutex only guards the memo: appends stay single-threaded per the
-	// owning simulation, but finished runs may be read concurrently by
-	// parallel table builders.
+	// run), so the sorted window is memoised per (from, to, appended
+	// count) — the count, not the length, because after a compaction the
+	// length can repeat while the contents differ. The mutex only guards
+	// the memo: appends stay single-threaded per the owning simulation,
+	// but finished runs may be read concurrently by parallel table
+	// builders.
 	sortMu     sync.Mutex
 	sortedFrom time.Duration
 	sortedTo   time.Duration
-	sortedLen  int
+	sortedN    int
 	sorted     []float64
 }
 
-// NewSeries returns an empty named series.
+// Total is a series' exact whole-run aggregate, kept up to date on every
+// Add whatever the retention window. Mean and TimeWeightedMean are
+// bit-identical to AllStats().Mean and TimeWeightedMean(0, to) over the
+// full history: they add the same terms in the same order.
+type Total struct {
+	Count int     // samples ever appended
+	Sum   float64 // their values, summed in arrival order
+
+	area float64       // ∫ step value dt over (0, at]
+	cur  float64       // step value after the newest sample
+	at   time.Duration // time of the newest sample, or 0 while every sample is at or before 0
+}
+
+// add folds one sample in. A sample at or before 0 only sets the value
+// entering (0, ∞); later ones close the previous step.
+func (t *Total) add(at time.Duration, v float64) {
+	t.Count++
+	t.Sum += v
+	if at > 0 {
+		t.area += t.cur * float64(at-t.at)
+		t.at = at
+	}
+	t.cur = v
+}
+
+// Mean is the arithmetic mean of every sample ever appended (0 when
+// none).
+func (t Total) Mean() float64 {
+	if t.Count == 0 {
+		return 0
+	}
+	return t.Sum / float64(t.Count)
+}
+
+// TimeWeightedMean is the step-function mean over (0, to]. to must not
+// precede the newest sample: the running integral cannot be rewound.
+func (t Total) TimeWeightedMean(to time.Duration) float64 {
+	if to <= 0 || t.Count == 0 {
+		return 0
+	}
+	if to < t.at {
+		panic(fmt.Sprintf("metrics: whole-run mean to %v precedes the newest sample at %v", to, t.at))
+	}
+	return (t.area + t.cur*float64(to-t.at)) / float64(to)
+}
+
+// NewSeries returns an empty named series that keeps every sample.
 func NewSeries(name string) *Series { return &Series{Name: name} }
+
+// NewWindowedSeries returns an empty named series that retains the
+// samples of the last history (0 keeps everything).
+func NewWindowedSeries(name string, history time.Duration) *Series {
+	return &Series{Name: name, history: history}
+}
 
 // Add appends an observation. Samples must arrive in non-decreasing time
 // order; out-of-order appends panic since they indicate a model bug.
 func (s *Series) Add(at time.Duration, v float64) {
-	if n := len(s.samples); n > 0 && at < s.samples[n-1].At {
+	n := len(s.samples)
+	if n > 0 && at < s.samples[n-1].At {
 		panic(fmt.Sprintf("metrics: out-of-order sample on %q: %v after %v", s.Name, at, s.samples[n-1].At))
+	}
+	s.total.add(at, v)
+	if s.history > 0 && n == cap(s.samples) {
+		// Full: copy the samples the new one leaves in the window down
+		// over the evicted ones, so the append reuses the array.
+		lo := s.start(at)
+		s.samples = s.samples[:copy(s.samples, s.samples[lo:])]
 	}
 	s.samples = append(s.samples, Sample{at, v})
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
+// start returns the index of the oldest sample inside the retention
+// window of a series whose newest sample is at last.
+func (s *Series) start(last time.Duration) int {
+	if s.history == 0 {
+		return 0
+	}
+	cut := last - s.history
+	return sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At > cut })
+}
 
-// Samples returns the underlying samples; callers must not modify it.
-func (s *Series) Samples() []Sample { return s.samples }
+// Total returns the series' exact whole-run aggregate.
+func (s *Series) Total() Total { return s.total }
+
+// Len returns the number of retained samples.
+func (s *Series) Len() int { return len(s.Samples()) }
+
+// Samples returns the retained window oldest-first. It is a sub-slice
+// of the series' backing array — callers must not modify it, and a
+// later Add invalidates it.
+func (s *Series) Samples() []Sample {
+	n := len(s.samples)
+	if n == 0 {
+		return nil
+	}
+	return s.samples[s.start(s.samples[n-1].At):]
+}
+
+// checkWindow returns the retained window, and panics when a windowed
+// query reaches before its oldest sample on a series that has evicted
+// some: the answer would be silently truncated. That is a caller bug —
+// queries over evicting series must stay inside their retention window.
+func (s *Series) checkWindow(from, to time.Duration) []Sample {
+	w := s.Samples()
+	if s.total.Count > len(w) && from < w[0].At {
+		panic(fmt.Sprintf("metrics: window (%v, %v] on %q starts before the oldest retained sample at %v (history %v)",
+			from, to, s.Name, w[0].At, s.history))
+	}
+	return w
+}
 
 // Last returns the most recent sample, or false when empty.
 func (s *Series) Last() (Sample, bool) {
@@ -67,11 +180,15 @@ func (s *Series) Last() (Sample, bool) {
 
 // Window returns the samples with At in (from, to]. The result is a
 // sub-slice of the series' backing array — no copy — so callers must not
-// modify it.
+// modify it, and a later Add invalidates it.
 func (s *Series) Window(from, to time.Duration) []Sample {
-	lo := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At > from })
-	hi := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At > to })
-	return s.samples[lo:hi]
+	return window(s.checkWindow(from, to), from, to)
+}
+
+func window(w []Sample, from, to time.Duration) []Sample {
+	lo := sort.Search(len(w), func(i int) bool { return w[i].At > from })
+	hi := sort.Search(len(w), func(i int) bool { return w[i].At > to })
+	return w[lo:hi]
 }
 
 // Stats summarises a set of observations.
@@ -86,8 +203,16 @@ func (s *Series) WindowStats(from, to time.Duration) Stats {
 	return computeStats(s.Window(from, to))
 }
 
-// AllStats computes summary statistics over the whole series.
-func (s *Series) AllStats() Stats { return computeStats(s.samples) }
+// AllStats computes summary statistics over the whole series. It panics
+// on a series that has evicted samples — the retained window is not the
+// whole run; Total carries the exact whole-run mean.
+func (s *Series) AllStats() Stats {
+	w := s.Samples()
+	if s.total.Count > len(w) {
+		panic(fmt.Sprintf("metrics: AllStats on %q, which retains only %v of history (use Total)", s.Name, s.history))
+	}
+	return computeStats(w)
+}
 
 func computeStats(w []Sample) Stats {
 	if len(w) == 0 {
@@ -134,20 +259,21 @@ func (s *Series) Percentiles(from, to time.Duration, ps ...float64) []float64 {
 }
 
 // sortedWindow returns the sorted values of (from, to], memoising the
-// last window. Appends invalidate the memo via the length check.
+// last window. Appends invalidate the memo via the appended count.
 func (s *Series) sortedWindow(from, to time.Duration) []float64 {
+	all := s.checkWindow(from, to)
 	s.sortMu.Lock()
 	defer s.sortMu.Unlock()
-	if s.sorted != nil && s.sortedFrom == from && s.sortedTo == to && s.sortedLen == len(s.samples) {
+	if s.sorted != nil && s.sortedFrom == from && s.sortedTo == to && s.sortedN == s.total.Count {
 		return s.sorted
 	}
-	w := s.Window(from, to)
+	w := window(all, from, to)
 	vals := make([]float64, len(w))
 	for i, x := range w {
 		vals[i] = x.Value
 	}
 	sort.Float64s(vals)
-	s.sortedFrom, s.sortedTo, s.sortedLen, s.sorted = from, to, len(s.samples), vals
+	s.sortedFrom, s.sortedTo, s.sortedN, s.sorted = from, to, s.total.Count, vals
 	return vals
 }
 
@@ -190,18 +316,19 @@ func (s *Series) FractionAbove(from, to time.Duration, threshold float64) float6
 // (from, to] and divides by the span; appropriate for utilisation/
 // allocation series that hold a value until the next sample.
 func (s *Series) TimeWeightedMean(from, to time.Duration) float64 {
-	if to <= from || len(s.samples) == 0 {
+	w := s.checkWindow(from, to)
+	if to <= from || len(w) == 0 {
 		return 0
 	}
 	// Step value entering the window: the last sample at or before from.
-	idx := sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At > from })
+	idx := sort.Search(len(w), func(i int) bool { return w[i].At > from })
 	var cur float64
 	if idx > 0 {
-		cur = s.samples[idx-1].Value
+		cur = w[idx-1].Value
 	}
 	t := from
 	var area float64
-	for _, x := range s.samples[idx:] {
+	for _, x := range w[idx:] {
 		if x.At > to {
 			break
 		}
@@ -357,14 +484,21 @@ func (c *Counter) Value() uint64    { return c.n }
 // the discipline the tick phases follow.
 type Registry struct {
 	mu         sync.Mutex
+	history    time.Duration // every series' retention window; 0 keeps everything
 	series     map[string]*Series
 	histograms map[string]*Histogram
 	counters   map[string]*Counter
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// NewRegistry returns an empty registry whose series keep every sample.
+func NewRegistry() *Registry { return NewWindowedRegistry(0) }
+
+// NewWindowedRegistry returns an empty registry whose series retain the
+// samples of the last history (0 keeps everything) plus their exact
+// whole-run aggregates.
+func NewWindowedRegistry(history time.Duration) *Registry {
 	return &Registry{
+		history:    history,
 		series:     make(map[string]*Series),
 		histograms: make(map[string]*Histogram),
 		counters:   make(map[string]*Counter),
@@ -376,7 +510,7 @@ func (r *Registry) Series(name string) *Series {
 	r.mu.Lock()
 	s, ok := r.series[name]
 	if !ok {
-		s = NewSeries(name)
+		s = NewWindowedSeries(name, r.history)
 		r.series[name] = s
 	}
 	r.mu.Unlock()

@@ -57,6 +57,9 @@ type Config struct {
 	// is seeded from Seed.
 	Chaos     string
 	HPCPolicy hpc.Policy
+	// History is the telemetry retention window (cluster
+	// Config.MetricsHistory); zero keeps every sample.
+	History time.Duration
 	// Tracer, when non-nil, is installed on the cluster before any node
 	// exists, so the trace records every registry object as it is
 	// created. Nil leaves tracing to the caller.
@@ -92,6 +95,7 @@ func New(cfg Config) (*World, error) {
 	}
 	ccfg.Shards = cfg.Shards
 	ccfg.ShardWorkers = cfg.ShardWorkers
+	ccfg.MetricsHistory = cfg.History
 	c := cluster.New(eng, ccfg)
 	if cfg.Tracer != nil {
 		c.SetTracer(cfg.Tracer)
