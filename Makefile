@@ -73,14 +73,16 @@ bench-sched:
 # allocation gates, and the span/latency emission tests. A traced tick
 # that starts allocating per pod, or a steady tick that records spans,
 # fails here. The checkpoint pair reports encode throughput (MB/s) and
-# fails when encoding allocates per metric sample or trace-ring entry.
-# The state-bounded gates fail when a windowed metric series allocates
+# fails when encoding allocates per metric sample or trace-ring entry;
+# the tracer rings' gate fails when recording into a wrapped ring
+# allocates, and BenchmarkTracerCkptSave reports the tracer section's
+# copy throughput (MB/s). The state-bounded gates fail when a windowed metric series allocates
 # once it holds its window, or when a default-History world's
 # checkpoint or heap grows from 2 to 8 simulated hours.
 bench-obs:
 	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs|TestTickWindowedHistoryAllocs|TestTickTracedAllocsBudget|TestPodSpansEmitted' \
 		-bench 'BenchmarkTick/|BenchmarkTickTraced/' -benchtime 20x -count 1 -v
-	$(GO) test ./internal/obs -run 'TestSpan|TestLatency' -bench 'BenchmarkObserveLatency' -benchtime 100x -count 1
+	$(GO) test ./internal/obs -run 'TestSpan|TestLatency|TestRingRecordAllocs' -bench 'BenchmarkObserveLatency|BenchmarkTracerCkptSave' -benchtime 100x -count 1 -v
 	$(GO) test . -run 'TestCheckpointEncodeAllocs|TestStateBoundedByHistory' -bench 'BenchmarkCheckpoint$$' -benchtime 20x -count 1 -v
 
 # fuzz-smoke gives the chaos-plan parser and checkpoint restore a short

@@ -323,8 +323,11 @@ func (cl *Cluster) Restore(r io.Reader) error {
 // restore decodes blob into the fresh cluster. The checksum is verified
 // and the header checked against this cluster's options before the
 // world starts, so a corrupt or foreign checkpoint leaves the cluster
-// fresh for another Restore.
-func (cl *Cluster) restore(blob []byte) error {
+// fresh for another Restore. The sections are decoded into the started
+// world; a section that fails to decode (possible only for a blob whose
+// checksum was recomputed after it was altered) leaves the world half
+// restored, so the error is latched and every later Run returns it.
+func (cl *Cluster) restore(blob []byte) (err error) {
 	if cl.started {
 		return fmt.Errorf("evolve: Restore needs a freshly constructed cluster")
 	}
@@ -380,6 +383,11 @@ func (cl *Cluster) restore(blob []byte) error {
 	// Arm the fresh world's own timers first: RestoreTimers re-attaches
 	// checkpoint timers to them by tag.
 	cl.start()
+	defer func() {
+		if err != nil {
+			cl.w.Fail(fmt.Errorf("restore: %w", err))
+		}
+	}()
 	// Substrate order mirrors Checkpoint: batch and HPC load before the
 	// cluster, whose task pods reattach their completion callbacks
 	// through the restored runner and queue state.

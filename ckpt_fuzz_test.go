@@ -2,11 +2,20 @@ package evolve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"evolve/internal/ckpt"
+	"evolve/internal/obs"
 )
+
+// fuzzRun is how long FuzzRestore's source world runs before its
+// checkpoint: long enough that both 256-record tracer rings have
+// wrapped, so mutations reach rotated rings.
+const fuzzRun = 90 * time.Minute
 
 // fuzzWorld is FuzzRestore's world: 2 nodes, one service, tracing on.
 func fuzzWorld(t testing.TB) *Cluster {
@@ -25,15 +34,15 @@ func fuzzWorld(t testing.TB) *Cluster {
 	return c
 }
 
-// FuzzRestore mutates a valid 10-minute checkpoint — overwrite patch bytes
-// at an offset, then cut bytes off the end — and restores it into a fresh
-// world. Without resealing, the checksum must refuse every mutation and
+// FuzzRestore mutates a valid checkpoint of a world whose tracer rings
+// have wrapped — overwrite patch bytes at an offset, then cut bytes off
+// the end — and restores it into a fresh world. Without resealing, the checksum must refuse every mutation and
 // leave the world fresh. With the trailer recomputed, the mutation reaches
 // the section decoders, which must return an error or a consistent world,
 // never panic or over-allocate.
 func FuzzRestore(f *testing.F) {
 	src := fuzzWorld(f)
-	if err := src.Run(10 * time.Minute); err != nil {
+	if err := src.Run(fuzzRun); err != nil {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -71,4 +80,72 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("refused checkpoint started the world: %v", err)
 		}
 	})
+}
+
+// TestRestoreValidatesWrappedTraceRing: in a checkpoint of a world whose
+// tracer rings have wrapped, a record with a string length past the end
+// of the blob or a kind byte out of range fails Restore even with the
+// checksum recomputed. The tracer section is decoded after the world
+// starts, so the half-restored world is latched failed: Run returns the
+// error instead of continuing. The intact checkpoint restores the
+// rotated rings record for record.
+func TestRestoreValidatesWrappedTraceRing(t *testing.T) {
+	src := fuzzWorld(t)
+	if err := src.Run(fuzzRun); err != nil {
+		t.Fatal(err)
+	}
+	tr := src.Tracer()
+	if tr.Dropped() == 0 || tr.SpansDropped() == 0 {
+		t.Fatalf("rings did not wrap in %v: %d events, %d spans dropped", fuzzRun, tr.Dropped(), tr.SpansDropped())
+	}
+	var buf bytes.Buffer
+	if err := src.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+
+	// The tracer section opens with its length-prefixed marker, the
+	// enabled flag and the event ring's capacity, sequence, drop count
+	// and record count; the oldest event record follows. Its layout is
+	// Seq, At, the kind byte, then the length-prefixed Verb.
+	marker := binary.LittleEndian.AppendUint64(nil, uint64(len("tracer")))
+	marker = append(marker, "tracer"...)
+	if n := bytes.Count(good, marker); n != 1 {
+		t.Fatalf("tracer marker found %d times", n)
+	}
+	rec := bytes.Index(good, marker) + len(marker) + 1 + 4*8
+	kindAt, verbLenAt := rec+16, rec+17
+
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(b []byte)
+	}{
+		{"kind", "event kind", func(b []byte) { b[kindAt] = 0xff }},
+		{"string-length", "exceeds", func(b []byte) { binary.LittleEndian.PutUint64(b[verbLenAt:], 1<<40) }},
+	} {
+		b := bytes.Clone(good)
+		c.corrupt(b)
+		ckpt.Seal(b)
+		dst := fuzzWorld(t)
+		err := dst.Restore(bytes.NewReader(b))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Restore = %v, want an error mentioning %q", c.name, err, c.want)
+		}
+		if runErr := dst.Run(time.Minute); runErr == nil || !strings.Contains(runErr.Error(), c.want) {
+			t.Errorf("%s: Run after the failed Restore = %v, want the restore error", c.name, runErr)
+		}
+	}
+
+	dst := fuzzWorld(t)
+	if err := dst.Restore(bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	a, b := fmt.Sprintf("%+v", tr.Snapshot(obs.Filter{})), fmt.Sprintf("%+v", dst.Tracer().Snapshot(obs.Filter{}))
+	if a != b {
+		t.Error("restored event ring differs from the source")
+	}
+	a, b = fmt.Sprintf("%+v", tr.SpanSnapshot(obs.SpanFilter{})), fmt.Sprintf("%+v", dst.Tracer().SpanSnapshot(obs.SpanFilter{}))
+	if a != b {
+		t.Error("restored span ring differs from the source")
+	}
 }

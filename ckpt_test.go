@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -600,5 +601,54 @@ func BenchmarkCheckpoint(b *testing.B) {
 		if err := c.Checkpoint(io.Discard); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCheckpointGaugesOnMetrics: /metrics reports the periodic
+// checkpoint count and the newest checkpoint's size — zero before the
+// first firing, then the count and LastCheckpoint's length — plus the
+// bytes each tracer ring holds. A world without periodic checkpoints
+// exports no checkpoint meters.
+func TestCheckpointGaugesOnMetrics(t *testing.T) {
+	scrape := func(c *Cluster) string {
+		var b bytes.Buffer
+		if err := c.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	expect := func(when, out string, want ...string) {
+		for _, w := range want {
+			if !strings.Contains(out, w+"\n") {
+				t.Errorf("%s: exposition lacks %q", when, w)
+			}
+		}
+	}
+	c := ckptWorld(t, 0, "")
+	if err := c.Run(5 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	expect("before the first checkpoint", scrape(c),
+		"# TYPE evolve_checkpoints_total counter", "evolve_checkpoints_total 0",
+		"# TYPE evolve_checkpoint_last_bytes gauge", "evolve_checkpoint_last_bytes 0")
+	if err := c.Run(10 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	events, spans := c.Tracer().RingBytes()
+	if events == 0 || spans == 0 {
+		t.Fatalf("ring bytes %d/%d after 15 minutes of tracing", events, spans)
+	}
+	expect("after one checkpoint", scrape(c),
+		"evolve_checkpoints_total 1",
+		"evolve_checkpoint_last_bytes "+strconv.Itoa(len(c.LastCheckpoint())),
+		`evolve_trace_ring_bytes{ring="events"} `+strconv.Itoa(events),
+		`evolve_trace_ring_bytes{ring="spans"} `+strconv.Itoa(spans))
+
+	plain, err := New(Options{Seed: 21, Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := scrape(plain); strings.Contains(out, "evolve_checkpoint") {
+		t.Errorf("world without periodic checkpoints exports checkpoint meters:\n%s", out)
 	}
 }

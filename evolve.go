@@ -647,9 +647,18 @@ func (cl *Cluster) Tracer() *obs.Tracer { return cl.tracer }
 // WriteMetrics writes the cluster's telemetry in Prometheus text
 // exposition format (version 0.0.4): gauges for the latest sample of
 // every series, counters, and the SLI histograms with cumulative
-// buckets.
+// buckets. With periodic checkpoints enabled it adds their count
+// (evolve_checkpoints_total) and the size of the newest one
+// (evolve_checkpoint_last_bytes, LastCheckpoint's length).
 func (cl *Cluster) WriteMetrics(w io.Writer) error {
-	return obs.WriteMetrics(w, cl.w.Cluster.Metrics(), cl.tracer)
+	var extra []obs.Meter
+	if cl.ckptEvery > 0 {
+		extra = []obs.Meter{
+			{Name: "evolve_checkpoints_total", Value: uint64(cl.ckptCount)},
+			{Name: "evolve_checkpoint_last_bytes", Value: uint64(len(cl.lastCkpt))},
+		}
+	}
+	return obs.WriteMetrics(w, cl.w.Cluster.Metrics(), cl.tracer, extra...)
 }
 
 // ControllerState is one entry of the /debug/controllers view: what a

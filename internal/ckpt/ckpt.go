@@ -51,13 +51,73 @@ const ChunkSize = 64 << 10
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// Encoder is the primitive encoding every checkpointed value is written
+// through. Writer streams it into a checksummed checkpoint; Appender
+// appends it to a caller-owned slice, for records that are encoded once
+// and later copied into checkpoints whole with Writer.Raw.
+type Encoder interface {
+	U8(v uint8)
+	Bool(v bool)
+	U64(v uint64)
+	I64(v int64)
+	Int(v int)
+	F64(v float64)
+	Dur(v time.Duration)
+	Str(s string)
+}
+
+// Appender appends primitives to Buf. It is the one definition of each
+// primitive's bytes: Writer wraps it with chunked checksumming.
+type Appender struct {
+	Buf []byte
+}
+
+// U8 appends one byte.
+func (a *Appender) U8(v uint8) { a.Buf = append(a.Buf, v) }
+
+// Bool appends a boolean as one byte.
+func (a *Appender) Bool(v bool) {
+	if v {
+		a.U8(1)
+	} else {
+		a.U8(0)
+	}
+}
+
+// U64 appends an unsigned 64-bit integer, little-endian.
+func (a *Appender) U64(v uint64) { a.Buf = binary.LittleEndian.AppendUint64(a.Buf, v) }
+
+// I64 appends a signed 64-bit integer.
+func (a *Appender) I64(v int64) { a.U64(uint64(v)) }
+
+// Int appends an int (as 64 bits).
+func (a *Appender) Int(v int) { a.U64(uint64(v)) }
+
+// F64 appends a float64 bit-exactly.
+func (a *Appender) F64(v float64) { a.U64(math.Float64bits(v)) }
+
+// Dur appends a time.Duration.
+func (a *Appender) Dur(v time.Duration) { a.U64(uint64(v)) }
+
+// Str appends a length-prefixed string.
+func (a *Appender) Str(s string) {
+	a.U64(uint64(len(s)))
+	a.Buf = append(a.Buf, s...)
+}
+
+// Bytes appends a length-prefixed byte blob.
+func (a *Appender) Bytes(p []byte) {
+	a.U64(uint64(len(p)))
+	a.Buf = append(a.Buf, p...)
+}
+
 // Writer serialises primitives into a chunk buffer, checksumming and
 // writing whole chunks. Errors are sticky: the first write error
 // latches and every later write is dropped, so callers check Close once.
 type Writer struct {
-	w      io.Writer // nil for a buffer writer: buf is the destination
-	buf    []byte
-	hashed int // buf[:hashed] is already in the checksums
+	w      io.Writer // nil for a buffer writer: a.Buf is the destination
+	a      Appender
+	hashed int // a.Buf[:hashed] is already in the checksums
 	crcC   uint32
 	crcI   uint32
 	err    error
@@ -76,76 +136,83 @@ func NewBufferWriter(buf []byte) *Writer { return newWriter(nil, buf[:0]) }
 func newWriter(w io.Writer, buf []byte) *Writer {
 	buf = append(buf, Magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	return &Writer{w: w, buf: buf, hashed: len(buf)}
+	return &Writer{w: w, a: Appender{Buf: buf}, hashed: len(buf)}
 }
 
 // flush checksums the unhashed tail of the buffer and, when streaming,
 // writes the buffer out and empties it.
 func (w *Writer) flush() {
-	p := w.buf[w.hashed:]
+	p := w.a.Buf[w.hashed:]
 	w.crcC = crc32.Update(w.crcC, castagnoli, p)
 	w.crcI = crc32.Update(w.crcI, crc32.IEEETable, p)
 	if w.w == nil {
-		w.hashed = len(w.buf)
+		w.hashed = len(w.a.Buf)
 		return
 	}
 	if w.err == nil {
-		_, w.err = w.w.Write(w.buf)
+		_, w.err = w.w.Write(w.a.Buf)
 	}
-	w.buf, w.hashed = w.buf[:0], 0
+	w.a.Buf, w.hashed = w.a.Buf[:0], 0
 }
 
 // maybeFlush flushes once a full chunk is pending.
 func (w *Writer) maybeFlush() {
-	if len(w.buf)-w.hashed >= ChunkSize {
+	if len(w.a.Buf)-w.hashed >= ChunkSize {
 		w.flush()
 	}
 }
 
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) {
-	w.buf = append(w.buf, v)
+	w.a.U8(v)
 	w.maybeFlush()
 }
 
 // Bool writes a boolean as one byte.
 func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
+	w.a.Bool(v)
+	w.maybeFlush()
 }
 
 // U64 writes an unsigned 64-bit integer.
 func (w *Writer) U64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	w.a.U64(v)
 	w.maybeFlush()
 }
 
 // I64 writes a signed 64-bit integer.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
+func (w *Writer) I64(v int64) {
+	w.a.I64(v)
+	w.maybeFlush()
+}
 
 // Int writes an int (as 64 bits).
-func (w *Writer) Int(v int) { w.U64(uint64(v)) }
+func (w *Writer) Int(v int) {
+	w.a.Int(v)
+	w.maybeFlush()
+}
 
 // F64 writes a float64 bit-exactly.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+func (w *Writer) F64(v float64) {
+	w.a.F64(v)
+	w.maybeFlush()
+}
 
 // Dur writes a time.Duration.
-func (w *Writer) Dur(v time.Duration) { w.U64(uint64(v)) }
+func (w *Writer) Dur(v time.Duration) {
+	w.a.Dur(v)
+	w.maybeFlush()
+}
 
 // Str writes a length-prefixed string.
 func (w *Writer) Str(s string) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(len(s)))
-	w.buf = append(w.buf, s...)
+	w.a.Str(s)
 	w.maybeFlush()
 }
 
 // Bytes writes a length-prefixed byte blob.
 func (w *Writer) Bytes(p []byte) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(len(p)))
-	w.buf = append(w.buf, p...)
+	w.a.Bytes(p)
 	w.maybeFlush()
 }
 
@@ -155,9 +222,23 @@ func (w *Writer) Bytes(p []byte) {
 // Keep n at most a few chunks: a streaming Writer buffers the run whole.
 func (w *Writer) Next(n int) []byte {
 	w.maybeFlush()
-	l := len(w.buf)
-	w.buf = slices.Grow(w.buf, n)[:l+n]
-	return w.buf[l:]
+	l := len(w.a.Buf)
+	w.a.Buf = slices.Grow(w.a.Buf, n)[:l+n]
+	return w.a.Buf[l:]
+}
+
+// Raw writes p verbatim, with no length prefix: bytes the caller already
+// encoded with an Appender. It copies p up to each chunk boundary and
+// flushes there, so a run of any length never grows a streaming
+// Writer's buffer.
+func (w *Writer) Raw(p []byte) {
+	for len(p) > 0 {
+		w.maybeFlush()
+		n := min(len(p), ChunkSize-(len(w.a.Buf)-w.hashed))
+		w.a.Buf = append(w.a.Buf, p[:n]...)
+		p = p[n:]
+	}
+	w.maybeFlush()
 }
 
 // Begin writes a named section marker; the Reader verifies it in order.
@@ -170,19 +251,19 @@ func (w *Writer) Err() error { return w.err }
 // out what is buffered. It does not close the underlying writer.
 func (w *Writer) Close() error {
 	w.flush()
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(w.crcC)<<32|uint64(w.crcI))
-	w.hashed = len(w.buf)
+	w.a.U64(uint64(w.crcC)<<32 | uint64(w.crcI))
+	w.hashed = len(w.a.Buf)
 	if w.w != nil {
 		if w.err == nil {
-			_, w.err = w.w.Write(w.buf)
+			_, w.err = w.w.Write(w.a.Buf)
 		}
-		w.buf, w.hashed = w.buf[:0], 0
+		w.a.Buf, w.hashed = w.a.Buf[:0], 0
 	}
 	return w.err
 }
 
 // Encoding returns a buffer writer's encoding (valid after Close).
-func (w *Writer) Encoding() []byte { return w.buf }
+func (w *Writer) Encoding() []byte { return w.a.Buf }
 
 // Seal recomputes the checksum trailer of an encoded checkpoint in
 // place. Fuzzers use it to mutate a valid blob yet still reach the
@@ -230,6 +311,14 @@ func NewReader(blob []byte) (*Reader, error) {
 	}
 	return &Reader{body: body}, nil
 }
+
+// NewRawReader returns a Reader over bytes an Appender wrote: there is
+// no header or trailer to verify. The Reader aliases p.
+func NewRawReader(p []byte) *Reader { return &Reader{body: p} }
+
+// Rest returns the bytes not yet decoded, aliasing the blob. Comparing
+// it before and after decoding a record yields the record's exact bytes.
+func (r *Reader) Rest() []byte { return r.body[r.off:] }
 
 // Next consumes n bytes and returns them, aliasing the blob; nil (with
 // the error latched) when fewer remain. The bulk counterpart of

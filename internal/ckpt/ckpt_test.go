@@ -267,3 +267,108 @@ func TestSeal(t *testing.T) {
 		t.Errorf("resealed U64 = %d, want 8", got)
 	}
 }
+
+// maxWriter records the largest single Write it receives.
+type maxWriter struct {
+	bytes.Buffer
+	max int
+}
+
+func (m *maxWriter) Write(p []byte) (int, error) {
+	m.max = max(m.max, len(p))
+	return m.Buffer.Write(p)
+}
+
+// TestWriterRaw: a multi-megabyte Raw run, starting off a chunk
+// boundary, encodes to the same blob through a buffer writer and a
+// streaming writer; the streaming writer never holds more than two
+// chunks; and the checksum is the one the same bytes get when written
+// one U8 at a time.
+func TestWriterRaw(t *testing.T) {
+	run := make([]byte, 3<<20+12345)
+	for i := range run {
+		run[i] = byte(i*7 + i>>11)
+	}
+	encode := func(w *Writer, raw func(w *Writer, p []byte)) {
+		w.Str("lead") // leave the run unaligned to chunk boundaries
+		raw(w, run[:5])
+		raw(w, run[5:])
+		w.U64(42)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk := func(w *Writer, p []byte) { w.Raw(p) }
+
+	bw := NewBufferWriter(nil)
+	encode(bw, bulk)
+	want := bw.Encoding()
+
+	var stream maxWriter
+	sw := NewWriter(&stream)
+	encode(sw, bulk)
+	if !bytes.Equal(stream.Bytes(), want) {
+		t.Fatal("streaming and buffer writers encode the Raw run differently")
+	}
+	if stream.max > 2*ChunkSize || cap(sw.a.Buf) > 2*ChunkSize {
+		t.Errorf("streaming writer held %d bytes (buffer cap %d), want at most %d", stream.max, cap(sw.a.Buf), 2*ChunkSize)
+	}
+
+	uw := NewBufferWriter(nil)
+	encode(uw, func(w *Writer, p []byte) {
+		for _, b := range p {
+			w.U8(b)
+		}
+	})
+	if !bytes.Equal(uw.Encoding(), want) {
+		t.Fatal("Raw and per-byte U8 writes encode differently")
+	}
+	r, err := NewReader(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Str() != "lead" || !bytes.Equal(r.Next(len(run)), run) || r.U64() != 42 {
+		t.Fatal("Raw run did not read back")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppenderMatchesWriter: the Appender writes each primitive's bytes
+// exactly as the Writer's body holds them, and a raw Reader over them
+// tracks what is left to decode.
+func TestAppenderMatchesWriter(t *testing.T) {
+	put := func(e Encoder) {
+		e.U8(3)
+		e.Bool(true)
+		e.U64(1 << 60)
+		e.I64(-9)
+		e.Int(77)
+		e.F64(math.NaN())
+		e.Dur(time.Hour)
+		e.Str("héllo")
+	}
+	var a Appender
+	put(&a)
+	w := NewBufferWriter(nil)
+	put(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blob := w.Encoding()
+	if body := blob[headerLen : len(blob)-trailerLen]; !bytes.Equal(a.Buf, body) {
+		t.Fatalf("appender bytes %x, writer body %x", a.Buf, body)
+	}
+	r := NewRawReader(a.Buf)
+	r.U8()
+	if got := len(r.Rest()); got != len(a.Buf)-1 {
+		t.Errorf("Rest after one byte has %d bytes, want %d", got, len(a.Buf)-1)
+	}
+	if !r.Bool() || r.U64() != 1<<60 || r.I64() != -9 || r.Int() != 77 || !math.IsNaN(r.F64()) || r.Dur() != time.Hour || r.Str() != "héllo" {
+		t.Error("raw reader decoded different values")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -11,7 +11,7 @@ import (
 // SaveControlTrace writes a controller decision decomposition; the
 // controllers' StateSaver implementations carry their lastTrace through
 // checkpoints with it.
-func SaveControlTrace(w *ckpt.Writer, t ControlTrace) {
+func SaveControlTrace(w ckpt.Encoder, t ControlTrace) {
 	w.Str(t.Stage)
 	w.F64(t.UtilTarget)
 	w.Int(t.Adaptations)
@@ -88,9 +88,11 @@ func loadLatHist(r *ckpt.Reader, h *LatencyHistogram) error {
 	return r.Err()
 }
 
-// saveEvent writes one ring event as a fixed binary record; the PID
-// decomposition follows only when HasCtrl is set.
-func saveEvent(w *ckpt.Writer, ev *Event) {
+// saveEvent writes one event as a fixed binary record; the PID
+// decomposition follows only when HasCtrl is set. It is the one
+// definition of the record: Record encodes with it into the ring, and
+// CkptSave copies the ring's bytes.
+func saveEvent(w ckpt.Encoder, ev *Event) {
 	w.U64(ev.Seq)
 	w.Dur(ev.At)
 	w.U8(uint8(ev.Kind))
@@ -131,8 +133,9 @@ func loadEvent(r *ckpt.Reader) (Event, error) {
 	return ev, r.Err()
 }
 
-// saveSpan writes one ring span as a fixed binary record.
-func saveSpan(w *ckpt.Writer, sp *Span) {
+// saveSpan writes one span as a fixed binary record; like saveEvent,
+// RecordSpan encodes with it into the span ring.
+func saveSpan(w ckpt.Encoder, sp *Span) {
 	w.U64(sp.ID)
 	w.U64(sp.Parent)
 	w.U8(uint8(sp.Kind))
@@ -163,6 +166,43 @@ func loadSpan(r *ckpt.Reader) (Span, error) {
 	return sp, r.Err()
 }
 
+// saveRing writes a ring's header — capacity, sequence, drop count and
+// record count — then its records oldest first, as a copy of the bytes
+// the ring already holds.
+func saveRing(w *ckpt.Writer, ring *recRing, seq, dropped uint64) {
+	w.Int(ring.capacity())
+	w.U64(seq)
+	w.U64(dropped)
+	w.Int(ring.n)
+	ring.each(w.Raw)
+}
+
+// loadRing reads a ring written by saveRing into ring, decoding every
+// record with load so a corrupt one is an error, then keeping the
+// record's exact bytes. It returns the sequence and drop counters.
+func loadRing[T any](r *ckpt.Reader, ring *recRing, what string, load func(*ckpt.Reader) (T, error)) (seq, dropped uint64, err error) {
+	if c := r.Int(); r.Err() == nil && c != ring.capacity() {
+		return 0, 0, fmt.Errorf("obs: ckpt: %s ring capacity %d, checkpoint %d", what, ring.capacity(), c)
+	}
+	seq, dropped = r.U64(), r.U64()
+	n := r.Int()
+	if r.Err() != nil {
+		return 0, 0, r.Err()
+	}
+	if n < 0 || n > ring.capacity() {
+		return 0, 0, fmt.Errorf("obs: ckpt: %s count %d exceeds ring %d", what, n, ring.capacity())
+	}
+	ring.reset()
+	for i := 0; i < n; i++ {
+		rest := r.Rest()
+		if _, err := load(r); err != nil {
+			return 0, 0, err
+		}
+		ring.push(rest[:len(rest)-len(r.Rest())])
+	}
+	return seq, dropped, nil
+}
+
 // CkptSave writes the tracer's full state: both rings (oldest first, as
 // binary records that round-trip every field bit for bit), sequence and
 // drop counters, and the latency histograms. Sinks and their latched
@@ -175,43 +215,8 @@ func (t *Tracer) CkptSave(w *ckpt.Writer) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w.Int(len(t.buf))
-	w.U64(t.seq)
-	w.U64(t.dropped)
-	var n int
-	if t.wrapped {
-		n = len(t.buf)
-	} else {
-		n = t.next
-	}
-	w.Int(n)
-	if t.wrapped {
-		for i := t.next; i < len(t.buf); i++ {
-			saveEvent(w, &t.buf[i])
-		}
-	}
-	for i := 0; i < t.next; i++ {
-		saveEvent(w, &t.buf[i])
-	}
-
-	w.Int(len(t.spans))
-	w.U64(t.spanSeq)
-	w.U64(t.spanDropped)
-	if t.spanWrapped {
-		n = len(t.spans)
-	} else {
-		n = t.spanNext
-	}
-	w.Int(n)
-	if t.spanWrapped {
-		for i := t.spanNext; i < len(t.spans); i++ {
-			saveSpan(w, &t.spans[i])
-		}
-	}
-	for i := 0; i < t.spanNext; i++ {
-		saveSpan(w, &t.spans[i])
-	}
-
+	saveRing(w, &t.events, t.seq, t.dropped)
+	saveRing(w, &t.spans, t.spanSeq, t.spanDropped)
 	for k := range t.lat {
 		saveLatHist(w, &t.lat[k])
 	}
@@ -226,9 +231,8 @@ func (t *Tracer) CkptSave(w *ckpt.Writer) {
 }
 
 // CkptLoad restores state written by CkptSave into a tracer constructed
-// with the same capacity. The ring is rebuilt in canonical rotation
-// (oldest at index 0) — rotation is unobservable through Snapshot and
-// subsequent records. Sinks should be attached after the load.
+// with the same capacity. Every ring record is decoded and validated
+// before its bytes are kept. Sinks should be attached after the load.
 func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 	r.Begin("tracer")
 	enabled := r.Bool()
@@ -243,62 +247,12 @@ func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c := r.Int(); c != len(t.buf) {
-		return fmt.Errorf("obs: ckpt: event ring capacity %d, checkpoint %d", len(t.buf), c)
+	var err error
+	if t.seq, t.dropped, err = loadRing(r, &t.events, "event", loadEvent); err != nil {
+		return err
 	}
-	t.seq = r.U64()
-	t.dropped = r.U64()
-	n := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n < 0 || n > len(t.buf) {
-		return fmt.Errorf("obs: ckpt: event count %d exceeds ring %d", n, len(t.buf))
-	}
-	for i := range t.buf {
-		t.buf[i] = Event{}
-	}
-	for i := 0; i < n; i++ {
-		ev, err := loadEvent(r)
-		if err != nil {
-			return err
-		}
-		t.buf[i] = ev
-	}
-	t.wrapped = n == len(t.buf)
-	if t.wrapped {
-		t.next = 0
-	} else {
-		t.next = n
-	}
-
-	if c := r.Int(); c != len(t.spans) {
-		return fmt.Errorf("obs: ckpt: span ring capacity %d, checkpoint %d", len(t.spans), c)
-	}
-	t.spanSeq = r.U64()
-	t.spanDropped = r.U64()
-	n = r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n < 0 || n > len(t.spans) {
-		return fmt.Errorf("obs: ckpt: span count %d exceeds ring %d", n, len(t.spans))
-	}
-	for i := range t.spans {
-		t.spans[i] = Span{}
-	}
-	for i := 0; i < n; i++ {
-		sp, err := loadSpan(r)
-		if err != nil {
-			return err
-		}
-		t.spans[i] = sp
-	}
-	t.spanWrapped = n == len(t.spans)
-	if t.spanWrapped {
-		t.spanNext = 0
-	} else {
-		t.spanNext = n
+	if t.spanSeq, t.spanDropped, err = loadRing(r, &t.spans, "span", loadSpan); err != nil {
+		return err
 	}
 
 	for k := range t.lat {

@@ -7,12 +7,14 @@
 //
 // The tracer is allocation-conscious by design: the hot simulation paths
 // run with the shared no-op tracer (Nop) and pay one predicted branch per
-// potential event; an enabled tracer preallocates its ring at creation
-// and records events by value, so steady-state recording performs no
-// heap allocations either (the obs benchmarks and the cluster's traced
-// alloc gate enforce this). Record and Snapshot are safe for concurrent
-// use — the HTTP debug endpoints read the ring while a paused simulation
-// owns it.
+// potential event. An enabled tracer encodes each event once, when it is
+// recorded, into its ring in the checkpoint encoding: the ring's memory
+// is the live encoded bytes, a checkpoint copies them, and readers
+// (Snapshot) decode. The ring grows chunk by chunk until it wraps and
+// then recycles its chunks, so steady-state recording performs no heap
+// allocations (the obs tests and the cluster's traced alloc gate enforce
+// this). Record and Snapshot are safe for concurrent use — the HTTP
+// debug endpoints read the ring while a paused simulation owns it.
 package obs
 
 import (
@@ -20,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"evolve/internal/ckpt"
 	"evolve/internal/resource"
 )
 
@@ -132,9 +135,9 @@ type ControlTrace struct {
 	Gains [resource.NumKinds]GainSet
 }
 
-// Event is one trace record. It is a flat value type — recording an
-// event copies it into the ring without touching the heap. Fields beyond
-// the header are kind-dependent and zero elsewhere.
+// Event is one trace record. It is a flat value type that callers pass
+// by value; the ring stores its checkpoint encoding. Fields beyond the
+// header are kind-dependent and zero elsewhere.
 type Event struct {
 	// Seq is the global sequence number, assigned by Record (1-based).
 	Seq uint64
@@ -190,11 +193,12 @@ type Tracer struct {
 	enabled bool
 
 	mu      sync.Mutex
-	buf     []Event
-	next    int
-	wrapped bool
+	events  recRing
 	seq     uint64
 	dropped uint64
+	// rec is the reused buffer each event or span is encoded into
+	// before its ring copies it.
+	rec ckpt.Appender
 
 	sink    io.Writer
 	sinkErr error
@@ -202,9 +206,7 @@ type Tracer struct {
 
 	// The span layer (span.go): its own ring, sequence and sink so span
 	// emission never perturbs the event stream's bytes.
-	spans       []Span
-	spanNext    int
-	spanWrapped bool
+	spans       recRing
 	spanSeq     uint64
 	spanDropped uint64
 	spanSink    io.Writer
@@ -224,17 +226,17 @@ var nop = &Tracer{}
 // branch when off.
 func Nop() *Tracer { return nop }
 
-// New returns an enabled tracer with the given ring capacity (<= 0 means
-// DefaultCapacity). The event and span rings are allocated up front so
-// Record and RecordSpan never allocate.
+// New returns an enabled tracer whose event and span rings each hold
+// capacity records (<= 0 means DefaultCapacity). The rings' storage
+// grows with the records they hold, up to the capacity.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	t := &Tracer{
 		enabled: true,
-		buf:     make([]Event, capacity),
-		spans:   make([]Span, capacity),
+		events:  newRecRing(capacity),
+		spans:   newRecRing(capacity),
 	}
 	for k := LatencyKind(0); k < NumLatencyKinds; k++ {
 		t.lat[k] = NewLatencyHistogram(k.String(), DefaultLatencyBuckets)
@@ -278,14 +280,10 @@ func (t *Tracer) RecordBatch(evs []Event) {
 func (t *Tracer) recordLocked(ev Event) {
 	t.seq++
 	ev.Seq = t.seq
-	if t.wrapped {
+	t.rec.Buf = t.rec.Buf[:0]
+	saveEvent(&t.rec, &ev)
+	if t.events.push(t.rec.Buf) {
 		t.dropped++
-	}
-	t.buf[t.next] = ev
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.wrapped = true
 	}
 	if t.sink != nil && t.sinkErr == nil {
 		t.encBuf = AppendJSON(t.encBuf[:0], &ev)
@@ -346,10 +344,17 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.wrapped {
-		return len(t.buf)
+	return t.events.n
+}
+
+// RingBytes returns the encoded bytes the event and span rings hold.
+func (t *Tracer) RingBytes() (events, spans int) {
+	if !t.Enabled() {
+		return 0, 0
 	}
-	return t.next
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.events.live, t.spans.live
 }
 
 // Filter selects events from a snapshot. Zero fields match everything;
@@ -384,27 +389,12 @@ func (f Filter) Match(ev *Event) bool {
 	return true
 }
 
-// Snapshot returns the matching events oldest-first.
+// Snapshot decodes the matching events oldest-first.
 func (t *Tracer) Snapshot(f Filter) []Event {
 	if !t.Enabled() {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Event
-	appendMatch := func(evs []Event) {
-		for i := range evs {
-			if f.Match(&evs[i]) {
-				out = append(out, evs[i])
-			}
-		}
-	}
-	if t.wrapped {
-		appendMatch(t.buf[t.next:])
-	}
-	appendMatch(t.buf[:t.next])
-	if f.Lim > 0 && len(out) > f.Lim {
-		out = out[len(out)-f.Lim:]
-	}
-	return out
+	return decodeRing(&t.events, loadEvent, f.Match, f.Lim)
 }

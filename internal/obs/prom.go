@@ -27,9 +27,17 @@ import (
 // and count. Families and label sets are emitted sorted, so the output
 // is deterministic and diffable.
 
-// WriteMetrics writes the registry (and, when tr is enabled, the
-// tracer's own meters) in Prometheus text format.
-func WriteMetrics(w io.Writer, reg *metrics.Registry, tr *Tracer) error {
+// Meter is one unlabelled sample kept outside the registry, such as a
+// checkpoint count. A Name ending in _total is exposed as a counter,
+// any other as a gauge.
+type Meter struct {
+	Name  string
+	Value uint64
+}
+
+// WriteMetrics writes the registry, the tracer's own meters when tr is
+// enabled, and any extra meters in Prometheus text format.
+func WriteMetrics(w io.Writer, reg *metrics.Registry, tr *Tracer, extra ...Meter) error {
 	fams := map[string]*promFamily{}
 	add := func(name, typ string, sample string) {
 		f, ok := fams[name]
@@ -82,6 +90,11 @@ func WriteMetrics(w io.Writer, reg *metrics.Registry, tr *Tracer) error {
 			"evolve_trace_sink_error "+boolGauge(tr.SinkErr() != nil))
 		add("evolve_trace_span_sink_error", "gauge",
 			"evolve_trace_span_sink_error "+boolGauge(tr.SpanSinkErr() != nil))
+		// The encoded bytes each ring holds: what the next checkpoint's
+		// tracer section copies.
+		events, spans := tr.RingBytes()
+		add("evolve_trace_ring_bytes", "gauge", `evolve_trace_ring_bytes{ring="events"} `+strconv.Itoa(events))
+		add("evolve_trace_ring_bytes", "gauge", `evolve_trace_ring_bytes{ring="spans"} `+strconv.Itoa(spans))
 		// Tracer-owned latency histograms, with the worst span's ID as an
 		// exemplar gauge (the 0.0.4 text format has no exemplar syntax).
 		for _, h := range tr.LatencySnapshot() {
@@ -99,6 +112,14 @@ func WriteMetrics(w io.Writer, reg *metrics.Registry, tr *Tracer) error {
 				add(fam+"_worst_span", "gauge", fam+"_worst_span "+strconv.FormatUint(h.Exemplar, 10))
 			}
 		}
+	}
+
+	for _, m := range extra {
+		typ := "gauge"
+		if strings.HasSuffix(m.Name, "_total") {
+			typ = "counter"
+		}
+		add(m.Name, typ, m.Name+" "+strconv.FormatUint(m.Value, 10))
 	}
 
 	names := make([]string, 0, len(fams))

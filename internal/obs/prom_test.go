@@ -1,12 +1,21 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"evolve/internal/ckpt"
 	"evolve/internal/metrics"
 )
+
+// encodedLen returns the bytes ev occupies in the event ring.
+func encodedLen(ev Event) int {
+	var a ckpt.Appender
+	saveEvent(&a, &ev)
+	return len(a.Buf)
+}
 
 func TestWriteMetricsExposition(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -47,6 +56,9 @@ func TestWriteMetricsExposition(t *testing.T) {
 		`evolve_app_sli_hist_sum{app="web"} 0.53`,
 		"evolve_trace_events_total 1",
 		"evolve_trace_dropped_total 0",
+		"# TYPE evolve_trace_ring_bytes gauge",
+		`evolve_trace_ring_bytes{ring="events"} ` + strconv.Itoa(encodedLen(Event{Seq: 1, Kind: KindSched, Verb: VerbBind})),
+		`evolve_trace_ring_bytes{ring="spans"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n---\n%s", want, out)
@@ -121,5 +133,18 @@ func TestPromName(t *testing.T) {
 		if fam != c.fam || labels != c.labels {
 			t.Errorf("promName(%q) = %q,%q; want %q,%q", c.in, fam, labels, c.fam, c.labels)
 		}
+	}
+}
+
+// TestWriteMetricsExtraMeters: extra meters join the exposition as
+// counters (names ending in _total) or gauges, sorted with the rest.
+func TestWriteMetricsExtraMeters(t *testing.T) {
+	var sb strings.Builder
+	if err := WriteMetrics(&sb, metrics.NewRegistry(), Nop(), Meter{Name: "evolve_b_total", Value: 3}, Meter{Name: "evolve_a_bytes", Value: 7}); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE evolve_a_bytes gauge\nevolve_a_bytes 7\n# TYPE evolve_b_total counter\nevolve_b_total 3\n"
+	if sb.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }

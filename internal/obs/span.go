@@ -87,8 +87,8 @@ func SpanKindNames() []string {
 	return out
 }
 
-// Span is one completed causal interval. It is a flat value type:
-// recording copies it into the ring without touching the heap.
+// Span is one completed causal interval. It is a flat value type that
+// callers pass by value; the ring stores its checkpoint encoding.
 type Span struct {
 	// ID is assigned by RecordSpan (1-based, dense). Parent links to the
 	// causally enclosing span, 0 for roots.
@@ -127,14 +127,10 @@ func (t *Tracer) RecordSpan(sp Span) uint64 {
 	t.mu.Lock()
 	t.spanSeq++
 	sp.ID = t.spanSeq
-	if t.spanWrapped {
+	t.rec.Buf = t.rec.Buf[:0]
+	saveSpan(&t.rec, &sp)
+	if t.spans.push(t.rec.Buf) {
 		t.spanDropped++
-	}
-	t.spans[t.spanNext] = sp
-	t.spanNext++
-	if t.spanNext == len(t.spans) {
-		t.spanNext = 0
-		t.spanWrapped = true
 	}
 	if t.spanSink != nil && t.spanSinkErr == nil {
 		t.spanEncBuf = AppendSpanJSON(t.spanEncBuf[:0], &sp)
@@ -198,10 +194,7 @@ func (t *Tracer) SpanLen() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.spanWrapped {
-		return len(t.spans)
-	}
-	return t.spanNext
+	return t.spans.n
 }
 
 // SpanFilter selects spans from a snapshot. Zero fields match
@@ -237,27 +230,12 @@ func (f SpanFilter) Match(sp *Span) bool {
 	return true
 }
 
-// SpanSnapshot returns the matching spans oldest-first.
+// SpanSnapshot decodes the matching spans oldest-first.
 func (t *Tracer) SpanSnapshot(f SpanFilter) []Span {
 	if !t.Enabled() {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Span
-	appendMatch := func(sps []Span) {
-		for i := range sps {
-			if f.Match(&sps[i]) {
-				out = append(out, sps[i])
-			}
-		}
-	}
-	if t.spanWrapped {
-		appendMatch(t.spans[t.spanNext:])
-	}
-	appendMatch(t.spans[:t.spanNext])
-	if f.Lim > 0 && len(out) > f.Lim {
-		out = out[len(out)-f.Lim:]
-	}
-	return out
+	return decodeRing(&t.spans, loadSpan, f.Match, f.Lim)
 }

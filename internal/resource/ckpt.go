@@ -3,7 +3,7 @@ package resource
 import "evolve/internal/ckpt"
 
 // CkptSave writes the vector's components in kind order.
-func (v Vector) CkptSave(w *ckpt.Writer) {
+func (v Vector) CkptSave(w ckpt.Encoder) {
 	for _, x := range v {
 		w.F64(x)
 	}
