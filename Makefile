@@ -33,12 +33,12 @@ bench-json:
 # first three points of the Figure 6 ladder under shard counts {1, 4},
 # plus the determinism suite that pins byte-identical replay across
 # shard and worker counts with the kernel invariant checker armed every
-# tick, and the coordinator's round protocol (the -race variant of the
-# suite runs in the race job).
+# tick, and the tick fan-out's gates (three rounds per tick, zero
+# allocations at 4 shards on 4 workers) under the race detector.
 bench-shard:
 	$(GO) run ./cmd/evolve-bench -json -quick -scale-points 3 -shards 4 -only figure6
 	$(GO) test ./internal/harness -run 'TestSharded' -count 1 -v
-	$(GO) test ./internal/sim -run 'TestCoordinator|TestDrainShards|TestBatchedRoundAllocs|TestProcessEventsAt' -count 1
+	$(GO) test -race ./internal/cluster -run 'TestFanOut' -count 1 -v
 
 # bench-control is the control-plane scaling regression smoke at CI
 # scale: the quick Figure 12 ladder, the sweep's smoke test, and the
@@ -46,7 +46,7 @@ bench-shard:
 bench-control:
 	$(GO) run ./cmd/evolve-bench -json -quick -only figure12
 	$(GO) test ./internal/harness -run 'TestFigure12' -count 1 -v
-	$(GO) test ./internal/control -run 'TestLoopWorkersDeterministic|TestControlEvalAllocs' -count 1 -v
+	$(GO) test ./internal/control -run 'TestLoopApplyOrderDeterministic|TestControlEvalAllocs' -count 1 -v
 
 # bench-compare guards the committed scale trajectory: the current
 # record's kernel rows must not regress ms_per_tick or shard speedup —

@@ -19,13 +19,14 @@ import (
 //
 // Checkpoint serialises, in a fixed section order, everything mutable:
 // the engine clock, RNG position and pending-timer set (as TimerTag
-// descriptors — closures re-attach on restore), the shard coordinator,
-// the batch runner, the HPC queue, the cluster substrate, the hardened
-// control loop, the chaos injector and the tracer rings. Restore runs
-// against a freshly constructed Cluster built with the same Options and
-// the same AddService / SetLoad / Submit* calls — construction-time
-// configuration (topology, specs, load functions, callbacks) is code,
-// not data, so only runtime state crosses the file boundary.
+// descriptors — closures re-attach on restore), the sharded tick's
+// counters, the batch runner, the HPC queue, the cluster substrate, the
+// hardened control loop, the chaos injector and the tracer rings.
+// Restore runs against a freshly constructed Cluster built with the
+// same Options and the same AddService / SetLoad / Submit* calls —
+// construction-time configuration (topology, specs, load functions,
+// callbacks) is code, not data, so only runtime state crosses the file
+// boundary.
 //
 // The headline invariant, enforced by the determinism suite: checkpoint
 // → restore → continue is byte-identical (report, trace and span
@@ -255,10 +256,6 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 	if err != nil {
 		return err
 	}
-	coState, err := cl.w.Cluster.Coordinator().State()
-	if err != nil {
-		return err
-	}
 	cw.Begin("evolve")
 	cw.I64(cl.opts.Seed)
 	cw.Str(cl.policy)
@@ -274,15 +271,19 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 		cw.Str(t.Tag.Kind)
 		cw.Str(t.Tag.Arg)
 	}
-	cw.U64(coState.Rounds)
-	cw.U64(coState.ParRounds)
-	cw.U64(coState.RoundsMark)
-	cw.U64(coState.ParMark)
-	cw.Int(len(coState.Shards))
-	for _, s := range coState.Shards {
-		cw.Dur(s.Now)
-		cw.U64(s.Seq)
-		cw.U64(s.Nsteps)
+	// The kernel-shard section keeps the layout of the per-shard engines
+	// it replaced: one (clock, seq, steps) triple per shard. Every shard
+	// runs once per round, so every triple is (clock, rounds, rounds).
+	ks := cl.w.Cluster.KernelState()
+	cw.U64(ks.Rounds)
+	cw.U64(ks.ParRounds)
+	cw.U64(ks.RoundsMark)
+	cw.U64(ks.ParMark)
+	cw.Int(cl.w.Cluster.NumShards())
+	for range cl.w.Cluster.NumShards() {
+		cw.Dur(ks.Clock)
+		cw.U64(ks.Rounds)
+		cw.U64(ks.Rounds)
 	}
 	cl.w.Runner.CkptSave(cw)
 	cl.w.Queue.CkptSave(cw)
@@ -361,24 +362,20 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 			Tag: sim.TimerTag{Kind: cr.Str(), Arg: cr.Str()},
 		}
 	}
-	var coState sim.CoordinatorState
-	coState.Rounds = cr.U64()
-	coState.ParRounds = cr.U64()
-	coState.RoundsMark = cr.U64()
-	coState.ParMark = cr.U64()
+	var ks cluster.KernelState
+	ks.Rounds = cr.U64()
+	ks.ParRounds = cr.U64()
+	ks.RoundsMark = cr.U64()
+	ks.ParMark = cr.U64()
 	ns := cr.Count(24)
 	if cr.Err() != nil {
 		return cr.Err()
 	}
-	if want := cl.w.Cluster.Coordinator().NumShards(); ns != want {
+	if want := cl.w.Cluster.NumShards(); ns != want {
 		return fmt.Errorf("evolve: checkpoint has %d kernel shards, this cluster %d (Shards option)", ns, want)
 	}
-	coState.Shards = make([]sim.ShardClock, ns)
-	for i := range coState.Shards {
-		coState.Shards[i] = sim.ShardClock{Now: cr.Dur(), Seq: cr.U64(), Nsteps: cr.U64()}
-	}
-	if cr.Err() != nil {
-		return cr.Err()
+	if err := readKernelShards(cr, ns, &ks, now); err != nil {
+		return err
 	}
 	// Arm the fresh world's own timers first: RestoreTimers re-attaches
 	// checkpoint timers to them by tag.
@@ -454,14 +451,44 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 	if err := cl.w.Engine.RNG().Burn(draws); err != nil {
 		return err
 	}
-	if err := cl.w.Cluster.Coordinator().RestoreState(coState); err != nil {
-		return err
-	}
+	cl.w.Cluster.RestoreKernelState(ks)
 	// After a restore, LastCheckpoint is the snapshot this world came
 	// from, so a process that restores and then crashes again before the
 	// next periodic checkpoint still has a valid restart point.
 	cl.lastCkpt = blob
 	return cl.err()
+}
+
+// readKernelShards decodes the ns kernel-shard triples into ks.Clock and
+// refuses clocks the fan-out tick cannot write: triples that differ,
+// seq or steps other than the round count, more parallel rounds than
+// rounds, a phase-span mark past its counter, or a shard clock later
+// than the engine clock now.
+func readKernelShards(cr *ckpt.Reader, ns int, ks *cluster.KernelState, now time.Duration) error {
+	for i := 0; i < ns; i++ {
+		at, seq, steps := cr.Dur(), cr.U64(), cr.U64()
+		if cr.Err() != nil {
+			return cr.Err()
+		}
+		if i == 0 {
+			ks.Clock = at
+		}
+		if at != ks.Clock {
+			return fmt.Errorf("evolve: checkpoint kernel shard %d clock differs from shard 0", i)
+		}
+		if seq != steps || steps != ks.Rounds {
+			return fmt.Errorf("evolve: checkpoint kernel shard %d has seq %d and steps %d, want %d rounds", i, seq, steps, ks.Rounds)
+		}
+	}
+	switch {
+	case ks.ParRounds > ks.Rounds:
+		return fmt.Errorf("evolve: checkpoint has %d parallel rounds of %d", ks.ParRounds, ks.Rounds)
+	case ks.RoundsMark > ks.Rounds || ks.ParMark > ks.ParRounds:
+		return fmt.Errorf("evolve: checkpoint round marks %d/%d pass their counters %d/%d", ks.RoundsMark, ks.ParMark, ks.Rounds, ks.ParRounds)
+	case ks.Clock > now:
+		return fmt.Errorf("evolve: checkpoint shard clock %v is later than the clock %v", ks.Clock, now)
+	}
+	return nil
 }
 
 // RestoreFile restores from a checkpoint file (see EnableCheckpoints

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"evolve/internal/ckpt"
 	"evolve/internal/obs"
 )
 
@@ -528,6 +529,97 @@ func TestCheckpointShardsZeroRestoresIntoOne(t *testing.T) {
 	}
 	if got := ckptFingerprint(resumed); got != want {
 		t.Error("Shards: 1 world restored from a Shards: 0 checkpoint diverged from the uninterrupted run")
+	}
+}
+
+// TestRestoreRefusesKernelClocks: the kernel-shard section holds one
+// (clock, seq, steps) triple per shard, and the fan-out tick writes
+// them all as (shard clock, rounds, rounds). A resealed checkpoint whose
+// section breaks that shape is refused before the world starts, and
+// the same world then restores the intact checkpoint.
+func TestRestoreRefusesKernelClocks(t *testing.T) {
+	const shards = 4
+	half := ckptWorld(t, shards, "")
+	if err := half.Run(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := half.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	blob := snap.Bytes()
+
+	type triple struct {
+		at         time.Duration
+		seq, steps uint64
+	}
+	type section struct {
+		rounds, parRounds, roundsMark, parMark uint64
+		shards                                 [shards]triple
+	}
+	encode := func(k section) []byte {
+		var a ckpt.Appender
+		a.U64(k.rounds)
+		a.U64(k.parRounds)
+		a.U64(k.roundsMark)
+		a.U64(k.parMark)
+		a.Int(shards)
+		for _, tr := range k.shards {
+			a.Dur(tr.at)
+			a.U64(tr.seq)
+			a.U64(tr.steps)
+		}
+		return a.Buf
+	}
+	ks := half.w.Cluster.KernelState()
+	if ks.Rounds == 0 || ks.Clock != 30*time.Minute {
+		t.Fatalf("kernel state after 30m: %+v", ks)
+	}
+	good := section{rounds: ks.Rounds, parRounds: ks.ParRounds, roundsMark: ks.RoundsMark, parMark: ks.ParMark}
+	for i := range good.shards {
+		good.shards[i] = triple{ks.Clock, ks.Rounds, ks.Rounds}
+	}
+	enc := encode(good)
+	off := bytes.Index(blob, enc)
+	if off < 0 || bytes.Count(blob, enc) != 1 {
+		t.Fatalf("kernel-shard section found %d times in the checkpoint", bytes.Count(blob, enc))
+	}
+
+	allShards := func(k *section, f func(*triple)) {
+		for i := range k.shards {
+			f(&k.shards[i])
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*section)
+		want   string
+	}{
+		{"triples differ", func(k *section) { k.shards[2].at -= time.Second }, "differs from shard 0"},
+		{"seq != steps", func(k *section) { allShards(k, func(tr *triple) { tr.seq++ }) }, "has seq"},
+		{"steps != rounds", func(k *section) { allShards(k, func(tr *triple) { tr.seq += 3; tr.steps += 3 }) }, "has seq"},
+		{"parallel rounds > rounds", func(k *section) { k.parRounds = k.rounds + 1 }, "parallel rounds"},
+		{"rounds mark > rounds", func(k *section) { k.roundsMark = k.rounds + 1 }, "round marks"},
+		{"parallel mark > parallel rounds", func(k *section) { k.parMark = k.parRounds + 1 }, "round marks"},
+		{"shard clock after clock", func(k *section) { allShards(k, func(tr *triple) { tr.at += time.Second }) }, "later than"},
+	} {
+		k := good
+		tc.mutate(&k)
+		bad := bytes.Clone(blob)
+		copy(bad[off:], encode(k))
+		ckpt.Seal(bad)
+		fresh := ckptWorld(t, shards, "")
+		if err := fresh.Restore(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restore returned %v, want an error containing %q", tc.name, err, tc.want)
+			continue
+		}
+		if fresh.started || fresh.Now() != 0 {
+			t.Errorf("%s: refused restore touched the cluster: started=%v now=%v", tc.name, fresh.started, fresh.Now())
+			continue
+		}
+		if err := fresh.Restore(bytes.NewReader(blob)); err != nil {
+			t.Errorf("%s: intact checkpoint after the refused one: %v", tc.name, err)
+		}
 	}
 }
 

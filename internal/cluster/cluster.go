@@ -27,17 +27,17 @@ type Config struct {
 	// (fraction, e.g. 0.05); real telemetry is never clean.
 	MeasurementNoise float64
 	// Shards splits the tick's per-node and per-app phases across this
-	// many shard engines driven by a sim.Coordinator under the primary
-	// engine's clock. New normalises values below 1 to 1: every world
+	// many partitions, each phase run on every shard before the tick
+	// continues. New normalises values below 1 to 1: every world
 	// runs the same phased tick, one shard is simply the smallest
 	// partition. Entities are assigned to shards by stable name hash,
 	// and all cross-shard effects are applied at phase barriers in
 	// canonical entity order, so results are byte-identical for every
 	// shard count.
 	Shards int
-	// ShardWorkers bounds how many same-timestamp shard events execute
-	// concurrently on the shared worker pool (0 = min(Shards, GOMAXPROCS);
-	// 1 keeps rounds serial). Results are identical either way.
+	// ShardWorkers switches a phase's shards onto the shared worker pool
+	// when above 1 (0 = min(Shards, GOMAXPROCS); 1 runs them inline, in
+	// shard order). Results are identical either way.
 	ShardWorkers int
 	// MetricsHistory is every telemetry series' retention window (see
 	// metrics.Series); 0 keeps every sample for the whole run.
@@ -162,12 +162,11 @@ type Cluster struct {
 	draining     bool
 	h            *clusterHandles
 
-	// Sharded kernel. co drives the shard engines under the primary
-	// clock; shards holds each shard's partition of nodes and apps (see
-	// shard.go); hot is the dense SoA mirror the tick runs on
-	// (hotstate.go).
-	co     *sim.Coordinator
+	// Sharded tick. shards holds each shard's partition of nodes and
+	// apps and fan the fan-out's counters (see shard.go); hot is the
+	// dense SoA mirror the tick runs on (hotstate.go).
 	shards []*shardState
+	fan    fanState
 	hot    hotState
 
 	// phases, when non-nil, accumulates the per-tick phase timing
@@ -240,24 +239,25 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	return c
 }
 
-// Coordinator returns the shard coordinator.
-func (c *Cluster) Coordinator() *sim.Coordinator { return c.co }
-
 // EnablePhaseTiming switches on the per-tick phase breakdown (and the
-// coordinator's barrier/mailbox timers) and returns the accumulator the
-// tick records into (see internal/perf). Call before Run; the breakdown
-// can be Reset between measurement windows.
+// fan-out's barrier-wait timer) and returns the accumulator the tick
+// records into (see internal/perf). Call before Run; the breakdown can
+// be Reset between measurement windows.
 func (c *Cluster) EnablePhaseTiming() *perf.PhaseBreakdown {
-	c.co.SetTiming(true)
-	c.phases = perf.NewPhaseBreakdown(c.co.NumShards())
+	c.phases = perf.NewPhaseBreakdown(len(c.shards))
 	c.phasePrev = [perf.NumPhases]int64{}
 	return c.phases
 }
 
-// Run advances the simulation until the shared clock reaches the
-// absolute time until and returns the number of events executed.
+// Run advances the simulation until the clock reaches the absolute time
+// until and returns the number of events executed. The shard clock
+// follows the engine's to until, as the checkpoint records it.
 func (c *Cluster) Run(until time.Duration) uint64 {
-	return c.co.Run(until)
+	n := c.eng.Run(until)
+	if !c.eng.Stopped() && c.fan.clock < until {
+		c.fan.clock = until
+	}
+	return n
 }
 
 // Tracer returns the cluster's decision tracer (the shared no-op tracer

@@ -3,10 +3,12 @@ package cluster
 import (
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"evolve/internal/chaos"
 	"evolve/internal/obs"
+	"evolve/internal/par"
 	"evolve/internal/perf"
 	"evolve/internal/plo"
 	"evolve/internal/resource"
@@ -15,11 +17,11 @@ import (
 
 // Sharded tick.
 //
-// The cluster's entities are partitioned onto max(1, cfg.Shards) shard
-// engines by stable name hash — nodes and apps each land on one shard
-// forever — and tick (tick.go) fans each of its three phases out as one
-// event per shard at the current timestamp, driven to completion by
-// sim.Coordinator.DrainShards between the serial sections.
+// The cluster's entities are partitioned onto max(1, cfg.Shards) shards
+// by stable name hash — nodes and apps each land on one shard forever —
+// and tick (tick.go) runs each of its three phases on every shard via
+// fanOut, which returns only once every shard has finished, between the
+// serial sections.
 //
 // Each phase only writes state its shard owns (its nodes' dense slots
 // and scratch, its apps' windows, metric instruments and dense usage
@@ -34,36 +36,45 @@ import (
 // byte-identically; Cluster.CheckInvariants re-derives the dense state
 // from the object graph to catch a phase that breaks it.
 
-// shardState is one shard's partition of the cluster.
+// shardState is one shard's partition of the cluster. It is also the
+// par.Job that runs the shard's share of a parallel phase: fanOut sets
+// jobPhase and jobNow before submitting it, so a tick allocates nothing.
 type shardState struct {
 	c     *Cluster
-	eng   *sim.Engine
 	idx   int           // shard index, for phase-timing attribution
 	apps  []*appState   // this shard's services, name order
 	nodes []*NodeObject // this shard's nodes, name order
+	runs  uint64        // phases this shard has run (ScaleRow.ShardEvents)
 
-	// Cached phase closures so the per-tick fan-out allocates nothing.
-	p1, p2, p3 func()
+	jobPhase int
+	jobNow   time.Duration
 }
 
-// initShards builds the coordinator and the (initially empty) shard
-// partitions; indexAddNode/indexAddApp route entities to their shard as
-// they are created. workers <= 0 defaults to min(n, GOMAXPROCS): more
-// workers than shards can never run, and more workers than cores only
-// adds scheduler pressure.
+// fanState is what the world observes of the fan-out: the round
+// counters (one round per phase, three per tick) that phase spans,
+// Figure 6 and the checkpoint read, and the shard clock the checkpoint
+// records. The marks are the counters at the last phase span.
+type fanState struct {
+	workers             int // effective workers; <= 1 runs every phase inline
+	wg                  sync.WaitGroup
+	rounds, parRounds   uint64
+	roundsMark, parMark uint64
+	clock               time.Duration
+}
+
+// initShards builds the (initially empty) shard partitions;
+// indexAddNode/indexAddApp route entities to their shard as they are
+// created. workers <= 0 defaults to min(n, GOMAXPROCS): more workers
+// than shards can never run, and more workers than cores only adds
+// scheduler pressure.
 func (c *Cluster) initShards(n, workers int) {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = n
-		}
+		workers = min(runtime.GOMAXPROCS(0), n)
 	}
-	c.co = sim.NewCoordinator(c.eng, n, workers)
+	c.fan.workers = workers
 	c.shards = make([]*shardState, n)
 	for i := range c.shards {
-		sh := &shardState{c: c, eng: c.co.Shard(i), idx: i}
-		sh.p1, sh.p2, sh.p3 = sh.phase1, sh.phase2, sh.phase3
-		c.shards[i] = sh
+		c.shards[i] = &shardState{c: c, idx: i}
 	}
 }
 
@@ -88,53 +99,121 @@ func (sh *shardState) addApp(st *appState) {
 	sh.apps[i] = st
 }
 
-// phase1 refreshes the interference slowdowns of the shard's nodes in
-// the dense slow array the next tick's P2 gathers from.
-func (sh *shardState) phase1() {
-	c := sh.c
-	var t0 time.Time
-	if c.phases != nil {
-		t0 = time.Now()
+// fanOut runs phase (perf.PhaseP1, P2 or P3) on every shard at now and
+// returns once all have finished. With one worker, or one shard, the
+// shards run inline in shard order; otherwise shard 0 runs on the
+// calling goroutine and the rest on the par pool behind one WaitGroup.
+// Phases write only shard-owned state, so both give the same bytes.
+func (c *Cluster) fanOut(phase int, now time.Duration) {
+	f := &c.fan
+	f.rounds++
+	f.clock = now
+	if f.workers <= 1 || len(c.shards) == 1 {
+		for _, sh := range c.shards {
+			sh.run(phase, now)
+		}
+		return
 	}
-	slow := c.hot.slow
-	for _, n := range sh.nodes {
-		slow[n.slot] = c.nodeSlowdown(n)
+	f.parRounds++
+	f.wg.Add(len(c.shards) - 1)
+	for _, sh := range c.shards[1:] {
+		sh.jobPhase, sh.jobNow = phase, now
+		par.Submit(sh)
 	}
+	c.shards[0].run(phase, now)
+	var w0 time.Time
 	if c.phases != nil {
-		c.phases.AddShard(sh.idx, perf.PhaseP1, time.Since(t0).Nanoseconds())
+		w0 = time.Now()
+	}
+	f.wg.Wait()
+	if c.phases != nil {
+		c.phases.Add(perf.PhaseBarrier, time.Since(w0).Nanoseconds())
 	}
 }
 
-// phase2 evaluates the shard's apps against their offered load.
-func (sh *shardState) phase2() {
+// Run is the par.Job side of a parallel phase.
+func (sh *shardState) Run() {
+	sh.run(sh.jobPhase, sh.jobNow)
+	sh.c.fan.wg.Done()
+}
+
+// run executes one phase over the shard's entities:
+//
+//	P2: evaluate the shard's apps against their offered load
+//	P3: re-derive the usage of the shard's nodes
+//	P1: refresh the shard's node slowdowns in the dense slow array the
+//	    next tick's P2 gathers from
+func (sh *shardState) run(phase int, now time.Duration) {
 	c := sh.c
 	var t0 time.Time
 	if c.phases != nil {
 		t0 = time.Now()
 	}
-	now := sh.eng.Now()
-	for _, st := range sh.apps {
-		c.evalApp(st, now)
+	switch phase {
+	case perf.PhaseP2:
+		for _, st := range sh.apps {
+			c.evalApp(st, now)
+		}
+	case perf.PhaseP3:
+		for _, n := range sh.nodes {
+			c.sumNodeUsage(n, now)
+		}
+	case perf.PhaseP1:
+		slow := c.hot.slow
+		for _, n := range sh.nodes {
+			slow[n.slot] = c.nodeSlowdown(n)
+		}
 	}
 	if c.phases != nil {
-		c.phases.AddShard(sh.idx, perf.PhaseP2, time.Since(t0).Nanoseconds())
+		c.phases.AddShard(sh.idx, phase, time.Since(t0).Nanoseconds())
+	}
+	sh.runs++
+}
+
+// KernelState is the sharded tick's checkpointed state: the round
+// counters, their phase-span marks and the shard clock.
+type KernelState struct {
+	Rounds, ParRounds   uint64
+	RoundsMark, ParMark uint64
+	Clock               time.Duration
+}
+
+// KernelState returns the fan-out's counters and shard clock.
+func (c *Cluster) KernelState() KernelState {
+	f := &c.fan
+	return KernelState{
+		Rounds: f.rounds, ParRounds: f.parRounds,
+		RoundsMark: f.roundsMark, ParMark: f.parMark,
+		Clock: f.clock,
 	}
 }
 
-// phase3 re-derives the usage of the shard's nodes.
-func (sh *shardState) phase3() {
-	c := sh.c
-	var t0 time.Time
-	if c.phases != nil {
-		t0 = time.Now()
+// RestoreKernelState rewinds the fan-out to a checkpointed state. Every
+// shard runs in every round, so each shard's run count is the round
+// count.
+func (c *Cluster) RestoreKernelState(st KernelState) {
+	f := &c.fan
+	f.rounds, f.parRounds = st.Rounds, st.ParRounds
+	f.roundsMark, f.parMark = st.RoundsMark, st.ParMark
+	f.clock = st.Clock
+	for _, sh := range c.shards {
+		sh.runs = st.Rounds
 	}
-	now := sh.eng.Now()
-	for _, n := range sh.nodes {
-		c.sumNodeUsage(n, now)
+}
+
+// NumShards returns the shard count.
+func (c *Cluster) NumShards() int { return len(c.shards) }
+
+// EffectiveWorkers returns how many workers a phase may use: 1 means
+// every phase runs inline.
+func (c *Cluster) EffectiveWorkers() int { return c.fan.workers }
+
+// ShardRuns appends each shard's phase-run count to dst and returns it.
+func (c *Cluster) ShardRuns(dst []uint64) []uint64 {
+	for _, sh := range c.shards {
+		dst = append(dst, sh.runs)
 	}
-	if c.phases != nil {
-		c.phases.AddShard(sh.idx, perf.PhaseP3, time.Since(t0).Nanoseconds())
-	}
+	return dst
 }
 
 // appTelemetry is the telemetry half of P2 — noise, chaos sampling,

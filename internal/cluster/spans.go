@@ -6,7 +6,6 @@ import (
 
 	"evolve/internal/obs"
 	"evolve/internal/perf"
-	"evolve/internal/sim"
 )
 
 // Span emission (the causal layer over the event trace — see
@@ -86,8 +85,10 @@ func (c *Cluster) emitSegmentSpan(p *PodObject, node, reason string) {
 // time) and feeds the tracer's phase histograms. Runs only when phase
 // timing AND tracing are both on — a bench/debug configuration, never
 // the determinism suites — so the fmt/formatting cost is acceptable.
-func (c *Cluster) emitPhaseSpans(now time.Duration, pb *perf.PhaseBreakdown, co *sim.Coordinator) {
-	rounds, _ := co.TakeRounds()
+func (c *Cluster) emitPhaseSpans(now time.Duration, pb *perf.PhaseBreakdown) {
+	f := &c.fan
+	rounds := f.rounds - f.roundsMark
+	f.roundsMark, f.parMark = f.rounds, f.parRounds
 	for ph := 0; ph < perf.NumPhases; ph++ {
 		total := pb.PhaseTotalNs(ph)
 		delta := total - c.phasePrev[ph]

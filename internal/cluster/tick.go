@@ -11,11 +11,9 @@ import (
 // service against its offered load, refresh usage accounting and record
 // the telemetry the controllers and experiments consume.
 //
-// After the pending drain the work runs as three phases, each fanned out
-// as one event per shard at the current instant and driven to its
-// barrier by sim.Coordinator.DrainShards (see shard.go for the phase
-// discipline, hotstate.go for the dense arrays the phases read and
-// write):
+// After the pending drain the work runs as three phases, each run on
+// every shard by fanOut (see shard.go for the phase discipline,
+// hotstate.go for the dense arrays the phases read and write):
 //
 //	P2 per app:  load → perf model → telemetry windows and series
 //	P3 per node: usage summation from the node's running pods
@@ -42,10 +40,7 @@ func (c *Cluster) tick() {
 	if pb != nil {
 		tickT0 = time.Now() // whole-kernel wall time, for the tick-max tail
 	}
-	for _, sh := range c.shards {
-		sh.eng.Post(now, sh.p2)
-	}
-	c.co.DrainShards(now)
+	c.fanOut(perf.PhaseP2, now)
 	if pb != nil {
 		t0 = time.Now()
 	}
@@ -53,10 +48,7 @@ func (c *Cluster) tick() {
 	if pb != nil {
 		pb.Add(perf.PhaseFlushApps, time.Since(t0).Nanoseconds())
 	}
-	for _, sh := range c.shards {
-		sh.eng.Post(now, sh.p3)
-	}
-	c.co.DrainShards(now)
+	c.fanOut(perf.PhaseP3, now)
 	if pb != nil {
 		t0 = time.Now()
 	}
@@ -66,20 +58,14 @@ func (c *Cluster) tick() {
 	if pb != nil {
 		pb.Add(perf.PhaseFlushNodes, time.Since(t0).Nanoseconds())
 	}
-	for _, sh := range c.shards {
-		sh.eng.Post(now, sh.p1)
-	}
-	c.co.DrainShards(now)
+	c.fanOut(perf.PhaseP1, now)
 	if pb != nil {
-		bar, mail := c.co.TakeTimings()
-		pb.Add(perf.PhaseBarrier, bar)
-		pb.Add(perf.PhaseMailbox, mail)
 		pb.Ticks++
 		pb.ObserveTick(time.Since(tickT0).Nanoseconds())
 		if c.tracer.Enabled() {
 			// Phase timing plus tracing is a bench/debug configuration;
 			// lift this tick's per-phase deltas into instant spans.
-			c.emitPhaseSpans(now, pb, c.co)
+			c.emitPhaseSpans(now, pb)
 		}
 	}
 }

@@ -125,10 +125,10 @@ func runInvariantLoop(t *testing.T) string {
 		plant.order, fmt.Sprintf("%v", plant.replicas), plant.events, l.Stats())
 }
 
-// TestLoopWorkersDeterministic: every control period actuates every app
-// once, in canonical order, with the decision its controller logged —
-// and a second run from the same seed replays the same fingerprint.
-func TestLoopWorkersDeterministic(t *testing.T) {
+// TestLoopApplyOrderDeterministic: every control period actuates every
+// app once, in canonical order, with the decision its controller logged
+// — and a second run from the same seed replays the same fingerprint.
+func TestLoopApplyOrderDeterministic(t *testing.T) {
 	want := runInvariantLoop(t)
 	if got := runInvariantLoop(t); got != want {
 		t.Errorf("replay diverged\n got: %s\nwant: %s", got, want)

@@ -17,8 +17,8 @@ import (
 // it. Every run also re-derives the tick's dense state from the object
 // graph after each metrics tick (Cluster.CheckInvariants), so a cache
 // that drifts fails here even when every shard count drifts the same
-// way. The multi-shard sweeps run as "batched" subtests: batched rounds
-// (one coordinator round per phase) are the kernel's round protocol.
+// way. The multi-shard sweeps keep their "batched" subtest names from
+// the round protocol the phase fan-out replaced.
 
 // invariantHooks arms Cluster.CheckInvariants after every metrics tick
 // of a harness run: an engine Every at MetricsInterval, armed at t=0 so

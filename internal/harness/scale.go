@@ -35,8 +35,8 @@ type ScaleRow struct {
 	Pods    int `json:"pods"`
 	Shards  int `json:"shards"`
 	Workers int `json:"workers"`
-	// EffectiveWorkers is the coordinator's actual round parallelism
-	// after the Workers<=0 default resolves to min(shards, GOMAXPROCS).
+	// EffectiveWorkers is the fan-out's actual worker count after the
+	// Workers<=0 default resolves to min(shards, GOMAXPROCS).
 	EffectiveWorkers int `json:"effective_workers"`
 	Ticks            int `json:"ticks"`
 	// Reps is how many timed repetitions ran after the warmup tick;
@@ -48,7 +48,7 @@ type ScaleRow struct {
 	MSPerTick    float64 `json:"ms_per_tick"`
 	NsPerPodTick float64 `json:"ns_per_pod_tick"`
 	// Events counts kernel events executed during the fastest rep;
-	// ShardEvents breaks down the whole run per shard engine.
+	// ShardEvents counts the phases each shard ran over the whole run.
 	Events      uint64   `json:"events"`
 	ShardEvents []uint64 `json:"shard_events,omitempty"`
 	// Phases is the mean per-tick phase breakdown over the timed reps:
@@ -57,8 +57,8 @@ type ScaleRow struct {
 	// TickMaxMS is the slowest single kernel tick across all timed reps
 	// — the latency tail MSPerTick's mean hides.
 	TickMaxMS float64 `json:"tick_max_ms,omitempty"`
-	// RoundsPerTick is the mean coordinator shard rounds per tick over
-	// the timed reps: how many barrier crossings one tick costs.
+	// RoundsPerTick is the mean fan-out rounds per tick over the timed
+	// reps: how many barrier crossings one tick costs (3, one per phase).
 	RoundsPerTick float64 `json:"rounds_per_tick,omitempty"`
 	// Speedup is wall(1 shard)/wall(this row) at the same point; 1.0 for
 	// the baseline rows.
@@ -228,7 +228,7 @@ type scaleRun struct {
 	wall    time.Duration
 	events  uint64
 	reps    int
-	rounds0 uint64 // coordinator rounds after warmup, for rounds/tick
+	rounds0 uint64 // fan-out rounds after warmup, for rounds/tick
 }
 
 // newScaleRun stands up one topology under the given shard count and
@@ -246,7 +246,7 @@ func newScaleRun(seed int64, pt ScalePoint, shards, workers int) (*scaleRun, err
 	run.horizon = run.interva
 	c.Run(run.horizon)
 	run.pb = c.EnablePhaseTiming()
-	run.rounds0, _ = c.Coordinator().Rounds()
+	run.rounds0 = c.KernelState().Rounds
 	return run, nil
 }
 
@@ -304,14 +304,12 @@ func (sr *scaleRun) row(pt ScalePoint, workers, ticks int) ScaleRow {
 	if pt.Pods > 0 && ticks > 0 {
 		row.NsPerPodTick = float64(sr.wall.Nanoseconds()) / float64(ticks) / float64(pt.Pods)
 	}
-	co := sr.c.Coordinator()
-	row.ShardEvents = co.ShardSteps(nil)
-	row.EffectiveWorkers = co.Workers()
+	row.ShardEvents = sr.c.ShardRuns(nil)
+	row.EffectiveWorkers = sr.c.EffectiveWorkers()
 	row.Phases = sr.pb.PerTickMS()
 	row.TickMaxMS = float64(sr.pb.TickMaxNs) / 1e6
 	if total := sr.reps * ticks; total > 0 {
-		rounds, _ := co.Rounds()
-		row.RoundsPerTick = float64(rounds-sr.rounds0) / float64(total)
+		row.RoundsPerTick = float64(sr.c.KernelState().Rounds-sr.rounds0) / float64(total)
 	}
 	return row
 }

@@ -1,10 +1,7 @@
-// Package par provides the process-wide bounded worker pool shared by
-// every parallel fan-out in the repository: the scheduler's score
-// sharding (internal/sched) and the sharded simulation kernel's
-// same-timestamp shard ticking (internal/sim). Centralising the pool
-// keeps the goroutine count bounded by GOMAXPROCS no matter how many
-// simulations or schedulers a process runs, and avoids an import cycle
-// between sim and sched.
+// Package par provides the process-wide bounded worker pool behind the
+// cluster tick's phase fan-out (internal/cluster), its only user.
+// One shared pool keeps the goroutine count bounded by GOMAXPROCS no
+// matter how many simulations a process runs.
 package par
 
 import (

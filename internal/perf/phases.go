@@ -2,23 +2,24 @@ package perf
 
 // Phase breakdown for the sharded tick. The cluster substrate times each
 // tick phase — the per-shard parallel walks (P1 slowdown, P2 app eval,
-// P3 node usage), the serial barrier flushes, and the coordinator's
-// mailbox/barrier-wait overhead — into a PhaseBreakdown so the bench
+// P3 node usage), the serial barrier flushes, and the fan-out's
+// barrier-wait overhead — into a PhaseBreakdown so the bench
 // harness can attribute wall time instead of reporting one opaque
 // ms/tick number. Recording is plain int64 adds behind a nil check on
 // the cluster side, cheap enough to leave compiled into the hot path.
 
-// Tick phases, in execution order. Mailbox and BarrierWait are
-// kernel-side overhead measured by the sim coordinator; the rest are
-// model-side sections of the cluster tick.
+// Tick phases, in execution order. BarrierWait is the fan-out's
+// kernel-side overhead; the rest are model-side sections of the cluster
+// tick. Mailbox keeps its index for older records and always reads 0:
+// the fan-out has no cross-shard mail.
 const (
 	PhaseP1         = iota // per-node interference slowdown
 	PhaseP2                // per-app evaluation
 	PhaseFlushApps         // app-side barrier commit (serial, appList order)
 	PhaseP3                // per-node usage aggregation
 	PhaseFlushNodes        // node-side barrier commit + cluster totals
-	PhaseMailbox           // coordinator cross-shard mailbox drains
-	PhaseBarrier           // coordinator wg.Wait in parallel rounds
+	PhaseMailbox           // unused since the fan-out replaced the shard engines
+	PhaseBarrier           // fan-out wg.Wait in parallel rounds
 	// Control-plane phases (appended so older records' indices hold):
 	// the control period's read-only evaluate fan-out, its serial apply
 	// walk, and the tick-time pending-backlog scheduling drain.
@@ -41,7 +42,7 @@ func parallelPhase(p int) bool {
 }
 
 // PhaseBreakdown accumulates per-phase wall nanoseconds across ticks.
-// Serial phases (flushes, mailbox, barrier wait) land in TotalNs; the
+// Serial phases (flushes, barrier wait) land in TotalNs; the
 // parallel phases (P1, P2, P3) land in their shard's row and are summed
 // on read, so the per-shard attribution survives to the summary. Each
 // shard row is written only by the goroutine running that shard's phase

@@ -28,7 +28,7 @@ type TimerTag struct {
 }
 
 // TagNext attaches tag to the next event scheduled on the engine (via
-// At, After, Every or Post). For Every the tag is carried across every
+// At, After or Every). For Every the tag is carried across every
 // re-arm, so the periodic process keeps one identity for its lifetime.
 func (e *Engine) TagNext(kind, arg string) {
 	e.pendingTag = TimerTag{Kind: kind, Arg: arg}
@@ -139,70 +139,3 @@ func (e *Engine) RestoreTimers(now Time, seq, nsteps uint64, timers []PendingTim
 // Seq returns the next event sequence number — part of the clock state a
 // checkpoint records (same-timestamp ordering flows through it).
 func (e *Engine) Seq() uint64 { return e.seq }
-
-// RestoreClock sets the clock counters on an engine with no live events;
-// coordinators use it for shard engines, which are always drained at a
-// tick barrier. Restoring a clock over live events panics: it would
-// desynchronise the heap order from the counters.
-func (e *Engine) RestoreClock(now Time, seq, nsteps uint64) {
-	if e.live > 0 {
-		panic("sim: RestoreClock on an engine with live events")
-	}
-	e.now, e.seq, e.nsteps = now, seq, nsteps
-}
-
-// CoordinatorState is the coordinator's own checkpointable state: round
-// counters plus per-shard engine clocks. Shard engines hold no pending
-// events at a tick barrier (the barrier drains them), so their clocks
-// are the whole of their state; shard RNGs are never drawn (model
-// randomness flows through PartitionedRNG streams).
-type CoordinatorState struct {
-	Rounds, ParRounds   uint64
-	RoundsMark, ParMark uint64
-	Shards              []ShardClock
-}
-
-// ShardClock is one shard engine's clock counters.
-type ShardClock struct {
-	Now    Time
-	Seq    uint64
-	Nsteps uint64
-}
-
-// State captures the coordinator's checkpointable state. It errors if
-// any shard engine still holds live events — checkpoints must be taken
-// at tick barriers, where the fan-out has fully drained.
-func (co *Coordinator) State() (CoordinatorState, error) {
-	st := CoordinatorState{
-		Rounds: co.rounds, ParRounds: co.parRounds,
-		RoundsMark: co.roundsMark, ParMark: co.parMark,
-		Shards: make([]ShardClock, len(co.shards)),
-	}
-	for i, sh := range co.shards {
-		if sh.Pending() > 0 {
-			return CoordinatorState{}, fmt.Errorf("sim: checkpoint: shard %d has %d live events (not at a barrier)", i, sh.Pending())
-		}
-		st.Shards[i] = ShardClock{Now: sh.Now(), Seq: sh.Seq(), Nsteps: sh.Steps()}
-	}
-	for i := range co.mail {
-		if len(co.mail[i]) > 0 {
-			return CoordinatorState{}, fmt.Errorf("sim: checkpoint: shard %d mailbox not empty", i)
-		}
-	}
-	return st, nil
-}
-
-// RestoreState rewinds the coordinator (and its shard engine clocks) to
-// a checkpointed state. The shard count must match the checkpoint.
-func (co *Coordinator) RestoreState(st CoordinatorState) error {
-	if len(st.Shards) != len(co.shards) {
-		return fmt.Errorf("sim: restore: checkpoint has %d shards, coordinator has %d", len(st.Shards), len(co.shards))
-	}
-	co.rounds, co.parRounds = st.Rounds, st.ParRounds
-	co.roundsMark, co.parMark = st.RoundsMark, st.ParMark
-	for i, sh := range co.shards {
-		sc := st.Shards[i]
-		sh.RestoreClock(sc.Now, sc.Seq, sc.Nsteps)
-	}
-	return nil
-}

@@ -84,9 +84,7 @@ func (e *Engine) RNG() *RNG { return e.rng }
 func (e *Engine) Steps() uint64 { return e.nsteps }
 
 // Pending returns the number of live events currently queued. Cancelled
-// events still sitting in the heap are not counted: a coordinator
-// polling Pending (or PeekNextEventTime) must never wake a shard for
-// phantom work.
+// events still sitting in the heap are not counted.
 func (e *Engine) Pending() int { return e.live }
 
 // Canceler cancels a scheduled event or periodic process.
@@ -201,10 +199,10 @@ func (e *Engine) Every(interval time.Duration, fn func()) Canceler {
 		}
 		stopped = true
 		// Mark the pending re-arm dead in the heap: without this the
-		// event stays live until its timestamp, so Pending and
-		// PeekNextEventTime would report phantom work and a coordinator
-		// would wake an idle shard. Guards mirror At's Canceler; cur is
-		// already dead when cancel runs from inside fn itself.
+		// event stays live until its timestamp, so Pending would report
+		// phantom work and a checkpoint would record a cancelled timer.
+		// Guards mirror At's Canceler; cur is already dead when cancel
+		// runs from inside fn itself.
 		if cur.gen == curGen && !cur.dead {
 			cur.dead = true
 			e.live--
@@ -241,79 +239,6 @@ func (e *Engine) step() (executed bool) {
 	next.fn()
 	e.recycle(next)
 	return true
-}
-
-// HasPendingEvents reports whether any live event remains queued. It is
-// one of the three coordinator primitives (with PeekNextEventTime and
-// ProcessNextEvent) that let a sim.Coordinator drive several shard
-// engines under a shared clock without altering Run's behaviour.
-func (e *Engine) HasPendingEvents() bool { return e.live > 0 }
-
-// PeekNextEventTime returns the timestamp of the earliest live event
-// without executing it; ok is false when no live event is queued. Dead
-// events at the head of the heap are drained eagerly so a coordinator
-// never wakes a shard for cancelled work.
-func (e *Engine) PeekNextEventTime() (t Time, ok bool) {
-	for len(e.events) > 0 && e.events[0].dead {
-		e.recycle(heap.Pop(&e.events).(*event))
-	}
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
-}
-
-// ProcessNextEvent executes exactly one live event, skipping over any
-// cancelled ones, and returns its timestamp. ok is false when the queue
-// held no live event or the engine is stopped.
-func (e *Engine) ProcessNextEvent() (t Time, ok bool) {
-	for len(e.events) > 0 && !e.stopped {
-		at := e.events[0].at
-		if e.step() {
-			return at, true
-		}
-	}
-	return 0, false
-}
-
-// ProcessEventsAt executes every live event whose timestamp is exactly
-// t — including events that callbacks post back at t while the batch
-// drains — and returns the number executed. It is the batch primitive
-// behind the coordinator's rounds: one call empties a shard's
-// work at the shared minimum, so the round barrier is paid once per
-// timestamp instead of once per event. Events earlier than t must not
-// be queued (the coordinator only calls this at the global minimum);
-// events later than t are left in place.
-func (e *Engine) ProcessEventsAt(t Time) int {
-	n := 0
-	for len(e.events) > 0 && !e.stopped {
-		head := e.events[0]
-		if head.dead {
-			e.recycle(heap.Pop(&e.events).(*event))
-			continue
-		}
-		if head.at != t {
-			break
-		}
-		if e.step() {
-			n++
-		}
-	}
-	return n
-}
-
-// Post schedules fn at absolute time t with no Canceler, the
-// allocation-free path for callers that never cancel (cross-shard
-// messages, phase fan-out). Like At, scheduling in the past panics.
-func (e *Engine) Post(t Time, fn func()) { e.schedule(t, fn) }
-
-// AdvanceTo moves the clock forward to t without executing events; a
-// coordinator uses it to keep idle shards' clocks in step with the
-// shared minimum. Moving backwards is a no-op.
-func (e *Engine) AdvanceTo(t Time) {
-	if t > e.now {
-		e.now = t
-	}
 }
 
 // Run executes events until virtual time reaches until, the queue
