@@ -75,15 +75,19 @@ bench-sched:
 # fails here. The checkpoint pair reports encode throughput (MB/s) and
 # fails when encoding allocates per metric sample or trace-ring entry;
 # the tracer rings' gate fails when recording into a wrapped ring
-# allocates, and BenchmarkTracerCkptSave reports the tracer section's
-# copy throughput (MB/s). The state-bounded gates fail when a windowed metric series allocates
+# allocates or lets a chunk a retained checkpoint references be
+# recycled, and BenchmarkTracerCkptSave reports the tracer section's
+# encode throughput (MB/s). The state-bounded gates fail when a windowed metric series allocates
 # once it holds its window, or when a default-History world's
-# checkpoint or heap grows from 2 to 8 simulated hours.
+# checkpoint or heap grows from 2 to 8 simulated hours. The periodic
+# firing's gate fails when a checkpoint of wrapped rings allocates in
+# proportion to the rings instead of to what changed, and
+# BenchmarkPeriodicCheckpoint reports one firing's MB/s and allocations.
 bench-obs:
 	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs|TestTickWindowedHistoryAllocs|TestTickTracedAllocsBudget|TestPodSpansEmitted' \
 		-bench 'BenchmarkTick/|BenchmarkTickTraced/' -benchtime 20x -count 1 -v
-	$(GO) test ./internal/obs -run 'TestSpan|TestLatency|TestRingRecordAllocs' -bench 'BenchmarkObserveLatency|BenchmarkTracerCkptSave' -benchtime 100x -count 1 -v
-	$(GO) test . -run 'TestCheckpointEncodeAllocs|TestStateBoundedByHistory' -bench 'BenchmarkCheckpoint$$' -benchtime 20x -count 1 -v
+	$(GO) test ./internal/obs -run 'TestSpan|TestLatency|TestRingRecordAllocs|TestRingPinsReferencedChunks' -bench 'BenchmarkObserveLatency|BenchmarkTracerCkptSave' -benchtime 100x -count 1 -v
+	$(GO) test . -run 'TestCheckpointEncodeAllocs|TestStateBoundedByHistory|TestPeriodicCheckpointAllocs' -bench 'BenchmarkCheckpoint$$|BenchmarkPeriodicCheckpoint' -benchtime 20x -count 1 -v
 
 # fuzz-smoke gives the chaos-plan parser and checkpoint restore a short
 # fuzzing budget each: long enough to catch parse/round-trip regressions
@@ -102,7 +106,9 @@ chaos-soak:
 # the headline byte-identity invariant, the chained crash/restore soak
 # at every shard count, the Table 8 sweep, and the CLI resume path —
 # a run killed at 40m and resumed must print the same report as one
-# that never died.
+# that never died. The traced leg repeats the resume with 512-record
+# trace rings, which wrap, so the checkpoint files carry ring chunks
+# that in-memory checkpoints referenced.
 ckpt-soak:
 	EVOLVE_CKPT_SOAK=1 $(GO) test -run 'TestCheckpoint|TestResumeFromPeriodic|TestCtrlCrash' -count 1 -v .
 	$(GO) test ./internal/harness -run 'TestTable8' -count 1
@@ -114,6 +120,14 @@ ckpt-soak:
 	grep -v '^evolve-sim:' /tmp/evolve-ckpt-soak/whole.txt > /tmp/evolve-ckpt-soak/whole.report
 	diff /tmp/evolve-ckpt-soak/resumed.report /tmp/evolve-ckpt-soak/whole.report
 	@echo "ckpt-soak: resumed report is byte-identical to the uninterrupted run"
+	rm -rf /tmp/evolve-ckpt-soak-traced && mkdir -p /tmp/evolve-ckpt-soak-traced/ck
+	$(GO) run ./cmd/evolve-sim -seed 7 -duration 40m -trace-buf 512 -trace /tmp/evolve-ckpt-soak-traced/first.trace -spans /tmp/evolve-ckpt-soak-traced/first.spans -ckpt-dir /tmp/evolve-ckpt-soak-traced/ck -ckpt-every 10m 2>/dev/null >/dev/null
+	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -trace-buf 512 -trace /tmp/evolve-ckpt-soak-traced/resumed.trace -spans /tmp/evolve-ckpt-soak-traced/resumed.spans -ckpt-dir /tmp/evolve-ckpt-soak-traced/ck -ckpt-every 10m -resume 2>/tmp/evolve-ckpt-soak-traced/resumed.txt >/dev/null
+	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -trace-buf 512 -trace /tmp/evolve-ckpt-soak-traced/whole.trace -spans /tmp/evolve-ckpt-soak-traced/whole.spans -ckpt-every 10m 2>/tmp/evolve-ckpt-soak-traced/whole.txt >/dev/null
+	grep -v '^evolve-sim:' /tmp/evolve-ckpt-soak-traced/resumed.txt > /tmp/evolve-ckpt-soak-traced/resumed.report
+	grep -v '^evolve-sim:' /tmp/evolve-ckpt-soak-traced/whole.txt > /tmp/evolve-ckpt-soak-traced/whole.report
+	diff /tmp/evolve-ckpt-soak-traced/resumed.report /tmp/evolve-ckpt-soak-traced/whole.report
+	@echo "ckpt-soak: traced resumed report is byte-identical to the uninterrupted traced run"
 
 # check is the CI gate: static analysis plus the full suite under the
 # race detector (the parallel runner must be race-clean, not just fast).

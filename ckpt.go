@@ -73,7 +73,7 @@ func (cl *Cluster) LastCheckpoint() []byte {
 	if cl.lastCkpt == nil {
 		return nil
 	}
-	return append([]byte(nil), cl.lastCkpt...)
+	return cl.lastCkpt.Bytes()
 }
 
 // captureLoopState refreshes the controller-process blob the ctrl-crash
@@ -110,26 +110,35 @@ func (cl *Cluster) armNextCheckpoint() {
 
 func (cl *Cluster) checkpointTick() {
 	cl.armNextCheckpoint()
+	cl.takeCheckpoint()
+}
+
+// takeCheckpoint is one periodic firing after its re-arm: it refreshes
+// the controller-process state, encodes the world into segments that
+// become lastCkpt, and writes them to the checkpoint directory, if any.
+// The segments reference the tracer rings' chunks instead of copying
+// them, and the rest of the world is encoded into the buffers of the
+// checkpoint before last, so a firing costs what changed in the rings
+// plus the rest of the world. The previous checkpoint stays the restart
+// point until this one is complete.
+func (cl *Cluster) takeCheckpoint() {
 	cl.captureLoopState()
-	// Encode straight into the buffer that becomes lastCkpt, sized from
-	// the previous checkpoint plus headroom for growth, so the encoding
-	// is neither regrown nor copied. The previous checkpoint stays the
-	// restart point until this one is complete.
-	prev := len(cl.lastCkpt)
-	cw := ckpt.NewBufferWriter(make([]byte, 0, prev+prev/16+ckpt.ChunkSize))
+	cw := ckpt.NewBufferWriter(cl.ckptSpare)
 	if err := cl.encode(cw); err != nil {
 		cl.w.Fail(fmt.Errorf("checkpoint at %v: %w", cl.w.Engine.Now(), err))
 		return
 	}
-	blob := cw.Encoding()
-	cl.lastCkpt = blob
+	segs := cw.Segments()
+	// Nothing reads the replaced checkpoint again (LastCheckpoint
+	// returns copies), so its buffers are the next firing's spares.
+	cl.lastCkpt, cl.ckptBufs, cl.ckptSpare = segs, cw.Buffers(), cl.ckptBufs
 	cl.ckptCount++
-	cl.ckptBytes += int64(len(blob))
+	cl.ckptBytes += int64(segs.Len())
 	if cl.ckptDir == "" {
 		return
 	}
 	name := filepath.Join(cl.ckptDir, fmt.Sprintf("ckpt-%012d.evck", int64(cl.w.Engine.Now()/time.Second)))
-	if err := writeFileDurable(name, blob); err != nil {
+	if err := writeFileDurable(name, segs); err != nil {
 		cl.w.Fail(fmt.Errorf("checkpoint write: %w", err))
 		return
 	}
@@ -168,14 +177,15 @@ func checkpointFiles(dir string) ([]string, error) {
 // writeFileDurable replaces name with data so that a crash at any point
 // leaves either the old file or the complete new one: it writes and
 // syncs a temporary file, renames it over name, then syncs the
-// directory so the rename itself survives power loss.
-func writeFileDurable(name string, data []byte) error {
+// directory so the rename itself survives power loss. A failure before
+// the rename removes the temporary file.
+func writeFileDurable(name string, data io.WriterTo) error {
 	tmp := name + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
+	_, err = data.WriteTo(f)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -186,6 +196,7 @@ func writeFileDurable(name string, data []byte) error {
 		err = os.Rename(tmp, name)
 	}
 	if err != nil {
+		_ = os.Remove(tmp) // best effort: err is the failure to report
 		return err
 	}
 	dir, err := os.Open(filepath.Dir(name))
@@ -455,7 +466,7 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 	// After a restore, LastCheckpoint is the snapshot this world came
 	// from, so a process that restores and then crashes again before the
 	// next periodic checkpoint still has a valid restart point.
-	cl.lastCkpt = blob
+	cl.lastCkpt = ckpt.Segments{blob}
 	return cl.err()
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -742,5 +743,180 @@ func TestCheckpointGaugesOnMetrics(t *testing.T) {
 	}
 	if out := scrape(plain); strings.Contains(out, "evolve_checkpoint") {
 		t.Errorf("world without periodic checkpoints exports checkpoint meters:\n%s", out)
+	}
+}
+
+// wrappedCkptWorld is a small traced world that checkpoints every 10
+// minutes, into dir when it is not empty. It runs whole checkpoint
+// intervals until both tracer rings, of the given capacity, have
+// wrapped, so the last firing referenced chunks the rings have since
+// kept recording around.
+func wrappedCkptWorld(tb testing.TB, capacity int, dir string) *Cluster {
+	tb.Helper()
+	c, err := New(Options{Seed: 9, Nodes: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.AddService(ServiceOptions{Name: "web", Archetype: "web", BaseRate: 200}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.SetLoad("web", Noisy(Diurnal(100, 400, time.Hour), 0.1, 3)); err != nil {
+		tb.Fatal(err)
+	}
+	c.EnableTracing(capacity)
+	if err := c.EnableCheckpoints(dir, 10*time.Minute); err != nil {
+		tb.Fatal(err)
+	}
+	for c.Tracer().Dropped() == 0 || c.Tracer().SpansDropped() == 0 {
+		if err := c.Run(10 * time.Minute); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
+// TestPeriodicCheckpointAllocs is the allocation gate of a periodic
+// firing once the rings have wrapped: a window of two ticks around one
+// firing allocates at most the checkpoint's non-tracer bytes plus
+// (new chunks + 2) chunks — whatever the size of the rings, whose
+// chunks the checkpoint references instead of copying. In two ticks each
+// ring starts at most one new chunk; the other two chunks cover the
+// segment list, the controller-state blob and the ticks themselves. A
+// firing encodes the non-tracer sections into the buffers of the
+// checkpoint before last, so it allocates far less than the bound; those
+// buffers must in turn stay the size of the non-tracer bytes.
+func TestPeriodicCheckpointAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short")
+	}
+	for _, capacity := range []int{2048, 16384} {
+		c := wrappedCkptWorld(t, capacity, "")
+		// Stop one tick short of the next firing, then run across it.
+		if err := c.Run(10*time.Minute - 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		count, _ := c.CheckpointStats()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := c.Run(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n, _ := c.CheckpointStats(); n != count+1 {
+			t.Fatalf("cap %d: %d firings in the window, want 1", capacity, n-count)
+		}
+		size := c.lastCkpt.Len()
+		events, spans := c.Tracer().RingBytes()
+		nonTracer := size - events - spans
+		const newChunks = 2
+		bound := nonTracer + (newChunks+2)*ckpt.ChunkSize
+		got := int(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("cap %d: checkpoint %d bytes (%d outside the rings); the firing's window allocated %d bytes, bound %d", capacity, size, nonTracer, got, bound)
+		if got > bound {
+			t.Errorf("cap %d: a periodic firing allocated %d bytes for a %d-byte checkpoint, want at most %d (%d non-tracer bytes + %d chunks)",
+				capacity, got, size, bound, nonTracer, newChunks+2)
+		}
+		// The encode buffers, reused from firing to firing, hold the
+		// non-tracer bytes only: every buffer but the last holds at
+		// least a chunk, in a buffer of a chunk and an eighth.
+		own := 0
+		for _, b := range c.ckptBufs {
+			own += cap(b)
+		}
+		if limit := nonTracer*9/8 + 2*ckpt.ChunkSize; own > limit {
+			t.Errorf("cap %d: the checkpoint's encode buffers hold %d bytes for %d non-tracer bytes, want at most %d: the rings are copied, not referenced",
+				capacity, own, nonTracer, limit)
+		}
+		if capacity == 16384 && size < 4*bound {
+			t.Fatalf("a %d-byte checkpoint is too small to tell referencing from copying", size)
+		}
+	}
+}
+
+// BenchmarkPeriodicCheckpoint measures one periodic firing — the
+// controller-state capture, the encode into segments and the stats — on
+// a traced world whose default-capacity rings have wrapped (MB/s of
+// checkpoint, allocations per firing). Before each firing, outside the
+// timer, it records a checkpoint interval's worth of trace records, so
+// the firing sums the rings' changed chunks as a real one does.
+func BenchmarkPeriodicCheckpoint(b *testing.B) {
+	c := wrappedCkptWorld(b, obs.DefaultCapacity, "")
+	b.SetBytes(int64(c.lastCkpt.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for n := 0; n < 560; n++ {
+			c.Tracer().Record(obs.Event{At: c.Now(), Kind: obs.KindSched, Verb: obs.VerbBind, App: "web", Object: "web-" + strconv.Itoa(n), Node: "node-1"})
+		}
+		b.StartTimer()
+		c.takeCheckpoint()
+	}
+	if err := c.err(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestCheckpointSurfacesAgree: on a traced world whose rings have
+// wrapped past chunks earlier firings referenced, a checkpoint taken the
+// way the periodic timer takes one, LastCheckpoint, a Checkpoint at the
+// same instant and the file the checkpoint directory gained are the
+// same bytes. (The state at the end of a Run that stops on a firing
+// instant can differ from the firing's: other timers of that instant
+// run after it.)
+func TestCheckpointSurfacesAgree(t *testing.T) {
+	dir := t.TempDir()
+	c := wrappedCkptWorld(t, 512, dir)
+	if err := c.Run(5 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	c.takeCheckpoint()
+	if err := c.err(); err != nil {
+		t.Fatal(err)
+	}
+	last := c.LastCheckpoint()
+	var buf bytes.Buffer
+	if err := c.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path, err := LatestCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("ckpt-%012d.evck", int64(c.Now()/time.Second)); filepath.Base(path) != want {
+		t.Fatalf("newest checkpoint file %s, want %s", path, want)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(last, buf.Bytes()) || !bytes.Equal(last, file) {
+		t.Fatalf("at %v: LastCheckpoint (%d bytes), Checkpoint (%d) and %s (%d) differ", c.Now(), len(last), buf.Len(), path, len(file))
+	}
+}
+
+// TestCheckpointWriteRemovesTempFile: a checkpoint file that cannot be
+// renamed into place (a non-empty directory has its name) ends the run
+// with the latched checkpoint-write error and leaves no temporary file.
+func TestCheckpointWriteRemovesTempFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "ckpt-000000000600.evck", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{Seed: 5, Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddService(ServiceOptions{Name: "svc", BaseRate: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableCheckpoints(dir, 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(15 * time.Minute); err == nil || !strings.Contains(err.Error(), "checkpoint write") {
+		t.Fatalf("Run = %v, want a latched checkpoint-write error", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temporary files left behind: %v", tmps)
 	}
 }

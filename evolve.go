@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"evolve/internal/batch"
+	"evolve/internal/ckpt"
 	"evolve/internal/control"
 	"evolve/internal/hpc"
 	"evolve/internal/obs"
@@ -232,14 +233,21 @@ type Cluster struct {
 	tracer *obs.Tracer
 
 	// Checkpoint plumbing (ckpt.go): ckptEvery/ckptDir configure the
-	// periodic snapshot timer, lastCkpt retains the latest encoded
-	// checkpoint, and lastLoopState is the controller-process blob the
-	// ctrl-crash restore path hands back to the restarted loop.
+	// periodic snapshot timer, and lastLoopState is the
+	// controller-process blob the ctrl-crash restore path hands back to
+	// the restarted loop. lastCkpt retains the latest checkpoint as the
+	// segments its buffer writer emitted: the tracer rings' chunks are
+	// referenced, not copied (the rings pin them), and the rest of the
+	// world is in ckptBufs. After a Restore it is one segment, the
+	// restored blob. ckptSpare are the buffers of the checkpoint before
+	// last, which the next firing encodes into.
 	ckptEvery     time.Duration
 	ckptDir       string
 	ckptCount     int
 	ckptBytes     int64
-	lastCkpt      []byte
+	lastCkpt      ckpt.Segments
+	ckptBufs      [][]byte
+	ckptSpare     [][]byte
 	lastLoopState []byte
 }
 
@@ -655,7 +663,7 @@ func (cl *Cluster) WriteMetrics(w io.Writer) error {
 	if cl.ckptEvery > 0 {
 		extra = []obs.Meter{
 			{Name: "evolve_checkpoints_total", Value: uint64(cl.ckptCount)},
-			{Name: "evolve_checkpoint_last_bytes", Value: uint64(len(cl.lastCkpt))},
+			{Name: "evolve_checkpoint_last_bytes", Value: uint64(cl.lastCkpt.Len())},
 		}
 	}
 	return obs.WriteMetrics(w, cl.w.Cluster.Metrics(), cl.tracer, extra...)

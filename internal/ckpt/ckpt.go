@@ -13,11 +13,20 @@
 // two independent hardware-accelerated CRCs that together detect random
 // corruption as well as a 64-bit hash and every burst of up to 32 bits.
 //
-// Encoding cost is a memory copy: the Writer appends primitives into a
-// chunk buffer and checksums and writes whole chunks. Decoding starts
-// with the whole blob and verifies header and trailer before the first
-// primitive is read, so a corrupted checkpoint is refused before any
-// state is applied.
+// Encoding: the Writer appends primitives into a buffer and checksums
+// and emits it a chunk at a time. A streaming writer (NewWriter) writes
+// each chunk to an io.Writer; a buffer writer (NewBufferWriter) keeps
+// the encoding in memory as Segments, a list of byte runs. Ref adds a
+// caller-owned immutable run without copying or rehashing it: the caller
+// caches the run's Sum, and the Writer folds it into the trailer by CRC
+// combination. A buffer writer keeps the run itself as a segment, so
+// bytes that outlive many checkpoints, such as full trace-ring chunks,
+// are summed once and never copied, and the encoding is byte for byte
+// the one copying them would give.
+//
+// Decoding starts with the whole blob and verifies header and trailer
+// before the first primitive is read, so a corrupted checkpoint is
+// refused before any state is applied.
 package ckpt
 
 import (
@@ -54,7 +63,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Encoder is the primitive encoding every checkpointed value is written
 // through. Writer streams it into a checksummed checkpoint; Appender
 // appends it to a caller-owned slice, for records that are encoded once
-// and later copied into checkpoints whole with Writer.Raw.
+// and later written into checkpoints whole with Writer.Ref or Raw.
 type Encoder interface {
 	U8(v uint8)
 	Bool(v bool)
@@ -111,54 +120,105 @@ func (a *Appender) Bytes(p []byte) {
 	a.Buf = append(a.Buf, p...)
 }
 
-// Writer serialises primitives into a chunk buffer, checksumming and
-// writing whole chunks. Errors are sticky: the first write error
-// latches and every later write is dropped, so callers check Close once.
+// Writer serialises primitives into a buffer, checksumming and emitting
+// it a chunk at a time. A streaming writer writes what it emits to its
+// io.Writer and reuses the buffer; a buffer writer keeps what it emits
+// as Segments and appends on after them. Errors are sticky: the first
+// write error latches and every later write is dropped, so callers
+// check Close once.
 type Writer struct {
-	w      io.Writer // nil for a buffer writer: a.Buf is the destination
-	a      Appender
-	hashed int // a.Buf[:hashed] is already in the checksums
-	crcC   uint32
-	crcI   uint32
-	err    error
+	w     io.Writer // nil for a buffer writer, which keeps segs instead
+	a     Appender
+	start int      // a.Buf[start:] is not yet emitted
+	hdr   bool     // a.Buf[start:] begins with the unchecksummed header
+	segs  Segments // a buffer writer's emitted runs
+	bufs  [][]byte // buffers to encode into, spare ones first
+	used  int      // bufs[:used] are taken
+	crcC  uint32
+	crcI  uint32
+	err   error
 }
+
+// pieceSize is a Writer's buffer capacity: a chunk plus headroom for
+// the write that crosses the chunk boundary.
+const pieceSize = ChunkSize + ChunkSize/8
 
 // NewWriter writes the header and returns a Writer streaming to w.
-func NewWriter(w io.Writer) *Writer {
-	return newWriter(w, make([]byte, 0, 2*ChunkSize))
+func NewWriter(w io.Writer) *Writer { return start(&Writer{w: w}) }
+
+// NewBufferWriter returns a Writer that keeps the encoding in memory
+// instead of streaming it; Segments returns it after Close. It encodes
+// into the spare buffers first — the Buffers of an earlier buffer
+// writer whose Segments are no longer read — and allocates only when
+// they run out.
+func NewBufferWriter(spare [][]byte) *Writer { return start(&Writer{bufs: spare}) }
+
+// start begins w's encoding with the header.
+func start(w *Writer) *Writer {
+	w.a.Buf = append(w.nextBuffer(), Magic...)
+	w.a.Buf = binary.LittleEndian.AppendUint32(w.a.Buf, Version)
+	w.hdr = true
+	return w
 }
 
-// NewBufferWriter returns a Writer that appends the whole encoding to
-// buf[:0] instead of streaming it; Encoding returns it after Close. Size
-// buf's capacity to the expected encoding to avoid regrowth.
-func NewBufferWriter(buf []byte) *Writer { return newWriter(nil, buf[:0]) }
-
-func newWriter(w io.Writer, buf []byte) *Writer {
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	return &Writer{w: w, a: Appender{Buf: buf}, hashed: len(buf)}
+// nextBuffer returns an empty buffer: the next spare one, or a fresh
+// one.
+func (w *Writer) nextBuffer() []byte {
+	if w.used == len(w.bufs) {
+		w.bufs = append(w.bufs, make([]byte, 0, pieceSize))
+	}
+	w.used++
+	return w.bufs[w.used-1][:0]
 }
 
-// flush checksums the unhashed tail of the buffer and, when streaming,
-// writes the buffer out and empties it.
-func (w *Writer) flush() {
-	p := w.a.Buf[w.hashed:]
+// Buffers returns a buffer writer's buffers, spare ones it did not
+// need included, for a later NewBufferWriter once this writer's
+// Segments are no longer read.
+func (w *Writer) Buffers() [][]byte { return w.bufs }
+
+// sum folds the pending bytes into the running checksums, less the
+// header, which the checksum does not cover.
+func (w *Writer) sum() {
+	p := w.a.Buf[w.start:]
+	if w.hdr {
+		p, w.hdr = p[headerLen:], false
+	}
 	w.crcC = crc32.Update(w.crcC, castagnoli, p)
 	w.crcI = crc32.Update(w.crcI, crc32.IEEETable, p)
-	if w.w == nil {
-		w.hashed = len(w.a.Buf)
-		return
-	}
-	if w.err == nil {
-		_, w.err = w.w.Write(w.a.Buf)
-	}
-	w.a.Buf, w.hashed = w.a.Buf[:0], 0
 }
 
-// maybeFlush flushes once a full chunk is pending.
+// emit hands on the pending bytes a.Buf[start:]: a buffer writer keeps
+// them as a segment, a streaming writer writes them out and empties its
+// buffer.
+func (w *Writer) emit() {
+	if w.w != nil {
+		w.write(w.a.Buf[w.start:])
+		w.a.Buf = w.a.Buf[:0]
+	} else if p := w.a.Buf[w.start:]; len(p) > 0 {
+		w.segs = append(w.segs, p[:len(p):len(p)])
+	}
+	w.start = len(w.a.Buf)
+}
+
+// write writes p to a streaming writer's io.Writer unless an error has
+// latched.
+func (w *Writer) write(p []byte) {
+	if w.err == nil && len(p) > 0 {
+		_, w.err = w.w.Write(p)
+	}
+}
+
+// maybeFlush checksums and emits the pending bytes once the buffer holds
+// a full chunk. A buffer writer then continues in a fresh buffer, since
+// its segments alias the full one.
 func (w *Writer) maybeFlush() {
-	if len(w.a.Buf)-w.hashed >= ChunkSize {
-		w.flush()
+	if len(w.a.Buf) < ChunkSize {
+		return
+	}
+	w.sum()
+	w.emit()
+	if w.w == nil {
+		w.a.Buf, w.start = w.nextBuffer(), 0
 	}
 }
 
@@ -219,7 +279,7 @@ func (w *Writer) Bytes(p []byte) {
 // Next appends n bytes to the stream and returns them for the caller to
 // fill before its next call on w — the bulk path for runs of fixed-size
 // records, which costs one bounds check instead of one call per field.
-// Keep n at most a few chunks: a streaming Writer buffers the run whole.
+// Keep n at most a few chunks: the Writer buffers the run whole.
 func (w *Writer) Next(n int) []byte {
 	w.maybeFlush()
 	l := len(w.a.Buf)
@@ -229,16 +289,40 @@ func (w *Writer) Next(n int) []byte {
 
 // Raw writes p verbatim, with no length prefix: bytes the caller already
 // encoded with an Appender. It copies p up to each chunk boundary and
-// flushes there, so a run of any length never grows a streaming
-// Writer's buffer.
+// flushes there, so a run of any length never grows the Writer's
+// buffer.
 func (w *Writer) Raw(p []byte) {
 	for len(p) > 0 {
 		w.maybeFlush()
-		n := min(len(p), ChunkSize-(len(w.a.Buf)-w.hashed))
+		n := min(len(p), ChunkSize-len(w.a.Buf))
 		w.a.Buf = append(w.a.Buf, p[:n]...)
 		p = p[n:]
 	}
 	w.maybeFlush()
+}
+
+// Ref writes p verbatim like Raw, but neither copies nor rehashes it: s
+// is SumOf(p), cached by the caller, and is folded into the checksums by
+// CRC combination. A streaming writer writes p out before returning. A
+// buffer writer keeps p itself as a segment and reports kept: p's bytes
+// must then never change while the Segments are in use.
+func (w *Writer) Ref(p []byte, s Sum) (kept bool) {
+	if len(p) != s.n {
+		panic(fmt.Sprintf("ckpt: Ref of %d bytes with the Sum of %d", len(p), s.n))
+	}
+	if len(p) == 0 {
+		return false
+	}
+	w.sum()
+	w.emit()
+	w.crcC = polyC.combine(w.crcC, s.crcC, s.shiftC)
+	w.crcI = polyI.combine(w.crcI, s.crcI, s.shiftI)
+	if w.w != nil {
+		w.write(p)
+		return false
+	}
+	w.segs = append(w.segs, p[:len(p):len(p)])
+	return true
 }
 
 // Begin writes a named section marker; the Reader verifies it in order.
@@ -247,23 +331,53 @@ func (w *Writer) Begin(name string) { w.Str(name) }
 // Err returns the latched write error, if any.
 func (w *Writer) Err() error { return w.err }
 
-// Close checksums the remaining bytes, appends the trailer and writes
-// out what is buffered. It does not close the underlying writer.
+// Close checksums the remaining bytes, appends the trailer and emits
+// both. It does not close the underlying writer.
 func (w *Writer) Close() error {
-	w.flush()
+	w.sum()
 	w.a.U64(uint64(w.crcC)<<32 | uint64(w.crcI))
-	w.hashed = len(w.a.Buf)
-	if w.w != nil {
-		if w.err == nil {
-			_, w.err = w.w.Write(w.a.Buf)
-		}
-		w.a.Buf, w.hashed = w.a.Buf[:0], 0
-	}
+	w.emit()
 	return w.err
 }
 
-// Encoding returns a buffer writer's encoding (valid after Close).
-func (w *Writer) Encoding() []byte { return w.a.Buf }
+// Segments returns a buffer writer's encoding (valid after Close).
+func (w *Writer) Segments() Segments { return w.segs }
+
+// Segments is an encoding held in memory as the runs a buffer writer
+// emitted, in order. A run passed to Writer.Ref is the caller's memory,
+// not a copy of it.
+type Segments [][]byte
+
+// Len returns the encoding's length in bytes.
+func (s Segments) Len() int {
+	n := 0
+	for _, p := range s {
+		n += len(p)
+	}
+	return n
+}
+
+// WriteTo writes the encoding to w run by run.
+func (s Segments) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for _, p := range s {
+		m, err := w.Write(p)
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// Bytes returns a contiguous copy of the encoding.
+func (s Segments) Bytes() []byte {
+	out := make([]byte, 0, s.Len())
+	for _, p := range s {
+		out = append(out, p...)
+	}
+	return out
+}
 
 // Seal recomputes the checksum trailer of an encoded checkpoint in
 // place. Fuzzers use it to mutate a valid blob yet still reach the

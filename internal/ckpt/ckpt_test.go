@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -172,13 +175,13 @@ func TestChunkedStreamsAgree(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	bw := NewBufferWriter(make([]byte, 0, 16))
+	bw := NewBufferWriter(nil)
 	writeSpan(bw)
 	if err := bw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(stream.Bytes(), bw.Encoding()) {
-		t.Fatalf("stream (%d bytes) and buffer (%d bytes) encodings differ", stream.Len(), len(bw.Encoding()))
+	if !bytes.Equal(stream.Bytes(), bw.Segments().Bytes()) {
+		t.Fatalf("stream (%d bytes) and buffer (%d bytes) encodings differ", stream.Len(), len(bw.Segments().Bytes()))
 	}
 	if stream.Len() < 3*ChunkSize {
 		t.Fatalf("stream is %d bytes, want several chunks", stream.Len())
@@ -202,6 +205,39 @@ func TestChunkedStreamsAgree(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBufferWriterReusesBuffers: a buffer writer given an earlier
+// writer's Buffers encodes into them instead of allocating, and the
+// encoding is the same.
+func TestBufferWriterReusesBuffers(t *testing.T) {
+	first := NewBufferWriter(nil)
+	writeSpan(first)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := first.Segments().Bytes()
+	bufs := first.Buffers()
+	if len(bufs) < 3 {
+		t.Fatalf("a %d-byte encoding used %d buffers, want several", len(want), len(bufs))
+	}
+	again := NewBufferWriter(bufs)
+	writeSpan(again)
+	if err := again.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Segments().Bytes(), want) {
+		t.Fatal("encoding into spare buffers gives different bytes")
+	}
+	reused := again.Buffers()
+	if len(reused) != len(bufs) {
+		t.Fatalf("second encoding has %d buffers, the first %d", len(reused), len(bufs))
+	}
+	for i := range reused {
+		if &reused[i][:1][0] != &bufs[i][:1][0] {
+			t.Fatalf("buffer %d was allocated afresh instead of reused", i)
+		}
 	}
 }
 
@@ -283,7 +319,10 @@ func (m *maxWriter) Write(p []byte) (int, error) {
 // boundary, encodes to the same blob through a buffer writer and a
 // streaming writer; the streaming writer never holds more than two
 // chunks; and the checksum is the one the same bytes get when written
-// one U8 at a time.
+// one U8 at a time. The same run written with Ref, in pieces that
+// include empty ones and ones that cross chunk boundaries, encodes to
+// the same blob through both writers: the buffer writer keeps the
+// pieces themselves, and NewReader accepts the combined trailer.
 func TestWriterRaw(t *testing.T) {
 	run := make([]byte, 3<<20+12345)
 	for i := range run {
@@ -302,7 +341,7 @@ func TestWriterRaw(t *testing.T) {
 
 	bw := NewBufferWriter(nil)
 	encode(bw, bulk)
-	want := bw.Encoding()
+	want := bw.Segments().Bytes()
 
 	var stream maxWriter
 	sw := NewWriter(&stream)
@@ -320,7 +359,7 @@ func TestWriterRaw(t *testing.T) {
 			w.U8(b)
 		}
 	})
-	if !bytes.Equal(uw.Encoding(), want) {
+	if !bytes.Equal(uw.Segments().Bytes(), want) {
 		t.Fatal("Raw and per-byte U8 writes encode differently")
 	}
 	r, err := NewReader(want)
@@ -332,6 +371,101 @@ func TestWriterRaw(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	pieces := []int{0, 1, ChunkSize - 9, 0, ChunkSize, 2*ChunkSize + 3, 777}
+	var refs, kept int
+	ref := func(w *Writer, p []byte) {
+		for i := 0; len(p) > 0; i++ {
+			n := min(len(p), pieces[i%len(pieces)])
+			if w.Ref(p[:n], SumOf(p[:n])) {
+				kept++
+			}
+			refs++
+			p = p[n:]
+		}
+	}
+	rw := NewBufferWriter(nil)
+	encode(rw, ref)
+	segs := rw.Segments()
+	var buf bytes.Buffer
+	if n, err := segs.WriteTo(&buf); err != nil || n != int64(len(want)) || segs.Len() != len(want) {
+		t.Fatalf("Ref segments: WriteTo wrote %d bytes (%v), Len %d, want %d", n, err, segs.Len(), len(want))
+	}
+	if !bytes.Equal(buf.Bytes(), want) || !bytes.Equal(segs.Bytes(), want) {
+		t.Fatal("buffer writer encodes the Ref run differently from the Raw run")
+	}
+	aliased := 0
+	for _, seg := range segs {
+		if at := uintptr(unsafe.Pointer(&seg[0])) - uintptr(unsafe.Pointer(&run[0])); at < uintptr(len(run)) {
+			aliased++
+		}
+	}
+	if kept == 0 || aliased != kept {
+		t.Errorf("buffer writer kept %d of %d Ref pieces and holds %d segments of the run", kept, refs, aliased)
+	}
+	if _, err := NewReader(segs.Bytes()); err != nil {
+		t.Fatalf("Ref encoding refused: %v", err)
+	}
+
+	var rstream maxWriter
+	kept = 0
+	rsw := NewWriter(&rstream)
+	encode(rsw, ref)
+	if !bytes.Equal(rstream.Bytes(), want) {
+		t.Fatal("streaming writer encodes the Ref run differently from the Raw run")
+	}
+	if kept != 0 || cap(rsw.a.Buf) > 2*ChunkSize {
+		t.Errorf("streaming writer kept %d Ref pieces (buffer cap %d), want none and at most %d", kept, cap(rsw.a.Buf), 2*ChunkSize)
+	}
+}
+
+// TestCRCCombine: for random splits of random bytes — empty parts and
+// splits on and across chunk boundaries included — combining the two
+// parts' CRCs gives the CRC of the whole, for the Castagnoli and the
+// IEEE table alike; SumOf caches exactly those CRCs; and appending one
+// part's Sum to the other's, or trimming the first part's Sum off the
+// whole's, gives the Sum SumOf computes.
+func TestCRCCombine(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 3*ChunkSize+17)
+	rng.Read(data)
+	// Each split is data[lo:m] then data[m:hi].
+	splits := [][3]int{{0, 0, 0}, {0, 0, 9}, {0, 9, 9}, {0, ChunkSize, 2 * ChunkSize}, {1, ChunkSize, len(data)}, {ChunkSize - 1, ChunkSize + 1, 3 * ChunkSize}}
+	for range 2000 {
+		lo := rng.Intn(len(data) + 1)
+		hi := lo + rng.Intn(len(data)-lo+1)
+		splits = append(splits, [3]int{lo, lo + rng.Intn(hi-lo+1), hi})
+	}
+	for _, tc := range []struct {
+		name string
+		tab  *crc32.Table
+		poly *crcPoly
+	}{{"castagnoli", castagnoli, polyC}, {"ieee", crc32.IEEETable, polyI}} {
+		for _, sp := range splits {
+			a, b := data[sp[0]:sp[1]], data[sp[1]:sp[2]]
+			got := tc.poly.combine(crc32.Checksum(a, tc.tab), crc32.Checksum(b, tc.tab), tc.poly.shift(len(b)))
+			if want := crc32.Checksum(data[sp[0]:sp[2]], tc.tab); got != want {
+				t.Fatalf("%s: combined CRC of data[%d:%d]+data[%d:%d] = %08x, want %08x", tc.name, sp[0], sp[1], sp[1], sp[2], got, want)
+			}
+		}
+	}
+	for _, sp := range splits[:50] {
+		p := data[sp[0]:sp[2]]
+		s := SumOf(p)
+		if s.Len() != len(p) || s.crcC != crc32.Checksum(p, castagnoli) || s.crcI != crc32.ChecksumIEEE(p) ||
+			s.shiftC != polyC.shift(len(p)) || s.shiftI != polyI.shift(len(p)) {
+			t.Fatalf("SumOf(data[%d:%d]) = %+v", sp[0], sp[2], s)
+		}
+	}
+	for _, sp := range splits[:200] {
+		a, b, ab := SumOf(data[sp[0]:sp[1]]), SumOf(data[sp[1]:sp[2]]), SumOf(data[sp[0]:sp[2]])
+		if got := a.Append(b); got != ab {
+			t.Fatalf("Sum of data[%d:%d] appended with data[%d:%d] = %+v, want %+v", sp[0], sp[1], sp[1], sp[2], got, ab)
+		}
+		if got := ab.TrimPrefix(a); got != b {
+			t.Fatalf("Sum of data[%d:%d] less data[%d:%d] = %+v, want %+v", sp[0], sp[2], sp[0], sp[1], got, b)
+		}
 	}
 }
 
@@ -356,7 +490,7 @@ func TestAppenderMatchesWriter(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	blob := w.Encoding()
+	blob := w.Segments().Bytes()
 	if body := blob[headerLen : len(blob)-trailerLen]; !bytes.Equal(a.Buf, body) {
 		t.Fatalf("appender bytes %x, writer body %x", a.Buf, body)
 	}

@@ -375,14 +375,8 @@ func (c *Cluster) CkptSave(w *ckpt.Writer) {
 	}
 
 	w.U64(c.events.dropped)
-	evs := c.events.snapshot()
-	w.Int(len(evs))
-	for _, e := range evs {
-		w.Dur(e.At)
-		w.Str(e.Kind)
-		w.Str(e.Object)
-		w.Str(e.Message)
-	}
+	w.Int(c.events.ring.Len())
+	c.events.ring.Ref(w)
 
 	w.Dur(c.lastTick.At)
 	w.Int(c.lastTick.RegistryFaults)
@@ -519,7 +513,12 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 	}
 	c.events = eventLog{}
 	for i := 0; i < ne; i++ {
-		c.events.add(Event{At: r.Dur(), Kind: r.Str(), Object: r.Str(), Message: r.Str()})
+		rest := r.Rest()
+		loadEvent(r)
+		if r.Err() != nil {
+			return r.Err()
+		}
+		c.events.push(rest[:len(rest)-len(r.Rest())])
 	}
 	c.events.dropped = dropped
 

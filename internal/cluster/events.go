@@ -3,6 +3,9 @@ package cluster
 import (
 	"fmt"
 	"time"
+
+	"evolve/internal/ckpt"
+	"evolve/internal/obs"
 )
 
 // Event is one line of the cluster's operational journal — the
@@ -20,45 +23,59 @@ func (e Event) String() string {
 	return fmt.Sprintf("%8.1fs %-16s %-24s %s", e.At.Seconds(), e.Kind, e.Object, e.Message)
 }
 
-// eventLog is a fixed-capacity ring; old events are dropped once full.
+// eventLog is the journal: a count-bounded ring of events stored in
+// their checkpoint encoding (see saveEvent), so a checkpoint references
+// the journal's bytes instead of re-encoding every event.
 type eventLog struct {
-	buf     []Event
-	next    int
-	wrapped bool
+	ring    obs.Ring      // allocated by the first add
+	rec     ckpt.Appender // reused record encoder
 	dropped uint64
 }
 
 const eventLogCapacity = 2048
 
 func (l *eventLog) add(e Event) {
-	if l.buf == nil {
-		l.buf = make([]Event, eventLogCapacity)
+	l.rec.Buf = l.rec.Buf[:0]
+	saveEvent(&l.rec, &e)
+	l.push(l.rec.Buf)
+}
+
+// push appends one encoded event, counting the one it evicts.
+func (l *eventLog) push(rec []byte) {
+	if l.ring.Cap() == 0 {
+		l.ring = obs.NewRing(eventLogCapacity)
 	}
-	if l.wrapped {
+	if l.ring.Push(rec) {
 		l.dropped++
-	}
-	l.buf[l.next] = e
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.wrapped = true
 	}
 }
 
-// snapshot returns events oldest-first.
+// snapshot returns events oldest-first, or nil before the first one.
 func (l *eventLog) snapshot() []Event {
-	if l.buf == nil {
+	if l.ring.Cap() == 0 {
 		return nil
 	}
-	if !l.wrapped {
-		out := make([]Event, l.next)
-		copy(out, l.buf[:l.next])
-		return out
-	}
-	out := make([]Event, 0, len(l.buf))
-	out = append(out, l.buf[l.next:]...)
-	out = append(out, l.buf[:l.next]...)
+	out := make([]Event, 0, l.ring.Len())
+	l.ring.Each(func(p []byte) {
+		for r := ckpt.NewRawReader(p); len(r.Rest()) > 0; {
+			out = append(out, loadEvent(r))
+		}
+	})
 	return out
+}
+
+// saveEvent writes one journal event; it is the one definition of the
+// record the ring holds and a checkpoint carries.
+func saveEvent(w ckpt.Encoder, e *Event) {
+	w.Dur(e.At)
+	w.Str(e.Kind)
+	w.Str(e.Object)
+	w.Str(e.Message)
+}
+
+// loadEvent reads an event written by saveEvent.
+func loadEvent(r *ckpt.Reader) Event {
+	return Event{At: r.Dur(), Kind: r.Str(), Object: r.Str(), Message: r.Str()}
 }
 
 // recordEvent appends to the journal.

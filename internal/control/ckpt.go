@@ -1,7 +1,6 @@
 package control
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -255,14 +254,15 @@ func (l *Loop) RebuildTimer(kind, key string) (func(), error) {
 // ctrl-crash recovery path hands back to Restart via LoadState. It
 // models the control plane's own checkpoint file: controllers, health
 // wrappers and last decisions, but nothing about world-timeline timers.
+// The blob is a copy; the encoding buffers are kept for the next call.
 func (l *Loop) SaveState() ([]byte, error) {
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
+	w := ckpt.NewBufferWriter(l.stateBufs)
 	l.saveCtrlState(w)
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	l.stateBufs = w.Buffers()
+	return w.Segments().Bytes(), nil
 }
 
 // LoadState restores controller-process state from a SaveState blob; the

@@ -143,6 +143,8 @@ type Loop struct {
 	// evalBuf is the evaluate-phase scratch (step): the per-period eval
 	// tuples in canonical app order, reused across periods.
 	evalBuf []ctrlEval
+	// stateBufs are SaveState's encoding buffers, reused across calls.
+	stateBufs [][]byte
 
 	// timing/phases are wall-clock observation hooks (EnableTiming /
 	// SetPhases); both nil by default so an untimed step reads no clock.

@@ -168,7 +168,7 @@ func TestWindowedCheckpointContinues(t *testing.T) {
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cr, err := ckpt.NewReader(cw.Encoding())
+	cr, err := ckpt.NewReader(cw.Segments().Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestWindowedCheckpointRejectsStaleWindow(t *testing.T) {
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cr, err := ckpt.NewReader(cw.Encoding())
+	cr, err := ckpt.NewReader(cw.Segments().Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

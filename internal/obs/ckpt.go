@@ -167,38 +167,38 @@ func loadSpan(r *ckpt.Reader) (Span, error) {
 }
 
 // saveRing writes a ring's header — capacity, sequence, drop count and
-// record count — then its records oldest first, as a copy of the bytes
-// the ring already holds.
-func saveRing(w *ckpt.Writer, ring *recRing, seq, dropped uint64) {
-	w.Int(ring.capacity())
+// record count — then its records oldest first, as references to the
+// bytes the ring already holds.
+func saveRing(w *ckpt.Writer, ring *Ring, seq, dropped uint64) {
+	w.Int(ring.Cap())
 	w.U64(seq)
 	w.U64(dropped)
 	w.Int(ring.n)
-	ring.each(w.Raw)
+	ring.Ref(w)
 }
 
 // loadRing reads a ring written by saveRing into ring, decoding every
 // record with load so a corrupt one is an error, then keeping the
 // record's exact bytes. It returns the sequence and drop counters.
-func loadRing[T any](r *ckpt.Reader, ring *recRing, what string, load func(*ckpt.Reader) (T, error)) (seq, dropped uint64, err error) {
-	if c := r.Int(); r.Err() == nil && c != ring.capacity() {
-		return 0, 0, fmt.Errorf("obs: ckpt: %s ring capacity %d, checkpoint %d", what, ring.capacity(), c)
+func loadRing[T any](r *ckpt.Reader, ring *Ring, what string, load func(*ckpt.Reader) (T, error)) (seq, dropped uint64, err error) {
+	if c := r.Int(); r.Err() == nil && c != ring.Cap() {
+		return 0, 0, fmt.Errorf("obs: ckpt: %s ring capacity %d, checkpoint %d", what, ring.Cap(), c)
 	}
 	seq, dropped = r.U64(), r.U64()
 	n := r.Int()
 	if r.Err() != nil {
 		return 0, 0, r.Err()
 	}
-	if n < 0 || n > ring.capacity() {
-		return 0, 0, fmt.Errorf("obs: ckpt: %s count %d exceeds ring %d", what, n, ring.capacity())
+	if n < 0 || n > ring.Cap() {
+		return 0, 0, fmt.Errorf("obs: ckpt: %s count %d exceeds ring %d", what, n, ring.Cap())
 	}
-	ring.reset()
+	ring.Reset()
 	for i := 0; i < n; i++ {
 		rest := r.Rest()
 		if _, err := load(r); err != nil {
 			return 0, 0, err
 		}
-		ring.push(rest[:len(rest)-len(r.Rest())])
+		ring.Push(rest[:len(rest)-len(r.Rest())])
 	}
 	return seq, dropped, nil
 }

@@ -193,7 +193,7 @@ type Tracer struct {
 	enabled bool
 
 	mu      sync.Mutex
-	events  recRing
+	events  Ring
 	seq     uint64
 	dropped uint64
 	// rec is the reused buffer each event or span is encoded into
@@ -206,7 +206,7 @@ type Tracer struct {
 
 	// The span layer (span.go): its own ring, sequence and sink so span
 	// emission never perturbs the event stream's bytes.
-	spans       recRing
+	spans       Ring
 	spanSeq     uint64
 	spanDropped uint64
 	spanSink    io.Writer
@@ -235,8 +235,8 @@ func New(capacity int) *Tracer {
 	}
 	t := &Tracer{
 		enabled: true,
-		events:  newRecRing(capacity),
-		spans:   newRecRing(capacity),
+		events:  NewRing(capacity),
+		spans:   NewRing(capacity),
 	}
 	for k := LatencyKind(0); k < NumLatencyKinds; k++ {
 		t.lat[k] = NewLatencyHistogram(k.String(), DefaultLatencyBuckets)
@@ -282,7 +282,7 @@ func (t *Tracer) recordLocked(ev Event) {
 	ev.Seq = t.seq
 	t.rec.Buf = t.rec.Buf[:0]
 	saveEvent(&t.rec, &ev)
-	if t.events.push(t.rec.Buf) {
+	if t.events.Push(t.rec.Buf) {
 		t.dropped++
 	}
 	if t.sink != nil && t.sinkErr == nil {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"reflect"
@@ -60,10 +61,10 @@ func (f *ringFixture) span() Span {
 }
 
 // retained returns the bytes the ring's chunks occupy, spare included.
-func (r *recRing) retained() int {
+func (r *Ring) retained() int {
 	n := cap(r.spare)
 	for _, c := range r.chunks {
-		n += cap(c)
+		n += cap(c.buf)
 	}
 	return n
 }
@@ -94,7 +95,7 @@ func decodeTracerSection(t *testing.T, tr *Tracer) ([]Event, []Span) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := ckpt.NewReader(w.Encoding())
+	r, err := ckpt.NewReader(w.Segments().Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestRecordRingMatchesModel(t *testing.T) {
 			if !sameRecords(gotEv, wantEv) || !sameRecords(gotSp, wantSp) {
 				t.Fatalf("cap %d step %d: checkpoint section holds different records than the model", capacity, step)
 			}
-			for _, ring := range []*recRing{&tr.events, &tr.spans} {
+			for _, ring := range []*Ring{&tr.events, &tr.spans} {
 				if ring.retained() > ring.live+2*ckpt.ChunkSize {
 					t.Fatalf("cap %d step %d: ring retains %d bytes for %d live", capacity, step, ring.retained(), ring.live)
 				}
@@ -256,6 +257,85 @@ func TestRingRecordAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("wrapped rings allocated %v times over %d records, want 0", allocs, 8*capacity)
+	}
+}
+
+// TestRingPinsReferencedChunks: a chunk that an in-memory checkpoint
+// references is never recycled. After a buffer-writer save of wrapped
+// rings, one oversized event (pushOversized retires the pinned tail)
+// and at least 2 × capacity more records per ring (every chunk held at
+// the save is evicted) leave the saved segments untouched: they materialise to the
+// bytes taken at the save and restore the records held then.
+func TestRingPinsReferencedChunks(t *testing.T) {
+	const capacity = 256
+	tr := New(capacity)
+	i := 0
+	for ; tr.Dropped() == 0 || tr.SpansDropped() == 0; i++ {
+		recordMix(tr, i)
+	}
+	wantEv, wantSp := tr.Snapshot(Filter{}), tr.SpanSnapshot(SpanFilter{})
+	w := ckpt.NewBufferWriter(nil)
+	tr.CkptSave(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := w.Segments()
+	want := segs.Bytes()
+
+	first := func(c chunk) *byte { return &c.buf[:1][0] }
+	saved := map[*byte]bool{}
+	for _, ring := range []*Ring{&tr.events, &tr.spans} {
+		for _, c := range ring.chunks {
+			if !c.pinned {
+				t.Fatal("a chunk the buffer writer kept is not pinned")
+			}
+			saved[first(c)] = true
+		}
+	}
+	tail := tr.events.chunks[len(tr.events.chunks)-1]
+	if cap(tail.buf) != ckpt.ChunkSize || len(tail.buf) == 0 {
+		t.Fatalf("event ring tail is %d of %d bytes, want a partly filled ChunkSize chunk", len(tail.buf), cap(tail.buf))
+	}
+	tr.Record(Event{Kind: KindFault, Verb: VerbRetry, Detail: strings.Repeat("o", ckpt.ChunkSize+1)})
+	if c := tr.events.chunks[len(tr.events.chunks)-1]; cap(c.buf) == ckpt.ChunkSize {
+		t.Fatal("the oversized event did not take the pushOversized path")
+	}
+	if sp := tr.events.spare; sp != nil && &sp[:1][0] == first(tail) {
+		t.Fatal("pushOversized made the pinned tail the spare")
+	}
+	held := func() bool {
+		for _, ring := range []*Ring{&tr.events, &tr.spans} {
+			for _, c := range ring.chunks {
+				if saved[first(c)] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	// recordMix records one span per four calls.
+	for n := 0; n < 8*capacity || held(); n++ {
+		if n > 64*capacity {
+			t.Fatal("chunks held at the save are never evicted")
+		}
+		recordMix(tr, i)
+		i++
+	}
+
+	got := segs.Bytes()
+	if !bytes.Equal(got, want) {
+		t.Fatal("the saved segments changed after their chunks were evicted")
+	}
+	r, err := ckpt.NewReader(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(capacity)
+	if err := restored.CkptLoad(r); err != nil {
+		t.Fatal(err)
+	}
+	if !sameRecords(restored.Snapshot(Filter{}), wantEv) || !sameRecords(restored.SpanSnapshot(SpanFilter{}), wantSp) {
+		t.Fatal("the saved segments restore different records than were held at the save")
 	}
 }
 

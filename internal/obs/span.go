@@ -129,7 +129,7 @@ func (t *Tracer) RecordSpan(sp Span) uint64 {
 	sp.ID = t.spanSeq
 	t.rec.Buf = t.rec.Buf[:0]
 	saveSpan(&t.rec, &sp)
-	if t.spans.push(t.rec.Buf) {
+	if t.spans.Push(t.rec.Buf) {
 		t.spanDropped++
 	}
 	if t.spanSink != nil && t.spanSinkErr == nil {
