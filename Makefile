@@ -69,7 +69,9 @@ bench-sched:
 
 # bench-obs is the observability overhead job: the span-off vs span-on
 # tick pair (BenchmarkTick vs BenchmarkTickTraced — installing a tracer
-# enables the span layer with it), the traced and untraced steady-state
+# enables the span layer with it), the many-apps-shaped tick
+# (BenchmarkTickManyApps: 512 services, each appending one 17-column
+# metric frame per tick), the traced and untraced steady-state
 # allocation gates, and the span/latency emission tests. A traced tick
 # that starts allocating per pod, or a steady tick that records spans,
 # fails here. The checkpoint pair reports encode throughput (MB/s) and
@@ -85,7 +87,7 @@ bench-sched:
 # BenchmarkPeriodicCheckpoint reports one firing's MB/s and allocations.
 bench-obs:
 	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs|TestTickWindowedHistoryAllocs|TestTickTracedAllocsBudget|TestPodSpansEmitted' \
-		-bench 'BenchmarkTick/|BenchmarkTickTraced/' -benchtime 20x -count 1 -v
+		-bench 'BenchmarkTick/|BenchmarkTickTraced/|BenchmarkTickManyApps/' -benchtime 20x -count 1 -v
 	$(GO) test ./internal/obs -run 'TestSpan|TestLatency|TestRingRecordAllocs|TestRingPinsReferencedChunks' -bench 'BenchmarkObserveLatency|BenchmarkTracerCkptSave' -benchtime 100x -count 1 -v
 	$(GO) test . -run 'TestCheckpointEncodeAllocs|TestStateBoundedByHistory|TestPeriodicCheckpointAllocs' -bench 'BenchmarkCheckpoint$$|BenchmarkPeriodicCheckpoint' -benchtime 20x -count 1 -v
 

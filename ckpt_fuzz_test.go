@@ -39,7 +39,8 @@ func fuzzWorld(t testing.TB) *Cluster {
 // the end — and restores it into a fresh world. Without resealing, the checksum must refuse every mutation and
 // leave the world fresh. With the trailer recomputed, the mutation reaches
 // the section decoders, which must return an error or a consistent world,
-// never panic or over-allocate.
+// never panic or over-allocate. A world restored without error must run:
+// one more simulated minute may fail with an error, never a panic.
 func FuzzRestore(f *testing.F) {
 	src := fuzzWorld(f)
 	if err := src.Run(fuzzRun); err != nil {
@@ -71,7 +72,10 @@ func FuzzRestore(f *testing.F) {
 		c := fuzzWorld(t)
 		err := c.Restore(bytes.NewReader(b))
 		if reseal {
-			return // an error or a legitimately different world
+			if err == nil {
+				_ = c.Run(time.Minute) // a legitimately different world may fail, not panic
+			}
+			return
 		}
 		if err == nil {
 			t.Fatalf("mutated checkpoint (%d bytes at %d, cut %d) restored without resealing", len(patch), at, cut)
@@ -80,6 +84,48 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("refused checkpoint started the world: %v", err)
 		}
 	})
+}
+
+// TestRestoreRefusesDisagreeingAppSeries: an app's tick series restore
+// as one frame, so a checkpoint in which one of them — here one sample
+// of app/web/usage/cpu, shifted by a nanosecond and resealed — no longer
+// agrees with the others fails Restore with an error naming the series,
+// instead of panicking the next tick.
+func TestRestoreRefusesDisagreeingAppSeries(t *testing.T) {
+	src := fuzzWorld(t)
+	if err := src.Run(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	// A series record is its length-prefixed name, the five fields of
+	// its Total, the sample count, then (At, Value) pairs.
+	const name = "app/web/usage/cpu"
+	marker := binary.LittleEndian.AppendUint64(nil, uint64(len(name)))
+	marker = append(marker, name...)
+	if n := bytes.Count(b, marker); n != 1 {
+		t.Fatalf("series record found %d times", n)
+	}
+	rec := bytes.Index(b, marker) + len(marker)
+	if n := binary.LittleEndian.Uint64(b[rec+5*8:]); n < 3 {
+		t.Fatalf("%s retains %d samples", name, n)
+	}
+	at := rec + 6*8 + 16 // the second sample's At
+	binary.LittleEndian.PutUint64(b[at:], binary.LittleEndian.Uint64(b[at:])+1)
+	ckpt.Seal(b)
+
+	dst := fuzzWorld(t)
+	err := dst.Restore(bytes.NewReader(b))
+	if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+		t.Fatalf("Restore = %v, want an error naming %q", err, name)
+	}
+	t.Log(err)
+	if runErr := dst.Run(time.Minute); runErr == nil || !strings.Contains(runErr.Error(), name) {
+		t.Errorf("Run after the failed Restore = %v, want the restore error", runErr)
+	}
 }
 
 // TestRestoreValidatesWrappedTraceRing: in a checkpoint of a world whose

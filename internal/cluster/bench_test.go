@@ -95,6 +95,65 @@ func BenchmarkTick(b *testing.B) {
 	}
 }
 
+// BenchmarkTickManyApps measures one tick of a world shaped like
+// e2ebench's many-apps: 512 services of 2 replicas on 256 nodes with a
+// 15-minute metric history, warmed past one window so every app's frame
+// compacts in place. Each iteration advances the clock by one metrics
+// interval (a tick in place would stamp every row with one time and
+// never evict); the apps are observed between ticks, off the clock, so
+// the controller windows stay at one sample.
+func BenchmarkTickManyApps(b *testing.B) {
+	const history = 15 * time.Minute
+	eng := sim.NewEngine(7)
+	c := New(eng, Config{
+		MetricsInterval:  5 * time.Second,
+		MetricsHistory:   history,
+		Interference:     true,
+		SchedulerPolicy:  sched.PolicySpread,
+		MeasurementNoise: 0.03,
+	})
+	if err := c.AddNodes("n", 256, resource.New(64000, 256<<30, 4e9, 8e9)); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 512; i++ {
+		spec := testService(fmt.Sprintf("svc-%03d", i))
+		spec.InitialReplicas = 2
+		spec.MaxReplicas = 4
+		spec.InitialAlloc = resource.New(500, 1<<30, 10e6, 10e6)
+		if err := c.CreateService(spec); err != nil {
+			b.Fatal(err)
+		}
+		phase := float64(i)
+		if err := c.SetLoadFunc(spec.Name, func(now time.Duration) float64 {
+			return 150 + 100*math.Sin(now.Seconds()/300+phase)
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	apps := c.Apps()
+	observe := func() {
+		for _, app := range apps {
+			if _, err := c.Observe(app); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	c.Start()
+	for end := history + time.Minute; eng.Now() < end; {
+		eng.Run(eng.Now() + c.cfg.MetricsInterval)
+		observe()
+	}
+	b.Run("apps-512", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng.Run(eng.Now() + c.cfg.MetricsInterval)
+			b.StopTimer()
+			observe()
+			b.StartTimer()
+		}
+	})
+}
+
 // benchSchedulePending is one BenchmarkSchedulePending case: a backlog
 // of `pods` unbound replicas drained in one round over `nodes` nodes.
 func benchSchedulePending(b *testing.B, pods, nodes int) {

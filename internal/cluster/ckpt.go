@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -536,25 +537,44 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 	if err := c.met.CkptLoad(r); err != nil {
 		return err
 	}
+	if err := c.restoreFrames(); err != nil {
+		return err
+	}
 	c.restoreAppUsage()
 	c.store.SetVersion(r.U64())
 	return r.Err()
 }
 
-// restoreAppUsage rebuilds the dense per-app usage from the usage series
-// the last tick recorded, so the restored hot state agrees with the
-// restored pods (CheckInvariants). The tick itself never reads it
-// before P2 overwrites it.
+// restoreFrames re-forms the tick frame of every app whose series the
+// checkpoint holds — the registry restores each series as a one-column
+// frame — so a checkpoint whose columns of one app disagree fails the
+// restore instead of the next tick. Apps that had not ticked yet keep
+// resolving lazily, so the restored world creates no series early.
+func (c *Cluster) restoreFrames() error {
+	for _, st := range c.appList {
+		st.h = appHandles{}
+		if !slices.ContainsFunc(appSeriesNames(st.obj.Spec.Name), c.met.HasSeries) {
+			continue
+		}
+		if err := st.resolveHandles(c.met); err != nil {
+			return fmt.Errorf("cluster: ckpt: %w", err)
+		}
+	}
+	return nil
+}
+
+// restoreAppUsage rebuilds the dense per-app usage from the values the
+// last tick recorded in each restored app frame's usage columns, so the
+// restored hot state agrees with the restored pods (CheckInvariants).
+// The tick itself never reads it before P2 overwrites it.
 func (c *Cluster) restoreAppUsage() {
 	for _, st := range c.appList {
 		var u resource.Vector
-		for _, k := range resource.Kinds() {
-			name := "app/" + st.obj.Spec.Name + "/usage/" + k.String()
-			if !c.met.HasSeries(name) {
-				continue
-			}
-			if s, ok := c.met.Series(name).Last(); ok && s.At == c.hot.lastPhaseAt {
-				u[k] = s.Value
+		if f := st.h.frame; f != nil {
+			for _, k := range resource.Kinds() {
+				if s, ok := f.Column(colUsage + int(k)).Last(); ok && s.At == c.hot.lastPhaseAt {
+					u[k] = s.Value
+				}
 			}
 		}
 		c.hot.appUsage[st.hotIdx] = u

@@ -90,9 +90,9 @@ type appState struct {
 	decisionAt   time.Duration
 	decisionSpan uint64
 
-	// h caches the per-service metric handles (see handles.go); nil
-	// until the first tick resolves them.
-	h *appHandles
+	// h caches the per-service metric handles (see handles.go); its
+	// frame is nil until the first tick resolves them.
+	h appHandles
 
 	// Per-app random streams (sim.PartitionedRNG): noise drives the
 	// measurement jitter, chaosRNG the injector's probability draws.

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+
 	"evolve/internal/metrics"
 	"evolve/internal/resource"
 )
@@ -12,53 +14,93 @@ import (
 // handles below are resolved once and then reused, which together with
 // the incremental indexes makes the steady-state tick allocation-free.
 //
+// An app's 17 tick series are the columns of one metrics.Frame, appended
+// together: appTelemetry fills the handles' row and calls Frame.Add once
+// per tick, so the app's history has one time column, one whole-run
+// clock and one compaction. Each column is still a series registered
+// under its own name.
+//
 // Resolution is lazy (first tick for apps, first tick for the cluster)
 // so the set of series and counters a run creates — and therefore every
 // snapshot — is exactly what the name-resolving code produced: a series
 // exists once the first sample lands, the SLI histogram once the first
 // positive SLI lands, the violations counter once the first violation
-// lands.
+// lands. After a restore, CkptLoad resolves the frames of the apps whose
+// series the checkpoint holds, so columns that disagree fail the
+// restore instead of the next tick.
 
-// appHandles caches the per-service series the tick writes.
+// The columns of an app's tick frame, in row order.
+const (
+	colLatMean = iota
+	colLatP99
+	colThroughput
+	colOffered
+	colReplicas
+	colReady
+	colSLI
+	colViolation
+	colBurnRate
+	colAlloc                                       // resource.NumKinds columns, one per kind
+	colUsage   = colAlloc + int(resource.NumKinds) // likewise
+	numAppCols = colUsage + int(resource.NumKinds)
+)
+
+// appSeriesNames returns the names of an app's tick series in column
+// order.
+func appSeriesNames(app string) []string {
+	pfx := "app/" + app + "/"
+	names := make([]string, numAppCols)
+	names[colLatMean] = pfx + "latency-mean"
+	names[colLatP99] = pfx + "latency-p99"
+	names[colThroughput] = pfx + "throughput"
+	names[colOffered] = pfx + "offered"
+	names[colReplicas] = pfx + "replicas"
+	names[colReady] = pfx + "ready"
+	names[colSLI] = pfx + "sli"
+	names[colViolation] = pfx + "violation"
+	// Burn rate lives under plo/ so the Prometheus mapping labels it
+	// evolve_plo_burn_rate{app="…"} next to the violation counters.
+	names[colBurnRate] = "plo/" + app + "/burn-rate"
+	for _, k := range resource.Kinds() {
+		names[colAlloc+int(k)] = pfx + "alloc/" + k.String()
+		names[colUsage+int(k)] = pfx + "usage/" + k.String()
+	}
+	return names
+}
+
+// appHandles caches the app's tick frame and the row it appends. It is
+// held by value in appState, so the tick reaches the row without a
+// pointer chase.
 type appHandles struct {
-	latMean, latP99 *metrics.Series
-	throughput      *metrics.Series
-	offered         *metrics.Series
-	replicas, ready *metrics.Series
-	sli, violation  *metrics.Series
-	burnRate        *metrics.Series
-	alloc, usage    [resource.NumKinds]*metrics.Series
+	frame *metrics.Frame // nil until resolved
+	row   [numAppCols]float64
 
 	// hist and violations stay nil until first needed; see above.
 	hist       *metrics.Histogram
 	violations *metrics.Counter
 }
 
-// handles resolves (once) and returns the app's cached series.
+// handles resolves (once) and returns the app's cached handles. The
+// frame cannot disagree with itself on a live run — restores resolve it
+// up front (resolveHandles) — so an error here is a bug.
 func (st *appState) handles(met *metrics.Registry) *appHandles {
-	if st.h != nil {
-		return st.h
+	if st.h.frame == nil {
+		if err := st.resolveHandles(met); err != nil {
+			panic(err)
+		}
 	}
-	pfx := "app/" + st.obj.Spec.Name + "/"
-	h := &appHandles{
-		latMean:    met.Series(pfx + "latency-mean"),
-		latP99:     met.Series(pfx + "latency-p99"),
-		throughput: met.Series(pfx + "throughput"),
-		offered:    met.Series(pfx + "offered"),
-		replicas:   met.Series(pfx + "replicas"),
-		ready:      met.Series(pfx + "ready"),
-		sli:        met.Series(pfx + "sli"),
-		violation:  met.Series(pfx + "violation"),
-		// Burn rate lives under plo/ so the Prometheus mapping labels it
-		// evolve_plo_burn_rate{app="…"} next to the violation counters.
-		burnRate: met.Series("plo/" + st.obj.Spec.Name + "/burn-rate"),
+	return &st.h
+}
+
+// resolveHandles resolves the app's frame, adopting the series that
+// already exist.
+func (st *appState) resolveHandles(met *metrics.Registry) error {
+	f, err := met.Frame(appSeriesNames(st.obj.Spec.Name)...)
+	if err != nil {
+		return fmt.Errorf("service %s: %w", st.obj.Spec.Name, err)
 	}
-	for _, k := range resource.Kinds() {
-		h.alloc[k] = met.Series(pfx + "alloc/" + k.String())
-		h.usage[k] = met.Series(pfx + "usage/" + k.String())
-	}
-	st.h = h
-	return h
+	st.h.frame = f
+	return nil
 }
 
 // histogram resolves (once) the SLI histogram; only called with sli > 0,

@@ -197,9 +197,9 @@ func (c *Cluster) checkNode(n *NodeObject, now time.Duration) error {
 func (c *Cluster) checkApp(st *appState, now time.Duration) error {
 	name := st.obj.Spec.Name
 	h := &c.hot
-	if st.h != nil {
+	if st.h.frame != nil {
 		for _, k := range resource.Kinds() {
-			if s, ok := st.h.usage[k].Last(); ok && s.At == h.lastPhaseAt && h.appUsage[st.hotIdx][k] != s.Value {
+			if s, ok := st.h.frame.Column(colUsage + int(k)).Last(); ok && s.At == h.lastPhaseAt && h.appUsage[st.hotIdx][k] != s.Value {
 				return fmt.Errorf("cluster: service %s: hot.appUsage[%v] = %v, last tick recorded %v", name, k, h.appUsage[st.hotIdx][k], s.Value)
 			}
 		}

@@ -287,15 +287,16 @@ func (c *Cluster) appTelemetry(st *appState, now time.Duration, lambda float64, 
 	}
 
 	h := st.handles(c.met)
-	h.latMean.Add(now, meanLat)
-	h.latP99.Add(now, p99Lat)
-	h.throughput.Add(now, throughput)
-	h.offered.Add(now, lambda)
-	h.replicas.Add(now, float64(st.obj.DesiredReplicas))
-	h.ready.Add(now, float64(ready))
+	row := &h.row
+	row[colLatMean] = meanLat
+	row[colLatP99] = p99Lat
+	row[colThroughput] = throughput
+	row[colOffered] = lambda
+	row[colReplicas] = float64(st.obj.DesiredReplicas)
+	row[colReady] = float64(ready)
 	for _, k := range resource.Kinds() {
-		h.alloc[k].Add(now, st.obj.Alloc[k])
-		h.usage[k].Add(now, result.Usage[k])
+		row[colAlloc+int(k)] = st.obj.Alloc[k]
+		row[colUsage+int(k)] = result.Usage[k]
 	}
 	violated := 0.0
 	if st.tracker.PLO().Violated(sli) {
@@ -316,9 +317,10 @@ func (c *Cluster) appTelemetry(st *appState, now time.Duration, lambda float64, 
 			st.traceSet = true
 		}
 	}
-	h.sli.Add(now, sli)
-	h.violation.Add(now, violated)
-	h.burnRate.Add(now, st.tracker.Burn().BurnRate())
+	row[colSLI] = sli
+	row[colViolation] = violated
+	row[colBurnRate] = st.tracker.Burn().BurnRate()
+	h.frame.Add(now, row[:])
 	if sli > 0 {
 		st.histogram(c.met).Observe(sli)
 	}

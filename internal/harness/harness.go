@@ -354,7 +354,7 @@ func summarise(sc Scenario, pol Policy, w *world.World) *Result {
 
 // productMean computes the mean of the product of two series that are
 // sampled at identical tick timestamps (as all cluster app series are).
-// Both windows are zero-copy sub-slices fused in a single pass.
+// The two windows are multiplied in a single pass.
 func productMean(sa, sb *metrics.Series, from, to time.Duration) float64 {
 	wa := sa.Window(from, to)
 	wb := sb.Window(from, to)

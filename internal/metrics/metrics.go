@@ -2,11 +2,19 @@
 // loops consume: time series with windowed statistics, streaming
 // log-bucketed histograms with percentile queries, counters and a named
 // registry for experiment snapshots.
+//
+// Series live in frames. A Frame is one time column and N value columns
+// that are always appended together; a Series is a (frame, column) view.
+// A series created on its own is the only column of its frame, so there
+// is one storage path. The cluster tick appends an app's 17 series as
+// the columns of one frame: one time stamp, one retention window and one
+// compaction per app and tick instead of 17.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,30 +26,153 @@ type Sample struct {
 	Value float64
 }
 
-// Series is an append-only time series with an optional retention
-// window. A series with history 0 keeps every sample, which lets the
-// evaluation harness re-render any window of a run after the fact. A
-// series with history h retains the samples with At > last − h, where
-// last is the newest sample's time, and keeps exact whole-run
-// aggregates alongside (see Total), so memory and checkpoints stay
-// bounded by the window while the whole-run figures stay exact.
+// Frame is a set of series appended together: one time column and N
+// value columns with an optional retention window. A frame with history
+// 0 keeps every row, which lets the evaluation harness re-render any
+// window of a run after the fact. A frame with history h retains the
+// rows with time > last − h, where last is the newest row's time, and
+// keeps exact whole-run aggregates per column alongside (see
+// Series.Total), so memory and checkpoints stay bounded by the window
+// while the whole-run figures stay exact.
 //
-// The retained window is defined by time, never by capacity: older
-// samples may linger in the backing array until the next compaction,
-// but no read ever sees them, so a restored series — whose array has a
+// The retained window is defined by time, never by capacity: older rows
+// may linger in the backing arrays until the next compaction, but no
+// read ever sees them, so a restored frame — whose arrays have a
 // different capacity — reads exactly like the uninterrupted one.
-type Series struct {
-	Name    string
+type Frame struct {
 	history time.Duration // retention window; 0 keeps everything
 
-	// samples ends with the retained window; evicted samples may
-	// precede it. Add touches only the tail until the array is full,
-	// then copies the window down over the evicted front and appends in
-	// place, so once the capacity covers the window appends stop
-	// allocating.
-	samples []Sample
+	// times ends with the retained window; evicted rows may precede it.
+	// vals holds the value columns column-major with stride cap(times):
+	// column j is vals[j*cap(times) : j*cap(times)+len(times)]. Add
+	// touches only the tails until the arrays are full, then copies the
+	// window down over the evicted front and appends in place, so once
+	// the capacity covers the window appends stop allocating.
+	times []time.Duration
+	vals  []float64
 
-	total Total
+	count int           // rows ever appended
+	at    time.Duration // time of the newest row, or 0 while every row is at or before 0
+	agg   []colAgg      // per-column whole-run aggregates
+	cols  []*Series     // the column views, in column order
+}
+
+// colAgg is one column's share of its Total; the count and the clock are
+// the frame's.
+type colAgg struct {
+	sum  float64 // values, summed in arrival order
+	area float64 // ∫ step value dt over (0, at]
+	cur  float64 // step value after the newest row
+}
+
+// newFrame returns an empty frame whose columns are new series with the
+// given names.
+func newFrame(history time.Duration, names ...string) *Frame {
+	f := &Frame{history: history, agg: make([]colAgg, len(names)), cols: make([]*Series, len(names))}
+	views := make([]Series, len(names))
+	for j, name := range names {
+		views[j] = Series{Name: name, f: f, col: j}
+		f.cols[j] = &views[j]
+	}
+	return f
+}
+
+// Column returns the series view of column j.
+func (f *Frame) Column(j int) *Series { return f.cols[j] }
+
+// Add appends one row: vals[j] is column j's value at time at. Rows must
+// arrive in non-decreasing time order; out-of-order appends panic since
+// they indicate a model bug.
+func (f *Frame) Add(at time.Duration, vals []float64) {
+	if len(vals) != len(f.cols) {
+		panic(fmt.Sprintf("metrics: %d values for the %d columns of the frame of %q", len(vals), len(f.cols), f.cols[0].Name))
+	}
+	f.add(at, vals)
+}
+
+func (f *Frame) add(at time.Duration, vals []float64) {
+	n := len(f.times)
+	if n > 0 && at < f.times[n-1] {
+		panic(fmt.Sprintf("metrics: out-of-order sample on %q: %v after %v", f.cols[0].Name, at, f.times[n-1]))
+	}
+	// Fold the row into the aggregates. A row at or before 0 only sets
+	// the value entering (0, ∞); later ones close the previous step.
+	f.count++
+	step := at > 0
+	dt := float64(at - f.at)
+	for j, v := range vals {
+		a := &f.agg[j]
+		a.sum += v
+		if step {
+			a.area += a.cur * dt
+		}
+		a.cur = v
+	}
+	if step {
+		f.at = at
+	}
+	if n == cap(f.times) {
+		n = f.makeRoom(at)
+	}
+	f.times = f.times[:n+1]
+	f.times[n] = at
+	c := cap(f.times)
+	for j, v := range vals {
+		f.vals[j*c+n] = v
+	}
+}
+
+// makeRoom frees the slot after the last row of a full frame and returns
+// the row count. A windowed frame copies the rows a new row at `at`
+// leaves in the window down over the evicted ones; a frame that would
+// evict nothing grows, by append's policy for the time column.
+func (f *Frame) makeRoom(at time.Duration) int {
+	n, c := len(f.times), cap(f.times)
+	if lo := f.start(at); lo > 0 {
+		copy(f.times, f.times[lo:])
+		for j := range f.cols {
+			copy(f.vals[j*c:], f.vals[j*c+lo:j*c+n])
+		}
+		f.times = f.times[:n-lo]
+		return n - lo
+	}
+	times := append(f.times, 0)[:n]
+	nc := cap(times)
+	vals := make([]float64, len(f.cols)*nc)
+	for j := range f.cols {
+		copy(vals[j*nc:], f.vals[j*c:j*c+n])
+	}
+	f.times, f.vals = times, vals
+	return n
+}
+
+// start returns the index of the oldest row inside the retention window
+// of a frame whose newest row is at last.
+func (f *Frame) start(last time.Duration) int {
+	if f.history == 0 {
+		return 0
+	}
+	cut := last - f.history
+	return sort.Search(len(f.times), func(i int) bool { return f.times[i] > cut })
+}
+
+// retained returns the index of the oldest retained row.
+func (f *Frame) retained() int {
+	if n := len(f.times); n > 0 {
+		return f.start(f.times[n-1])
+	}
+	return 0
+}
+
+// Series is one column of a frame: an append-only time series with the
+// frame's retention window and its own exact whole-run aggregate. A
+// series created on its own (Registry.Series, NewSeries) is a
+// one-column frame and appends with Add; a column of a wider frame is
+// appended through its Frame.
+type Series struct {
+	Name string
+	f    *Frame
+	col  int
 
 	// Percentile queries sort a window of values; summaries ask for
 	// several percentiles (and re-ask across tables sharing a cached
@@ -59,7 +190,7 @@ type Series struct {
 }
 
 // Total is a series' exact whole-run aggregate, kept up to date on every
-// Add whatever the retention window. Mean and TimeWeightedMean are
+// append whatever the retention window. Mean and TimeWeightedMean are
 // bit-identical to AllStats().Mean and TimeWeightedMean(0, to) over the
 // full history: they add the same terms in the same order.
 type Total struct {
@@ -69,18 +200,6 @@ type Total struct {
 	area float64       // ∫ step value dt over (0, at]
 	cur  float64       // step value after the newest sample
 	at   time.Duration // time of the newest sample, or 0 while every sample is at or before 0
-}
-
-// add folds one sample in. A sample at or before 0 only sets the value
-// entering (0, ∞); later ones close the previous step.
-func (t *Total) add(at time.Duration, v float64) {
-	t.Count++
-	t.Sum += v
-	if at > 0 {
-		t.area += t.cur * float64(at-t.at)
-		t.at = at
-	}
-	t.cur = v
 }
 
 // Mean is the arithmetic mean of every sample ever appended (0 when
@@ -105,90 +224,99 @@ func (t Total) TimeWeightedMean(to time.Duration) float64 {
 }
 
 // NewSeries returns an empty named series that keeps every sample.
-func NewSeries(name string) *Series { return &Series{Name: name} }
+func NewSeries(name string) *Series { return NewWindowedSeries(name, 0) }
 
 // NewWindowedSeries returns an empty named series that retains the
 // samples of the last history (0 keeps everything).
 func NewWindowedSeries(name string, history time.Duration) *Series {
-	return &Series{Name: name, history: history}
+	return newFrame(history, name).cols[0]
 }
 
-// Add appends an observation. Samples must arrive in non-decreasing time
-// order; out-of-order appends panic since they indicate a model bug.
+// Add appends an observation to a standalone series. Samples must arrive
+// in non-decreasing time order; out-of-order appends panic since they
+// indicate a model bug. A column of a multi-column frame panics too:
+// only its frame appends, one row for every column.
 func (s *Series) Add(at time.Duration, v float64) {
-	n := len(s.samples)
-	if n > 0 && at < s.samples[n-1].At {
-		panic(fmt.Sprintf("metrics: out-of-order sample on %q: %v after %v", s.Name, at, s.samples[n-1].At))
+	if len(s.f.cols) != 1 {
+		panic(fmt.Sprintf("metrics: Add on %q, column %d of a %d-column frame (append through the frame)", s.Name, s.col, len(s.f.cols)))
 	}
-	s.total.add(at, v)
-	if s.history > 0 && n == cap(s.samples) {
-		// Full: copy the samples the new one leaves in the window down
-		// over the evicted ones, so the append reuses the array.
-		lo := s.start(at)
-		s.samples = s.samples[:copy(s.samples, s.samples[lo:])]
-	}
-	s.samples = append(s.samples, Sample{at, v})
+	row := [1]float64{v}
+	s.f.add(at, row[:])
 }
 
-// start returns the index of the oldest sample inside the retention
-// window of a series whose newest sample is at last.
-func (s *Series) start(last time.Duration) int {
-	if s.history == 0 {
-		return 0
-	}
-	cut := last - s.history
-	return sort.Search(len(s.samples), func(i int) bool { return s.samples[i].At > cut })
+// column returns the retained window as its time column and this
+// series' value column, oldest first. Both are sub-slices of the frame's
+// backing arrays; a later append invalidates them.
+func (s *Series) column() ([]time.Duration, []float64) {
+	f := s.f
+	lo, n := f.retained(), len(f.times)
+	base := s.col * cap(f.times)
+	return f.times[lo:n], f.vals[base+lo : base+n]
 }
 
 // Total returns the series' exact whole-run aggregate.
-func (s *Series) Total() Total { return s.total }
+func (s *Series) Total() Total {
+	f := s.f
+	a := f.agg[s.col]
+	return Total{Count: f.count, Sum: a.sum, area: a.area, cur: a.cur, at: f.at}
+}
 
 // Len returns the number of retained samples.
-func (s *Series) Len() int { return len(s.Samples()) }
+func (s *Series) Len() int { return len(s.f.times) - s.f.retained() }
 
-// Samples returns the retained window oldest-first. It is a sub-slice
-// of the series' backing array — callers must not modify it, and a
-// later Add invalidates it.
+// Samples returns a copy of the retained window, oldest first.
 func (s *Series) Samples() []Sample {
-	n := len(s.samples)
-	if n == 0 {
+	ts, vs := s.column()
+	return pairs(ts, vs)
+}
+
+// pairs zips a time column and a value column into samples (nil when
+// empty).
+func pairs(ts []time.Duration, vs []float64) []Sample {
+	if len(ts) == 0 {
 		return nil
 	}
-	return s.samples[s.start(s.samples[n-1].At):]
+	out := make([]Sample, len(ts))
+	for i, at := range ts {
+		out[i] = Sample{at, vs[i]}
+	}
+	return out
 }
 
 // checkWindow returns the retained window, and panics when a windowed
 // query reaches before its oldest sample on a series that has evicted
 // some: the answer would be silently truncated. That is a caller bug —
 // queries over evicting series must stay inside their retention window.
-func (s *Series) checkWindow(from, to time.Duration) []Sample {
-	w := s.Samples()
-	if s.total.Count > len(w) && from < w[0].At {
+func (s *Series) checkWindow(from, to time.Duration) ([]time.Duration, []float64) {
+	ts, vs := s.column()
+	if s.f.count > len(ts) && from < ts[0] {
 		panic(fmt.Sprintf("metrics: window (%v, %v] on %q starts before the oldest retained sample at %v (history %v)",
-			from, to, s.Name, w[0].At, s.history))
+			from, to, s.Name, ts[0], s.f.history))
 	}
-	return w
+	return ts, vs
 }
 
 // Last returns the most recent sample, or false when empty.
 func (s *Series) Last() (Sample, bool) {
-	if len(s.samples) == 0 {
+	f := s.f
+	n := len(f.times)
+	if n == 0 {
 		return Sample{}, false
 	}
-	return s.samples[len(s.samples)-1], true
+	return Sample{f.times[n-1], f.vals[s.col*cap(f.times)+n-1]}, true
 }
 
-// Window returns the samples with At in (from, to]. The result is a
-// sub-slice of the series' backing array — no copy — so callers must not
-// modify it, and a later Add invalidates it.
+// Window returns a copy of the samples with At in (from, to].
 func (s *Series) Window(from, to time.Duration) []Sample {
-	return window(s.checkWindow(from, to), from, to)
+	ts, vs := s.checkWindow(from, to)
+	return pairs(window(ts, vs, from, to))
 }
 
-func window(w []Sample, from, to time.Duration) []Sample {
-	lo := sort.Search(len(w), func(i int) bool { return w[i].At > from })
-	hi := sort.Search(len(w), func(i int) bool { return w[i].At > to })
-	return w[lo:hi]
+// window narrows a retained window to the rows with time in (from, to].
+func window(ts []time.Duration, vs []float64, from, to time.Duration) ([]time.Duration, []float64) {
+	lo := sort.Search(len(ts), func(i int) bool { return ts[i] > from })
+	hi := sort.Search(len(ts), func(i int) bool { return ts[i] > to })
+	return ts[lo:hi], vs[lo:hi]
 }
 
 // Stats summarises a set of observations.
@@ -200,42 +328,44 @@ type Stats struct {
 
 // WindowStats computes summary statistics over (from, to].
 func (s *Series) WindowStats(from, to time.Duration) Stats {
-	return computeStats(s.Window(from, to))
+	ts, vs := s.checkWindow(from, to)
+	_, vs = window(ts, vs, from, to)
+	return computeStats(vs)
 }
 
 // AllStats computes summary statistics over the whole series. It panics
 // on a series that has evicted samples — the retained window is not the
 // whole run; Total carries the exact whole-run mean.
 func (s *Series) AllStats() Stats {
-	w := s.Samples()
-	if s.total.Count > len(w) {
-		panic(fmt.Sprintf("metrics: AllStats on %q, which retains only %v of history (use Total)", s.Name, s.history))
+	_, vs := s.column()
+	if s.f.count > len(vs) {
+		panic(fmt.Sprintf("metrics: AllStats on %q, which retains only %v of history (use Total)", s.Name, s.f.history))
 	}
-	return computeStats(w)
+	return computeStats(vs)
 }
 
-func computeStats(w []Sample) Stats {
-	if len(w) == 0 {
+func computeStats(vs []float64) Stats {
+	if len(vs) == 0 {
 		return Stats{}
 	}
-	st := Stats{Count: len(w), Min: math.Inf(1), Max: math.Inf(-1)}
+	st := Stats{Count: len(vs), Min: math.Inf(1), Max: math.Inf(-1)}
 	var sum float64
-	for _, x := range w {
-		sum += x.Value
-		if x.Value < st.Min {
-			st.Min = x.Value
+	for _, v := range vs {
+		sum += v
+		if v < st.Min {
+			st.Min = v
 		}
-		if x.Value > st.Max {
-			st.Max = x.Value
+		if v > st.Max {
+			st.Max = v
 		}
 	}
-	st.Mean = sum / float64(len(w))
+	st.Mean = sum / float64(len(vs))
 	var ss float64
-	for _, x := range w {
-		d := x.Value - st.Mean
+	for _, v := range vs {
+		d := v - st.Mean
 		ss += d * d
 	}
-	st.Std = math.Sqrt(ss / float64(len(w)))
+	st.Std = math.Sqrt(ss / float64(len(vs)))
 	return st
 }
 
@@ -261,19 +391,17 @@ func (s *Series) Percentiles(from, to time.Duration, ps ...float64) []float64 {
 // sortedWindow returns the sorted values of (from, to], memoising the
 // last window. Appends invalidate the memo via the appended count.
 func (s *Series) sortedWindow(from, to time.Duration) []float64 {
-	all := s.checkWindow(from, to)
+	ts, vs := s.checkWindow(from, to)
 	s.sortMu.Lock()
 	defer s.sortMu.Unlock()
-	if s.sorted != nil && s.sortedFrom == from && s.sortedTo == to && s.sortedN == s.total.Count {
+	if s.sorted != nil && s.sortedFrom == from && s.sortedTo == to && s.sortedN == s.f.count {
 		return s.sorted
 	}
-	w := window(all, from, to)
+	_, w := window(ts, vs, from, to)
 	vals := make([]float64, len(w))
-	for i, x := range w {
-		vals[i] = x.Value
-	}
+	copy(vals, w)
 	sort.Float64s(vals)
-	s.sortedFrom, s.sortedTo, s.sortedN, s.sorted = from, to, s.total.Count, vals
+	s.sortedFrom, s.sortedTo, s.sortedN, s.sorted = from, to, s.f.count, vals
 	return vals
 }
 
@@ -299,41 +427,39 @@ func percentileSorted(vals []float64, p float64) float64 {
 // FractionAbove returns the fraction of samples in (from, to] whose value
 // exceeds threshold. Used for PLO-violation accounting.
 func (s *Series) FractionAbove(from, to time.Duration, threshold float64) float64 {
-	w := s.Window(from, to)
-	if len(w) == 0 {
+	ts, vs := s.checkWindow(from, to)
+	_, vs = window(ts, vs, from, to)
+	if len(vs) == 0 {
 		return 0
 	}
 	n := 0
-	for _, x := range w {
-		if x.Value > threshold {
+	for _, v := range vs {
+		if v > threshold {
 			n++
 		}
 	}
-	return float64(n) / float64(len(w))
+	return float64(n) / float64(len(vs))
 }
 
 // TimeWeightedMean integrates the series as a step function over
 // (from, to] and divides by the span; appropriate for utilisation/
 // allocation series that hold a value until the next sample.
 func (s *Series) TimeWeightedMean(from, to time.Duration) float64 {
-	w := s.checkWindow(from, to)
-	if to <= from || len(w) == 0 {
+	ts, vs := s.checkWindow(from, to)
+	if to <= from || len(ts) == 0 {
 		return 0
 	}
 	// Step value entering the window: the last sample at or before from.
-	idx := sort.Search(len(w), func(i int) bool { return w[i].At > from })
+	idx := sort.Search(len(ts), func(i int) bool { return ts[i] > from })
 	var cur float64
 	if idx > 0 {
-		cur = w[idx-1].Value
+		cur = vs[idx-1]
 	}
 	t := from
 	var area float64
-	for _, x := range w[idx:] {
-		if x.At > to {
-			break
-		}
-		area += cur * float64(x.At-t)
-		cur, t = x.Value, x.At
+	for i := idx; i < len(ts) && ts[i] <= to; i++ {
+		area += cur * float64(ts[i]-t)
+		cur, t = vs[i], ts[i]
 	}
 	area += cur * float64(to-t)
 	return area / float64(to-from)
@@ -345,6 +471,7 @@ func (s *Series) TimeWeightedMean(from, to time.Duration) float64 {
 type Histogram struct {
 	min, max float64
 	ratio    float64 // bucket width multiplier
+	logRatio float64 // math.Log(ratio), cached for bucket; not serialised
 	counts   []uint64
 	total    uint64
 	sum      float64
@@ -359,8 +486,15 @@ func NewHistogram(min, max float64, bucketsPerDecade int) *Histogram {
 		panic("metrics: invalid histogram parameters")
 	}
 	ratio := math.Pow(10, 1/float64(bucketsPerDecade))
-	n := int(math.Ceil(math.Log(max/min)/math.Log(ratio))) + 1
-	return &Histogram{min: min, max: max, ratio: ratio, counts: make([]uint64, n), vmin: math.Inf(1), vmax: math.Inf(-1)}
+	n := int(bucketCount(min, max, ratio))
+	return &Histogram{min: min, max: max, ratio: ratio, logRatio: math.Log(ratio), counts: make([]uint64, n), vmin: math.Inf(1), vmax: math.Inf(-1)}
+}
+
+// bucketCount is the number of buckets covering [min, max] at ratio. It
+// is a float so that a restored histogram's parameters, checked against
+// it, cannot overflow the conversion.
+func bucketCount(min, max, ratio float64) float64 {
+	return math.Ceil(math.Log(max/min)/math.Log(ratio)) + 1
 }
 
 // Observe records one value.
@@ -380,7 +514,7 @@ func (h *Histogram) bucket(v float64) int {
 	if v <= h.min {
 		return 0
 	}
-	i := int(math.Log(v/h.min) / math.Log(h.ratio))
+	i := int(math.Log(v/h.min) / h.logRatio)
 	if i >= len(h.counts) {
 		i = len(h.counts) - 1
 	}
@@ -505,7 +639,8 @@ func NewWindowedRegistry(history time.Duration) *Registry {
 	}
 }
 
-// Series returns (creating if needed) the named series.
+// Series returns (creating if needed) the named series. A new series is
+// the only column of its own frame.
 func (r *Registry) Series(name string) *Series {
 	r.mu.Lock()
 	s, ok := r.series[name]
@@ -515,6 +650,88 @@ func (r *Registry) Series(name string) *Series {
 	}
 	r.mu.Unlock()
 	return s
+}
+
+// Frame returns the frame whose columns are the named series, in order,
+// creating it on first use; every column stays registered under its own
+// name. Series that already exist on their own — restored from a
+// checkpoint, or created by a read before the first append — are
+// adopted: the existing *Series pointers re-point at the frame. Adoption
+// needs every column to hold the same rows (count, newest time and
+// retained time column; a missing series counts as empty); otherwise
+// Frame returns an error and changes nothing.
+func (r *Registry) Frame(names ...string) (*Frame, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := make([]*Series, len(names))
+	for j, name := range names {
+		s, ok := r.series[name]
+		if !ok {
+			continue
+		}
+		if slices.EqualFunc(s.f.cols, names, func(c *Series, name string) bool { return c.Name == name }) {
+			return s.f, nil
+		}
+		if len(s.f.cols) > 1 {
+			return nil, fmt.Errorf("metrics: series %q is already column %d of another frame", name, s.col)
+		}
+		old[j] = s
+	}
+	f := newFrame(r.history, names...)
+	ref := f.cols[0]
+	if old[0] != nil {
+		ref = old[0]
+	}
+	rts, _ := ref.column()
+	c := len(rts)
+	for j, s := range old {
+		if s == nil {
+			s = f.cols[j] // missing: empty
+		}
+		if err := sameRows(ref, s); err != nil {
+			return nil, err
+		}
+		c = max(c, cap(s.f.times))
+	}
+	if c > 0 {
+		f.times = make([]time.Duration, len(rts), c)
+		copy(f.times, rts)
+		f.vals = make([]float64, len(names)*c)
+	}
+	f.count, f.at = ref.f.count, ref.f.at
+	for j, s := range old {
+		if s == nil {
+			r.series[names[j]] = f.cols[j]
+			continue
+		}
+		_, vs := s.column()
+		copy(f.vals[j*c:], vs)
+		f.agg[j] = s.f.agg[0]
+		s.f, s.col = f, j
+		f.cols[j] = s
+	}
+	return f, nil
+}
+
+// sameRows returns an error naming s unless it holds the same rows as
+// ref: the same appended count, newest time and retained time column.
+func sameRows(ref, s *Series) error {
+	rf, sf := ref.f, s.f
+	if sf.count != rf.count || sf.at != rf.at {
+		return fmt.Errorf("metrics: series %q has %d samples to %v, %q has %d to %v: they cannot share a frame",
+			s.Name, sf.count, sf.at, ref.Name, rf.count, rf.at)
+	}
+	rts, _ := ref.column()
+	sts, _ := s.column()
+	if len(sts) != len(rts) {
+		return fmt.Errorf("metrics: series %q retains %d samples, %q %d: they cannot share a frame", s.Name, len(sts), ref.Name, len(rts))
+	}
+	for i, at := range sts {
+		if at != rts[i] {
+			return fmt.Errorf("metrics: series %q has a sample at %v where %q has one at %v: they cannot share a frame", s.Name, at, ref.Name, rts[i])
+		}
+	}
+	return nil
 }
 
 // Histogram returns (creating if needed) the named histogram. The

@@ -64,8 +64,8 @@ func checkAgainstTwin(t *testing.T, rng *rand.Rand, w, twin *Series) {
 		t.Fatalf("Total time-weighted mean to %v = %v, twin %v", to, got, want)
 	}
 	kept := w.Samples()
-	if want := twin.Window(last.At-w.history, last.At); !slices.Equal(kept, want) {
-		t.Fatalf("retained %d samples, want the %d with At > %v", len(kept), len(want), last.At-w.history)
+	if want := twin.Window(last.At-w.f.history, last.At); !slices.Equal(kept, want) {
+		t.Fatalf("retained %d samples, want the %d with At > %v", len(kept), len(want), last.At-w.f.history)
 	}
 	// In-window queries, from the oldest retained sample on.
 	for range 4 {
@@ -140,10 +140,10 @@ func TestPercentileAfterSameLengthCompaction(t *testing.T) {
 	if got := s.Percentile(from, to, 100); got != 1 {
 		t.Fatalf("p100 = %v, want 1", got)
 	}
-	n := len(s.samples)
+	n := len(s.f.times)
 	s.Add(sec(7), 9)
-	if len(s.samples) != n {
-		t.Fatalf("backing length %d after the append, want %d: the scenario needs a compaction", len(s.samples), n)
+	if len(s.f.times) != n {
+		t.Fatalf("backing length %d after the append, want %d: the scenario needs a compaction", len(s.f.times), n)
 	}
 	if got := s.Percentile(from, to, 100); got != 9 {
 		t.Errorf("p100 after a same-length compaction = %v, want 9 (stale memo)", got)
