@@ -110,25 +110,29 @@ chaos-soak:
 # a run killed at 40m and resumed must print the same report as one
 # that never died. The traced leg repeats the resume with 512-record
 # trace rings, which wrap, so the checkpoint files carry ring chunks
-# that in-memory checkpoints referenced.
+# that in-memory checkpoints referenced. Each CLI leg works in its own
+# mktemp -d directory, removed when its diff passes and left for
+# inspection when it fails.
 ckpt-soak:
 	EVOLVE_CKPT_SOAK=1 $(GO) test -run 'TestCheckpoint|TestResumeFromPeriodic|TestCtrlCrash' -count 1 -v .
 	$(GO) test ./internal/harness -run 'TestTable8' -count 1
-	rm -rf /tmp/evolve-ckpt-soak && mkdir -p /tmp/evolve-ckpt-soak
-	$(GO) run ./cmd/evolve-sim -seed 7 -duration 40m -ckpt-dir /tmp/evolve-ckpt-soak -ckpt-every 10m 2>/dev/null >/dev/null
-	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -ckpt-dir /tmp/evolve-ckpt-soak -ckpt-every 10m -resume 2>/tmp/evolve-ckpt-soak/resumed.txt >/dev/null
-	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -ckpt-every 10m 2>/tmp/evolve-ckpt-soak/whole.txt >/dev/null
-	grep -v '^evolve-sim:' /tmp/evolve-ckpt-soak/resumed.txt > /tmp/evolve-ckpt-soak/resumed.report
-	grep -v '^evolve-sim:' /tmp/evolve-ckpt-soak/whole.txt > /tmp/evolve-ckpt-soak/whole.report
-	diff /tmp/evolve-ckpt-soak/resumed.report /tmp/evolve-ckpt-soak/whole.report
+	d=$$(mktemp -d) && \
+	$(GO) run ./cmd/evolve-sim -seed 7 -duration 40m -ckpt-dir $$d -ckpt-every 10m 2>/dev/null >/dev/null && \
+	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -ckpt-dir $$d -ckpt-every 10m -resume 2>$$d/resumed.txt >/dev/null && \
+	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -ckpt-every 10m 2>$$d/whole.txt >/dev/null && \
+	grep -v '^evolve-sim:' $$d/resumed.txt > $$d/resumed.report && \
+	grep -v '^evolve-sim:' $$d/whole.txt > $$d/whole.report && \
+	diff $$d/resumed.report $$d/whole.report && \
+	rm -rf $$d
 	@echo "ckpt-soak: resumed report is byte-identical to the uninterrupted run"
-	rm -rf /tmp/evolve-ckpt-soak-traced && mkdir -p /tmp/evolve-ckpt-soak-traced/ck
-	$(GO) run ./cmd/evolve-sim -seed 7 -duration 40m -trace-buf 512 -trace /tmp/evolve-ckpt-soak-traced/first.trace -spans /tmp/evolve-ckpt-soak-traced/first.spans -ckpt-dir /tmp/evolve-ckpt-soak-traced/ck -ckpt-every 10m 2>/dev/null >/dev/null
-	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -trace-buf 512 -trace /tmp/evolve-ckpt-soak-traced/resumed.trace -spans /tmp/evolve-ckpt-soak-traced/resumed.spans -ckpt-dir /tmp/evolve-ckpt-soak-traced/ck -ckpt-every 10m -resume 2>/tmp/evolve-ckpt-soak-traced/resumed.txt >/dev/null
-	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -trace-buf 512 -trace /tmp/evolve-ckpt-soak-traced/whole.trace -spans /tmp/evolve-ckpt-soak-traced/whole.spans -ckpt-every 10m 2>/tmp/evolve-ckpt-soak-traced/whole.txt >/dev/null
-	grep -v '^evolve-sim:' /tmp/evolve-ckpt-soak-traced/resumed.txt > /tmp/evolve-ckpt-soak-traced/resumed.report
-	grep -v '^evolve-sim:' /tmp/evolve-ckpt-soak-traced/whole.txt > /tmp/evolve-ckpt-soak-traced/whole.report
-	diff /tmp/evolve-ckpt-soak-traced/resumed.report /tmp/evolve-ckpt-soak-traced/whole.report
+	d=$$(mktemp -d) && mkdir $$d/ck && \
+	$(GO) run ./cmd/evolve-sim -seed 7 -duration 40m -trace-buf 512 -trace $$d/first.trace -spans $$d/first.spans -ckpt-dir $$d/ck -ckpt-every 10m 2>/dev/null >/dev/null && \
+	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -trace-buf 512 -trace $$d/resumed.trace -spans $$d/resumed.spans -ckpt-dir $$d/ck -ckpt-every 10m -resume 2>$$d/resumed.txt >/dev/null && \
+	$(GO) run ./cmd/evolve-sim -seed 7 -duration 2h -trace-buf 512 -trace $$d/whole.trace -spans $$d/whole.spans -ckpt-every 10m 2>$$d/whole.txt >/dev/null && \
+	grep -v '^evolve-sim:' $$d/resumed.txt > $$d/resumed.report && \
+	grep -v '^evolve-sim:' $$d/whole.txt > $$d/whole.report && \
+	diff $$d/resumed.report $$d/whole.report && \
+	rm -rf $$d
 	@echo "ckpt-soak: traced resumed report is byte-identical to the uninterrupted traced run"
 
 # check is the CI gate: static analysis plus the full suite under the

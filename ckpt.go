@@ -17,11 +17,14 @@ import (
 
 // Crash-consistent checkpoint/restore for the whole simulated world.
 //
-// Checkpoint serialises, in a fixed section order, everything mutable:
-// the engine clock, RNG position and pending-timer set (as TimerTag
-// descriptors — closures re-attach on restore), the sharded tick's
-// counters, the batch runner, the HPC queue, the cluster substrate, the
-// hardened control loop, the chaos injector and the tracer rings.
+// Checkpoint serialises, in a fixed section order, everything mutable,
+// in the shape the running world holds it: the engine clock, RNG
+// position and pending-timer set (as TimerTag descriptors — closures
+// re-attach on restore), one kernel record (the shard count, the shard
+// clock and the fan-out's round counters), the batch runner, the HPC
+// queue, the cluster substrate (whose metric history is one record per
+// metrics frame), the hardened control loop, the chaos injector and the
+// tracer rings. Format version 5; older files are refused.
 // Restore runs against a freshly constructed Cluster built with the
 // same Options and the same AddService / SetLoad / Submit* calls —
 // construction-time configuration (topology, specs, load functions,
@@ -282,20 +285,13 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 		cw.Str(t.Tag.Kind)
 		cw.Str(t.Tag.Arg)
 	}
-	// The kernel-shard section keeps the layout of the per-shard engines
-	// it replaced: one (clock, seq, steps) triple per shard. Every shard
-	// runs once per round, so every triple is (clock, rounds, rounds).
 	ks := cl.w.Cluster.KernelState()
+	cw.Int(cl.w.Cluster.NumShards())
+	cw.Dur(ks.Clock)
 	cw.U64(ks.Rounds)
 	cw.U64(ks.ParRounds)
 	cw.U64(ks.RoundsMark)
 	cw.U64(ks.ParMark)
-	cw.Int(cl.w.Cluster.NumShards())
-	for range cl.w.Cluster.NumShards() {
-		cw.Dur(ks.Clock)
-		cw.U64(ks.Rounds)
-		cw.U64(ks.Rounds)
-	}
 	cl.w.Runner.CkptSave(cw)
 	cl.w.Queue.CkptSave(cw)
 	cl.w.Cluster.CkptSave(cw)
@@ -373,19 +369,8 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 			Tag: sim.TimerTag{Kind: cr.Str(), Arg: cr.Str()},
 		}
 	}
-	var ks cluster.KernelState
-	ks.Rounds = cr.U64()
-	ks.ParRounds = cr.U64()
-	ks.RoundsMark = cr.U64()
-	ks.ParMark = cr.U64()
-	ns := cr.Count(24)
-	if cr.Err() != nil {
-		return cr.Err()
-	}
-	if want := cl.w.Cluster.NumShards(); ns != want {
-		return fmt.Errorf("evolve: checkpoint has %d kernel shards, this cluster %d (Shards option)", ns, want)
-	}
-	if err := readKernelShards(cr, ns, &ks, now); err != nil {
+	ks, err := cl.readKernelState(cr, now)
+	if err != nil {
 		return err
 	}
 	// Arm the fresh world's own timers first: RestoreTimers re-attaches
@@ -470,36 +455,27 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 	return cl.err()
 }
 
-// readKernelShards decodes the ns kernel-shard triples into ks.Clock and
-// refuses clocks the fan-out tick cannot write: triples that differ,
-// seq or steps other than the round count, more parallel rounds than
-// rounds, a phase-span mark past its counter, or a shard clock later
-// than the engine clock now.
-func readKernelShards(cr *ckpt.Reader, ns int, ks *cluster.KernelState, now time.Duration) error {
-	for i := 0; i < ns; i++ {
-		at, seq, steps := cr.Dur(), cr.U64(), cr.U64()
-		if cr.Err() != nil {
-			return cr.Err()
-		}
-		if i == 0 {
-			ks.Clock = at
-		}
-		if at != ks.Clock {
-			return fmt.Errorf("evolve: checkpoint kernel shard %d clock differs from shard 0", i)
-		}
-		if seq != steps || steps != ks.Rounds {
-			return fmt.Errorf("evolve: checkpoint kernel shard %d has seq %d and steps %d, want %d rounds", i, seq, steps, ks.Rounds)
-		}
-	}
+// readKernelState decodes the kernel record and refuses one this world
+// cannot continue from: another shard count (before the world starts,
+// so the cluster stays fresh), or a state the fan-out tick cannot write
+// — more parallel rounds than rounds, a phase-span mark past its
+// counter, or a shard clock later than the engine clock now.
+func (cl *Cluster) readKernelState(cr *ckpt.Reader, now time.Duration) (cluster.KernelState, error) {
+	ns := cr.Int()
+	ks := cluster.KernelState{Clock: cr.Dur(), Rounds: cr.U64(), ParRounds: cr.U64(), RoundsMark: cr.U64(), ParMark: cr.U64()}
 	switch {
+	case cr.Err() != nil:
+		return ks, cr.Err()
+	case ns != cl.w.Cluster.NumShards():
+		return ks, fmt.Errorf("evolve: checkpoint has %d kernel shards, this cluster %d (Shards option)", ns, cl.w.Cluster.NumShards())
 	case ks.ParRounds > ks.Rounds:
-		return fmt.Errorf("evolve: checkpoint has %d parallel rounds of %d", ks.ParRounds, ks.Rounds)
+		return ks, fmt.Errorf("evolve: checkpoint has %d parallel rounds of %d", ks.ParRounds, ks.Rounds)
 	case ks.RoundsMark > ks.Rounds || ks.ParMark > ks.ParRounds:
-		return fmt.Errorf("evolve: checkpoint round marks %d/%d pass their counters %d/%d", ks.RoundsMark, ks.ParMark, ks.Rounds, ks.ParRounds)
+		return ks, fmt.Errorf("evolve: checkpoint round marks %d/%d pass their counters %d/%d", ks.RoundsMark, ks.ParMark, ks.Rounds, ks.ParRounds)
 	case ks.Clock > now:
-		return fmt.Errorf("evolve: checkpoint shard clock %v is later than the clock %v", ks.Clock, now)
+		return ks, fmt.Errorf("evolve: checkpoint shard clock %v is later than the clock %v", ks.Clock, now)
 	}
-	return nil
+	return ks, nil
 }
 
 // RestoreFile restores from a checkpoint file (see EnableCheckpoints

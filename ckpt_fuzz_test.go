@@ -39,8 +39,9 @@ func fuzzWorld(t testing.TB) *Cluster {
 // the end — and restores it into a fresh world. Without resealing, the checksum must refuse every mutation and
 // leave the world fresh. With the trailer recomputed, the mutation reaches
 // the section decoders, which must return an error or a consistent world,
-// never panic or over-allocate. A world restored without error must run:
-// one more simulated minute may fail with an error, never a panic.
+// never panic or over-allocate. A world restored without error must
+// report and run: one more simulated minute may fail with an error,
+// never a panic.
 func FuzzRestore(f *testing.F) {
 	src := fuzzWorld(f)
 	if err := src.Run(fuzzRun); err != nil {
@@ -73,6 +74,7 @@ func FuzzRestore(f *testing.F) {
 		err := c.Restore(bytes.NewReader(b))
 		if reseal {
 			if err == nil {
+				_ = c.Report()
 				_ = c.Run(time.Minute) // a legitimately different world may fail, not panic
 			}
 			return
@@ -86,11 +88,13 @@ func FuzzRestore(f *testing.F) {
 	})
 }
 
-// TestRestoreRefusesDisagreeingAppSeries: an app's tick series restore
-// as one frame, so a checkpoint in which one of them — here one sample
-// of app/web/usage/cpu, shifted by a nanosecond and resealed — no longer
-// agrees with the others fails Restore with an error naming the series,
-// instead of panicking the next tick.
+// TestRestoreRefusesDisagreeingAppSeries: an app's tick series are
+// saved as one frame record, so a resealed checkpoint whose record
+// names a column twice, renames one, holds a time column out of order or
+// reaching outside the retention window, or a clock past the newest row
+// fails Restore with an error naming the series (a time column or clock
+// is named by the frame's first column), instead of panicking the next
+// tick or Report. The failure is latched: Run returns it.
 func TestRestoreRefusesDisagreeingAppSeries(t *testing.T) {
 	src := fuzzWorld(t)
 	if err := src.Run(30 * time.Minute); err != nil {
@@ -100,31 +104,66 @@ func TestRestoreRefusesDisagreeingAppSeries(t *testing.T) {
 	if err := src.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	// A series record is its length-prefixed name, the five fields of
-	// its Total, the sample count, then (At, Value) pairs.
-	const name = "app/web/usage/cpu"
-	marker := binary.LittleEndian.AppendUint64(nil, uint64(len(name)))
-	marker = append(marker, name...)
-	if n := bytes.Count(b, marker); n != 1 {
-		t.Fatalf("series record found %d times", n)
+	good := buf.Bytes()
+	// The frame record is its column count, each length-prefixed name,
+	// the appended count, the newest time, three aggregates per column,
+	// the retained row count, then the time column.
+	str := func(s string) []byte { return append(binary.LittleEndian.AppendUint64(nil, uint64(len(s))), s...) }
+	const first = "app/web/latency-mean"
+	if n := bytes.Count(good, str(first)); n != 1 {
+		t.Fatalf("frame record found %d times", n)
 	}
-	rec := bytes.Index(b, marker) + len(marker)
-	if n := binary.LittleEndian.Uint64(b[rec+5*8:]); n < 3 {
-		t.Fatalf("%s retains %d samples", name, n)
+	at := bytes.Index(good, str(first)) - 8
+	cols := int(binary.LittleEndian.Uint64(good[at:]))
+	at += 8
+	for range cols {
+		at += 8 + int(binary.LittleEndian.Uint64(good[at:]))
 	}
-	at := rec + 6*8 + 16 // the second sample's At
-	binary.LittleEndian.PutUint64(b[at:], binary.LittleEndian.Uint64(b[at:])+1)
-	ckpt.Seal(b)
+	clock := at + 8
+	at += 2*8 + 3*8*cols
+	rows := int(binary.LittleEndian.Uint64(good[at:]))
+	times := at + 8
+	if cols != 17 || rows < 3 {
+		t.Fatalf("the app frame has %d columns and %d rows", cols, rows)
+	}
+	row := func(b []byte, i int) []byte { return b[times+8*i:] }
+	rename := func(from, to string) func([]byte) {
+		return func(b []byte) { copy(b[bytes.Index(b, str(from)):], str(to)) }
+	}
 
-	dst := fuzzWorld(t)
-	err := dst.Restore(bytes.NewReader(b))
-	if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
-		t.Fatalf("Restore = %v, want an error naming %q", err, name)
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(b []byte)
+	}{
+		{"duplicate column", "app/web/usage/cpu", rename("app/web/alloc/cpu", "app/web/usage/cpu")},
+		{"renamed column", "app/web/usage/cpX", rename("app/web/usage/cpu", "app/web/usage/cpX")},
+		{"time column out of order", first, func(b []byte) {
+			binary.LittleEndian.PutUint64(row(b, 1), binary.LittleEndian.Uint64(row(b, 2))+1)
+		}},
+		{"row outside the window", first, func(b []byte) {
+			last := binary.LittleEndian.Uint64(row(b, rows-1))
+			binary.LittleEndian.PutUint64(row(b, 0), last-uint64(15*time.Minute))
+		}},
+		{"clock past the newest row", first, func(b []byte) {
+			binary.LittleEndian.PutUint64(b[clock:], uint64(5*time.Hour))
+		}},
+	} {
+		b := bytes.Clone(good)
+		c.corrupt(b)
+		ckpt.Seal(b)
+		dst := fuzzWorld(t)
+		err := dst.Restore(bytes.NewReader(b))
+		if err == nil || !strings.Contains(err.Error(), `"`+c.want+`"`) {
+			t.Errorf("%s: Restore = %v, want an error naming %q", c.name, err, c.want)
+			continue
+		}
+		t.Logf("%s: %v", c.name, err)
+		if runErr := dst.Run(time.Minute); runErr == nil || !strings.Contains(runErr.Error(), c.want) {
+			t.Errorf("%s: Run after the failed Restore = %v, want the restore error", c.name, runErr)
+		}
 	}
-	t.Log(err)
-	if runErr := dst.Run(time.Minute); runErr == nil || !strings.Contains(runErr.Error(), name) {
-		t.Errorf("Run after the failed Restore = %v, want the restore error", runErr)
+	if err := fuzzWorld(t).Restore(bytes.NewReader(good)); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"evolve/internal/ckpt"
+	"evolve/internal/cluster"
 	"evolve/internal/obs"
 )
 
@@ -70,10 +71,12 @@ func ckptFingerprint(c *Cluster) string {
 }
 
 // TestCheckpointRestoreContinueByteIdentical is the headline invariant:
-// run → checkpoint at 30m → restore into a fresh world → continue to
-// 60m is byte-identical (report, events, trace, spans) to the same
-// world run uninterrupted, across the full shard matrix with chaos on
-// and off. In -short mode the matrix shrinks to its corners.
+// run → checkpoint → restore into a fresh world → continue to 60m is
+// byte-identical (report, events, trace, spans) to the same world run
+// uninterrupted, across the full shard matrix with chaos on and off. It
+// checkpoints at 30m, a control step, and at 31m40s, 10s into a 15s
+// control period, where the sensor window the next Observe averages
+// holds samples. In -short mode the matrix shrinks to its corners.
 func TestCheckpointRestoreContinueByteIdentical(t *testing.T) {
 	shardCounts := []int{0, 1, 2, 4, 7, 16}
 	chaosPlans := []string{"", "mixed"}
@@ -94,34 +97,41 @@ func TestCheckpointRestoreContinueByteIdentical(t *testing.T) {
 				}
 				want := ckptFingerprint(whole)
 
-				half := ckptWorld(t, shards, chaos)
-				if err := half.Run(30 * time.Minute); err != nil {
-					t.Fatal(err)
-				}
-				var snap bytes.Buffer
-				if err := half.Checkpoint(&snap); err != nil {
-					t.Fatal(err)
-				}
-
-				resumed := ckptWorld(t, shards, chaos)
-				if err := resumed.Restore(bytes.NewReader(snap.Bytes())); err != nil {
-					t.Fatal(err)
-				}
-				if resumed.Now() != 30*time.Minute {
-					t.Fatalf("restored clock at %v, want 30m", resumed.Now())
-				}
-				if err := resumed.Run(30 * time.Minute); err != nil {
-					t.Fatal(err)
-				}
-				got := ckptFingerprint(resumed)
-				if got != want {
-					i := 0
-					for i < len(got) && i < len(want) && got[i] == want[i] {
-						i++
+				for _, at := range []time.Duration{30 * time.Minute, 31*time.Minute + 40*time.Second} {
+					half := ckptWorld(t, shards, chaos)
+					if err := half.Run(at); err != nil {
+						t.Fatal(err)
 					}
-					lo := max(0, i-200)
-					t.Errorf("restored run diverged from uninterrupted run at byte %d:\n--- uninterrupted\n…%s\n--- restored\n…%s",
-						i, want[lo:min(len(want), i+200)], got[lo:min(len(got), i+200)])
+					var snap bytes.Buffer
+					if err := half.Checkpoint(&snap); err != nil {
+						t.Fatal(err)
+					}
+					if at%(15*time.Second) != 0 {
+						if o, err := half.w.Cluster.Observe("web"); err != nil || o.Samples == 0 {
+							t.Fatalf("sensor window at %v: %d samples, %v; want a non-empty window", at, o.Samples, err)
+						}
+					}
+
+					resumed := ckptWorld(t, shards, chaos)
+					if err := resumed.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+						t.Fatal(err)
+					}
+					if resumed.Now() != at {
+						t.Fatalf("restored clock at %v, want %v", resumed.Now(), at)
+					}
+					if err := resumed.Run(time.Hour - at); err != nil {
+						t.Fatal(err)
+					}
+					got := ckptFingerprint(resumed)
+					if got != want {
+						i := 0
+						for i < len(got) && i < len(want) && got[i] == want[i] {
+							i++
+						}
+						lo := max(0, i-200)
+						t.Errorf("restored at %v, the run diverged from the uninterrupted run at byte %d:\n--- uninterrupted\n…%s\n--- restored\n…%s",
+							at, i, want[lo:min(len(want), i+200)], got[lo:min(len(got), i+200)])
+					}
 				}
 			})
 		}
@@ -533,11 +543,36 @@ func TestCheckpointShardsZeroRestoresIntoOne(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesKernelClocks: the kernel-shard section holds one
-// (clock, seq, steps) triple per shard, and the fan-out tick writes
-// them all as (shard clock, rounds, rounds). A resealed checkpoint whose
-// section breaks that shape is refused before the world starts, and
-// the same world then restores the intact checkpoint.
+// TestReportDoesNotCreateSeries: reading the report before the first
+// tick leaves the world as it was — no series, counter or burn
+// accounting appears, and the next checkpoint holds the same bytes.
+func TestReportDoesNotCreateSeries(t *testing.T) {
+	c := fuzzWorld(t)
+	if err := c.Run(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := func() []byte {
+		var buf bytes.Buffer
+		if err := c.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	names, before := c.SeriesNames(), checkpoint()
+	_ = c.Report()
+	if after := c.SeriesNames(); len(after) != len(names) {
+		t.Errorf("Report changed the series from %q to %q", names, after)
+	}
+	if after := checkpoint(); !bytes.Equal(after, before) {
+		t.Errorf("Report changed the checkpoint from %d to %d bytes", len(before), len(after))
+	}
+}
+
+// TestRestoreRefusesKernelClocks: the kernel record holds the shard
+// count, the shard clock and the fan-out's round counters once. A
+// resealed checkpoint whose record the fan-out tick could not have
+// written is refused before the world starts, and the same world then
+// restores the intact checkpoint.
 func TestRestoreRefusesKernelClocks(t *testing.T) {
 	const shards = 4
 	half := ckptWorld(t, shards, "")
@@ -550,59 +585,40 @@ func TestRestoreRefusesKernelClocks(t *testing.T) {
 	}
 	blob := snap.Bytes()
 
-	type triple struct {
-		at         time.Duration
-		seq, steps uint64
+	type record struct {
+		shards int
+		ks     cluster.KernelState
 	}
-	type section struct {
-		rounds, parRounds, roundsMark, parMark uint64
-		shards                                 [shards]triple
-	}
-	encode := func(k section) []byte {
+	encode := func(k record) []byte {
 		var a ckpt.Appender
-		a.U64(k.rounds)
-		a.U64(k.parRounds)
-		a.U64(k.roundsMark)
-		a.U64(k.parMark)
-		a.Int(shards)
-		for _, tr := range k.shards {
-			a.Dur(tr.at)
-			a.U64(tr.seq)
-			a.U64(tr.steps)
-		}
+		a.Int(k.shards)
+		a.Dur(k.ks.Clock)
+		a.U64(k.ks.Rounds)
+		a.U64(k.ks.ParRounds)
+		a.U64(k.ks.RoundsMark)
+		a.U64(k.ks.ParMark)
 		return a.Buf
 	}
-	ks := half.w.Cluster.KernelState()
-	if ks.Rounds == 0 || ks.Clock != 30*time.Minute {
-		t.Fatalf("kernel state after 30m: %+v", ks)
-	}
-	good := section{rounds: ks.Rounds, parRounds: ks.ParRounds, roundsMark: ks.RoundsMark, parMark: ks.ParMark}
-	for i := range good.shards {
-		good.shards[i] = triple{ks.Clock, ks.Rounds, ks.Rounds}
+	good := record{shards, half.w.Cluster.KernelState()}
+	if good.ks.Rounds == 0 || good.ks.Clock != 30*time.Minute {
+		t.Fatalf("kernel state after 30m: %+v", good.ks)
 	}
 	enc := encode(good)
 	off := bytes.Index(blob, enc)
 	if off < 0 || bytes.Count(blob, enc) != 1 {
-		t.Fatalf("kernel-shard section found %d times in the checkpoint", bytes.Count(blob, enc))
+		t.Fatalf("kernel record found %d times in the checkpoint", bytes.Count(blob, enc))
 	}
 
-	allShards := func(k *section, f func(*triple)) {
-		for i := range k.shards {
-			f(&k.shards[i])
-		}
-	}
 	for _, tc := range []struct {
 		name   string
-		mutate func(*section)
+		mutate func(*record)
 		want   string
 	}{
-		{"triples differ", func(k *section) { k.shards[2].at -= time.Second }, "differs from shard 0"},
-		{"seq != steps", func(k *section) { allShards(k, func(tr *triple) { tr.seq++ }) }, "has seq"},
-		{"steps != rounds", func(k *section) { allShards(k, func(tr *triple) { tr.seq += 3; tr.steps += 3 }) }, "has seq"},
-		{"parallel rounds > rounds", func(k *section) { k.parRounds = k.rounds + 1 }, "parallel rounds"},
-		{"rounds mark > rounds", func(k *section) { k.roundsMark = k.rounds + 1 }, "round marks"},
-		{"parallel mark > parallel rounds", func(k *section) { k.parMark = k.parRounds + 1 }, "round marks"},
-		{"shard clock after clock", func(k *section) { allShards(k, func(tr *triple) { tr.at += time.Second }) }, "later than"},
+		{"shard count", func(k *record) { k.shards = 2 }, "kernel shards"},
+		{"parallel rounds > rounds", func(k *record) { k.ks.ParRounds = k.ks.Rounds + 1 }, "parallel rounds"},
+		{"rounds mark > rounds", func(k *record) { k.ks.RoundsMark = k.ks.Rounds + 1 }, "round marks"},
+		{"parallel mark > parallel rounds", func(k *record) { k.ks.ParMark = k.ks.ParRounds + 1 }, "round marks"},
+		{"shard clock after clock", func(k *record) { k.ks.Clock += time.Second }, "later than"},
 	} {
 		k := good
 		tc.mutate(&k)

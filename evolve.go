@@ -556,7 +556,7 @@ func (cl *Cluster) Report() Report {
 		if err != nil {
 			continue
 		}
-		sli := met.Series("app/" + name + "/sli").Total().Mean()
+		sli := met.Lookup("app/" + name + "/sli").Total().Mean()
 		r.Services = append(r.Services, ServiceReport{
 			Name:              name,
 			Objective:         tr.PLO().String(),
@@ -567,12 +567,12 @@ func (cl *Cluster) Report() Report {
 			BurnRate:          tr.Burn().BurnRate(),
 		})
 	}
-	r.ClusterCPUAllocated = met.Series("cluster/allocated/cpu").Total().TimeWeightedMean(now)
-	r.ClusterCPUUsed = met.Series("cluster/usage/cpu").Total().TimeWeightedMean(now)
-	r.BatchJobsCompleted = met.Counter("batch/jobs-completed").Value()
-	r.HPCJobsCompleted = met.Counter("hpc/jobs-completed").Value()
+	r.ClusterCPUAllocated = met.Lookup("cluster/allocated/cpu").Total().TimeWeightedMean(now)
+	r.ClusterCPUUsed = met.Lookup("cluster/usage/cpu").Total().TimeWeightedMean(now)
+	r.BatchJobsCompleted = met.CounterValue("batch/jobs-completed")
+	r.HPCJobsCompleted = met.CounterValue("hpc/jobs-completed")
 	r.HPCMeanWait, _, _ = cl.w.Queue.Stats()
-	r.Preemptions = met.Counter("sched/preemptions").Value()
+	r.Preemptions = met.CounterValue("sched/preemptions")
 	ls := cl.w.Loop.Stats()
 	r.DegradedPeriods = ls.DegradedPeriods
 	r.ActuationRetries = ls.Retries
@@ -741,7 +741,7 @@ func (cl *Cluster) SeriesSamples(name string) ([]SeriesSample, error) {
 	if !cl.w.Cluster.Metrics().HasSeries(name) {
 		return nil, fmt.Errorf("%w: %q (see SeriesNames)", ErrUnknownSeries, name)
 	}
-	samples := cl.w.Cluster.Metrics().Series(name).Samples()
+	samples := cl.w.Cluster.Metrics().Lookup(name).Samples()
 	out := make([]SeriesSample, len(samples))
 	for i, p := range samples {
 		out[i] = SeriesSample{At: p.At, Value: p.Value}
@@ -760,7 +760,7 @@ func (cl *Cluster) WriteSeriesCSV(name string, w io.Writer) error {
 	if !cl.w.Cluster.Metrics().HasSeries(name) {
 		return fmt.Errorf("%w: %q (see SeriesNames)", ErrUnknownSeries, name)
 	}
-	s := cl.w.Cluster.Metrics().Series(name)
+	s := cl.w.Cluster.Metrics().Lookup(name)
 	if _, err := fmt.Fprintln(w, "seconds,value"); err != nil {
 		return err
 	}

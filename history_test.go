@@ -3,6 +3,7 @@ package evolve
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -78,7 +79,8 @@ func TestReportIndependentOfHistory(t *testing.T) {
 // TestCheckpointHistoryAndVersion: the checkpoint header records
 // History, so a world with another retention refuses it (and stays
 // fresh), while 0 and the 15-minute default it stands for restore each
-// other. A checkpoint of the previous format version is refused.
+// other. A resealed checkpoint of an earlier format version (v3, or the
+// per-series v4) is refused.
 func TestCheckpointHistoryAndVersion(t *testing.T) {
 	src := historyWorld(t, 0)
 	if err := src.Run(20 * time.Minute); err != nil {
@@ -101,11 +103,14 @@ func TestCheckpointHistoryAndVersion(t *testing.T) {
 		t.Errorf("History 0 checkpoint into an explicit 15m world: %v", err)
 	}
 
-	v3 := bytes.Clone(blob)
-	binary.LittleEndian.PutUint32(v3[len(ckpt.Magic):], 3)
-	ckpt.Seal(v3)
-	if err := historyWorld(t, 0).Restore(bytes.NewReader(v3)); err == nil || !strings.Contains(err.Error(), "format version 3") {
-		t.Errorf("v3 checkpoint: %v, want a format-version error", err)
+	for _, v := range []uint32{3, 4} {
+		old := bytes.Clone(blob)
+		binary.LittleEndian.PutUint32(old[len(ckpt.Magic):], v)
+		ckpt.Seal(old)
+		want := fmt.Sprintf("format version %d (this build reads 5)", v)
+		if err := historyWorld(t, 0).Restore(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("v%d checkpoint: %v, want %q", v, err, want)
+		}
 	}
 }
 

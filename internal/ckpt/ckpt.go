@@ -43,7 +43,7 @@ import (
 const Magic = "EVCK"
 
 // Version is the checkpoint format version; Restore rejects mismatches.
-const Version uint32 = 4
+const Version uint32 = 5
 
 // headerLen is the magic plus the 4-byte version; trailerLen the
 // checksum after the body.

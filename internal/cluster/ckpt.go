@@ -14,7 +14,7 @@ import (
 )
 
 // Checkpoint layer for the cluster substrate. CkptSave serialises the
-// full mutable world — nodes, apps, pods, per-app windows and random
+// full mutable world — nodes, apps, pods, per-app sensor sums and random
 // stream positions, the event journal, tick fault counters and the
 // metrics registry — at a tick barrier. CkptLoad patches a freshly
 // constructed world (same topology, same specs) back to that state:
@@ -94,42 +94,21 @@ func (c *Cluster) RebuildTimer(kind, arg string) (func(), error) {
 	return nil, fmt.Errorf("cluster: no rebuilder for timer kind %q", kind)
 }
 
-func saveFloats(w *ckpt.Writer, s []float64) {
-	w.Int(len(s))
-	for _, v := range s {
-		w.F64(v)
-	}
+func (s *sensedSample) ckptSave(w *ckpt.Writer) {
+	w.F64(s.sli)
+	w.F64(s.mean)
+	w.F64(s.p99)
+	w.F64(s.tput)
+	w.F64(s.offered)
+	s.usage.CkptSave(w)
+	s.util.CkptSave(w)
 }
 
-func loadFloats(r *ckpt.Reader, dst []float64) ([]float64, error) {
-	n := r.Count(8)
-	if r.Err() != nil {
-		return nil, r.Err()
+func loadSensed(r *ckpt.Reader) sensedSample {
+	return sensedSample{
+		sli: r.F64(), mean: r.F64(), p99: r.F64(), tput: r.F64(), offered: r.F64(),
+		usage: resource.LoadVector(r), util: resource.LoadVector(r),
 	}
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, r.F64())
-	}
-	return dst, r.Err()
-}
-
-func saveVectors(w *ckpt.Writer, s []resource.Vector) {
-	w.Int(len(s))
-	for _, v := range s {
-		v.CkptSave(w)
-	}
-}
-
-func loadVectors(r *ckpt.Reader, dst []resource.Vector) ([]resource.Vector, error) {
-	n := r.Count(8)
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, resource.LoadVector(r))
-	}
-	return dst, r.Err()
 }
 
 func saveSelector(w *ckpt.Writer, sel map[string]string) {
@@ -240,24 +219,13 @@ func (c *Cluster) saveAppState(w *ckpt.Writer, st *appState) {
 	w.Int(st.obj.DesiredReplicas)
 	st.obj.Alloc.CkptSave(w)
 	st.tracker.CkptSave(w)
-	saveFloats(w, st.winSLI)
-	saveFloats(w, st.winMean)
-	saveFloats(w, st.winP99)
-	saveFloats(w, st.winThroughput)
-	saveFloats(w, st.winOffered)
-	saveVectors(w, st.winUsage)
-	saveVectors(w, st.winUtil)
+	st.winSum.ckptSave(w)
+	w.Int(st.winSamples)
 	w.Bool(st.winSaturated)
 	w.Int(st.winTicks)
 	w.Int(st.winStale)
 	w.Bool(st.haveSensed)
-	w.F64(st.sensed.sli)
-	w.F64(st.sensed.mean)
-	w.F64(st.sensed.p99)
-	w.F64(st.sensed.tput)
-	w.F64(st.sensed.offered)
-	st.sensed.usage.CkptSave(w)
-	st.sensed.util.CkptSave(w)
+	st.sensed.ckptSave(w)
 	w.Dur(st.lastObserve)
 	w.Int(st.migrateDebt)
 	w.Bool(st.wasViolated)
@@ -282,39 +250,13 @@ func (c *Cluster) loadAppState(r *ckpt.Reader, st *appState) error {
 	if err := st.tracker.CkptLoad(r); err != nil {
 		return err
 	}
-	var err error
-	if st.winSLI, err = loadFloats(r, st.winSLI); err != nil {
-		return err
-	}
-	if st.winMean, err = loadFloats(r, st.winMean); err != nil {
-		return err
-	}
-	if st.winP99, err = loadFloats(r, st.winP99); err != nil {
-		return err
-	}
-	if st.winThroughput, err = loadFloats(r, st.winThroughput); err != nil {
-		return err
-	}
-	if st.winOffered, err = loadFloats(r, st.winOffered); err != nil {
-		return err
-	}
-	if st.winUsage, err = loadVectors(r, st.winUsage); err != nil {
-		return err
-	}
-	if st.winUtil, err = loadVectors(r, st.winUtil); err != nil {
-		return err
-	}
+	st.winSum = loadSensed(r)
+	st.winSamples = r.Int()
 	st.winSaturated = r.Bool()
 	st.winTicks = r.Int()
 	st.winStale = r.Int()
 	st.haveSensed = r.Bool()
-	st.sensed.sli = r.F64()
-	st.sensed.mean = r.F64()
-	st.sensed.p99 = r.F64()
-	st.sensed.tput = r.F64()
-	st.sensed.offered = r.F64()
-	st.sensed.usage = resource.LoadVector(r)
-	st.sensed.util = resource.LoadVector(r)
+	st.sensed = loadSensed(r)
 	st.lastObserve = r.Dur()
 	st.migrateDebt = r.Int()
 	st.wasViolated = r.Bool()
@@ -338,7 +280,6 @@ func (c *Cluster) loadAppState(r *ckpt.Reader, st *appState) error {
 func (c *Cluster) CkptSave(w *ckpt.Writer) {
 	c.syncPodUsage()
 	w.Begin("cluster")
-	w.Int(c.cfg.Shards)
 	w.U64(c.podSeq)
 	w.U64(c.delaySeq)
 
@@ -400,9 +341,6 @@ func (c *Cluster) CkptSave(w *ckpt.Writer) {
 // queue. A nil reattach leaves task callbacks unset (tests only).
 func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(string, bool), error)) error {
 	r.Begin("cluster")
-	if shards := r.Int(); r.Err() == nil && shards != c.cfg.Shards {
-		return fmt.Errorf("cluster: ckpt: checkpoint has %d shards, this world %d", shards, c.cfg.Shards)
-	}
 	c.podSeq = r.U64()
 	c.delaySeq = r.U64()
 
@@ -545,11 +483,11 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 	return r.Err()
 }
 
-// restoreFrames re-forms the tick frame of every app whose series the
-// checkpoint holds — the registry restores each series as a one-column
-// frame — so a checkpoint whose columns of one app disagree fails the
-// restore instead of the next tick. Apps that had not ticked yet keep
-// resolving lazily, so the restored world creates no series early.
+// restoreFrames resolves the tick frame of every app whose series the
+// checkpoint holds, so a checkpoint in which they are not exactly the
+// columns of one frame fails the restore instead of the next tick. Apps
+// that had not ticked yet keep resolving lazily, so the restored world
+// creates no series early.
 func (c *Cluster) restoreFrames() error {
 	for _, st := range c.appList {
 		st.h = appHandles{}

@@ -61,15 +61,13 @@ type appState struct {
 
 	tracker *plo.Tracker
 
-	// Rolling aggregates since the last Observe call.
-	winSLI        []float64
-	winMean       []float64
-	winP99        []float64
-	winThroughput []float64
-	winOffered    []float64
-	winUsage      []resource.Vector
-	winUtil       []resource.Vector
-	winSaturated  bool
+	// Sensor window since the last Observe: winSum adds up the delivered
+	// samples from zero in arrival order and winSamples counts them, so
+	// Observe's means are bit-identical to averaging the samples
+	// themselves.
+	winSum       sensedSample
+	winSamples   int
+	winSaturated bool
 
 	// Sensor-path health since the last Observe: winTicks counts the
 	// metric ticks the window spanned (expected samples), winStale the
@@ -124,6 +122,17 @@ type appState struct {
 type sensedSample struct {
 	sli, mean, p99, tput, offered float64
 	usage, util                   resource.Vector
+}
+
+// add adds s to the running sum a, field by field.
+func (a *sensedSample) add(s sensedSample) {
+	a.sli += s.sli
+	a.mean += s.mean
+	a.p99 += s.p99
+	a.tput += s.tput
+	a.offered += s.offered
+	a.usage = a.usage.Add(s.usage)
+	a.util = a.util.Add(s.util)
 }
 
 // Cluster is the simulated substrate. Not safe for concurrent use; all

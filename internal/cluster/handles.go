@@ -18,16 +18,19 @@ import (
 // together: appTelemetry fills the handles' row and calls Frame.Add once
 // per tick, so the app's history has one time column, one whole-run
 // clock and one compaction. Each column is still a series registered
-// under its own name.
+// under its own name, and a checkpoint saves the frame as one record.
 //
 // Resolution is lazy (first tick for apps, first tick for the cluster)
 // so the set of series and counters a run creates — and therefore every
 // snapshot — is exactly what the name-resolving code produced: a series
 // exists once the first sample lands, the SLI histogram once the first
 // positive SLI lands, the violations counter once the first violation
-// lands. After a restore, CkptLoad resolves the frames of the apps whose
-// series the checkpoint holds, so columns that disagree fail the
-// restore instead of the next tick.
+// lands. Readers look series up without creating them
+// (metrics.Registry.Lookup), so reading a report changes none of this.
+// After a restore, CkptLoad resolves the frames of the apps whose series
+// the checkpoint holds, so a checkpoint whose app series are not one
+// frame of exactly these columns fails the restore instead of the next
+// tick.
 
 // The columns of an app's tick frame, in row order.
 const (
@@ -80,9 +83,10 @@ type appHandles struct {
 	violations *metrics.Counter
 }
 
-// handles resolves (once) and returns the app's cached handles. The
-// frame cannot disagree with itself on a live run — restores resolve it
-// up front (resolveHandles) — so an error here is a bug.
+// handles resolves (once) and returns the app's cached handles. On a
+// live run only this code registers the app's series, and restores
+// resolve the frame up front (resolveHandles), so an error here is a
+// bug.
 func (st *appState) handles(met *metrics.Registry) *appHandles {
 	if st.h.frame == nil {
 		if err := st.resolveHandles(met); err != nil {
@@ -92,8 +96,8 @@ func (st *appState) handles(met *metrics.Registry) *appHandles {
 	return &st.h
 }
 
-// resolveHandles resolves the app's frame, adopting the series that
-// already exist.
+// resolveHandles resolves the app's frame: the restored one, or a new
+// one on the first tick.
 func (st *appState) resolveHandles(met *metrics.Registry) error {
 	f, err := met.Frame(appSeriesNames(st.obj.Spec.Name)...)
 	if err != nil {

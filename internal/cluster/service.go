@@ -408,27 +408,22 @@ func (c *Cluster) Observe(app string) (control.Observation, error) {
 			MaxReplicas: spec.MaxReplicas,
 		},
 	}
-	obs.SLI = meanOf(st.winSLI)
-	obs.MeanLatency = meanOf(st.winMean)
-	obs.P99Latency = meanOf(st.winP99)
-	obs.Throughput = meanOf(st.winThroughput)
-	obs.OfferedLoad = meanOf(st.winOffered)
-	obs.Usage = meanVec(st.winUsage)
-	obs.Utilisation = meanVec(st.winUtil)
+	sum, n := st.winSum, st.winSamples
+	obs.SLI = meanOf(sum.sli, n)
+	obs.MeanLatency = meanOf(sum.mean, n)
+	obs.P99Latency = meanOf(sum.p99, n)
+	obs.Throughput = meanOf(sum.tput, n)
+	obs.OfferedLoad = meanOf(sum.offered, n)
+	obs.Usage = meanVec(sum.usage, n)
+	obs.Utilisation = meanVec(sum.util, n)
 	obs.Saturated = st.winSaturated
-	obs.Samples = len(st.winSLI)
+	obs.Samples = n
 	obs.ExpectedSamples = st.winTicks
 	obs.StaleSamples = st.winStale
 
 	st.winTicks = 0
 	st.winStale = 0
-	st.winSLI = st.winSLI[:0]
-	st.winMean = st.winMean[:0]
-	st.winP99 = st.winP99[:0]
-	st.winThroughput = st.winThroughput[:0]
-	st.winOffered = st.winOffered[:0]
-	st.winUsage = st.winUsage[:0]
-	st.winUtil = st.winUtil[:0]
+	st.winSum, st.winSamples = sensedSample{}, 0
 	st.winSaturated = false
 	st.lastObserve = now
 	return obs, nil
@@ -443,26 +438,20 @@ func (c *Cluster) Tracker(app string) (*plo.Tracker, error) {
 	return st.tracker, nil
 }
 
-func meanOf(vs []float64) float64 {
-	if len(vs) == 0 {
+// meanOf and meanVec turn a running sum of n samples into their mean (0
+// when n is 0).
+func meanOf(sum float64, n int) float64 {
+	if n == 0 {
 		return 0
 	}
-	s := 0.0
-	for _, v := range vs {
-		s += v
-	}
-	return s / float64(len(vs))
+	return sum / float64(n)
 }
 
-func meanVec(vs []resource.Vector) resource.Vector {
-	var out resource.Vector
-	if len(vs) == 0 {
-		return out
+func meanVec(sum resource.Vector, n int) resource.Vector {
+	if n == 0 {
+		return resource.Vector{}
 	}
-	for _, v := range vs {
-		out = out.Add(v)
-	}
-	return out.Scale(1 / float64(len(vs)))
+	return sum.Scale(1 / float64(n))
 }
 
 func orVector(v, fallback resource.Vector) resource.Vector {

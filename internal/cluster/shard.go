@@ -269,13 +269,8 @@ func (c *Cluster) appTelemetry(st *appState, now time.Duration, lambda float64, 
 		}
 	}
 	if deliver {
-		st.winSLI = append(st.winSLI, s.sli)
-		st.winMean = append(st.winMean, s.mean)
-		st.winP99 = append(st.winP99, s.p99)
-		st.winThroughput = append(st.winThroughput, s.tput)
-		st.winOffered = append(st.winOffered, s.offered)
-		st.winUsage = append(st.winUsage, s.usage)
-		st.winUtil = append(st.winUtil, s.util)
+		st.winSum.add(s)
+		st.winSamples++
 		if stale {
 			st.winStale++
 		} else {

@@ -86,8 +86,8 @@ func (c *Cluster) nodeSlowdown(n *NodeObject) float64 {
 // comparison.
 func (c *Cluster) UtilisationSummary(from, to time.Duration) (allocFrac, usageFrac resource.Vector) {
 	for _, k := range resource.Kinds() {
-		allocFrac[k] = c.met.Series("cluster/allocated/"+k.String()).TimeWeightedMean(from, to)
-		usageFrac[k] = c.met.Series("cluster/usage/"+k.String()).TimeWeightedMean(from, to)
+		allocFrac[k] = c.met.Lookup("cluster/allocated/"+k.String()).TimeWeightedMean(from, to)
+		usageFrac[k] = c.met.Lookup("cluster/usage/"+k.String()).TimeWeightedMean(from, to)
 	}
 	return allocFrac, usageFrac
 }

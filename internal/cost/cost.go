@@ -70,7 +70,7 @@ func (p Pricing) Cost(met *metrics.Registry, capacity resource.Vector, from, to 
 	}
 	var mean resource.Vector
 	for _, k := range resource.Kinds() {
-		frac := met.Series("cluster/allocated/"+k.String()).TimeWeightedMean(from, to)
+		frac := met.Lookup("cluster/allocated/"+k.String()).TimeWeightedMean(from, to)
 		mean[k] = frac * capacity[k]
 	}
 	hours := (to - from).Hours()
@@ -119,11 +119,8 @@ func (m PowerModel) Energy(met *metrics.Registry, nodes int, from, to time.Durat
 	if to <= from || nodes <= 0 {
 		return 0
 	}
-	util := met.Series("cluster/usage/cpu").TimeWeightedMean(from, to)
-	emptyFrac := 0.0
-	if met.HasSeries("cluster/empty-nodes") {
-		emptyFrac = met.Series("cluster/empty-nodes").TimeWeightedMean(from, to) / float64(nodes)
-	}
+	util := met.Lookup("cluster/usage/cpu").TimeWeightedMean(from, to)
+	emptyFrac := met.Lookup("cluster/empty-nodes").TimeWeightedMean(from, to) / float64(nodes)
 	if emptyFrac < 0 {
 		emptyFrac = 0
 	}

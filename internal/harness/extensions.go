@@ -127,7 +127,7 @@ func Figure8(r *Runner, seed int64) (*Figure, error) {
 	}
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("evictions due to the failure: %d; violations overall: %.2f%%",
-			c.Metrics().Counter("evictions/node-failure").Value(), res.OverallViolation()*100),
+			c.Metrics().CounterValue("evictions/node-failure"), res.OverallViolation()*100),
 		fmt.Sprintf("ready replicas recover %.0fs after the failure (replicas re-placed at the next tick)",
 			recoveryStats(ready, 30*time.Minute).Seconds()))
 	return f, nil

@@ -17,7 +17,7 @@ import (
 
 // seriesPoints extracts (t, value) pairs from a cluster metric series.
 func seriesPoints(c *cluster.Cluster, name string) []metrics.Sample {
-	return c.Metrics().Series(name).Samples()
+	return c.Metrics().Lookup(name).Samples()
 }
 
 // Figure1 renders the diurnal latency time series of the web service

@@ -304,17 +304,17 @@ func summarise(sc Scenario, pol Policy, w *world.World) *Result {
 		// One registry lookup per series, reused across the stats below;
 		// the map lookups used to dominate this loop in profiles.
 		pfx := "app/" + name + "/"
-		sli := met.Series(pfx + "sli")
-		replicas := met.Series(pfx + "replicas")
+		sli := met.Lookup(pfx + "sli")
+		replicas := met.Lookup(pfx + "replicas")
 		ar := AppResult{App: name}
-		ar.ViolationFraction = met.Series(pfx+"violation").TimeWeightedMean(from, to)
+		ar.ViolationFraction = met.Lookup(pfx+"violation").TimeWeightedMean(from, to)
 		ar.MeanSLI = sli.WindowStats(from, to).Mean
 		ar.P99SLI = sli.Percentile(from, to, 99)
 		ar.MeanReplicas = replicas.TimeWeightedMean(from, to)
 		for _, k := range resource.Kinds() {
 			// Total app allocation ≈ per-replica alloc × replicas; use
 			// sample-wise product via the two step series.
-			ar.MeanAlloc[k] = productMean(met.Series(pfx+"alloc/"+k.String()), replicas, from, to)
+			ar.MeanAlloc[k] = productMean(met.Lookup(pfx+"alloc/"+k.String()), replicas, from, to)
 		}
 		res.Apps = append(res.Apps, ar)
 	}
@@ -323,14 +323,14 @@ func summarise(sc Scenario, pol Policy, w *world.World) *Result {
 	if res.AllocFraction[resource.CPU] > 0 {
 		res.UsageOfAlloc = res.UsageFraction[resource.CPU] / res.AllocFraction[resource.CPU]
 	}
-	res.Binds = met.Counter("sched/binds").Value()
-	res.Preemptions = met.Counter("sched/preemptions").Value()
-	res.Migrations = met.Counter("resize/migrations").Value()
-	res.Unschedulable = met.Counter("sched/unschedulable").Value()
-	res.Evictions = met.Counter("evictions/preempted").Value() + met.Counter("evictions/node-failure").Value() + met.Counter("evictions/killed").Value()
+	res.Binds = met.CounterValue("sched/binds")
+	res.Preemptions = met.CounterValue("sched/preemptions")
+	res.Migrations = met.CounterValue("resize/migrations")
+	res.Unschedulable = met.CounterValue("sched/unschedulable")
+	res.Evictions = met.CounterValue("evictions/preempted") + met.CounterValue("evictions/node-failure") + met.CounterValue("evictions/killed")
 
 	res.HPCMeanWait, res.HPCMeanRuntime, res.HPCCompleted = w.Queue.Stats()
-	st := met.Series("batch/makespan").AllStats()
+	st := met.Lookup("batch/makespan").AllStats()
 	res.BatchCompleted = st.Count
 	res.BatchMakespan = time.Duration(st.Mean * float64(time.Second))
 	bill := cost.Summarise(met, sc.NodeCapacity.Scale(0.94), sc.Nodes, from, to,

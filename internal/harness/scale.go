@@ -267,7 +267,7 @@ func provisionScale(seed int64, ccfg cluster.Config, nodes int, specs []cluster.
 	if err != nil {
 		return nil, err
 	}
-	if unplaced := c.Metrics().Counter("provision/unplaced").Value(); unplaced > 0 {
+	if unplaced := c.Metrics().CounterValue("provision/unplaced"); unplaced > 0 {
 		return nil, fmt.Errorf("%d replicas did not fit", unplaced)
 	}
 	for _, spec := range specs {

@@ -5,40 +5,39 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"evolve/internal/ckpt"
 )
 
-// Checkpoint serialisation for the telemetry registry. Instruments are
-// restored in place when they already exist on the live registry — the
-// cluster holds resolved pointers to hot series and counters, so the
-// pointers must keep pointing at the restored state — and lazily
-// injected otherwise. A series carries its retained window and its
-// whole-run aggregate (Total), never the evicted samples. Every series
-// is saved as its own record whatever frame it is a column of, and
-// restores as a one-column frame; the owner re-forms wider frames with
-// Registry.Frame, which checks that their columns agree. The percentile
-// memo is deliberately not serialised; it rebuilds on first query.
+// Checkpoint serialisation for the telemetry registry. Series are saved
+// the way the registry holds them: one record per frame, holding the
+// column names, the appended count, the newest time, each column's
+// whole-run aggregate, the retained time column once and then each
+// retained value column. A standalone series is a one-column frame and
+// uses the same record. Restore rebuilds every frame as it was saved,
+// into a registry that holds no series yet, so no pointer taken before
+// the restore can outlive it. Histograms and counters are restored in
+// place, since building the world may already have created them. Evicted
+// rows and the percentile memo are never saved.
 
-// CkptSave writes every series, histogram and counter in sorted name
-// order.
+// CkptSave writes every frame in the sorted order of its first column's
+// name, then every histogram and counter in sorted name order.
 func (r *Registry) CkptSave(w *ckpt.Writer) {
 	w.Begin("metrics")
 	names := r.SeriesNames()
-	w.Int(len(names))
+	nf := 0
 	for _, name := range names {
-		s := r.series[name]
-		w.Str(name)
-		t := s.Total()
-		w.Int(t.Count)
-		w.F64(t.Sum)
-		w.F64(t.area)
-		w.F64(t.cur)
-		w.Dur(t.at)
-		ts, vs := s.column()
-		w.Int(len(ts))
-		saveSamples(w, ts, vs)
+		if r.series[name].col == 0 {
+			nf++
+		}
+	}
+	w.Int(nf)
+	for _, name := range names {
+		if s := r.series[name]; s.col == 0 {
+			s.f.ckptSave(w)
+		}
 	}
 	hnames := r.HistogramNames()
 	w.Int(len(hnames))
@@ -65,44 +64,55 @@ func (r *Registry) CkptSave(w *ckpt.Writer) {
 	}
 }
 
-// CkptLoad restores the registry from a checkpoint stream.
+// ckptSave writes the frame's record.
+func (f *Frame) ckptSave(w *ckpt.Writer) {
+	w.Int(len(f.cols))
+	for _, c := range f.cols {
+		w.Str(c.Name)
+	}
+	w.Int(f.count)
+	w.Dur(f.at)
+	for _, a := range f.agg {
+		w.F64(a.sum)
+		w.F64(a.area)
+		w.F64(a.cur)
+	}
+	lo, n, c := f.retained(), len(f.times), cap(f.times)
+	w.Int(n - lo)
+	for ts := f.times[lo:n]; len(ts) > 0; {
+		p := w.Next(8 * min(wordsPerChunk, len(ts)))
+		for i := range len(p) / 8 {
+			binary.LittleEndian.PutUint64(p[8*i:], uint64(ts[i]))
+		}
+		ts = ts[len(p)/8:]
+	}
+	for j := range f.cols {
+		for vs := f.vals[j*c+lo : j*c+n]; len(vs) > 0; {
+			p := w.Next(8 * min(wordsPerChunk, len(vs)))
+			for i := range len(p) / 8 {
+				binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(vs[i]))
+			}
+			vs = vs[len(p)/8:]
+		}
+	}
+}
+
+// wordsPerChunk is how many 8-byte words of a column ckptSave writes
+// straight into the writer's buffer at a time.
+const wordsPerChunk = ckpt.ChunkSize / 8
+
+// CkptLoad restores the registry from a checkpoint stream. The registry
+// must hold no series yet.
 func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 	cr.Begin("metrics")
-	ns := cr.Count(8)
+	nf := cr.Count(8)
 	if cr.Err() != nil {
 		return cr.Err()
 	}
-	for i := 0; i < ns; i++ {
-		name := cr.Str()
-		t := Total{Count: cr.Int(), Sum: cr.F64(), area: cr.F64(), cur: cr.F64(), at: cr.Dur()}
-		n := cr.Count(sampleBytes)
-		if cr.Err() != nil {
-			return cr.Err()
-		}
-		s := r.Series(name)
-		// A windowed series gets as much headroom again as its window,
-		// so appends after the restore compact rarely.
-		capacity := n
-		if r.history > 0 {
-			capacity = 2 * n
-		}
-		f := &Frame{
-			history: r.history,
-			times:   make([]time.Duration, n, capacity),
-			vals:    make([]float64, capacity),
-			count:   t.Count,
-			at:      t.at,
-			agg:     []colAgg{{sum: t.Sum, area: t.area, cur: t.cur}},
-			cols:    []*Series{s},
-		}
-		if loadSamples(cr, f.times, f.vals); cr.Err() != nil {
-			return cr.Err()
-		}
-		if err := f.validWindow(name); err != nil {
+	for range nf {
+		if err := r.loadFrame(cr); err != nil {
 			return err
 		}
-		s.f, s.col = f, 0
-		s.sorted, s.sortedN = nil, 0
 	}
 	nh := cr.Count(8)
 	if cr.Err() != nil {
@@ -150,6 +160,68 @@ func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 	return cr.Err()
 }
 
+// loadFrame decodes one frame record and registers its columns. Each
+// name must be new: a record that repeats a name, or names a series
+// another record registered, is refused. A windowed frame gets as much
+// headroom again as its window, so appends after the restore compact
+// rarely.
+func (r *Registry) loadFrame(cr *ckpt.Reader) error {
+	nc := cr.Count(8)
+	if cr.Err() != nil {
+		return cr.Err()
+	}
+	if nc == 0 {
+		return fmt.Errorf("metrics: frame record without columns")
+	}
+	names := make([]string, nc)
+	for j := range names {
+		name := cr.Str()
+		switch {
+		case cr.Err() != nil:
+			return cr.Err()
+		case slices.Contains(names[:j], name):
+			return fmt.Errorf("metrics: series %q is two columns of one frame", name)
+		case r.HasSeries(name):
+			return fmt.Errorf("metrics: series %q is already registered", name)
+		}
+		names[j] = name
+	}
+	f := newFrame(r.history, names...)
+	f.count, f.at = cr.Int(), cr.Dur()
+	for j := range f.agg {
+		f.agg[j] = colAgg{sum: cr.F64(), area: cr.F64(), cur: cr.F64()}
+	}
+	n := cr.Count(8 * (nc + 1))
+	p := cr.Next(8 * n * (nc + 1))
+	if cr.Err() != nil {
+		return cr.Err()
+	}
+	c := n
+	if r.history > 0 {
+		c = 2 * n
+	}
+	f.times = make([]time.Duration, n, c)
+	f.vals = make([]float64, nc*c)
+	for i := range f.times {
+		f.times[i] = time.Duration(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+	for j := range nc {
+		col, q := f.vals[j*c:j*c+n], p[8*n*(j+1):]
+		for i := range col {
+			col[i] = math.Float64frombits(binary.LittleEndian.Uint64(q[8*i:]))
+		}
+	}
+	if err := f.validWindow(); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	for j, name := range names {
+		r.series[name] = f.cols[j]
+	}
+	r.mu.Unlock()
+	return nil
+}
+
 // valid checks a decoded histogram's parameters and counts: finite
 // bounds with 0 < min < max, a ratio above 1, exactly the buckets
 // NewHistogram's formula gives for them, and a total that is the sum of
@@ -181,14 +253,21 @@ func (h *Histogram) valid() error {
 	return nil
 }
 
-// validWindow checks a decoded one-column frame against its aggregate:
-// rows in time order, at least one retained exactly when any were
-// appended, and none older than the retention window.
-func (f *Frame) validWindow(name string) error {
-	ts := f.times
+// validWindow checks a decoded frame against its aggregate: rows in
+// time order, at least one retained exactly when any were appended, a
+// clock at the newest row (0 while every row is at or before 0), and no
+// row older than the retention window. Errors name the first column.
+func (f *Frame) validWindow() error {
+	ts, name := f.times, f.cols[0].Name
+	var newest time.Duration
+	if len(ts) > 0 {
+		newest = max(0, ts[len(ts)-1])
+	}
 	switch {
 	case f.count < len(ts) || (f.count == 0) != (len(ts) == 0):
 		return fmt.Errorf("metrics: series %q: %d retained samples of %d appended", name, len(ts), f.count)
+	case f.at != newest:
+		return fmt.Errorf("metrics: series %q: clock at %v, newest sample at %v", name, f.at, newest)
 	case len(ts) == 0:
 		return nil
 	case f.history > 0 && ts[0] <= ts[len(ts)-1]-f.history:
@@ -200,39 +279,4 @@ func (f *Frame) validWindow(name string) error {
 		}
 	}
 	return nil
-}
-
-// sampleBytes is one encoded Sample: At then Value, 8 bytes each,
-// little-endian.
-const sampleBytes = 16
-
-// saveSamples writes a time column and a value column as one contiguous
-// run of (At, Value) pairs, a chunk at a time, straight into the
-// writer's buffer.
-func saveSamples(w *ckpt.Writer, ts []time.Duration, vs []float64) {
-	const per = ckpt.ChunkSize / sampleBytes
-	for len(ts) > 0 {
-		k := min(per, len(ts))
-		p := w.Next(k * sampleBytes)
-		for i := range k {
-			q := p[i*sampleBytes : (i+1)*sampleBytes]
-			binary.LittleEndian.PutUint64(q, uint64(ts[i]))
-			binary.LittleEndian.PutUint64(q[8:], math.Float64bits(vs[i]))
-		}
-		ts, vs = ts[k:], vs[k:]
-	}
-}
-
-// loadSamples fills the time column ts and the first len(ts) values of
-// vs from a run written by saveSamples.
-func loadSamples(r *ckpt.Reader, ts []time.Duration, vs []float64) {
-	p := r.Next(len(ts) * sampleBytes)
-	if p == nil {
-		return
-	}
-	for i := range ts {
-		q := p[i*sampleBytes : (i+1)*sampleBytes]
-		ts[i] = time.Duration(binary.LittleEndian.Uint64(q))
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(q[8:]))
-	}
 }

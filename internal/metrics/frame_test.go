@@ -81,42 +81,44 @@ func TestFrameColumnsMatchKeepAllTwins(t *testing.T) {
 	}
 }
 
-// TestFrameCheckpointMatchesStandaloneSeries: a frame saves exactly the
-// bytes of standalone series fed the same samples, restores as
-// one-column frames that Registry.Frame adopts, and continues exactly
-// like the original.
-func TestFrameCheckpointMatchesStandaloneSeries(t *testing.T) {
+// TestFrameCheckpointRoundTrip: a checkpoint saves each frame as one
+// record and restores it as the same frame, which Registry.Frame then
+// returns. After the trip every column of a windowed frame, and a
+// standalone series beside it, answers every query bit for bit like a
+// keep-all twin fed the same samples, and the restored registry saves
+// the bytes the original does.
+func TestFrameCheckpointRoundTrip(t *testing.T) {
 	const history = 30 * time.Second
 	rng := rand.New(rand.NewSource(5))
 	names := colNames(17)
 	stream := randomStream(rng, 600, history)
-	framed, standalone := NewWindowedRegistry(history), NewWindowedRegistry(history)
-	f, err := framed.Frame(names...)
+	orig := NewWindowedRegistry(history)
+	f, err := orig.Frame(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	twins := make([]*Series, len(names)+1)
+	for j := range twins {
+		twins[j] = NewSeries("twin")
+	}
 	row := make([]float64, len(names))
-	add := func(fs []*Frame, sm Sample) {
+	add := func(reg *Registry, f *Frame, sm Sample) {
 		for j := range row {
 			row[j] = sm.Value + float64(j)
 		}
-		for _, f := range fs {
-			f.Add(sm.At, row)
-		}
-		for j, name := range names {
-			standalone.Series(name).Add(sm.At, row[j])
-		}
+		f.Add(sm.At, row)
+		reg.Series("app/alone").Add(sm.At, -sm.Value)
 	}
 	for _, sm := range stream[:300] {
-		add([]*Frame{f}, sm)
+		add(orig, f, sm)
+		for j := range row {
+			twins[j].Add(sm.At, sm.Value+float64(j))
+		}
+		twins[len(names)].Add(sm.At, -sm.Value)
 	}
-	blob := saved(t, framed.CkptSave)
-	if want := saved(t, standalone.CkptSave); !bytes.Equal(blob, want) {
-		t.Fatal("a frame's checkpoint differs from its columns saved as standalone series")
-	}
+	blob := saved(t, orig.CkptSave)
 
 	restored := NewWindowedRegistry(history)
-	held := restored.Series(names[3]) // a pointer taken before the restore
 	if err := restored.CkptLoad(reader(t, blob)); err != nil {
 		t.Fatal(err)
 	}
@@ -124,78 +126,129 @@ func TestFrameCheckpointMatchesStandaloneSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Column(3) != held {
-		t.Fatal("adoption did not keep the existing *Series as the frame's column")
+	if got := restored.SeriesNames(); !slices.Equal(got, orig.SeriesNames()) {
+		t.Fatalf("restored series %v, want %v", got, orig.SeriesNames())
 	}
-	if again, err := restored.Frame(names...); err != nil || again != g {
-		t.Fatalf("resolving the frame again = %p, %v; want the same frame", again, err)
+	if c := g.Column(0); c.Total().Count == c.Len() {
+		t.Fatal("nothing evicted before the checkpoint")
 	}
+	if !bytes.Equal(saved(t, restored.CkptSave), blob) {
+		t.Error("the restored registry saves other bytes than the original")
+	}
+	before := append(slices.Clone(f.cols), orig.Series("app/alone"))
+	after := append(slices.Clone(g.cols), restored.Series("app/alone"))
 	for i, sm := range stream[300:] {
-		add([]*Frame{f, g}, sm)
-		for j := range names {
-			a, b := f.Column(j), g.Column(j)
-			if !slices.Equal(a.Samples(), b.Samples()) || a.Total() != b.Total() {
-				t.Fatalf("column %d of the restored frame diverged %d rows after the checkpoint", j, i+1)
-			}
+		add(orig, f, sm)
+		add(restored, g, sm)
+		for j := range row {
+			twins[j].Add(sm.At, sm.Value+float64(j))
 		}
-	}
-	if a, b := saved(t, framed.CkptSave), saved(t, restored.CkptSave); !bytes.Equal(a, b) {
-		t.Error("the restored frame saves other bytes than the original")
+		twins[len(names)].Add(sm.At, -sm.Value)
+		if i%25 != 0 {
+			continue
+		}
+		for j, b := range after {
+			if a := before[j]; !slices.Equal(a.Samples(), b.Samples()) || a.Total() != b.Total() {
+				t.Fatalf("column %d of the restored registry diverged %d rows after the checkpoint", j, i+1)
+			}
+			checkAgainstTwin(t, rng, b, twins[j])
+		}
 	}
 }
 
-// TestFrameAdoptionRefusesDisagreeingColumns: restored series that do
-// not hold the same rows cannot become one frame. The error names the
-// odd series, and the registry is left as it was.
-func TestFrameAdoptionRefusesDisagreeingColumns(t *testing.T) {
-	names := colNames(4)
-	build := func(tweak func(j, i int) (time.Duration, bool)) *Registry {
-		src := NewRegistry()
-		for j, name := range names {
-			for i := range 10 {
-				if at, ok := tweak(j, i); ok {
-					src.Series(name).Add(at, float64(i))
-				}
+// frameRecord is one frame record for frameSection: its column names,
+// its time column, and how far its clock lies past the newest row.
+// Every value is 1.
+type frameRecord struct {
+	names []string
+	times []time.Duration
+	skew  time.Duration
+}
+
+// frameSection encodes a metrics section holding the given frame
+// records and no histograms or counters.
+func frameSection(t *testing.T, recs ...frameRecord) []byte {
+	return saved(t, func(w *ckpt.Writer) {
+		w.Begin("metrics")
+		w.Int(len(recs))
+		for _, rec := range recs {
+			w.Int(len(rec.names))
+			for _, name := range rec.names {
+				w.Str(name)
+			}
+			w.Int(len(rec.times))
+			w.Dur(rec.times[len(rec.times)-1] + rec.skew)
+			for range rec.names {
+				w.F64(float64(len(rec.times)))
+				w.F64(0)
+				w.F64(1)
+			}
+			w.Int(len(rec.times))
+			for _, at := range rec.times {
+				w.Dur(at)
+			}
+			for range len(rec.names) * len(rec.times) {
+				w.F64(1)
 			}
 		}
-		dst := NewRegistry()
-		if err := dst.CkptLoad(reader(t, saved(t, src.CkptSave))); err != nil {
-			t.Fatal(err)
-		}
-		return dst
-	}
+		w.Int(0)
+		w.Int(0)
+	})
+}
+
+// TestCkptLoadRefusesBadFrameRecord: a frame record the registry could
+// not have saved — a name twice in one frame, a name in two records, a
+// time column out of order or outside the retention window, or a frame
+// clock past its newest row — is refused with an error naming the
+// series, and a restored frame whose columns are not the ones asked for
+// is refused by Registry.Frame. A column of one frame cannot join
+// another either.
+func TestCkptLoadRefusesBadFrameRecord(t *testing.T) {
+	names := colNames(3)
+	rows := []time.Duration{sec(1), sec(2), sec(3)}
 	for _, c := range []struct {
-		name  string
-		tweak func(j, i int) (time.Duration, bool)
+		name, want string
+		recs       []frameRecord
 	}{
-		{"shifted timestamp", func(j, i int) (time.Duration, bool) {
-			if j == 2 && i == 5 {
-				return sec(float64(i) + 0.5), true
-			}
-			return sec(float64(i)), true
-		}},
-		{"missing sample", func(j, i int) (time.Duration, bool) { return sec(float64(i)), j != 2 || i != 9 }},
-		{"extra series", func(j, i int) (time.Duration, bool) { return sec(float64(i)), j == 2 }},
+		{"duplicate column", "app/c01", []frameRecord{{[]string{names[0], names[1], names[1]}, rows, 0}}},
+		{"name in two records", "app/c02", []frameRecord{{names, rows, 0}, {names[2:], rows, 0}}},
+		{"time column out of order", "app/c00", []frameRecord{{names, []time.Duration{sec(1), sec(3), sec(2)}, 0}}},
+		{"row outside the window", "app/c00", []frameRecord{{names, []time.Duration{sec(1), sec(2), sec(20)}, 0}}},
+		{"clock past the newest row", "app/c00", []frameRecord{{names, rows, time.Hour}}},
 	} {
-		reg := build(c.tweak)
-		before := reg.Series(names[2])
-		_, err := reg.Frame(names...)
-		if err == nil || !strings.Contains(err.Error(), `"`+names[2]+`"`) {
-			t.Errorf("%s: Frame = %v, want an error naming %q", c.name, err, names[2])
-			continue
+		err := NewWindowedRegistry(10 * time.Second).CkptLoad(reader(t, frameSection(t, c.recs...)))
+		if err == nil || !strings.Contains(err.Error(), `"`+c.want+`"`) {
+			t.Errorf("%s: CkptLoad = %v, want an error naming %q", c.name, err, c.want)
 		}
-		if s := reg.Series(names[2]); s != before || len(s.f.cols) != 1 {
-			t.Errorf("%s: the refused adoption changed the series", c.name)
-		}
+	}
+	if err := NewRegistry().CkptLoad(reader(t, frameSection(t, frameRecord{nil, rows, 0}))); err == nil {
+		t.Error("a frame record without columns restored")
+	}
+
+	// A renamed column restores, but the frame is not the one asked for.
+	renamed := append(slices.Clone(names[:2]), "app/cXX")
+	reg := NewRegistry()
+	if err := reg.CkptLoad(reader(t, frameSection(t, frameRecord{renamed, rows, 0}))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Frame(names...); err == nil || !strings.Contains(err.Error(), `"app/cXX"`) {
+		t.Errorf("renamed column: Frame = %v, want an error naming %q", err, "app/cXX")
+	}
+	if _, err := reg.Frame(names[:2]...); err == nil || !strings.Contains(err.Error(), "3-column") {
+		t.Errorf("a frame of two of its columns = %v, want a column-count error", err)
 	}
 
 	// A column of one frame cannot join another.
-	reg := NewRegistry()
+	reg = NewRegistry()
 	if one, err := reg.Frame("app/alone"); err != nil || one != reg.Series("app/alone").f {
 		t.Fatalf("a one-column frame = %p, %v; want the series' own frame", one, err)
 	}
-	if _, err := reg.Frame(names...); err != nil {
+	f, err := reg.Frame(names...)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if again, err := reg.Frame(names...); err != nil || again != f {
+		t.Fatalf("resolving the frame again = %p, %v; want the same frame", again, err)
 	}
 	if _, err := reg.Frame(names[1], "app/other"); err == nil || !strings.Contains(err.Error(), names[1]) {
 		t.Errorf("re-framing a column = %v, want an error naming it", err)

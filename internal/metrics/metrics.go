@@ -14,7 +14,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -652,86 +651,48 @@ func (r *Registry) Series(name string) *Series {
 	return s
 }
 
-// Frame returns the frame whose columns are the named series, in order,
-// creating it on first use; every column stays registered under its own
-// name. Series that already exist on their own — restored from a
-// checkpoint, or created by a read before the first append — are
-// adopted: the existing *Series pointers re-point at the frame. Adoption
-// needs every column to hold the same rows (count, newest time and
-// retained time column; a missing series counts as empty); otherwise
-// Frame returns an error and changes nothing.
+// Lookup returns the named series without creating it. A name that is
+// not registered reads as an empty series the registry does not keep, so
+// reading a report or a summary never changes what a checkpoint holds.
+// Append only through Series or a Frame.
+func (r *Registry) Lookup(name string) *Series {
+	r.mu.Lock()
+	s, ok := r.series[name]
+	r.mu.Unlock()
+	if !ok {
+		return NewWindowedSeries(name, r.history)
+	}
+	return s
+}
+
+// Frame returns the frame whose columns are the named series, in order:
+// the frame they already form, or a new one when none of them is
+// registered yet, with every column registered under its own name. A
+// name registered in any other frame is an error.
 func (r *Registry) Frame(names ...string) (*Frame, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := make([]*Series, len(names))
-	for j, name := range names {
+	for _, name := range names {
 		s, ok := r.series[name]
 		if !ok {
 			continue
 		}
-		if slices.EqualFunc(s.f.cols, names, func(c *Series, name string) bool { return c.Name == name }) {
-			return s.f, nil
+		cols := s.f.cols
+		for j, c := range cols[:min(len(cols), len(names))] {
+			if c.Name != names[j] {
+				return nil, fmt.Errorf("metrics: series %q is in a frame whose column %d is %q, not %q", name, j, c.Name, names[j])
+			}
 		}
-		if len(s.f.cols) > 1 {
-			return nil, fmt.Errorf("metrics: series %q is already column %d of another frame", name, s.col)
+		if len(cols) != len(names) {
+			return nil, fmt.Errorf("metrics: series %q is in a %d-column frame, not a %d-column one", name, len(cols), len(names))
 		}
-		old[j] = s
+		return s.f, nil
 	}
 	f := newFrame(r.history, names...)
-	ref := f.cols[0]
-	if old[0] != nil {
-		ref = old[0]
-	}
-	rts, _ := ref.column()
-	c := len(rts)
-	for j, s := range old {
-		if s == nil {
-			s = f.cols[j] // missing: empty
-		}
-		if err := sameRows(ref, s); err != nil {
-			return nil, err
-		}
-		c = max(c, cap(s.f.times))
-	}
-	if c > 0 {
-		f.times = make([]time.Duration, len(rts), c)
-		copy(f.times, rts)
-		f.vals = make([]float64, len(names)*c)
-	}
-	f.count, f.at = ref.f.count, ref.f.at
-	for j, s := range old {
-		if s == nil {
-			r.series[names[j]] = f.cols[j]
-			continue
-		}
-		_, vs := s.column()
-		copy(f.vals[j*c:], vs)
-		f.agg[j] = s.f.agg[0]
-		s.f, s.col = f, j
-		f.cols[j] = s
+	for j, name := range names {
+		r.series[name] = f.cols[j]
 	}
 	return f, nil
-}
-
-// sameRows returns an error naming s unless it holds the same rows as
-// ref: the same appended count, newest time and retained time column.
-func sameRows(ref, s *Series) error {
-	rf, sf := ref.f, s.f
-	if sf.count != rf.count || sf.at != rf.at {
-		return fmt.Errorf("metrics: series %q has %d samples to %v, %q has %d to %v: they cannot share a frame",
-			s.Name, sf.count, sf.at, ref.Name, rf.count, rf.at)
-	}
-	rts, _ := ref.column()
-	sts, _ := s.column()
-	if len(sts) != len(rts) {
-		return fmt.Errorf("metrics: series %q retains %d samples, %q %d: they cannot share a frame", s.Name, len(sts), ref.Name, len(rts))
-	}
-	for i, at := range sts {
-		if at != rts[i] {
-			return fmt.Errorf("metrics: series %q has a sample at %v where %q has one at %v: they cannot share a frame", s.Name, at, ref.Name, rts[i])
-		}
-	}
-	return nil
 }
 
 // Histogram returns (creating if needed) the named histogram. The
@@ -757,6 +718,18 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Unlock()
 	return c
+}
+
+// CounterValue returns the named counter's count without creating it (0
+// when there is none), so reading a report leaves the registry as it
+// was.
+func (r *Registry) CounterValue(name string) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c, ok := r.counters[name]; ok {
+		return c.n
+	}
+	return 0
 }
 
 // SeriesNames returns the sorted names of all series.

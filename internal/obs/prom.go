@@ -49,7 +49,7 @@ func WriteMetrics(w io.Writer, reg *metrics.Registry, tr *Tracer, extra ...Meter
 	}
 
 	for _, name := range reg.SeriesNames() {
-		s := reg.Series(name)
+		s := reg.Lookup(name)
 		last, ok := s.Last()
 		if !ok {
 			continue

@@ -72,12 +72,14 @@ func (b *BurnTracker) BudgetRemaining() float64 {
 	return 1 - b.violSec/bs
 }
 
-// Burn returns the tracker's burn accounting, creating it on first use
-// (with DefaultErrorBudget) so existing Tracker constructions get burn
-// accounting without a signature change.
+// Burn returns the tracker's burn accounting, which the first ObserveFor
+// creates (with DefaultErrorBudget) so existing Tracker constructions
+// get burn accounting without a signature change. Before that it returns
+// a fresh one the tracker does not keep: reading the burn rate changes
+// nothing a checkpoint holds.
 func (t *Tracker) Burn() *BurnTracker {
 	if t.burn == nil {
-		t.burn = NewBurnTracker(0)
+		return NewBurnTracker(0)
 	}
 	return t.burn
 }
@@ -86,6 +88,9 @@ func (t *Tracker) Burn() *BurnTracker {
 // represent dt seconds of service time. Returns whether it violated.
 func (t *Tracker) ObserveFor(measured, dt float64) bool {
 	v := t.Observe(measured)
-	t.Burn().Observe(v, dt)
+	if t.burn == nil {
+		t.burn = NewBurnTracker(0)
+	}
+	t.burn.Observe(v, dt)
 	return v
 }
