@@ -81,22 +81,29 @@ bench-sched:
 # recycled, and BenchmarkTracerCkptSave reports the tracer section's
 # encode throughput (MB/s). The state-bounded gates fail when a windowed metric series allocates
 # once it holds its window, or when a default-History world's
-# checkpoint or heap grows from 2 to 8 simulated hours. The periodic
+# checkpoint or heap grows from 3 to 12 simulated hours. The periodic
 # firing's gate fails when a checkpoint of wrapped rings allocates in
 # proportion to the rings instead of to what changed, and
 # BenchmarkPeriodicCheckpoint reports one firing's MB/s and allocations.
+# The control gate fails when a period driven by the real autoscaler,
+# journaling included, allocates (a formatted rationale, a sliding
+# tuner window, a fresh app list).
 bench-obs:
 	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs|TestTickWindowedHistoryAllocs|TestTickTracedAllocsBudget|TestPodSpansEmitted' \
 		-bench 'BenchmarkTick/|BenchmarkTickTraced/|BenchmarkTickManyApps/' -benchtime 20x -count 1 -v
 	$(GO) test ./internal/obs -run 'TestSpan|TestLatency|TestRingRecordAllocs|TestRingPinsReferencedChunks' -bench 'BenchmarkObserveLatency|BenchmarkTracerCkptSave' -benchtime 100x -count 1 -v
 	$(GO) test . -run 'TestCheckpointEncodeAllocs|TestStateBoundedByHistory|TestPeriodicCheckpointAllocs' -bench 'BenchmarkCheckpoint$$|BenchmarkPeriodicCheckpoint' -benchtime 20x -count 1 -v
+	$(GO) test ./internal/core ./internal/pid -run 'TestAutoscalerControlAllocs|TestTunerWindowSlidesInPlace' -count 1 -v
 
-# fuzz-smoke gives the chaos-plan parser and checkpoint restore a short
-# fuzzing budget each: long enough to catch parse/round-trip regressions
-# and decoder panics behind the checksum, short enough for CI.
+# fuzz-smoke gives the chaos-plan parser, checkpoint restore and the
+# typed rationale comparison a short fuzzing budget each: long enough to
+# catch parse/round-trip regressions, decoder panics behind the checksum
+# and a comparison that disagrees with the rendered text, short enough
+# for CI.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime 15s -run '^$$' ./internal/chaos
 	$(GO) test -fuzz FuzzRestore -fuzztime 15s -run '^$$' .
+	$(GO) test -fuzz FuzzRationaleSameText -fuzztime 15s -run '^$$' ./internal/control
 
 # chaos-soak runs the everything-at-once fault profile end to end (the
 # TestChaosSoak harness test plus the mixed-profile CLI path).

@@ -40,8 +40,8 @@ func fuzzWorld(t testing.TB) *Cluster {
 // leave the world fresh. With the trailer recomputed, the mutation reaches
 // the section decoders, which must return an error or a consistent world,
 // never panic or over-allocate. A world restored without error must
-// report and run: one more simulated minute may fail with an error,
-// never a panic.
+// report, render its journal and run: one more simulated minute may
+// fail with an error, never a panic.
 func FuzzRestore(f *testing.F) {
 	src := fuzzWorld(f)
 	if err := src.Run(fuzzRun); err != nil {
@@ -75,6 +75,7 @@ func FuzzRestore(f *testing.F) {
 		if reseal {
 			if err == nil {
 				_ = c.Report()
+				_ = c.Events()
 				_ = c.Run(time.Minute) // a legitimately different world may fail, not panic
 			}
 			return
@@ -232,5 +233,59 @@ func TestRestoreValidatesWrappedTraceRing(t *testing.T) {
 	a, b = fmt.Sprintf("%+v", tr.SpanSnapshot(obs.SpanFilter{})), fmt.Sprintf("%+v", dst.Tracer().SpanSnapshot(obs.SpanFilter{}))
 	if a != b {
 		t.Error("restored span ring differs from the source")
+	}
+}
+
+// TestRestoreRefusesMalformedJournalRecord: the journal is saved as
+// typed records (kind code, object, message code, arguments), and
+// Restore decodes every one, so a resealed checkpoint whose record has a
+// kind, message or reason code out of range fails Restore with an error
+// naming the journal, instead of panicking when Events renders it. The
+// intact checkpoint restores a journal that renders line for line.
+func TestRestoreRefusesMalformedJournalRecord(t *testing.T) {
+	src := fuzzWorld(t)
+	if err := src.Run(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	// An autoscale record for web: its kind code, the length-prefixed
+	// object, the message code, then the reason's code.
+	rec := []byte{13}
+	rec = binary.LittleEndian.AppendUint64(rec, 3)
+	rec = append(rec, "web"...)
+	rec = append(rec, 15)
+	at := bytes.Index(good, rec)
+	if at < 0 {
+		t.Fatal("no autoscale record for web in the checkpoint")
+	}
+	for _, c := range []struct {
+		name, want string
+		off        int
+	}{
+		{"kind", "kind code", 0},
+		{"message", "message code", len(rec) - 1},
+		{"reason", "reason code", len(rec)},
+	} {
+		b := bytes.Clone(good)
+		b[at+c.off] = 0xff
+		ckpt.Seal(b)
+		dst := fuzzWorld(t)
+		err := dst.Restore(bytes.NewReader(b))
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "journal record") {
+			t.Errorf("%s: Restore = %v, want a journal record error mentioning %q", c.name, err, c.want)
+			continue
+		}
+		t.Logf("%s: %v", c.name, err)
+	}
+	dst := fuzzWorld(t)
+	if err := dst.Restore(bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := fmt.Sprint(src.Events()), fmt.Sprint(dst.Events()); a != b {
+		t.Error("restored journal renders differently from the source")
 	}
 }

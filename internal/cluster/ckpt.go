@@ -453,9 +453,8 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 	c.events = eventLog{}
 	for i := 0; i < ne; i++ {
 		rest := r.Rest()
-		loadEvent(r)
-		if r.Err() != nil {
-			return r.Err()
+		if _, err := loadRecord(r); err != nil {
+			return fmt.Errorf("cluster: ckpt: journal record %d: %w", i, err)
 		}
 		c.events.push(rest[:len(rest)-len(r.Rest())])
 	}

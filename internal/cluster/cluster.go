@@ -157,6 +157,7 @@ type Cluster struct {
 	pending  []*PodObject            // pending pods: priority desc, FIFO, name (see draining)
 	nodeList []*NodeObject           // every node, name order
 	appList  []*appState             // services, name order
+	appNames []string                // appList's names, rebuilt by AppNames
 
 	// Reusable scratch. The simulation is single-threaded and the tick
 	// never re-enters itself, so one buffer of each suffices; reuse is
@@ -481,7 +482,7 @@ func (c *Cluster) bind(p *PodObject, nodeName string) error {
 	n.Allocated = n.Allocated.Add(p.Requests)
 	c.indexBind(p)
 	c.met.Counter("sched/binds").Inc()
-	c.recordEvent("pod-scheduled", p.Name, "bound to %s (%s)", nodeName, p.Requests)
+	c.recordEvent(kindPodScheduled, p.Name, msgBound, eventArgs{s: [2]string{nodeName}, vec: p.Requests})
 	if c.tracer.Enabled() {
 		c.tracer.Record(obs.Event{
 			At: c.now(), Kind: obs.KindSched, Verb: obs.VerbBind,
@@ -560,7 +561,7 @@ func (c *Cluster) evict(p *PodObject, reason string) {
 		delete(c.pods, p.Name)
 		_ = c.store.Delete(KindPod, p.Name)
 		c.met.Counter("evictions/" + reason).Inc()
-		c.recordEvent("task-killed", name, "task failed (%s)", reason)
+		c.recordEvent(kindTaskKilled, name, msgTaskFailed, eventArgs{s: [2]string{reason}})
 		if c.tracer.Enabled() {
 			c.tracer.Record(obs.Event{
 				At: c.now(), Kind: obs.KindSched, Verb: obs.VerbEvict,
@@ -578,7 +579,7 @@ func (c *Cluster) evict(p *PodObject, reason string) {
 	p.pendingSince = c.now() // next bind measures the re-queue wait
 	c.indexMarkPending(p)
 	c.met.Counter("evictions/" + reason).Inc()
-	c.recordEvent("pod-evicted", p.Name, "back to pending queue (%s)", reason)
+	c.recordEvent(kindPodEvicted, p.Name, msgRequeued, eventArgs{s: [2]string{reason}})
 	if c.tracer.Enabled() {
 		c.tracer.Record(obs.Event{
 			At: c.now(), Kind: obs.KindSched, Verb: obs.VerbEvict,
@@ -676,7 +677,7 @@ func (c *Cluster) schedOne(p *PodObject) {
 			}
 		}
 		c.met.Counter("sched/preemptions").Inc()
-		c.recordEvent("preemption", p.Name, "evicted %v on %s", plan.Victims, plan.Node)
+		c.recordEvent(kindPreemption, p.Name, msgPreempted, eventArgs{list: plan.Victims, s: [2]string{plan.Node}})
 		if c.tracer.Enabled() {
 			c.tracer.Record(obs.Event{
 				At: c.now(), Kind: obs.KindSched, Verb: obs.VerbPreempt,
@@ -742,7 +743,7 @@ func (c *Cluster) FailNode(name string) error {
 	c.snap.Fail(name)
 	c.update(n)
 	c.met.Counter("nodes/failures").Inc()
-	c.recordEvent("node-failed", name, "node marked unready; pods evicted")
+	c.recordEvent(kindNodeFailed, name, msgNodeFailed, eventArgs{})
 	if c.tracer.Enabled() {
 		c.tracer.Record(obs.Event{At: c.now(), Kind: obs.KindSched, Verb: obs.VerbNodeFailed, Node: name})
 	}
@@ -761,7 +762,7 @@ func (c *Cluster) RestoreNode(name string) error {
 	n.Ready = true
 	c.hot.slow[n.slot] = c.nodeSlowdown(n)
 	c.update(n)
-	c.recordEvent("node-restored", name, "node ready again")
+	c.recordEvent(kindNodeRestored, name, msgNodeRestored, eventArgs{})
 	if c.tracer.Enabled() {
 		c.tracer.Record(obs.Event{At: c.now(), Kind: obs.KindSched, Verb: obs.VerbNodeRestored, Node: name})
 	}

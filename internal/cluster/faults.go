@@ -58,7 +58,7 @@ func (c *Cluster) registryFault(obj registry.Object, err error) {
 	c.met.Counter("faults/registry").Inc()
 	m := obj.GetMeta()
 	name := m.Kind + "/" + m.Name
-	c.recordEvent("registry-fault", name, "registry write failed: %v", err)
+	c.recordEvent(kindRegistryFault, name, msgRegistryFault, eventArgs{s: [2]string{err.Error()}})
 	if c.tracer.Enabled() {
 		c.tracer.Record(obs.Event{
 			At: c.now(), Kind: obs.KindFault, Verb: obs.VerbFault,
@@ -73,7 +73,7 @@ func (c *Cluster) registryFault(obj registry.Object, err error) {
 func (c *Cluster) bindFault(p *PodObject, node string, err error) {
 	c.lastTick.BindFailures++
 	c.met.Counter("faults/bind").Inc()
-	c.recordEvent("bind-fault", p.Name, "bind to %s failed: %v; pod stays pending", node, err)
+	c.recordEvent(kindBindFault, p.Name, msgBindFault, eventArgs{s: [2]string{node, err.Error()}})
 	if c.tracer.Enabled() {
 		c.tracer.Record(obs.Event{
 			At: c.now(), Kind: obs.KindFault, Verb: obs.VerbFault,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -70,13 +71,22 @@ func (c *Cluster) SetLoadFunc(app string, fn func(now time.Duration) float64) er
 	return nil
 }
 
-// Apps returns the names of all services, sorted.
-func (c *Cluster) Apps() []string {
-	names := make([]string, 0, len(c.appList))
-	for _, st := range c.appList {
-		names = append(names, st.obj.Spec.Name)
+// Apps returns the names of all services, sorted, in a fresh slice.
+func (c *Cluster) Apps() []string { return slices.Clone(c.AppNames()) }
+
+// AppNames returns the names of all services, sorted, in the slice the
+// cluster keeps: callers must not modify it. Services are never removed,
+// so the list is rebuilt, into a new slice, only after one was added;
+// the control loop walks it every period without allocating.
+func (c *Cluster) AppNames() []string {
+	if len(c.appNames) != len(c.appList) {
+		names := make([]string, len(c.appList))
+		for i, st := range c.appList {
+			names[i] = st.obj.Spec.Name
+		}
+		c.appNames = names
 	}
-	return names
+	return c.appNames
 }
 
 // App returns the registry object for a service.
@@ -166,7 +176,7 @@ func (c *Cluster) chaoticApply(st *appState, d control.Decision, v chaos.ActVerd
 	switch {
 	case v.Reject:
 		c.met.Counter("chaos/act-rejected").Inc()
-		c.recordEvent("chaos-inject", app, "actuation rejected (injected fault)")
+		c.recordEvent(kindChaosInject, app, msgActRejected, eventArgs{})
 		if c.tracer.Enabled() {
 			c.tracer.Record(obs.Event{
 				At: c.now(), Kind: obs.KindFault, Verb: obs.VerbInject, App: app,
@@ -176,7 +186,7 @@ func (c *Cluster) chaoticApply(st *appState, d control.Decision, v chaos.ActVerd
 		return chaos.Rejected("ApplyDecision", app)
 	case v.Delay > 0:
 		c.met.Counter("chaos/act-delayed").Inc()
-		c.recordEvent("chaos-inject", app, fmt.Sprintf("actuation delayed by %v (injected fault)", v.Delay))
+		c.recordEvent(kindChaosInject, app, msgActDelayed, eventArgs{dur: v.Delay})
 		if c.tracer.Enabled() {
 			c.tracer.Record(obs.Event{
 				At: c.now(), Kind: obs.KindFault, Verb: obs.VerbInject, App: app,
@@ -199,7 +209,7 @@ func (c *Cluster) chaoticApply(st *appState, d control.Decision, v chaos.ActVerd
 		d.Replicas = cur.Replicas + int(math.Round(float64(d.Replicas-cur.Replicas)*frac))
 		d.Alloc = cur.Alloc.Add(d.Alloc.Sub(cur.Alloc).Scale(frac))
 		c.met.Counter("chaos/act-partial").Inc()
-		c.recordEvent("chaos-inject", app, fmt.Sprintf("actuation applied at %.0f%% (injected fault)", frac*100))
+		c.recordEvent(kindChaosInject, app, msgActPartial, eventArgs{x: frac * 100})
 		if c.tracer.Enabled() {
 			c.tracer.Record(obs.Event{
 				At: c.now(), Kind: obs.KindFault, Verb: obs.VerbInject, App: app,
@@ -364,7 +374,7 @@ func (c *Cluster) migrateWorstReplica(st *appState, desired resource.Vector) {
 	c.deletePod(worst)
 	c.addReplica(st)
 	c.met.Counter("resize/migrations").Inc()
-	c.recordEvent("pod-migrated", worst.Name, "replica of %s re-queued for a roomier node", st.obj.Name)
+	c.recordEvent(kindPodMigrated, worst.Name, msgMigrated, eventArgs{s: [2]string{st.obj.Name}})
 	if c.tracer.Enabled() {
 		c.tracer.Record(obs.Event{
 			At: c.now(), Kind: obs.KindSched, Verb: obs.VerbMigrate,

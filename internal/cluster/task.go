@@ -71,7 +71,7 @@ func (c *Cluster) SubmitGang(specs []TaskSpec) error {
 			c.deletePod(q)
 		}
 		c.met.Counter("faults/gang-rollback").Inc()
-		c.recordEvent("gang-rollback", specs[0].Job, "gang commit failed (%v); %d rank(s) rolled back", cause, len(created))
+		c.recordEvent(kindGangRollback, specs[0].Job, msgGangRollback, eventArgs{s: [2]string{cause.Error()}, n: len(created)})
 		return fmt.Errorf("cluster: gang %s aborted: %w", specs[0].Job, cause)
 	}
 	for _, s := range specs {
@@ -155,7 +155,7 @@ func (c *Cluster) completeTask(p *PodObject) {
 	delete(c.pods, p.Name)
 	_ = c.store.Delete(KindPod, p.Name)
 	c.met.Counter("tasks/completed").Inc()
-	c.recordEvent("task-completed", name, "finished on %s", node)
+	c.recordEvent(kindTaskCompleted, name, msgTaskDone, eventArgs{s: [2]string{node}})
 	if c.tracer.Enabled() {
 		c.emitSegmentSpan(p, node, "completed")
 	}

@@ -35,7 +35,7 @@ func (h *Hardened) ckptSave(w *ckpt.Writer) {
 	w.Bool(h.degraded)
 	saveDecision(w, h.lastSafe)
 	w.Bool(h.haveSafe)
-	w.Str(h.status)
+	h.health.CkptSave(w)
 	if s, ok := h.inner.(StateSaver); ok {
 		w.Bool(true)
 		s.CkptSave(w)
@@ -49,7 +49,11 @@ func (h *Hardened) ckptLoad(r *ckpt.Reader) error {
 	h.degraded = r.Bool()
 	h.lastSafe = loadDecision(r)
 	h.haveSafe = r.Bool()
-	h.status = r.Str()
+	health, err := LoadHealth(r)
+	if err != nil {
+		return err
+	}
+	h.health = health
 	hasState := r.Bool()
 	s, ok := h.inner.(StateSaver)
 	if r.Err() != nil {
@@ -83,20 +87,16 @@ func (l *Loop) saveCtrlState(w *ckpt.Writer) {
 	apps := l.apps()
 	w.Int(len(apps))
 	for _, app := range apps {
+		st := l.ctrl[app]
 		w.Str(app)
-		l.ctrl[app].ckptSave(w)
-		d, ok := l.lastDecision[app]
-		w.Bool(ok)
-		if ok {
-			saveDecision(w, d)
+		st.h.ckptSave(w)
+		w.Bool(st.hasLast)
+		if st.hasLast {
+			saveDecision(w, st.last)
 		}
-		w.Int(l.prevAdapts[app])
-		w.Str(l.lastRationale[app])
-		since, ok := l.degradedSince[app]
-		w.Bool(ok)
-		if ok {
-			w.Dur(since)
-		}
+		w.Int(st.prevAdapts)
+		st.lastReason.CkptSave(w)
+		w.Dur(st.degradedSince)
 	}
 }
 
@@ -111,56 +111,41 @@ func (l *Loop) loadCtrlState(r *ckpt.Reader) error {
 	}
 	for i := 0; i < n; i++ {
 		app := r.Str()
-		h, ok := l.ctrl[app]
+		st, ok := l.ctrl[app]
 		if r.Err() != nil {
 			return r.Err()
 		}
 		if !ok {
 			return fmt.Errorf("control: ckpt: unknown app %q", app)
 		}
-		if err := h.ckptLoad(r); err != nil {
+		if err := st.h.ckptLoad(r); err != nil {
 			return err
 		}
-		if r.Bool() {
-			l.lastDecision[app] = loadDecision(r)
-		} else {
-			delete(l.lastDecision, app)
+		st.last, st.hasLast = Decision{}, r.Bool()
+		if st.hasLast {
+			st.last = loadDecision(r)
 		}
-		if v := r.Int(); v != 0 {
-			l.prevAdapts[app] = v
-		} else {
-			delete(l.prevAdapts, app)
+		st.prevAdapts = r.Int()
+		reason, err := LoadReason(r)
+		if err != nil {
+			return err
 		}
-		if s := r.Str(); s != "" {
-			l.lastRationale[app] = s
-		} else {
-			delete(l.lastRationale, app)
-		}
-		if r.Bool() {
-			l.degradedSince[app] = r.Dur()
-		} else {
-			delete(l.degradedSince, app)
-		}
+		st.lastReason = reason
+		st.degradedSince = r.Dur()
 	}
 	return r.Err()
 }
 
 // CkptSave writes the loop's full state into a world checkpoint:
 // controller-process state plus the world-timeline bookkeeping (jitter
-// RNG position, retry generations, pending retry descriptors, stats).
+// RNG position, retry generations in app order, pending retry
+// descriptors, stats).
 func (l *Loop) CkptSave(w *ckpt.Writer) {
 	w.Begin("loop")
 	l.saveCtrlState(w)
 	w.U64(l.rng.Draws())
-	gens := make([]string, 0, len(l.retryGen))
-	for app := range l.retryGen {
-		gens = append(gens, app)
-	}
-	sort.Strings(gens)
-	w.Int(len(gens))
-	for _, app := range gens {
-		w.Str(app)
-		w.U64(l.retryGen[app])
+	for _, app := range l.apps() {
+		w.U64(l.ctrl[app].retryGen)
 	}
 	keys := make([]string, 0, len(l.pendingRetries))
 	for k := range l.pendingRetries {
@@ -199,14 +184,8 @@ func (l *Loop) CkptLoad(r *ckpt.Reader) error {
 	if err := l.rng.Burn(draws); err != nil {
 		return err
 	}
-	ng := r.Count(16)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	l.retryGen = make(map[string]uint64, ng)
-	for i := 0; i < ng; i++ {
-		app := r.Str()
-		l.retryGen[app] = r.U64()
+	for _, app := range l.apps() {
+		l.ctrl[app].retryGen = r.U64()
 	}
 	np := r.Count(16)
 	if r.Err() != nil {
@@ -241,12 +220,16 @@ func (l *Loop) RebuildTimer(kind, key string) (func(), error) {
 	if !ok {
 		return nil, fmt.Errorf("control: pending retry %q not in checkpoint state", key)
 	}
+	st, ok := l.ctrl[e.app]
+	if !ok {
+		return nil, fmt.Errorf("control: pending retry %q for unknown app %q", key, e.app)
+	}
 	return func() {
 		delete(l.pendingRetries, key)
-		if l.retryGen[e.app] != e.gen {
+		if st.retryGen != e.gen {
 			return
 		}
-		l.actuate(e.app, e.d, e.attempt+1, e.gen)
+		l.actuate(e.app, st, e.d, e.attempt+1, e.gen)
 	}, nil
 }
 

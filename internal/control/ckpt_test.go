@@ -75,11 +75,11 @@ func TestRetryJitterNoneExactBackoff(t *testing.T) {
 func loopFingerprint(l *Loop) (LoopStats, uint64, uint64, map[string]Decision, map[string]string) {
 	last := make(map[string]Decision)
 	status := make(map[string]string)
-	for app, h := range l.ctrl {
-		if d, ok := l.lastDecision[app]; ok {
-			last[app] = d
+	for app, st := range l.ctrl {
+		if st.hasLast {
+			last[app] = st.last
 		}
-		status[app] = h.Status()
+		status[app] = st.h.Status()
 	}
 	return l.stats, l.rng.Draws(), l.retrySeq, last, status
 }

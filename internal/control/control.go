@@ -98,6 +98,10 @@ type Decision struct {
 	Replicas int
 	// Alloc is the desired per-replica allocation (vertical).
 	Alloc resource.Vector
+	// Reason is the controller's typed account of the decision, which
+	// the loop journals when its text changes. It is not actuated or
+	// checkpointed with the decision; the zero Reason explains nothing.
+	Reason Reason
 }
 
 // Hold returns the no-change decision for an observation.
@@ -121,7 +125,8 @@ type Controller interface {
 type Factory func(app string) Controller
 
 // Explainer is optionally implemented by controllers that can explain
-// their most recent decision in one line (for event journals and logs).
+// their most recent decision in one line (for the trace and debug
+// views). The journal reads the typed Decision.Reason instead.
 type Explainer interface {
 	Rationale() string
 }

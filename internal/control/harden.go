@@ -1,9 +1,5 @@
 package control
 
-import (
-	"fmt"
-)
-
 // HardenConfig parameterises the degraded-mode wrapper.
 type HardenConfig struct {
 	// MaxBlind is how many consecutive blind control periods (no usable
@@ -33,7 +29,7 @@ type Hardened struct {
 	degraded bool // past the staleness budget
 	lastSafe Decision
 	haveSafe bool
-	status   string
+	health   Health
 }
 
 // Harden wraps inner; a zero cfg takes defaults.
@@ -58,15 +54,18 @@ func (h *Hardened) BlindPeriods() int { return h.blind }
 
 // Status describes the wrapper's health stance after the latest Decide:
 // empty while sighted, a one-line reason while blind or degraded.
-func (h *Hardened) Status() string { return h.status }
+func (h *Hardened) Status() string { return h.health.String() }
+
+// Health returns the typed stance Status renders.
+func (h *Hardened) Health() Health { return h.health }
 
 // Decide implements Controller with the degraded-mode state machine.
 func (h *Hardened) Decide(o Observation) Decision {
 	if !o.Blind() {
 		if h.blind > 0 {
-			h.status = fmt.Sprintf("recovered: telemetry restored after %d blind period(s)", h.blind)
+			h.health = Health{Code: HealthRecovered, Blind: h.blind}
 		} else {
-			h.status = ""
+			h.health = Health{}
 		}
 		h.blind, h.degraded = 0, false
 		d := h.inner.Decide(o)
@@ -76,7 +75,7 @@ func (h *Hardened) Decide(o Observation) Decision {
 	h.blind++
 	d := Hold(o)
 	if h.blind <= h.cfg.MaxBlind {
-		h.status = fmt.Sprintf("blind for %d period(s) (budget %d): integral frozen, holding", h.blind, h.cfg.MaxBlind)
+		h.health = Health{Code: HealthBlind, Blind: h.blind, Budget: h.cfg.MaxBlind}
 		return d
 	}
 	h.degraded = true
@@ -89,6 +88,6 @@ func (h *Hardened) Decide(o Observation) Decision {
 		}
 		d.Alloc = d.Alloc.Max(h.lastSafe.Alloc)
 	}
-	h.status = fmt.Sprintf("degraded: blind for %d periods (budget %d), holding last safe allocation", h.blind, h.cfg.MaxBlind)
+	h.health = Health{Code: HealthDegraded, Blind: h.blind, Budget: h.cfg.MaxBlind}
 	return d
 }

@@ -11,20 +11,24 @@ import (
 )
 
 // Plant is the actuation surface the control loop drives; the cluster
-// substrate satisfies it. Observe aggregates telemetry since the last
-// call; ApplyDecision may fail transiently (see IsTransient), in which
-// case the loop retries with backoff.
+// substrate satisfies it. AppNames lists the applications in canonical
+// order; the slice may be the plant's own, so the loop reads it once
+// per period and neither modifies nor keeps it. Observe aggregates
+// telemetry since the last call; ApplyDecision may fail transiently (see
+// IsTransient), in which case the loop retries with backoff.
 type Plant interface {
-	Apps() []string
+	AppNames() []string
 	Observe(app string) (Observation, error)
 	ApplyDecision(app string, d Decision) error
 }
 
 // Recorder is optionally implemented by plants with an operational
-// journal; the loop writes controller rationale and degraded-mode
-// transitions to it.
+// journal; the loop writes controller reasons and degraded-mode
+// transitions to it in their typed form, and the journal renders them
+// when read.
 type Recorder interface {
-	RecordEvent(kind, object, message string)
+	RecordReason(app string, r Reason)
+	RecordHealth(app string, h Health)
 }
 
 // RetryConfig bounds the actuation retry ladder.
@@ -124,14 +128,7 @@ type Loop struct {
 	tracer *obs.Tracer
 	rng    *sim.RNG
 
-	ctrl          map[string]*Hardened
-	lastDecision  map[string]Decision
-	prevAdapts    map[string]int
-	lastRationale map[string]string
-	retryGen      map[string]uint64
-	// degradedSince marks when each app entered degraded mode, so the
-	// recovery transition can record the whole episode as one span.
-	degradedSince map[string]time.Duration
+	ctrl map[string]*appCtl
 
 	// pendingRetries mirrors the in-flight retry timers, keyed by the
 	// unique tag each retry event carries, so a checkpoint can rebuild
@@ -158,11 +155,34 @@ type Loop struct {
 	cancel  func() // stops the periodic step (armed by Start/Restart)
 }
 
+// appCtl is one app's loop state: its degraded-mode wrapper and what
+// the apply walk carries from one period to the next. The evaluate
+// tuple points at it, so the walk reaches it without a map lookup.
+type appCtl struct {
+	h *Hardened
+	// last is the most recent decision (valid when hasLast).
+	last    Decision
+	hasLast bool
+	// prevAdapts is the controller's adaptation count at the last
+	// traced decision; an "adapt" event follows a decide event that
+	// advances it.
+	prevAdapts int
+	// lastReason is the last reason journaled; the next is journaled
+	// only when its text differs.
+	lastReason Reason
+	// retryGen supersedes outstanding retries: each decision bumps it,
+	// and a retry fires only if its generation is still current.
+	retryGen uint64
+	// degradedSince marks when the app entered degraded mode, so the
+	// recovery transition can record the whole episode as one span.
+	degradedSince time.Duration
+}
+
 // ctrlEval is one app's evaluate-phase result: everything the apply
 // walk needs to take the app's turn without re-deciding.
 type ctrlEval struct {
 	app    string
-	h      *Hardened
+	st     *appCtl
 	o      Observation
 	d      Decision
 	err    error
@@ -213,12 +233,7 @@ func NewLoop(eng *sim.Engine, plant Plant, cfg LoopConfig) *Loop {
 		// randomness, breaking seed-compatibility with pre-loop runs.
 		rng:            sim.NewRNG(cfg.Seed ^ 0x6c6f6f70), // "loop"
 		tracer:         obs.Nop(),
-		ctrl:           make(map[string]*Hardened),
-		lastDecision:   make(map[string]Decision),
-		prevAdapts:     make(map[string]int),
-		lastRationale:  make(map[string]string),
-		retryGen:       make(map[string]uint64),
-		degradedSince:  make(map[string]time.Duration),
+		ctrl:           make(map[string]*appCtl),
 		pendingRetries: make(map[string]retryEntry),
 		onFatal:        func(err error) { panic(err) },
 	}
@@ -246,28 +261,38 @@ func (l *Loop) OnFatal(fn func(error)) {
 // degraded-mode Hardened state machine. Replacing a controller resets
 // its health state.
 func (l *Loop) Add(app string, c Controller) {
-	l.ctrl[app] = Harden(c, l.cfg.Harden)
+	if st, ok := l.ctrl[app]; ok {
+		st.h = Harden(c, l.cfg.Harden)
+		return
+	}
+	l.ctrl[app] = &appCtl{h: Harden(c, l.cfg.Harden)}
 }
 
 // Controller returns the inner (unwrapped) controller for an app.
 func (l *Loop) Controller(app string) (Controller, bool) {
-	h, ok := l.ctrl[app]
+	st, ok := l.ctrl[app]
 	if !ok {
 		return nil, false
 	}
-	return h.inner, true
+	return st.h.inner, true
 }
 
 // Hardened returns the degraded-mode wrapper for an app.
 func (l *Loop) Hardened(app string) (*Hardened, bool) {
-	h, ok := l.ctrl[app]
-	return h, ok
+	st, ok := l.ctrl[app]
+	if !ok {
+		return nil, false
+	}
+	return st.h, true
 }
 
 // LastDecision returns the most recent decision taken for an app.
 func (l *Loop) LastDecision(app string) (Decision, bool) {
-	d, ok := l.lastDecision[app]
-	return d, ok
+	st, ok := l.ctrl[app]
+	if !ok || !st.hasLast {
+		return Decision{}, false
+	}
+	return st.last, true
 }
 
 // Stats returns a snapshot of the loop counters.
@@ -327,8 +352,8 @@ func (l *Loop) Kill() {
 	if l.cancel != nil {
 		l.cancel()
 	}
-	for app := range l.retryGen {
-		l.retryGen[app]++
+	for _, st := range l.ctrl {
+		st.retryGen++
 	}
 }
 
@@ -355,11 +380,11 @@ func (l *Loop) Restart() {
 // tracer records, retry-jitter draws, actuations — happens there. See
 // DESIGN.md "Control step: inline evaluate, batched apply".
 func (l *Loop) step() {
-	apps := l.plant.Apps()
+	apps := l.plant.AppNames()
 	buf := l.evalBuf[:0]
 	for _, app := range apps {
-		if h, ok := l.ctrl[app]; ok {
-			buf = append(buf, ctrlEval{app: app, h: h})
+		if st, ok := l.ctrl[app]; ok {
+			buf = append(buf, ctrlEval{app: app, st: st})
 		}
 	}
 	l.evalBuf = buf
@@ -395,12 +420,13 @@ func (l *Loop) evalOne(e *ctrlEval) {
 		return
 	}
 	e.o = o
-	e.wasDeg = e.h.Degraded()
-	e.d = e.h.Decide(o)
-	e.nowDeg = e.h.Degraded()
+	h := e.st.h
+	e.wasDeg = h.Degraded()
+	e.d = h.Decide(o)
+	e.nowDeg = h.Degraded()
 	if l.tracer.Enabled() {
 		e.traced = true
-		e.ev, e.adapts = decideEvent(o, e.d, e.h.inner, l.prevAdapts[e.app])
+		e.ev, e.adapts = decideEvent(o, e.d, h.inner, e.st.prevAdapts)
 	}
 }
 
@@ -422,49 +448,46 @@ func (l *Loop) applyEvals() {
 			l.onFatal(fmt.Errorf("control: observe %s: %w", e.app, e.err))
 			return
 		}
+		st := e.st
 		l.stats.Decisions++
-		l.lastDecision[e.app] = e.d
+		st.last, st.hasLast = e.d, true
 		if e.traced {
 			l.tracer.Record(e.ev)
-			if e.adapts > l.prevAdapts[e.app] {
+			if e.adapts > st.prevAdapts {
 				l.tracer.Record(adaptEvent(e.ev))
 			}
-			l.prevAdapts[e.app] = e.adapts
+			st.prevAdapts = e.adapts
 		}
 		if e.nowDeg != e.wasDeg {
-			l.traceHealth(e.h, e.o, e.wasDeg, rec)
+			l.traceHealth(st, e.o, e.wasDeg, rec)
 		}
 		if e.nowDeg {
 			l.stats.DegradedPeriods++
 		}
 		// A new decision supersedes any outstanding retries for the app.
-		l.retryGen[e.app]++
-		l.actuate(e.app, e.d, 0, l.retryGen[e.app])
-		if rec != nil {
-			if ex, ok := e.h.inner.(Explainer); ok {
-				if r := ex.Rationale(); r != "" && r != l.lastRationale[e.app] {
-					l.lastRationale[e.app] = r
-					rec.RecordEvent("autoscale", e.app, r)
-				}
-			}
+		st.retryGen++
+		l.actuate(e.app, st, e.d, 0, st.retryGen)
+		if rec != nil && e.d.Reason.Code != ReasonNone && !e.d.Reason.SameText(st.lastReason) {
+			st.lastReason = e.d.Reason
+			rec.RecordReason(e.app, e.d.Reason)
 		}
 	}
 }
 
 // traceHealth records a degraded-mode transition onto the tracer, the
 // journal and the stats.
-func (l *Loop) traceHealth(h *Hardened, o Observation, wasDegraded bool, rec Recorder) {
+func (l *Loop) traceHealth(st *appCtl, o Observation, wasDegraded bool, rec Recorder) {
 	verb := obs.VerbDegraded
 	if wasDegraded {
 		verb = obs.VerbRecovered
 	} else {
 		l.stats.DegradedTransitions++
-		l.degradedSince[o.App] = o.Now
+		st.degradedSince = o.Now
 	}
 	if l.tracer.Enabled() {
 		l.tracer.Record(obs.Event{
 			At: o.Now, Kind: obs.KindFault, Verb: verb, App: o.App,
-			Detail: h.Status(), Replicas: o.Replicas, Ready: o.ReadyReplicas,
+			Detail: st.h.Status(), Replicas: o.Replicas, Ready: o.ReadyReplicas,
 		})
 		if wasDegraded {
 			// Close the degraded episode as one completed span so the
@@ -472,19 +495,19 @@ func (l *Loop) traceHealth(h *Hardened, o Observation, wasDegraded bool, rec Rec
 			l.tracer.RecordSpan(obs.Span{
 				Kind: obs.SpanSegment, App: o.App, Object: o.App,
 				Detail: "degraded", Shard: -1,
-				Start: l.degradedSince[o.App], End: o.Now,
+				Start: st.degradedSince, End: o.Now,
 			})
 		}
 	}
 	if rec != nil {
-		rec.RecordEvent("degraded-mode", o.App, h.Status())
+		rec.RecordHealth(o.App, st.h.Health())
 	}
 }
 
 // actuate applies a decision, scheduling a backoff retry on transient
 // failure. A retry fires only if no newer decision for the app has been
 // taken meanwhile (gen check).
-func (l *Loop) actuate(app string, d Decision, attempt int, gen uint64) {
+func (l *Loop) actuate(app string, st *appCtl, d Decision, attempt int, gen uint64) {
 	err := l.plant.ApplyDecision(app, d)
 	if err == nil {
 		return
@@ -522,9 +545,9 @@ func (l *Loop) actuate(app string, d Decision, attempt int, gen uint64) {
 	l.eng.TagNext("retry", key)
 	l.eng.After(backoff, func() {
 		delete(l.pendingRetries, key)
-		if l.retryGen[app] != gen {
+		if st.retryGen != gen {
 			return // superseded by a newer decision
 		}
-		l.actuate(app, d, attempt+1, gen)
+		l.actuate(app, st, d, attempt+1, gen)
 	})
 }

@@ -39,7 +39,7 @@ func newQuietPlant(now func() time.Duration, n int) *quietPlant {
 	return p
 }
 
-func (p *quietPlant) Apps() []string { return p.apps }
+func (p *quietPlant) AppNames() []string { return p.apps }
 
 func (p *quietPlant) Observe(app string) (Observation, error) {
 	o := sighted(p.replicas[app])
@@ -53,8 +53,12 @@ func (p *quietPlant) ApplyDecision(app string, d Decision) error {
 	return nil
 }
 
-func (p *quietPlant) RecordEvent(kind, object, message string) {
-	p.events = append(p.events, kind+"/"+object+": "+message)
+func (p *quietPlant) RecordReason(app string, r Reason) {
+	p.events = append(p.events, "autoscale/"+app+": "+r.String())
+}
+
+func (p *quietPlant) RecordHealth(app string, h Health) {
+	p.events = append(p.events, "degraded-mode/"+app+": "+h.String())
 }
 
 // actuation is one ApplyDecision the plant received.

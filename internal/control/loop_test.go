@@ -35,7 +35,7 @@ func newFakePlant(now func() time.Duration, apps ...string) *fakePlant {
 	}
 }
 
-func (p *fakePlant) Apps() []string { return p.apps }
+func (p *fakePlant) AppNames() []string { return p.apps }
 
 func (p *fakePlant) Observe(app string) (Observation, error) {
 	p.observes++
@@ -59,8 +59,12 @@ func (p *fakePlant) ApplyDecision(app string, d Decision) error {
 	return nil
 }
 
-func (p *fakePlant) RecordEvent(kind, object, message string) {
-	p.events = append(p.events, kind+"/"+object+": "+message)
+func (p *fakePlant) RecordReason(app string, r Reason) {
+	p.events = append(p.events, "autoscale/"+app+": "+r.String())
+}
+
+func (p *fakePlant) RecordHealth(app string, h Health) {
+	p.events = append(p.events, "degraded-mode/"+app+": "+h.String())
 }
 
 type transientErr struct{ app string }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"evolve/internal/ckpt"
+	"evolve/internal/control"
 	"evolve/internal/obs"
 	"evolve/internal/resource"
 )
@@ -18,7 +19,7 @@ func (a *Autoscaler) CkptSave(w *ckpt.Writer) {
 	w.Int(a.model.samples)
 	w.Int(a.scaleInStreak)
 	w.Int(a.decisions)
-	w.Str(a.rationale)
+	a.reason.CkptSave(w)
 	obs.SaveControlTrace(w, a.lastTrace)
 	w.F64(a.effUtil)
 }
@@ -33,7 +34,11 @@ func (a *Autoscaler) CkptLoad(r *ckpt.Reader) error {
 	a.model.samples = r.Int()
 	a.scaleInStreak = r.Int()
 	a.decisions = r.Int()
-	a.rationale = r.Str()
+	reason, err := control.LoadReason(r)
+	if err != nil {
+		return err
+	}
+	a.reason = reason
 	a.lastTrace = obs.LoadControlTrace(r)
 	a.effUtil = r.F64()
 	return r.Err()

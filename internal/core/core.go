@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -72,7 +71,7 @@ type Autoscaler struct {
 
 	scaleInStreak int
 	decisions     int
-	rationale     string
+	reason        control.Reason
 	lastTrace     obs.ControlTrace
 	// effUtil is the adaptive utilisation setpoint: it starts at
 	// cfg.UtilTarget and backs off (AIMD) whenever running that hot
@@ -127,8 +126,8 @@ func (a *Autoscaler) Adaptations() int { return a.multi.Adaptations() }
 
 // Rationale explains the most recent decision in one line — what the
 // controller saw and which stage drove the change. Empty until the first
-// Decide.
-func (a *Autoscaler) Rationale() string { return a.rationale }
+// Decide. It renders the typed reason the decision carried.
+func (a *Autoscaler) Rationale() string { return a.reason.String() }
 
 // Decide implements control.Controller: one full control step.
 func (a *Autoscaler) Decide(o control.Observation) control.Decision {
@@ -194,10 +193,10 @@ func (a *Autoscaler) Decide(o control.Observation) control.Decision {
 	}
 
 	d := o.Limits.Clamp(control.Decision{Replicas: replicas, Alloc: alloc})
-	stage, rationale := a.explain(o, d, perfErr, grewKind, grewMax, flooredKinds)
-	a.rationale = rationale
+	d.Reason = a.explain(o, d, perfErr, grewKind, grewMax, flooredKinds)
+	a.reason = d.Reason
 	a.lastTrace = obs.ControlTrace{
-		Stage:        stage,
+		Stage:        d.Reason.Code.String(),
 		UtilTarget:   a.effUtil,
 		Adaptations:  a.multi.Adaptations(),
 		FlooredKinds: flooredKinds,
@@ -259,22 +258,23 @@ func (a *Autoscaler) horizontal(obs control.Observation, wantAlloc resource.Vect
 	return replicas
 }
 
-// explain summarises one control step for the event journal and names
-// the stage that drove it for the decision trace.
-func (a *Autoscaler) explain(o control.Observation, d control.Decision, perfErr float64, grewKind resource.Kind, grewMax float64, flooredKinds int) (stage, rationale string) {
+// explain summarises one control step as a typed reason: the stage
+// that drove it (named in the decision trace) and the numbers its
+// journal line is rendered from.
+func (a *Autoscaler) explain(o control.Observation, d control.Decision, perfErr float64, grewKind resource.Kind, grewMax float64, flooredKinds int) control.Reason {
 	switch {
 	case d.Replicas > o.Replicas:
-		return "scale-out", fmt.Sprintf("scale out %d→%d: PLO err %+.2f with per-replica ceiling saturated", o.Replicas, d.Replicas, perfErr)
+		return control.Reason{Code: control.ReasonScaleOut, N: [2]int{o.Replicas, d.Replicas}, X: [3]float64{perfErr}}
 	case d.Replicas < o.Replicas:
-		return "scale-in", fmt.Sprintf("scale in %d→%d: model says %d replicas suffice at %.0f op/s", o.Replicas, d.Replicas, d.Replicas, o.OfferedLoad)
+		return control.Reason{Code: control.ReasonScaleIn, N: [2]int{o.Replicas, d.Replicas}, X: [3]float64{o.OfferedLoad}}
 	case flooredKinds > 0:
-		return "floor", fmt.Sprintf("feedforward floor raised %d dim(s) for %.0f op/s (PLO err %+.2f)", flooredKinds, o.OfferedLoad, perfErr)
+		return control.Reason{Code: control.ReasonFloor, N: [2]int{flooredKinds}, X: [3]float64{o.OfferedLoad, perfErr}}
 	case grewMax > 0.02:
-		return "grow", fmt.Sprintf("grew %s %.0f%%: PLO err %+.2f, util %.2f", grewKind, grewMax*100, perfErr, o.Utilisation[grewKind])
+		return control.Reason{Code: control.ReasonGrow, Kind: grewKind, X: [3]float64{grewMax * 100, perfErr, o.Utilisation[grewKind]}}
 	case perfErr <= 0:
-		return "steady", fmt.Sprintf("steady: PLO met (err %+.2f), regulating utilisation at %.2f", perfErr, a.effUtil)
+		return control.Reason{Code: control.ReasonSteady, X: [3]float64{perfErr, a.effUtil}}
 	default:
-		return "hold", fmt.Sprintf("holding: PLO err %+.2f within deadband", perfErr)
+		return control.Reason{Code: control.ReasonHold, X: [3]float64{perfErr}}
 	}
 }
 

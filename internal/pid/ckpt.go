@@ -71,10 +71,10 @@ func (t *Tuner) CkptLoad(r *ckpt.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n < 0 || n > 1<<20 {
+	if n < 0 || n > t.cfg.Window {
 		return fmt.Errorf("pid: ckpt: tuner window length %d out of range", n)
 	}
-	t.errs = make([]float64, n)
+	t.errs = make([]float64, n, t.cfg.Window)
 	for i := range t.errs {
 		t.errs[i] = r.F64()
 	}

@@ -261,9 +261,17 @@ func (t *Tuner) Adaptations() int { return t.adapts }
 // Observe feeds one normalised control error (error/setpoint scale) after
 // each controller update and adapts gains when a pattern emerges.
 func (t *Tuner) Observe(normErr float64) {
-	t.errs = append(t.errs, normErr)
-	if len(t.errs) > t.cfg.Window {
-		t.errs = t.errs[1:]
+	// Slide the window in place: once full, shift it down one and write
+	// the newest error last, so it stays oldest-to-newest without
+	// reallocating.
+	if len(t.errs) < t.cfg.Window {
+		if t.errs == nil {
+			t.errs = make([]float64, 0, t.cfg.Window)
+		}
+		t.errs = append(t.errs, normErr)
+	} else {
+		copy(t.errs, t.errs[1:])
+		t.errs[len(t.errs)-1] = normErr
 	}
 	t.sincTune++
 	if len(t.errs) < t.cfg.Window || t.sincTune < t.cfg.Cooldown {

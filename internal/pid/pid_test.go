@@ -280,3 +280,28 @@ func TestAdaptiveBeatsFixedSluggishGains(t *testing.T) {
 		t.Errorf("adaptive settled at %d, fixed at %d; adaptive should be faster", adaptive, fixed)
 	}
 }
+
+// TestTunerWindowSlidesInPlace: once the window is full, Observe
+// allocates nothing, and the window holds the last Window errors
+// oldest-to-newest.
+func TestTunerWindowSlidesInPlace(t *testing.T) {
+	c := MustController(DefaultConfig())
+	tn := NewTuner(c, DefaultTunerConfig())
+	e := 0.0
+	next := func() float64 {
+		e += 0.01
+		return math.Sin(e * 7)
+	}
+	for i := 0; i < 3*tn.cfg.Window; i++ {
+		tn.Observe(next())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tn.Observe(next()) }); allocs != 0 {
+		t.Errorf("Observe on a full window allocates %.1f times, want 0", allocs)
+	}
+	for i, got := range tn.errs {
+		want := math.Sin((e - float64(len(tn.errs)-1-i)*0.01) * 7)
+		if math.Abs(got-want) > 1e-12 {
+			t.Fatalf("window[%d] = %v, want %v (window %v)", i, got, want, tn.errs)
+		}
+	}
+}
