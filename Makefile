@@ -41,12 +41,14 @@ bench-shard:
 	$(GO) test -race ./internal/cluster -run 'TestFanOut' -count 1 -v
 
 # bench-control is the control-plane scaling regression smoke at CI
-# scale: the quick Figure 12 ladder, the sweep's smoke test, and the
-# control step's invariant check and zero-allocation gate.
+# scale: the quick Figure 12 ladder, the sweep's smoke test, the
+# control step's invariant check and zero-allocation gate, and the
+# zero-allocation gate of a steady (unchanged) actuation.
 bench-control:
 	$(GO) run ./cmd/evolve-bench -json -quick -only figure12
 	$(GO) test ./internal/harness -run 'TestFigure12' -count 1 -v
 	$(GO) test ./internal/control -run 'TestLoopApplyOrderDeterministic|TestControlEvalAllocs' -count 1 -v
+	$(GO) test ./internal/cluster -run 'TestSteadyDecisionAllocs' -count 1 -v
 
 # bench-compare guards the committed scale trajectory: the current
 # record's kernel rows must not regress ms_per_tick or shard speedup —

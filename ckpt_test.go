@@ -2,6 +2,7 @@ package evolve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -637,6 +638,86 @@ func TestRestoreRefusesKernelClocks(t *testing.T) {
 		if err := fresh.Restore(bytes.NewReader(blob)); err != nil {
 			t.Errorf("%s: intact checkpoint after the refused one: %v", tc.name, err)
 		}
+	}
+}
+
+// TestRestoreRefusesPodOnUnknownNode: the tick looks a bound pod's node
+// and a replica's service up without a check, so a resealed checkpoint
+// whose pod record names a node or service this world lacks fails
+// Restore with an error naming the pod and the missing object, instead
+// of panicking the first tick. The failure is latched: Run returns it
+// and the refused world does not advance.
+func TestRestoreRefusesPodOnUnknownNode(t *testing.T) {
+	src := ckptWorld(t, 0, "")
+	if err := src.Run(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	good := snap.Bytes()
+	var pod *cluster.PodObject
+	for _, p := range src.w.Cluster.Pods() {
+		if p.App == "web" && !p.IsTask() && p.Node != "" {
+			pod = p
+			break
+		}
+	}
+	if pod == nil {
+		t.Fatal("no bound web replica at 30m")
+	}
+	// A pod record opens with the length-prefixed name, the version,
+	// then the length-prefixed app and node names.
+	str := func(s string) []byte { return append(binary.LittleEndian.AppendUint64(nil, uint64(len(s))), s...) }
+	head, tail := str(pod.Name), append(str(pod.App), str(pod.Node)...)
+	app := -1
+	for off := 0; ; {
+		i := bytes.Index(good[off:], head)
+		if i < 0 {
+			break
+		}
+		i += off
+		if rest := good[i+len(head):]; len(rest) > 8 && bytes.HasPrefix(rest[8:], tail) {
+			if app >= 0 {
+				t.Fatalf("pod record of %s found twice", pod.Name)
+			}
+			app = i + len(head) + 8 + 8
+		}
+		off = i + 1
+	}
+	if app < 0 {
+		t.Fatalf("no pod record of %s on %s in the checkpoint", pod.Name, pod.Node)
+	}
+
+	for _, tc := range []struct {
+		name string
+		at   int
+		was  string
+	}{
+		{"node", app + len(pod.App) + 8, pod.Node},
+		{"service", app, pod.App},
+	} {
+		bad := bytes.Clone(good)
+		bad[tc.at] = 'Z'
+		ghost := "Z" + tc.was[1:]
+		ckpt.Seal(bad)
+		dst := ckptWorld(t, 0, "")
+		err := dst.Restore(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), pod.Name) || !strings.Contains(err.Error(), tc.name+" "+ghost) {
+			t.Errorf("unknown %s: Restore = %v, want an error naming pod %s and %s %s", tc.name, err, pod.Name, tc.name, ghost)
+			continue
+		}
+		now := dst.Now()
+		if runErr := dst.Run(time.Minute); runErr == nil || !strings.Contains(runErr.Error(), ghost) {
+			t.Errorf("unknown %s: Run after the failed Restore = %v, want the restore error", tc.name, runErr)
+		}
+		if dst.Now() != now {
+			t.Errorf("unknown %s: the refused world advanced from %v to %v", tc.name, now, dst.Now())
+		}
+	}
+	if err := ckptWorld(t, 0, "").Restore(bytes.NewReader(good)); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
 	}
 }
 

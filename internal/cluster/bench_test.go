@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"evolve/internal/control"
 	"evolve/internal/resource"
 	"evolve/internal/sched"
 	"evolve/internal/sim"
@@ -311,6 +312,53 @@ func TestTickWindowedHistoryAllocs(t *testing.T) {
 	}
 	if s := c.Metrics().Series("cluster/pods"); s.Total().Count <= s.Len() {
 		t.Fatalf("cluster/pods retains all %d samples: nothing was evicted", s.Len())
+	}
+}
+
+// TestSteadyDecisionAllocs is the zero-allocation gate of a steady
+// actuation: a 500-replica service, bound and settled, that receives the
+// decision it already carries changes nothing, so applying it walks the
+// app's replicas in place — no copy, no node lookups, no version stamps
+// beyond the app's own — and allocates nothing. It also resets the
+// migration debt, as the full path would with nothing throttled.
+func TestSteadyDecisionAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short")
+	}
+	eng := sim.NewEngine(7)
+	c := New(eng, DefaultConfig())
+	if err := c.AddNodes("n", 20, resource.New(64000, 256<<30, 4e9, 8e9)); err != nil {
+		t.Fatal(err)
+	}
+	spec := testService("web")
+	spec.InitialReplicas = 500
+	spec.MaxReplicas = 1000
+	spec.InitialAlloc = resource.New(500, 1<<30, 10e6, 10e6)
+	if err := c.CreateService(spec); err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	eng.Run(2 * c.cfg.MetricsInterval)
+	if len(c.pending) != 0 || len(c.byApp["web"]) != 500 {
+		t.Fatalf("not settled: %d pending, %d replicas", len(c.pending), len(c.byApp["web"]))
+	}
+	d := control.Decision{Replicas: 500, Alloc: spec.InitialAlloc}
+	c.apps["web"].migrateDebt = 1
+	before := c.version
+	if err := c.ApplyDecision("web", d); err != nil {
+		t.Fatal(err)
+	}
+	if c.version != before+1 || c.apps["web"].migrateDebt != 0 {
+		t.Errorf("steady decision stamped %d versions and left migration debt %d, want 1 and 0",
+			c.version-before, c.apps["web"].migrateDebt)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.ApplyDecision("web", d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady decision allocates %.1f objects/run, want 0", allocs)
 	}
 }
 

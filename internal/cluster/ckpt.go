@@ -19,7 +19,7 @@ import (
 // metrics registry — at a tick barrier. CkptLoad patches a freshly
 // constructed world (same topology, same specs) back to that state:
 // node and app objects are patched in place (they are the very pointers
-// the registry and the metric handles hold), while the pod set is
+// the cluster's indexes and metric handles hold), while the pod set is
 // replaced wholesale, because pods are born and die at runtime and the
 // fresh world's initial replicas are not the checkpoint's pods.
 //
@@ -329,7 +329,7 @@ func (c *Cluster) CkptSave(w *ckpt.Writer) {
 	w.Dur(c.hot.lastPhaseAt)
 
 	c.met.CkptSave(w)
-	w.U64(c.store.Version())
+	w.U64(c.version)
 }
 
 // CkptLoad restores state written by CkptSave into a freshly
@@ -358,16 +358,13 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 
 	// Drop the fresh world's pods before patching nodes: releasing a
 	// bound pod rewinds its node's Allocated, which the checkpoint
-	// values below then overwrite. Forget (not Delete) keeps the store
-	// version and watchers out of it — the checkpointed version counter
-	// is restored at the end.
+	// values below then overwrite. Nothing is traced: the checkpointed
+	// version counter is restored at the end, and the tracer rings with
+	// it.
 	for _, p := range append([]*PodObject(nil), c.byName...) {
 		c.release(p)
 		c.indexRemovePod(p)
 		delete(c.pods, p.Name)
-		if err := c.store.Forget(KindPod, p.Name); err != nil {
-			return fmt.Errorf("cluster: ckpt: dropping fresh pod %s: %w", p.Name, err)
-		}
 	}
 
 	nn := r.Int()
@@ -426,6 +423,14 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		if _, dup := c.pods[p.Name]; dup {
 			return fmt.Errorf("cluster: ckpt: duplicate pod %s", p.Name)
 		}
+		// The tick and the actuation path look a bound pod's node and a
+		// replica's service up without a check.
+		if _, ok := c.nodes[p.Node]; p.Node != "" && !ok {
+			return fmt.Errorf("cluster: ckpt: pod %s bound to unknown node %s", p.Name, p.Node)
+		}
+		if _, ok := c.apps[p.App]; !p.IsTask() && !ok {
+			return fmt.Errorf("cluster: ckpt: pod %s of unknown service %s", p.Name, p.App)
+		}
 		c.pods[p.Name] = p
 		c.byName = podInsert(c.byName, p, byNameLess)
 		if !p.IsTask() {
@@ -436,9 +441,6 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 			c.byNode[p.Node] = podInsert(c.byNode[p.Node], p, byNameLess)
 		case p.Phase == Pending:
 			c.pending = podInsert(c.pending, p, pendingLess)
-		}
-		if err := c.store.Inject(p); err != nil {
-			return fmt.Errorf("cluster: ckpt: injecting pod %s: %w", p.Name, err)
 		}
 	}
 
@@ -478,7 +480,7 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		return err
 	}
 	c.restoreAppUsage()
-	c.store.SetVersion(r.U64())
+	c.version = r.U64()
 	return r.Err()
 }
 

@@ -9,7 +9,6 @@ import (
 	"evolve/internal/obs"
 	"evolve/internal/perf"
 	"evolve/internal/plo"
-	"evolve/internal/registry"
 	"evolve/internal/resource"
 	"evolve/internal/sched"
 	"evolve/internal/sim"
@@ -111,7 +110,7 @@ type appState struct {
 
 	// Dense hot state (hotstate.go): hotIdx is the app's index into the
 	// dense appUsage array, rc the cached ready-replica aggregate, stamps
-	// the deferred registry version stamps owed to the commit.
+	// the deferred version stamps owed to the commit.
 	hotIdx int32
 	rc     appRunCache
 	stamps int
@@ -138,12 +137,11 @@ func (a *sensedSample) add(s sensedSample) {
 // Cluster is the simulated substrate. Not safe for concurrent use; all
 // access happens on the simulation goroutine.
 type Cluster struct {
-	eng   *sim.Engine
-	prng  *sim.PartitionedRNG // per-entity stable streams (noise, chaos)
-	store *registry.Store
-	met   *metrics.Registry
-	cfg   Config
-	sch   *sched.Scheduler
+	eng  *sim.Engine
+	prng *sim.PartitionedRNG // per-entity stable streams (noise, chaos)
+	met  *metrics.Registry
+	cfg  Config
+	sch  *sched.Scheduler
 
 	nodes map[string]*NodeObject
 	pods  map[string]*PodObject
@@ -188,6 +186,10 @@ type Cluster struct {
 	traceBuf  []obs.Event
 	phasePrev [perf.NumPhases]int64
 
+	// version is the object version counter: every create and update
+	// stamps the next value into the object's ResourceVersion (see
+	// create, update and the tick's deferred stamps in hotstate.go).
+	version uint64
 	podSeq  uint64
 	started bool
 	events  eventLog
@@ -230,7 +232,6 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		// New, so the derived streams do not depend on cluster topology
 		// or shard count.
 		prng:  sim.NewPartitionedRNG(eng.RNG().Int63()),
-		store: registry.NewStore(),
 		met:   metrics.NewWindowedRegistry(cfg.MetricsHistory),
 		cfg:   cfg,
 		sch:   sch,
@@ -275,8 +276,9 @@ func (c *Cluster) Run(until time.Duration) uint64 {
 func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
 
 // SetTracer installs a decision tracer. When the tracer is enabled the
-// cluster also mirrors the registry's object lifecycle (add/delete) onto
-// it.
+// cluster also mirrors the object lifecycle (added/deleted) onto it,
+// starting with the objects that already exist, replayed as added in
+// kind/name order: apps, then nodes, then pods, each by name.
 func (c *Cluster) SetTracer(t *obs.Tracer) {
 	if t == nil {
 		t = obs.Nop()
@@ -285,25 +287,27 @@ func (c *Cluster) SetTracer(t *obs.Tracer) {
 	if !t.Enabled() {
 		return
 	}
-	c.store.Watch("", func(ev registry.Event) {
-		verb := obs.VerbAdded
-		if ev.Type == registry.Deleted {
-			verb = obs.VerbDeleted
-		}
-		c.tracer.Record(obs.Event{
-			At:     c.now(),
-			Kind:   obs.KindRegistry,
-			Verb:   verb,
-			Object: ev.Object.GetMeta().Kind + "/" + ev.Object.GetMeta().Name,
-		})
-	})
+	for _, st := range c.appList {
+		c.traceLifecycle(obs.VerbAdded, &st.obj.Meta)
+	}
+	for _, n := range c.nodeList {
+		c.traceLifecycle(obs.VerbAdded, &n.Meta)
+	}
+	for _, p := range c.byName {
+		c.traceLifecycle(obs.VerbAdded, &p.Meta)
+	}
+}
+
+// traceLifecycle records an object's creation or deletion on an enabled
+// tracer.
+func (c *Cluster) traceLifecycle(verb string, m *Meta) {
+	if c.tracer.Enabled() {
+		c.tracer.Record(obs.Event{At: c.now(), Kind: obs.KindRegistry, Verb: verb, Object: m.Kind + "/" + m.Name})
+	}
 }
 
 // Engine returns the simulation engine.
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
-
-// Store returns the object registry.
-func (c *Cluster) Store() *registry.Store { return c.store }
 
 // Metrics returns the metrics registry.
 func (c *Cluster) Metrics() *metrics.Registry { return c.met }
@@ -323,6 +327,9 @@ func (c *Cluster) AddNode(name string, capacity resource.Vector) error {
 // AddLabeledNode registers a node carrying operator labels ("pool=hpc")
 // that pod node-selectors can match against.
 func (c *Cluster) AddLabeledNode(name string, capacity resource.Vector, labels map[string]string) error {
+	if name == "" {
+		return fmt.Errorf("cluster: node needs a name")
+	}
 	if _, ok := c.nodes[name]; ok {
 		return fmt.Errorf("cluster: node %s already exists", name)
 	}
@@ -330,14 +337,12 @@ func (c *Cluster) AddLabeledNode(name string, capacity resource.Vector, labels m
 		return fmt.Errorf("cluster: node %s has invalid capacity %v", name, capacity)
 	}
 	n := &NodeObject{
-		Meta:        registry.Meta{Kind: KindNode, Name: name, Labels: copyLabels(labels)},
+		Meta:        Meta{Kind: KindNode, Name: name, Labels: copyLabels(labels)},
 		Capacity:    capacity,
 		Allocatable: capacity.Scale(0.94),
 		Ready:       true,
 	}
-	if err := c.store.Create(n); err != nil {
-		return err
-	}
+	c.create(&n.Meta)
 	c.nodes[name] = n
 	c.indexAddNode(n)
 	return nil
@@ -506,8 +511,8 @@ func (c *Cluster) bind(p *PodObject, nodeName string) error {
 	if c.tracer.Enabled() {
 		c.emitBindSpans(p, first)
 	}
-	c.update(p)
-	c.update(n)
+	c.update(&p.Meta)
+	c.update(&n.Meta)
 	if p.IsTask() {
 		c.armTaskCompletion(p)
 	}
@@ -522,7 +527,7 @@ func (c *Cluster) release(p *PodObject) {
 	c.indexUnbind(p)
 	if n, ok := c.nodes[p.Node]; ok {
 		n.Allocated = snapDust(n.Allocated.Sub(p.Requests).ClampMin(0))
-		c.update(n)
+		c.update(&n.Meta)
 	}
 	p.Node = ""
 }
@@ -544,7 +549,7 @@ func (c *Cluster) deletePod(p *PodObject) {
 	c.release(p)
 	c.indexRemovePod(p)
 	delete(c.pods, p.Name)
-	_ = c.store.Delete(KindPod, p.Name)
+	c.traceLifecycle(obs.VerbDeleted, &p.Meta)
 }
 
 // evict returns a running pod to the pending queue (service replica) or
@@ -554,12 +559,12 @@ func (c *Cluster) evict(p *PodObject, reason string) {
 	c.release(p)
 	if p.IsTask() {
 		p.Phase = Failed
-		c.update(p)
+		c.update(&p.Meta)
 		done := p.Task.OnDone
 		name := p.Name
 		c.indexRemovePod(p)
 		delete(c.pods, p.Name)
-		_ = c.store.Delete(KindPod, p.Name)
+		c.traceLifecycle(obs.VerbDeleted, &p.Meta)
 		c.met.Counter("evictions/" + reason).Inc()
 		c.recordEvent(kindTaskKilled, name, msgTaskFailed, eventArgs{s: [2]string{reason}})
 		if c.tracer.Enabled() {
@@ -587,7 +592,7 @@ func (c *Cluster) evict(p *PodObject, reason string) {
 		})
 		c.emitSegmentSpan(p, node, reason)
 	}
-	c.update(p)
+	c.update(&p.Meta)
 }
 
 // schedulePending attempts placement of every pending pod; pods that do
@@ -741,7 +746,7 @@ func (c *Cluster) FailNode(name string) error {
 	// re-bind the just-evicted pods onto the dead node via the stale
 	// snapshot.
 	c.snap.Fail(name)
-	c.update(n)
+	c.update(&n.Meta)
 	c.met.Counter("nodes/failures").Inc()
 	c.recordEvent(kindNodeFailed, name, msgNodeFailed, eventArgs{})
 	if c.tracer.Enabled() {
@@ -761,7 +766,7 @@ func (c *Cluster) RestoreNode(name string) error {
 	}
 	n.Ready = true
 	c.hot.slow[n.slot] = c.nodeSlowdown(n)
-	c.update(n)
+	c.update(&n.Meta)
 	c.recordEvent(kindNodeRestored, name, msgNodeRestored, eventArgs{})
 	if c.tracer.Enabled() {
 		c.tracer.Record(obs.Event{At: c.now(), Kind: obs.KindSched, Verb: obs.VerbNodeRestored, Node: name})
@@ -769,17 +774,25 @@ func (c *Cluster) RestoreNode(name string) error {
 	return nil
 }
 
-// update persists an object mutation to the registry. A failed write is
-// absorbed as a registry fault (counted, journaled, traced) instead of
-// crashing the control plane: the in-memory indexes are authoritative,
-// and a dropped write only makes the registry view momentarily stale.
-func (c *Cluster) update(obj registry.Object) {
-	if err := c.store.Update(obj); err != nil {
-		c.registryFault(obj, err)
-	}
+// create stamps a new object's first version and records its creation
+// on an enabled tracer. The caller has checked that the name is free.
+func (c *Cluster) create(m *Meta) {
+	c.update(m)
+	c.traceLifecycle(obs.VerbAdded, m)
+}
+
+// update stamps a mutated object with the next version.
+func (c *Cluster) update(m *Meta) {
+	c.version++
+	m.ResourceVersion = c.version
 }
 
 func (c *Cluster) nextPodName(prefix string) string {
 	c.podSeq++
-	return fmt.Sprintf("%s-%d", prefix, c.podSeq)
+	return podName(prefix, c.podSeq)
+}
+
+// podName is the name of the replica created at pod sequence number seq.
+func podName(prefix string, seq uint64) string {
+	return fmt.Sprintf("%s-%d", prefix, seq)
 }

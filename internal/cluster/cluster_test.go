@@ -61,6 +61,9 @@ func TestAddNodeValidation(t *testing.T) {
 	if err := c.AddNode("bad", resource.Vector{}); err == nil {
 		t.Error("zero capacity should fail")
 	}
+	if err := c.AddNode("", resource.New(1, 1, 1, 1)); err == nil {
+		t.Error("empty name should fail: a pod bound to it would read as pending")
+	}
 	if len(c.Nodes()) != 1 {
 		t.Errorf("Nodes = %d", len(c.Nodes()))
 	}

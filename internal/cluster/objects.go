@@ -14,11 +14,10 @@ import (
 
 	"evolve/internal/perf"
 	"evolve/internal/plo"
-	"evolve/internal/registry"
 	"evolve/internal/resource"
 )
 
-// Object kinds in the registry.
+// Object kinds. Trace events name an object as kind/name.
 const (
 	KindNode = "node"
 	KindPod  = "pod"
@@ -52,9 +51,20 @@ func (p Phase) String() string {
 	}
 }
 
-// NodeObject is the registry representation of a node.
+// Meta is the header every cluster object embeds. Kind and Name are
+// immutable after creation.
+type Meta struct {
+	Kind string
+	Name string
+	// ResourceVersion is the cluster version (Cluster.version) stamped at
+	// the object's creation or at its latest mutation.
+	ResourceVersion uint64
+	Labels          map[string]string
+}
+
+// NodeObject is the cluster's representation of a node.
 type NodeObject struct {
-	registry.Meta
+	Meta
 	Capacity resource.Vector
 	// Allocatable is capacity minus the system reservation.
 	Allocatable resource.Vector
@@ -77,18 +87,15 @@ type NodeObject struct {
 	pc   nodePodCache
 }
 
-// GetMeta implements registry.Object.
-func (n *NodeObject) GetMeta() *registry.Meta { return &n.Meta }
-
 // Free returns unallocated headroom on the node.
 func (n *NodeObject) Free() resource.Vector {
 	return n.Allocatable.Sub(n.Allocated).ClampMin(0)
 }
 
-// PodObject is the registry representation of a pod. Service replicas and
+// PodObject is the cluster's representation of a pod. Service replicas and
 // batch/HPC tasks share the type; Task is nil for service replicas.
 type PodObject struct {
-	registry.Meta
+	Meta
 	App      string
 	Node     string // empty while pending
 	Phase    Phase
@@ -126,23 +133,17 @@ type PodObject struct {
 	causeSpan    uint64
 }
 
-// GetMeta implements registry.Object.
-func (p *PodObject) GetMeta() *registry.Meta { return &p.Meta }
-
 // IsTask reports whether the pod runs finite work.
 func (p *PodObject) IsTask() bool { return p.Task != nil }
 
-// AppObject is the registry representation of a service application.
+// AppObject is the cluster's representation of a service application.
 type AppObject struct {
-	registry.Meta
+	Meta
 	Spec            ServiceSpec
 	DesiredReplicas int
 	// Alloc is the desired per-replica allocation.
 	Alloc resource.Vector
 }
-
-// GetMeta implements registry.Object.
-func (a *AppObject) GetMeta() *registry.Meta { return &a.Meta }
 
 // ServiceSpec declares one replicated, latency- or throughput-sensitive
 // service application.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"evolve/internal/registry"
 	"evolve/internal/resource"
 	"evolve/internal/sim"
 )
@@ -39,8 +38,10 @@ type Provision struct {
 
 // ProvisionBulk stands the topology up before the simulation starts.
 // Setup-time only: it refuses to run once Start has armed the tick.
-// Unlike the incremental paths it journals no per-object events; with an
-// enabled tracer the registry watch still mirrors every Added object.
+// Unlike the incremental paths it journals no per-object events; an
+// enabled tracer still records every object as added. Every check runs
+// before the first mutation, so a refused call leaves the cluster as it
+// was.
 func (c *Cluster) ProvisionBulk(p Provision) error {
 	if c.started {
 		return fmt.Errorf("cluster: ProvisionBulk after Start")
@@ -48,12 +49,26 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 	if p.Nodes > 0 && (!p.NodeCapacity.NonNegative() || p.NodeCapacity.IsZero()) {
 		return fmt.Errorf("cluster: ProvisionBulk node capacity %v invalid", p.NodeCapacity)
 	}
+	listed := make(map[string]bool, len(p.Services))
+	seq := c.podSeq
 	for _, spec := range p.Services {
 		if err := spec.Validate(); err != nil {
 			return err
 		}
 		if _, ok := c.apps[spec.Name]; ok {
 			return fmt.Errorf("cluster: service %s already exists", spec.Name)
+		}
+		if listed[spec.Name] {
+			return fmt.Errorf("cluster: service %s listed twice", spec.Name)
+		}
+		listed[spec.Name] = true
+		// Replica names come from podSeq; only a task pod submitted
+		// earlier can already hold one.
+		for i := 0; i < spec.InitialReplicas && len(c.pods) > 0; i++ {
+			seq++
+			if name := podName(spec.Name, seq); c.pods[name] != nil {
+				return fmt.Errorf("cluster: pod %s already exists", name)
+			}
 		}
 	}
 
@@ -66,7 +81,7 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 	// block of both the NodeObject heap and hot.slow instead of striding
 	// hash-scattered entries across the whole topology — at 8 shards over
 	// 100k nodes the strided walk re-touches nearly every cache line once
-	// per shard per tick. Creation order, indexes and registry versions
+	// per shard per tick. Creation order, indexes and object versions
 	// are unchanged: layout is pure storage placement, invisible to
 	// replay.
 	if p.Nodes > 0 {
@@ -86,15 +101,13 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 		for i := 0; i < p.Nodes; i++ {
 			n := &backing[pos[i]]
 			*n = NodeObject{
-				Meta:        registry.Meta{Kind: KindNode, Name: names[i]},
+				Meta:        Meta{Kind: KindNode, Name: names[i]},
 				Capacity:    p.NodeCapacity,
 				Allocatable: p.NodeCapacity.Scale(0.94),
 				Ready:       true,
 				slot:        int32(slotBase + pos[i]),
 			}
-			if err := c.store.Create(n); err != nil {
-				return err
-			}
+			c.create(&n.Meta)
 			c.nodes[names[i]] = n
 			c.nodeList = append(c.nodeList, n)
 		}
@@ -114,14 +127,12 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 	var placed, unplaced uint64
 	for _, spec := range p.Services {
 		obj := &AppObject{
-			Meta:            registry.Meta{Kind: KindApp, Name: spec.Name},
+			Meta:            Meta{Kind: KindApp, Name: spec.Name},
 			Spec:            spec,
 			DesiredReplicas: spec.InitialReplicas,
 			Alloc:           spec.InitialAlloc,
 		}
-		if err := c.store.Create(obj); err != nil {
-			return err
-		}
+		c.create(&obj.Meta)
 		st := c.newAppState(obj)
 		c.apps[spec.Name] = st
 		c.appList = append(c.appList, st)
@@ -136,7 +147,7 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 		}
 		for i := 0; i < spec.InitialReplicas; i++ {
 			pod := &PodObject{
-				Meta:      registry.Meta{Kind: KindPod, Name: c.nextPodName(spec.Name)},
+				Meta:      Meta{Kind: KindPod, Name: c.nextPodName(spec.Name)},
 				App:       spec.Name,
 				Phase:     Pending,
 				Requests:  obj.Alloc,
@@ -155,9 +166,7 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 				unplaced++
 			}
 			cursor++
-			if err := c.store.Create(pod); err != nil {
-				return err
-			}
+			c.create(&pod.Meta)
 			c.pods[pod.Name] = pod
 			c.byName = append(c.byName, pod)
 			c.byApp[spec.Name] = append(c.byApp[spec.Name], pod)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -122,5 +123,43 @@ func TestProvisionBulkAfterStartRefused(t *testing.T) {
 	c.Start()
 	if err := c.ProvisionBulk(Provision{Nodes: 1, NodePrefix: "n", NodeCapacity: resource.New(1000, 1<<30, 1e6, 1e6)}); err == nil {
 		t.Fatal("ProvisionBulk after Start must fail")
+	}
+}
+
+// TestProvisionBulkRefusalLeavesClusterUnchanged: a call that lists one
+// service twice, or whose replica names a task already holds, is refused
+// before it creates anything — no nodes, services, pods or versions are
+// left behind, and the cluster provisions normally afterwards.
+func TestProvisionBulkRefusalLeavesClusterUnchanged(t *testing.T) {
+	capacity := resource.New(16000, 64<<30, 1e9, 2e9)
+	for _, tc := range []struct {
+		name string
+		task string // submitted before the call
+		svcs []ServiceSpec
+		want string
+	}{
+		{"duplicate service", "", []ServiceSpec{provisionSpec("a", 1), provisionSpec("a", 1)}, "service a"},
+		{"replica name taken", "b-2", []ServiceSpec{provisionSpec("a", 1), provisionSpec("b", 1)}, "pod b-2"},
+	} {
+		c := New(sim.NewEngine(7), DefaultConfig())
+		if tc.task != "" {
+			if err := c.SubmitTask(testTask(tc.task, 1000, 20000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pods, version := len(c.pods), c.version
+		err := c.ProvisionBulk(Provision{NodePrefix: "bn", Nodes: 3, NodeCapacity: capacity, Services: tc.svcs})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ProvisionBulk = %v, want an error naming %s", tc.name, err, tc.want)
+			continue
+		}
+		if len(c.nodes) != 0 || len(c.apps) != 0 || len(c.pods) != pods || c.version != version || len(c.hot.slow) != 0 {
+			t.Errorf("%s: refused call left %d nodes, %d apps, %d pods (had %d), version %d (was %d)",
+				tc.name, len(c.nodes), len(c.apps), len(c.pods), pods, c.version, version)
+		}
+		if err := c.ProvisionBulk(Provision{NodePrefix: "bn", Nodes: 3, NodeCapacity: capacity, Services: tc.svcs[:1]}); err != nil {
+			t.Errorf("%s: provisioning after the refusal: %v", tc.name, err)
+		}
+		checkIndexes(t, c, 0)
 	}
 }

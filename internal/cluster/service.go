@@ -11,7 +11,6 @@ import (
 	"evolve/internal/control"
 	"evolve/internal/obs"
 	"evolve/internal/plo"
-	"evolve/internal/registry"
 	"evolve/internal/resource"
 )
 
@@ -25,14 +24,12 @@ func (c *Cluster) CreateService(spec ServiceSpec) error {
 		return fmt.Errorf("cluster: service %s already exists", spec.Name)
 	}
 	obj := &AppObject{
-		Meta:            registry.Meta{Kind: KindApp, Name: spec.Name},
+		Meta:            Meta{Kind: KindApp, Name: spec.Name},
 		Spec:            spec,
 		DesiredReplicas: spec.InitialReplicas,
 		Alloc:           spec.InitialAlloc,
 	}
-	if err := c.store.Create(obj); err != nil {
-		return err
-	}
+	c.create(&obj.Meta)
 	st := c.newAppState(obj)
 	c.apps[spec.Name] = st
 	c.indexAddApp(st)
@@ -89,7 +86,7 @@ func (c *Cluster) AppNames() []string {
 	return c.appNames
 }
 
-// App returns the registry object for a service.
+// App returns the object for a service.
 func (c *Cluster) App(name string) (*AppObject, error) {
 	st, ok := c.apps[name]
 	if !ok {
@@ -101,7 +98,7 @@ func (c *Cluster) App(name string) (*AppObject, error) {
 func (c *Cluster) addReplica(st *appState) *PodObject {
 	spec := st.obj.Spec
 	p := &PodObject{
-		Meta:         registry.Meta{Kind: KindPod, Name: c.nextPodName(spec.Name)},
+		Meta:         Meta{Kind: KindPod, Name: c.nextPodName(spec.Name)},
 		App:          spec.Name,
 		Phase:        Pending,
 		Requests:     st.obj.Alloc,
@@ -115,13 +112,16 @@ func (c *Cluster) addReplica(st *appState) *PodObject {
 		causeAt:   st.decisionAt,
 		causeSpan: st.decisionSpan,
 	}
-	if err := c.store.Create(p); err != nil {
-		// Absorb the failed create (the replica simply does not come up
-		// this round) rather than crashing the control plane; the next
+	if _, taken := c.pods[p.Name]; taken {
+		// A task pod already holds the generated name (task names are
+		// the caller's, replica names come from podSeq). Absorb the
+		// failed create (the replica simply does not come up this
+		// round) rather than crashing the control plane; the next
 		// decision retries. Callers tolerate the nil.
-		c.registryFault(p, err)
+		c.registryFault(&p.Meta, fmt.Errorf("registry: already exists: %s/%s", p.Kind, p.Name))
 		return nil
 	}
+	c.create(&p.Meta)
 	c.pods[p.Name] = p
 	c.indexAddPod(p)
 	return p
@@ -267,8 +267,16 @@ func (c *Cluster) applyDecision(st *appState, d control.Decision) error {
 	}
 	st.obj.DesiredReplicas = d.Replicas
 	st.obj.Alloc = d.Alloc
-	c.update(st.obj)
+	c.update(&st.obj.Meta)
 
+	// A decision the replicas already carry changes nothing below: no
+	// replica to add or remove, none to resize, nothing throttled. Check
+	// that in place, without the copy the change path takes, so a steady
+	// decision costs one pass over the app's index and no allocation.
+	if c.replicasMatch(app, d) {
+		st.migrateDebt = 0
+		return nil
+	}
 	pods := c.appPods(app)
 	// Horizontal: add or remove replicas (newest first on the way down).
 	for len(pods) < d.Replicas {
@@ -289,24 +297,21 @@ func (c *Cluster) applyDecision(st *appState, d control.Decision) error {
 	// at the desired allocation is left untouched: with Free() >= 0 on
 	// every dimension the grant would be exactly the current requests, so
 	// the resize is a no-op — skipping it avoids re-deriving the node's
-	// Allocated sum (and its float dust) plus two registry updates per
-	// steady-state replica per period.
+	// Allocated sum (and its float dust) plus two version stamps per
+	// steady-state replica per period. A bound replica's node always
+	// exists: nodes are never removed, and restore refuses a pod bound
+	// to a node the world lacks.
 	throttled := false
 	for _, p := range pods {
-		if p.Phase == Pending {
-			if p.Requests != d.Alloc {
-				p.Requests = d.Alloc
-				c.update(p)
-			}
+		if p.Requests == d.Alloc {
 			continue
 		}
-		if p.Requests == d.Alloc {
-			if _, ok := c.nodes[p.Node]; ok {
-				continue
-			}
+		if p.Phase == Pending {
+			p.Requests = d.Alloc
+			c.update(&p.Meta)
+			continue
 		}
-		granted := c.resizeInPlace(p, d.Alloc)
-		if !granted {
+		if !c.resizeInPlace(p, d.Alloc) {
 			throttled = true
 		}
 	}
@@ -324,6 +329,22 @@ func (c *Cluster) applyDecision(st *appState, d control.Decision) error {
 	return nil
 }
 
+// replicasMatch reports whether the app has exactly d.Replicas live
+// replicas, each requesting d.Alloc: the state applying d would leave
+// unchanged.
+func (c *Cluster) replicasMatch(app string, d control.Decision) bool {
+	pods := c.byApp[app]
+	if len(pods) != d.Replicas {
+		return false
+	}
+	for _, p := range pods {
+		if p.Requests != d.Alloc {
+			return false
+		}
+	}
+	return true
+}
+
 // resizeInPlace grants as much of the desired allocation as the node's
 // headroom allows. Returns true when fully granted on all dimensions.
 func (c *Cluster) resizeInPlace(p *PodObject, desired resource.Vector) bool {
@@ -338,8 +359,8 @@ func (c *Cluster) resizeInPlace(p *PodObject, desired resource.Vector) bool {
 	n.Allocated = snapDust(n.Allocated.Sub(p.Requests).Add(granted).ClampMin(0))
 	p.Requests = granted
 	c.hotDirtyApp(p.App)
-	c.update(p)
-	c.update(n)
+	c.update(&p.Meta)
+	c.update(&n.Meta)
 	full := true
 	for _, k := range resource.Kinds() {
 		if granted[k] < desired[k]*0.999 {

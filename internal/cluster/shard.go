@@ -26,7 +26,7 @@ import (
 // Each phase only writes state its shard owns (its nodes' dense slots
 // and scratch, its apps' windows, metric instruments and dense usage
 // entry) plus per-app buffers; everything with a canonical global order
-// — trace events, fault counters, registry version stamps, float totals
+// — trace events, fault counters, version stamps, float totals
 // — is staged and committed at the barrier in appList/nodeList name
 // order. Phase reads of foreign state (an app reading the slowdown of a
 // node on another shard, a node summing usage written by apps on other

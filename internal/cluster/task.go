@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"evolve/internal/obs"
 	"evolve/internal/perf"
-	"evolve/internal/registry"
 	"evolve/internal/sched"
 )
 
@@ -19,9 +19,7 @@ func (c *Cluster) SubmitTask(spec TaskSpec) error {
 		return fmt.Errorf("cluster: pod %s already exists", spec.Name)
 	}
 	p := c.newTaskPod(spec)
-	if err := c.store.Create(p); err != nil {
-		return err
-	}
+	c.create(&p.Meta)
 	c.pods[p.Name] = p
 	c.indexAddPod(p)
 	return nil
@@ -42,6 +40,9 @@ func (c *Cluster) SubmitGang(specs []TaskSpec) error {
 		if _, ok := c.pods[s.Name]; ok {
 			return fmt.Errorf("cluster: pod %s already exists", s.Name)
 		}
+		if slices.ContainsFunc(specs[:i], func(r TaskSpec) bool { return r.Name == s.Name }) {
+			return fmt.Errorf("cluster: gang %s repeats rank %s", s.Job, s.Name)
+		}
 		infos[i] = sched.PodInfo{Name: s.Name, App: s.Job, Requests: s.Requests, Priority: s.Priority, NodeSelector: s.NodeSelector}
 	}
 	assignment, err := c.sch.ScheduleGang(infos, c.nodeInfos())
@@ -61,10 +62,10 @@ func (c *Cluster) SubmitGang(specs []TaskSpec) error {
 			Shard:  -1, Start: now, End: now,
 		})
 	}
-	// All-or-nothing also on the commit side: if any create or bind fails
-	// partway (a node dying between the gang decision and the bind), roll
-	// back every rank already placed and report the error — the HPC queue
-	// sees the same "does not fit" contract as a failed ScheduleGang.
+	// All-or-nothing also on the commit side: if any bind fails partway
+	// (a node dying between the gang decision and the bind), roll back
+	// every rank already placed and report the error — the HPC queue sees
+	// the same "does not fit" contract as a failed ScheduleGang.
 	created := make([]*PodObject, 0, len(specs))
 	rollback := func(cause error) error {
 		for _, q := range created {
@@ -77,9 +78,7 @@ func (c *Cluster) SubmitGang(specs []TaskSpec) error {
 	for _, s := range specs {
 		p := c.newTaskPod(s)
 		p.causeSpan, p.causeAt = gangSpan, now
-		if err := c.store.Create(p); err != nil {
-			return rollback(err)
-		}
+		c.create(&p.Meta)
 		c.pods[p.Name] = p
 		c.indexAddPod(p)
 		created = append(created, p)
@@ -94,7 +93,7 @@ func (c *Cluster) SubmitGang(specs []TaskSpec) error {
 func (c *Cluster) newTaskPod(spec TaskSpec) *PodObject {
 	specCopy := spec
 	return &PodObject{
-		Meta:         registry.Meta{Kind: KindPod, Name: spec.Name},
+		Meta:         Meta{Kind: KindPod, Name: spec.Name},
 		App:          spec.Job,
 		Phase:        Pending,
 		Requests:     spec.Requests,
@@ -148,12 +147,12 @@ func (c *Cluster) completeTask(p *PodObject) {
 	node := p.Node
 	c.release(p)
 	p.Phase = Succeeded
-	c.update(p)
+	c.update(&p.Meta)
 	done := p.Task.OnDone
 	name := p.Name
 	c.indexRemovePod(p)
 	delete(c.pods, p.Name)
-	_ = c.store.Delete(KindPod, p.Name)
+	c.traceLifecycle(obs.VerbDeleted, &p.Meta)
 	c.met.Counter("tasks/completed").Inc()
 	c.recordEvent(kindTaskCompleted, name, msgTaskDone, eventArgs{s: [2]string{node}})
 	if c.tracer.Enabled() {

@@ -38,7 +38,7 @@ func TestTickClearsStaleUsageDuringOutage(t *testing.T) {
 	// Plant the historical bug state: a non-serving replica still carrying
 	// usage from an earlier serving period.
 	p.Usage = resource.New(500, 1<<30, 1e6, 1e6)
-	c.update(p)
+	c.update(&p.Meta)
 
 	c.Engine().Run(2 * c.cfg.MetricsInterval) // outage tick must clear it
 

@@ -68,6 +68,66 @@ func TestTraceEventsEmitted(t *testing.T) {
 	}
 }
 
+// TestObjectLifecycleTrace: every create stamps the next version, and
+// enabling a tracer on a populated cluster replays its objects as added
+// — apps, then nodes, then pods, each by name. From then on every
+// creation and deletion is traced, while updates only move the version.
+func TestObjectLifecycleTrace(t *testing.T) {
+	c := newTestCluster(t, 2) // node-0, node-1
+	for _, name := range []string{"web", "api"} {
+		if err := c.CreateService(testService(name)); err != nil { // web-1, web-2, api-3, api-4
+			t.Fatal(err)
+		}
+	}
+	if err := c.SubmitTask(testTask("job-a", 1000, 1e9)); err != nil {
+		t.Fatal(err)
+	}
+	created := []*Meta{
+		&c.nodes["node-0"].Meta, &c.nodes["node-1"].Meta, &c.apps["web"].obj.Meta, &c.pods["web-1"].Meta,
+		&c.pods["web-2"].Meta, &c.apps["api"].obj.Meta, &c.pods["api-3"].Meta, &c.pods["api-4"].Meta, &c.pods["job-a"].Meta,
+	}
+	for i, m := range created {
+		if m.ResourceVersion != uint64(i+1) {
+			t.Errorf("%s/%s created as number %d has version %d", m.Kind, m.Name, i+1, m.ResourceVersion)
+		}
+	}
+
+	tr := obs.New(256)
+	c.SetTracer(tr)
+	lifecycle := func() []string {
+		var out []string
+		for _, ev := range tr.Snapshot(obs.Filter{Kind: "registry"}) {
+			out = append(out, ev.Verb+" "+ev.Object)
+		}
+		return out
+	}
+	want := []string{
+		"added app/api", "added app/web", "added node/node-0", "added node/node-1",
+		"added pod/api-3", "added pod/api-4", "added pod/job-a", "added pod/web-1", "added pod/web-2",
+	}
+	if got := lifecycle(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replay = %v, want %v", got, want)
+	}
+
+	c.SchedulePendingNow() // binds update pods and nodes
+	alloc := testService("web").InitialAlloc
+	for _, replicas := range []int{3, 1} {
+		if err := c.ApplyDecision("web", control.Decision{Replicas: replicas, Alloc: alloc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.KillTask("job-a"); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, "added pod/web-5", "deleted pod/web-5", "deleted pod/web-2", "deleted pod/job-a")
+	if got := lifecycle(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("lifecycle = %v, want %v", got, want)
+	}
+	if web := c.apps["web"].obj; web.ResourceVersion <= c.pods["web-1"].ResourceVersion || web.ResourceVersion > c.version {
+		t.Errorf("app web at version %d, its bound replica at %d, the cluster at %d", web.ResourceVersion, c.pods["web-1"].ResourceVersion, c.version)
+	}
+}
+
 // TestTickTracedAllocsBudget is the traced half of the steady-state
 // guarantee: with a tracer installed — which enables the span layer
 // too — a settled tick may only touch the heap for the rare events it
