@@ -68,11 +68,11 @@ func TestTraceEventsEmitted(t *testing.T) {
 	}
 }
 
-// TestObjectLifecycleTrace: every create stamps the next version, and
-// enabling a tracer on a populated cluster replays its objects as added
-// — apps, then nodes, then pods, each by name. From then on every
-// creation and deletion is traced, while updates only move the version.
-func TestObjectLifecycleTrace(t *testing.T) {
+// populatedCluster builds two nodes, the services web and api with two
+// replicas each, and the task job-a, and returns the objects' metadata
+// in creation order.
+func populatedCluster(t *testing.T) (*Cluster, []*Meta) {
+	t.Helper()
 	c := newTestCluster(t, 2) // node-0, node-1
 	for _, name := range []string{"web", "api"} {
 		if err := c.CreateService(testService(name)); err != nil { // web-1, web-2, api-3, api-4
@@ -82,34 +82,95 @@ func TestObjectLifecycleTrace(t *testing.T) {
 	if err := c.SubmitTask(testTask("job-a", 1000, 1e9)); err != nil {
 		t.Fatal(err)
 	}
-	created := []*Meta{
+	return c, []*Meta{
 		&c.nodes["node-0"].Meta, &c.nodes["node-1"].Meta, &c.apps["web"].obj.Meta, &c.pods["web-1"].Meta,
 		&c.pods["web-2"].Meta, &c.apps["api"].obj.Meta, &c.pods["api-3"].Meta, &c.pods["api-4"].Meta, &c.pods["job-a"].Meta,
 	}
+}
+
+// lifecycleTrace returns the object lifecycle events on tr as
+// "verb kind/name".
+func lifecycleTrace(tr *obs.Tracer) []string {
+	var out []string
+	for _, ev := range tr.Snapshot(obs.Filter{Kind: "registry"}) {
+		out = append(out, ev.Verb+" "+ev.Object)
+	}
+	return out
+}
+
+// replayOfPopulated is what SetTracer replays for populatedCluster.
+var replayOfPopulated = []string{
+	"added app/api", "added app/web", "added node/node-0", "added node/node-1",
+	"added pod/api-3", "added pod/api-4", "added pod/job-a", "added pod/web-1", "added pod/web-2",
+}
+
+// TestCreateStampsVersion: every create stamps the next version, and the
+// created object is the one the cluster hands out.
+func TestCreateStampsVersion(t *testing.T) {
+	c, created := populatedCluster(t)
 	for i, m := range created {
 		if m.ResourceVersion != uint64(i+1) {
 			t.Errorf("%s/%s created as number %d has version %d", m.Kind, m.Name, i+1, m.ResourceVersion)
 		}
 	}
+	if c.version != uint64(len(created)) {
+		t.Errorf("cluster version = %d after %d creates", c.version, len(created))
+	}
+	web, err := c.App("web")
+	if err != nil || &web.Meta != created[2] {
+		t.Errorf("App(web) = %p, %v; want the created object %p", web, err, created[2])
+	}
+	if got := len(c.Pods()); got != 5 {
+		t.Errorf("Pods() has %d objects, want 5", got)
+	}
+}
 
+// TestTracerReplaysInNameOrder: enabling a tracer on a populated cluster
+// replays its objects as added — apps, then nodes, then pods, each by
+// name, whatever order they were created in.
+func TestTracerReplaysInNameOrder(t *testing.T) {
+	c, _ := populatedCluster(t)
 	tr := obs.New(256)
 	c.SetTracer(tr)
-	lifecycle := func() []string {
-		var out []string
-		for _, ev := range tr.Snapshot(obs.Filter{Kind: "registry"}) {
-			out = append(out, ev.Verb+" "+ev.Object)
-		}
-		return out
+	if got := lifecycleTrace(tr); fmt.Sprint(got) != fmt.Sprint(replayOfPopulated) {
+		t.Fatalf("replay = %v, want %v", got, replayOfPopulated)
 	}
-	want := []string{
-		"added app/api", "added app/web", "added node/node-0", "added node/node-1",
-		"added pod/api-3", "added pod/api-4", "added pod/job-a", "added pod/web-1", "added pod/web-2",
-	}
-	if got := lifecycle(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("replay = %v, want %v", got, want)
-	}
+}
 
-	c.SchedulePendingNow() // binds update pods and nodes
+// TestTracerReplaysAllKinds: the replay covers every object of every
+// kind, and a new object of each kind created afterwards is traced too.
+func TestTracerReplaysAllKinds(t *testing.T) {
+	c, created := populatedCluster(t)
+	tr := obs.New(256)
+	c.SetTracer(tr)
+	if got := len(lifecycleTrace(tr)); got != len(created) {
+		t.Fatalf("replay has %d events for %d objects", got, len(created))
+	}
+	if err := c.AddNode("node-2", resource.New(16000, 64<<30, 1e9, 2e9)); err != nil {
+		t.Fatal(err)
+	}
+	spec := testService("db")
+	spec.InitialReplicas = 1
+	if err := c.CreateService(spec); err != nil { // db-5
+		t.Fatal(err)
+	}
+	if err := c.SubmitTask(testTask("job-b", 1000, 1e9)); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]string{}, replayOfPopulated...),
+		"added node/node-2", "added app/db", "added pod/db-5", "added pod/job-b")
+	if got := lifecycleTrace(tr); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("lifecycle = %v, want %v", got, want)
+	}
+}
+
+// TestTracerRecordsCreateAndDelete: once a tracer is installed, every
+// creation and deletion of a pod is traced, in the order it happens.
+func TestTracerRecordsCreateAndDelete(t *testing.T) {
+	c, _ := populatedCluster(t)
+	tr := obs.New(256)
+	c.SetTracer(tr)
+	c.SchedulePendingNow()
 	alloc := testService("web").InitialAlloc
 	for _, replicas := range []int{3, 1} {
 		if err := c.ApplyDecision("web", control.Decision{Replicas: replicas, Alloc: alloc}); err != nil {
@@ -119,12 +180,88 @@ func TestObjectLifecycleTrace(t *testing.T) {
 	if err := c.KillTask("job-a"); err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, "added pod/web-5", "deleted pod/web-5", "deleted pod/web-2", "deleted pod/job-a")
-	if got := lifecycle(); fmt.Sprint(got) != fmt.Sprint(want) {
+	want := append(append([]string{}, replayOfPopulated...),
+		"added pod/web-5", "deleted pod/web-5", "deleted pod/web-2", "deleted pod/job-a")
+	if got := lifecycleTrace(tr); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("lifecycle = %v, want %v", got, want)
 	}
-	if web := c.apps["web"].obj; web.ResourceVersion <= c.pods["web-1"].ResourceVersion || web.ResourceVersion > c.version {
-		t.Errorf("app web at version %d, its bound replica at %d, the cluster at %d", web.ResourceVersion, c.pods["web-1"].ResourceVersion, c.version)
+}
+
+// TestUpdateIsSilent: binding and resizing stamp fresh versions on the
+// objects they change, but no lifecycle event is traced for them.
+func TestUpdateIsSilent(t *testing.T) {
+	c, created := populatedCluster(t)
+	tr := obs.New(256)
+	c.SetTracer(tr)
+	before := c.version
+	c.SchedulePendingNow() // binds update pods and nodes
+	if err := c.ApplyDecision("web", control.Decision{Replicas: 2, Alloc: resource.New(2000, 1<<30, 50e6, 50e6)}); err != nil {
+		t.Fatal(err)
+	}
+	if c.version <= before {
+		t.Fatalf("binds and a resize left the version at %d", c.version)
+	}
+	if got := lifecycleTrace(tr); fmt.Sprint(got) != fmt.Sprint(replayOfPopulated) {
+		t.Errorf("updates were traced: lifecycle = %v", got)
+	}
+	for _, m := range created[:5] { // both nodes, web and its replicas: bound or resized
+		if m.ResourceVersion <= before || m.ResourceVersion > c.version {
+			t.Errorf("%s/%s at version %d, want in (%d, %d]", m.Kind, m.Name, m.ResourceVersion, before, c.version)
+		}
+	}
+	if web := c.apps["web"].obj; web.ResourceVersion <= before || web.ResourceVersion > c.version {
+		t.Errorf("resized app web at version %d, want in (%d, %d]", web.ResourceVersion, before, c.version)
+	}
+}
+
+// TestDeleteForgetsObject: a deleted pod is gone from the cluster's
+// maps and listings, its deletion is traced once, and deleting it again
+// is refused without a second event.
+func TestDeleteForgetsObject(t *testing.T) {
+	c, _ := populatedCluster(t)
+	tr := obs.New(256)
+	c.SetTracer(tr)
+	if err := c.KillTask("job-a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.pods["job-a"]; ok {
+		t.Error("pod job-a still in the cluster after its deletion")
+	}
+	for _, p := range c.Pods() {
+		if p.Name == "job-a" {
+			t.Error("Pods() still lists job-a")
+		}
+	}
+	if err := c.KillTask("job-a"); err == nil {
+		t.Error("deleting job-a twice succeeded")
+	}
+	deleted := tr.Snapshot(obs.Filter{Kind: "registry", Verb: obs.VerbDeleted})
+	if len(deleted) != 1 || deleted[0].Object != "pod/job-a" {
+		t.Errorf("deleted events = %+v, want one for pod/job-a", deleted)
+	}
+}
+
+// TestLifecycleErrorText pins the refusals of the object lifecycle:
+// creating a name that is taken, deleting one that is not there, and
+// deleting a replica as if it were a task.
+func TestLifecycleErrorText(t *testing.T) {
+	c, _ := populatedCluster(t)
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{c.AddNode("node-0", resource.New(1, 1, 1, 1)), "cluster: node node-0 already exists"},
+		{c.CreateService(testService("web")), "cluster: service web already exists"},
+		{c.SubmitTask(testTask("web-1", 1000, 1e9)), "cluster: pod web-1 already exists"},
+		{c.KillTask("nope"), "cluster: unknown task nope"},
+		{c.KillTask("web-1"), "cluster: pod web-1 is not a task"},
+	} {
+		if tc.err == nil || tc.err.Error() != tc.want {
+			t.Errorf("error = %v, want %q", tc.err, tc.want)
+		}
+	}
+	if obs.VerbAdded != "added" || obs.VerbDeleted != "deleted" {
+		t.Errorf("lifecycle verbs = %q, %q; want added, deleted", obs.VerbAdded, obs.VerbDeleted)
 	}
 }
 
