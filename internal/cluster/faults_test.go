@@ -10,6 +10,7 @@ import (
 	"evolve/internal/obs"
 	"evolve/internal/resource"
 	"evolve/internal/sched"
+	"evolve/internal/sim"
 )
 
 // TestRegistryFaultAbsorbed: replica names come from the pod sequence,
@@ -71,10 +72,10 @@ func TestRegistryFaultAbsorbed(t *testing.T) {
 	checkInvariants(t, c, 0)
 }
 
-// TestGangRollbackOnCommitFailure: a gang that names one rank twice is
+// TestGangRepeatedRankRefused: a gang that names one rank twice is
 // refused before anything is created — no ranks, no allocation, no
 // rollback needed, invariants intact.
-func TestGangRollbackOnCommitFailure(t *testing.T) {
+func TestGangRepeatedRankRefused(t *testing.T) {
 	c := newTestCluster(t, 2)
 	gang := []TaskSpec{
 		testTask("g-0", 1000, 20000),
@@ -96,6 +97,73 @@ func TestGangRollbackOnCommitFailure(t *testing.T) {
 	if got := c.Metrics().Counter("faults/gang-rollback").Value(); got != 0 {
 		t.Errorf("faults/gang-rollback = %d, want 0: the gang is refused before the commit", got)
 	}
+	checkInvariants(t, c, 0)
+}
+
+// downOnProbe is a filter that admits every node but, when the
+// scheduler probes rank pod on node, marks that node unready in the
+// cluster: the node dies between the gang decision and its bind.
+type downOnProbe struct {
+	c         *Cluster
+	pod, node string
+}
+
+func (downOnProbe) Name() string { return "down-on-probe" }
+
+func (f downOnProbe) Filter(pod *sched.PodInfo, node *sched.NodeInfo) sched.Reason {
+	if pod.Name == f.pod && node.Name == f.node {
+		f.c.nodes[f.node].Ready = false
+	}
+	return sched.ReasonNone
+}
+
+// TestGangRollbackOnCommitFailure: the gang fits when scheduled, but the
+// second rank's node goes unready before its bind. The commit fails
+// after the first rank bound, and every rank created so far is rolled
+// back: no pods, no allocation, one counted and journaled rollback.
+func TestGangRollbackOnCommitFailure(t *testing.T) {
+	c := New(sim.NewEngine(42), DefaultConfig())
+	capacity := resource.New(16000, 64<<30, 1e9, 2e9)
+	for _, pool := range []string{"a", "b"} {
+		if err := c.AddLabeledNode(pool, capacity, map[string]string{"pool": pool}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sch, err := sched.NewCustom(
+		[]sched.FilterPlugin{sched.SelectorFilter{}, sched.FitFilter{}, downOnProbe{c: c, pod: "g-1", node: "b"}},
+		[]sched.ScorePlugin{sched.LeastAllocated{W: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.sch = sch
+	gang := []TaskSpec{testTask("g-0", 1000, 20000), testTask("g-1", 1000, 20000)}
+	gang[0].NodeSelector = map[string]string{"pool": "a"}
+	gang[1].NodeSelector = map[string]string{"pool": "b"}
+	err = c.SubmitGang(gang)
+	if err == nil || !strings.Contains(err.Error(), "aborted") || !strings.Contains(err.Error(), "unready node b") {
+		t.Fatalf("gang whose node died before the bind: err = %v, want an abort naming node b", err)
+	}
+	if len(c.Pods()) != 0 {
+		t.Errorf("rolled-back gang left %d pods", len(c.Pods()))
+	}
+	for _, n := range c.Nodes() {
+		if !n.Allocated.IsZero() {
+			t.Errorf("rolled-back gang left allocation %v on %s", n.Allocated, n.Name)
+		}
+	}
+	if got := c.Metrics().Counter("faults/gang-rollback").Value(); got != 1 {
+		t.Errorf("faults/gang-rollback = %d, want 1", got)
+	}
+	journaled := false
+	for _, e := range c.Events() {
+		if e.Kind == "gang-rollback" && e.Object == "job" && strings.Contains(e.Message, "2 rank(s) rolled back") {
+			journaled = true
+		}
+	}
+	if !journaled {
+		t.Errorf("no gang-rollback journal line for 2 ranks in %v", c.Events())
+	}
+	c.nodes["b"].Ready = true
 	checkInvariants(t, c, 0)
 }
 

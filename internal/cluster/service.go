@@ -269,28 +269,25 @@ func (c *Cluster) applyDecision(st *appState, d control.Decision) error {
 	st.obj.Alloc = d.Alloc
 	c.update(&st.obj.Meta)
 
-	// A decision the replicas already carry changes nothing below: no
-	// replica to add or remove, none to resize, nothing throttled. Check
-	// that in place, without the copy the change path takes, so a steady
-	// decision costs one pass over the app's index and no allocation.
-	if c.replicasMatch(app, d) {
-		st.migrateDebt = 0
-		return nil
-	}
-	pods := c.appPods(app)
 	// Horizontal: add or remove replicas (newest first on the way down).
-	for len(pods) < d.Replicas {
-		p := c.addReplica(st)
-		if p == nil {
-			break // create absorbed as a registry fault; retried next period
+	// Only these change the byApp index, so only they need a copy of it;
+	// a decision that keeps the replica count walks the index in place.
+	pods := c.byApp[app]
+	if len(pods) != d.Replicas {
+		pods = c.appPods(app)
+		for len(pods) < d.Replicas {
+			p := c.addReplica(st)
+			if p == nil {
+				break // create absorbed as a registry fault; retried next period
+			}
+			pods = append(pods, p)
 		}
-		pods = append(pods, p)
-	}
-	for len(pods) > d.Replicas {
-		last := pods[len(pods)-1]
-		c.deletePod(last)
-		c.met.Counter("scale/down-deletes").Inc()
-		pods = pods[:len(pods)-1]
+		for len(pods) > d.Replicas {
+			last := pods[len(pods)-1]
+			c.deletePod(last)
+			c.met.Counter("scale/down-deletes").Inc()
+			pods = pods[:len(pods)-1]
+		}
 	}
 
 	// Vertical: in-place resize where headroom allows. A replica already
@@ -327,22 +324,6 @@ func (c *Cluster) applyDecision(st *appState, d control.Decision) error {
 		st.migrateDebt = 0
 	}
 	return nil
-}
-
-// replicasMatch reports whether the app has exactly d.Replicas live
-// replicas, each requesting d.Alloc: the state applying d would leave
-// unchanged.
-func (c *Cluster) replicasMatch(app string, d control.Decision) bool {
-	pods := c.byApp[app]
-	if len(pods) != d.Replicas {
-		return false
-	}
-	for _, p := range pods {
-		if p.Requests != d.Alloc {
-			return false
-		}
-	}
-	return true
 }
 
 // resizeInPlace grants as much of the desired allocation as the node's
