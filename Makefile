@@ -33,7 +33,7 @@ bench-json:
 # first three points of the Figure 6 ladder under shard counts {1, 4},
 # plus the determinism suite that pins byte-identical replay across
 # shard and worker counts with the kernel invariant checker armed every
-# tick, and the tick fan-out's gates (three rounds per tick, zero
+# tick, and the tick fan-out's gates (pool engagement, zero
 # allocations at 4 shards on 4 workers) under the race detector.
 bench-shard:
 	$(GO) run ./cmd/evolve-bench -json -quick -scale-points 3 -shards 4 -only figure6
@@ -115,7 +115,9 @@ chaos-soak:
 
 # ckpt-soak is the crash-consistency gauntlet: the full shard matrix of
 # the headline byte-identity invariant, the chained crash/restore soak
-# at every shard count, the Table 8 sweep, and the CLI resume path —
+# at every shard count, the restore scaling gate (per-pod Restore time
+# at 64k pods within 2x of that at 8k), the Table 8 sweep, and the CLI
+# resume path —
 # a run killed at 40m and resumed must print the same report as one
 # that never died. The traced leg repeats the resume with 512-record
 # trace rings, which wrap, so the checkpoint files carry ring chunks
@@ -123,7 +125,7 @@ chaos-soak:
 # mktemp -d directory, removed when its diff passes and left for
 # inspection when it fails.
 ckpt-soak:
-	EVOLVE_CKPT_SOAK=1 $(GO) test -run 'TestCheckpoint|TestResumeFromPeriodic|TestCtrlCrash' -count 1 -v .
+	EVOLVE_CKPT_SOAK=1 $(GO) test -run 'TestCheckpoint|TestResumeFromPeriodic|TestCtrlCrash|TestRestoreLinearInPods' -count 1 -v .
 	$(GO) test ./internal/harness -run 'TestTable8' -count 1
 	d=$$(mktemp -d) && \
 	$(GO) run ./cmd/evolve-sim -seed 7 -duration 40m -ckpt-dir $$d -ckpt-every 10m 2>/dev/null >/dev/null && \

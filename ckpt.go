@@ -20,11 +20,10 @@ import (
 // Checkpoint serialises, in a fixed section order, everything mutable,
 // in the shape the running world holds it: the engine clock, RNG
 // position and pending-timer set (as TimerTag descriptors — closures
-// re-attach on restore), one kernel record (the shard count, the shard
-// clock and the fan-out's round counters), the batch runner, the HPC
-// queue, the cluster substrate (whose metric history is one record per
-// metrics frame), the hardened control loop, the chaos injector and the
-// tracer rings. Format version 5; older files are refused.
+// re-attach on restore), the kernel shard count, the batch runner, the
+// HPC queue, the cluster substrate (whose metric history is one record
+// per metrics frame), the hardened control loop, the chaos injector and
+// the tracer rings. Format version 7; older files are refused.
 // Restore runs against a freshly constructed Cluster built with the
 // same Options and the same AddService / SetLoad / Submit* calls —
 // construction-time configuration (topology, specs, load functions,
@@ -285,13 +284,7 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 		cw.Str(t.Tag.Kind)
 		cw.Str(t.Tag.Arg)
 	}
-	ks := cl.w.Cluster.KernelState()
 	cw.Int(cl.w.Cluster.NumShards())
-	cw.Dur(ks.Clock)
-	cw.U64(ks.Rounds)
-	cw.U64(ks.ParRounds)
-	cw.U64(ks.RoundsMark)
-	cw.U64(ks.ParMark)
 	cl.w.Runner.CkptSave(cw)
 	cl.w.Queue.CkptSave(cw)
 	cl.w.Cluster.CkptSave(cw)
@@ -369,9 +362,15 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 			Tag: sim.TimerTag{Kind: cr.Str(), Arg: cr.Str()},
 		}
 	}
-	ks, err := cl.readKernelState(cr, now)
-	if err != nil {
-		return err
+	// Each span's Shard field depends on the shard count, so a world
+	// with another count cannot continue this one's span stream. Refused
+	// before the world starts, so the cluster stays fresh.
+	ns := cr.Int()
+	if cr.Err() != nil {
+		return cr.Err()
+	}
+	if ns != cl.w.Cluster.NumShards() {
+		return fmt.Errorf("evolve: checkpoint has %d kernel shards, this cluster %d (Shards option)", ns, cl.w.Cluster.NumShards())
 	}
 	// Arm the fresh world's own timers first: RestoreTimers re-attaches
 	// checkpoint timers to them by tag.
@@ -398,6 +397,14 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 	}
 	if err := cl.w.Cluster.CkptLoad(cr, reattach); err != nil {
 		return err
+	}
+	// Whole-run means integrate up to the clock, so a clock before a
+	// sample the checkpoint holds cannot be continued from.
+	m := cl.w.Cluster.Metrics()
+	for _, name := range m.SeriesNames() {
+		if s, ok := m.Lookup(name).Last(); ok && s.At > now {
+			return fmt.Errorf("evolve: checkpoint clock %v precedes the newest sample of %q at %v", now, name, s.At)
+		}
 	}
 	if err := cl.w.Loop.CkptLoad(cr); err != nil {
 		return err
@@ -447,35 +454,11 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 	if err := cl.w.Engine.RNG().Burn(draws); err != nil {
 		return err
 	}
-	cl.w.Cluster.RestoreKernelState(ks)
 	// After a restore, LastCheckpoint is the snapshot this world came
 	// from, so a process that restores and then crashes again before the
 	// next periodic checkpoint still has a valid restart point.
 	cl.lastCkpt = ckpt.Segments{blob}
 	return cl.err()
-}
-
-// readKernelState decodes the kernel record and refuses one this world
-// cannot continue from: another shard count (before the world starts,
-// so the cluster stays fresh), or a state the fan-out tick cannot write
-// — more parallel rounds than rounds, a phase-span mark past its
-// counter, or a shard clock later than the engine clock now.
-func (cl *Cluster) readKernelState(cr *ckpt.Reader, now time.Duration) (cluster.KernelState, error) {
-	ns := cr.Int()
-	ks := cluster.KernelState{Clock: cr.Dur(), Rounds: cr.U64(), ParRounds: cr.U64(), RoundsMark: cr.U64(), ParMark: cr.U64()}
-	switch {
-	case cr.Err() != nil:
-		return ks, cr.Err()
-	case ns != cl.w.Cluster.NumShards():
-		return ks, fmt.Errorf("evolve: checkpoint has %d kernel shards, this cluster %d (Shards option)", ns, cl.w.Cluster.NumShards())
-	case ks.ParRounds > ks.Rounds:
-		return ks, fmt.Errorf("evolve: checkpoint has %d parallel rounds of %d", ks.ParRounds, ks.Rounds)
-	case ks.RoundsMark > ks.Rounds || ks.ParMark > ks.ParRounds:
-		return ks, fmt.Errorf("evolve: checkpoint round marks %d/%d pass their counters %d/%d", ks.RoundsMark, ks.ParMark, ks.Rounds, ks.ParRounds)
-	case ks.Clock > now:
-		return ks, fmt.Errorf("evolve: checkpoint shard clock %v is later than the clock %v", ks.Clock, now)
-	}
-	return ks, nil
 }
 
 // RestoreFile restores from a checkpoint file (see EnableCheckpoints

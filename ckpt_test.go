@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -569,11 +570,12 @@ func TestReportDoesNotCreateSeries(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesKernelClocks: the kernel record holds the shard
-// count, the shard clock and the fan-out's round counters once. A
-// resealed checkpoint whose record the fan-out tick could not have
-// written is refused before the world starts, and the same world then
-// restores the intact checkpoint.
+// TestRestoreRefusesKernelClocks: the checkpoint records the kernel's
+// shard count, which each span's Shard field depends on. A resealed
+// checkpoint whose count differs from this world's is refused before
+// the world starts, and the same world then restores the intact
+// checkpoint. A resealed checkpoint whose clock precedes the samples it
+// holds is refused as well.
 func TestRestoreRefusesKernelClocks(t *testing.T) {
 	const shards = 4
 	half := ckptWorld(t, shards, "")
@@ -586,58 +588,48 @@ func TestRestoreRefusesKernelClocks(t *testing.T) {
 	}
 	blob := snap.Bytes()
 
-	type record struct {
-		shards int
-		ks     cluster.KernelState
-	}
-	encode := func(k record) []byte {
+	// The shard count is followed by the batch runner's section name.
+	record := func(shards int) []byte {
 		var a ckpt.Appender
-		a.Int(k.shards)
-		a.Dur(k.ks.Clock)
-		a.U64(k.ks.Rounds)
-		a.U64(k.ks.ParRounds)
-		a.U64(k.ks.RoundsMark)
-		a.U64(k.ks.ParMark)
+		a.Int(shards)
+		a.Str("batch")
 		return a.Buf
 	}
-	good := record{shards, half.w.Cluster.KernelState()}
-	if good.ks.Rounds == 0 || good.ks.Clock != 30*time.Minute {
-		t.Fatalf("kernel state after 30m: %+v", good.ks)
+	off := bytes.Index(blob, record(shards))
+	if off < 0 || bytes.Count(blob, record(shards)) != 1 {
+		t.Fatalf("shard count found %d times in the checkpoint", bytes.Count(blob, record(shards)))
 	}
-	enc := encode(good)
-	off := bytes.Index(blob, enc)
-	if off < 0 || bytes.Count(blob, enc) != 1 {
-		t.Fatalf("kernel record found %d times in the checkpoint", bytes.Count(blob, enc))
+	bad := bytes.Clone(blob)
+	copy(bad[off:], record(2))
+	ckpt.Seal(bad)
+	fresh := ckptWorld(t, shards, "")
+	if err := fresh.Restore(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "kernel shards") {
+		t.Fatalf("restore returned %v, want an error containing %q", err, "kernel shards")
+	}
+	if fresh.started || fresh.Now() != 0 {
+		t.Fatalf("refused restore touched the cluster: started=%v now=%v", fresh.started, fresh.Now())
+	}
+	if err := fresh.Restore(bytes.NewReader(blob)); err != nil {
+		t.Errorf("intact checkpoint after the refused one: %v", err)
 	}
 
-	for _, tc := range []struct {
-		name   string
-		mutate func(*record)
-		want   string
-	}{
-		{"shard count", func(k *record) { k.shards = 2 }, "kernel shards"},
-		{"parallel rounds > rounds", func(k *record) { k.ks.ParRounds = k.ks.Rounds + 1 }, "parallel rounds"},
-		{"rounds mark > rounds", func(k *record) { k.ks.RoundsMark = k.ks.Rounds + 1 }, "round marks"},
-		{"parallel mark > parallel rounds", func(k *record) { k.ks.ParMark = k.ks.ParRounds + 1 }, "round marks"},
-		{"shard clock after clock", func(k *record) { k.ks.Clock += time.Second }, "later than"},
-	} {
-		k := good
-		tc.mutate(&k)
-		bad := bytes.Clone(blob)
-		copy(bad[off:], encode(k))
-		ckpt.Seal(bad)
-		fresh := ckptWorld(t, shards, "")
-		if err := fresh.Restore(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: restore returned %v, want an error containing %q", tc.name, err, tc.want)
-			continue
-		}
-		if fresh.started || fresh.Now() != 0 {
-			t.Errorf("%s: refused restore touched the cluster: started=%v now=%v", tc.name, fresh.started, fresh.Now())
-			continue
-		}
-		if err := fresh.Restore(bytes.NewReader(blob)); err != nil {
-			t.Errorf("%s: intact checkpoint after the refused one: %v", tc.name, err)
-		}
+	// A clock moved before the last tick's samples is refused too:
+	// whole-run means cannot be rewound to it.
+	var head ckpt.Appender
+	head.Str("evolve")
+	head.I64(half.opts.Seed)
+	head.Str(half.policy)
+	head.Dur(half.opts.History)
+	head.Dur(half.Now())
+	at := bytes.Index(blob, head.Buf)
+	if at < 0 {
+		t.Fatal("engine clock not found in the checkpoint")
+	}
+	early := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(early[at+len(head.Buf)-8:], uint64(half.Now()-time.Second))
+	ckpt.Seal(early)
+	if err := ckptWorld(t, shards, "").Restore(bytes.NewReader(early)); err == nil || !strings.Contains(err.Error(), "precedes the newest sample") {
+		t.Errorf("clock 1s before the checkpoint's samples: restore returned %v", err)
 	}
 }
 
@@ -1015,5 +1007,75 @@ func TestCheckpointWriteRemovesTempFile(t *testing.T) {
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
 		t.Errorf("temporary files left behind: %v", tmps)
+	}
+}
+
+// restoreWorld is a static world of 16 web services sharing pods
+// replicas, 128 to a node, so every replica binds.
+func restoreWorld(tb testing.TB, pods int) *Cluster {
+	tb.Helper()
+	c, err := New(Options{Seed: 4, Nodes: pods / 128, Policy: "static"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("svc-%02d", i)
+		if err := c.AddService(ServiceOptions{Name: name, BaseRate: 1, Replicas: pods / 16}); err != nil {
+			tb.Fatal(err)
+		}
+		if err := c.SetLoad(name, Constant(1)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
+// restoreNsPerPod is the best-of-reps wall time per pod of restoring a
+// restoreWorld checkpoint into a fresh twin. Only Restore is timed; each
+// restored world must then pass CheckInvariants. Replica names take a
+// world-wide sequence number, so "svc-01-1000" sorts before
+// "svc-01-513", and the name order the checkpoint lists pods in is not
+// each service's creation order.
+func restoreNsPerPod(tb testing.TB, pods, reps int) float64 {
+	tb.Helper()
+	src := restoreWorld(tb, pods)
+	if err := src.Run(time.Minute); err != nil {
+		tb.Fatal(err)
+	}
+	if n := len(src.w.Cluster.PendingPods()); n != 0 {
+		tb.Fatalf("%d pods: %d left pending", pods, n)
+	}
+	var snap bytes.Buffer
+	if err := src.Checkpoint(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	best := time.Duration(math.MaxInt64)
+	for rep := 0; rep < reps; rep++ {
+		fresh := restoreWorld(tb, pods)
+		start := time.Now()
+		if err := fresh.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+			tb.Fatal(err)
+		}
+		best = min(best, time.Since(start))
+		if err := fresh.w.Cluster.CheckInvariants(); err != nil {
+			tb.Fatalf("%d pods restored: %v", pods, err)
+		}
+	}
+	return float64(best.Nanoseconds()) / float64(pods)
+}
+
+// TestRestoreLinearInPods: Restore costs O(state). Dropping the fresh
+// world's pods one at a time made it quadratic: at 64k pods each pod
+// cost 6.6× what it did at 8k. The best-of-5 per-pod time at 64k pods
+// must stay within 2× that at 8k.
+func TestRestoreLinearInPods(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restores 64k-pod worlds")
+	}
+	small := restoreNsPerPod(t, 8<<10, 5)
+	large := restoreNsPerPod(t, 64<<10, 5)
+	t.Logf("restore: %.2f µs/pod at 8k pods, %.2f µs/pod at 64k (%.2f×)", small/1e3, large/1e3, large/small)
+	if large > 2*small {
+		t.Errorf("restore at 64k pods costs %.2f µs/pod, more than twice the %.2f µs/pod at 8k", large/1e3, small/1e3)
 	}
 }

@@ -51,9 +51,8 @@ type scaleRow struct {
 	Shards    int     `json:"shards"`
 	MSPerTick float64 `json:"ms_per_tick"`
 	Speedup   float64 `json:"speedup"`
-	// Latency-tail fields (records from PR 8 on; zero in older records).
-	TickMaxMS     float64 `json:"tick_max_ms"`
-	RoundsPerTick float64 `json:"rounds_per_tick"`
+	// Latency-tail field (zero in records that predate it).
+	TickMaxMS float64 `json:"tick_max_ms"`
 }
 
 // ctrlRow mirrors harness.CtrlScaleRow. Workers is the "ctrl_workers"
@@ -336,8 +335,8 @@ func verdict(parallel, msBad, spBad bool) (string, string) {
 }
 
 // printLatencySummary renders the candidate record's tick-latency tail:
-// mean vs worst tick and barrier rounds per tick, for rows that carry
-// the histogram-derived fields (older records simply skip the block).
+// mean vs worst tick, for rows that carry the histogram-derived field
+// (older records simply skip the block).
 // The tail/mean ratio is the number to watch — a flat ratio across
 // shard counts means the barrier is not stretching the worst tick.
 func printLatencySummary(w io.Writer, keys []pointKey, rows map[pointKey]scaleRow) {
@@ -355,7 +354,7 @@ func printLatencySummary(w io.Writer, keys []pointKey, rows map[pointKey]scaleRo
 		if row.MSPerTick > 0 {
 			ratio = row.TickMaxMS / row.MSPerTick
 		}
-		fmt.Fprintf(w, "      %6d nodes %8d pods %2d shards: mean %8.3f ms, worst %8.3f ms (%4.1fx), %.1f rounds/tick\n",
-			key.Nodes, key.Pods, key.Shards, row.MSPerTick, row.TickMaxMS, ratio, row.RoundsPerTick)
+		fmt.Fprintf(w, "      %6d nodes %8d pods %2d shards: mean %8.3f ms, worst %8.3f ms (%4.1fx)\n",
+			key.Nodes, key.Pods, key.Shards, row.MSPerTick, row.TickMaxMS, ratio)
 	}
 }

@@ -141,8 +141,9 @@ type summary struct {
 	CacheHits   uint64  `json:"cache_hits"`
 	Uncacheable uint64  `json:"uncacheable"`
 	// Shards echoes the -shards flag (0 = default {1,4,8} sweep); Scale
-	// holds figure6's raw rows — wall-clock, ns/op and per-shard event
-	// counts per (topology, shard count) run — when figure6 was selected.
+	// holds figure6's raw rows — wall-clock, ns/op and the per-phase
+	// breakdown per (topology, shard count) run — when figure6 was
+	// selected.
 	Shards int                `json:"shards"`
 	Scale  []harness.ScaleRow `json:"scale,omitempty"`
 	// CtrlScale holds figure12's raw rows — ms per control period split

@@ -86,17 +86,17 @@ type Options struct {
 	// never beat sequential scoring end to end. The field goes away in
 	// a later release.
 	ScoreWorkers int
-	// Shards splits the simulation kernel's tick: its per-node and
-	// per-app phases run across this many shard engines under a shared
-	// clock, with batched barrier commits. 0 means 1 — every world runs
-	// the same phased tick, one shard being the smallest partition.
-	// Results are byte-identical at any shard count. Worth raising for
-	// large topologies (thousands of nodes and up) on multi-core
-	// machines.
+	// Shards splits the simulation kernel's tick: each of its per-app
+	// and per-node phases runs on this many partitions of the apps and
+	// nodes, with the commits that need a global order run serially
+	// between phases. 0 means 1 — every world runs the same phased tick,
+	// one shard being the smallest partition. Results are
+	// byte-identical at any shard count. Worth raising for large
+	// topologies (thousands of nodes and up) on multi-core machines.
 	Shards int
-	// ShardWorkers bounds how many same-timestamp shard events run
-	// concurrently (0 = min(Shards, GOMAXPROCS), 1 = serial rounds).
-	// Identical results at any value.
+	// ShardWorkers bounds how many shards run a phase concurrently
+	// (0 = min(Shards, GOMAXPROCS), 1 = every phase inline). Identical
+	// results at any value.
 	ShardWorkers int
 	// CtrlWorkers accepts only 0 or 1: the control plane always
 	// evaluates inline and drains the pending backlog pod by pod, and

@@ -103,11 +103,11 @@ func TestCheckpointHistoryAndVersion(t *testing.T) {
 		t.Errorf("History 0 checkpoint into an explicit 15m world: %v", err)
 	}
 
-	for _, v := range []uint32{3, 4, 5} {
+	for v := uint32(3); v < ckpt.Version; v++ {
 		old := bytes.Clone(blob)
 		binary.LittleEndian.PutUint32(old[len(ckpt.Magic):], v)
 		ckpt.Seal(old)
-		want := fmt.Sprintf("format version %d (this build reads 6)", v)
+		want := fmt.Sprintf("format version %d (this build reads %d)", v, ckpt.Version)
 		if err := historyWorld(t, 0).Restore(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("v%d checkpoint: %v, want %q", v, err, want)
 		}

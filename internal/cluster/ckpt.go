@@ -356,15 +356,17 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		c.pendingApply[k] = delayedApply{app: app, d: d}
 	}
 
-	// Drop the fresh world's pods before patching nodes: releasing a
-	// bound pod rewinds its node's Allocated, which the checkpoint
-	// values below then overwrite. Nothing is traced: the checkpointed
-	// version counter is restored at the end, and the tracer rings with
-	// it.
-	for _, p := range append([]*PodObject(nil), c.byName...) {
-		c.release(p)
-		c.indexRemovePod(p)
-		delete(c.pods, p.Name)
+	// Drop the fresh world's pods with one clear of each pod index. The
+	// checkpoint values below overwrite every node's accounting and mark
+	// its pod cache stale; every app's run cache rebuilds at its next
+	// use. Nothing is traced: the checkpointed version counter is
+	// restored at the end, and the tracer rings with it.
+	clear(c.pods)
+	clear(c.byApp)
+	clear(c.byNode)
+	c.byName, c.pending = nil, nil
+	for _, st := range c.appList {
+		st.rc.ok = false
 	}
 
 	nn := r.Int()
@@ -432,17 +434,9 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 			return fmt.Errorf("cluster: ckpt: pod %s of unknown service %s", p.Name, p.App)
 		}
 		c.pods[p.Name] = p
-		c.byName = podInsert(c.byName, p, byNameLess)
-		if !p.IsTask() {
-			c.byApp[p.App] = podInsert(c.byApp[p.App], p, byCreationLess)
-		}
-		switch {
-		case p.Node != "":
-			c.byNode[p.Node] = podInsert(c.byNode[p.Node], p, byNameLess)
-		case p.Phase == Pending:
-			c.pending = podInsert(c.pending, p, pendingLess)
-		}
+		c.indexAppendPod(p)
 	}
+	c.sortPodIndexes()
 
 	dropped := r.U64()
 	ne := r.Int()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"evolve/internal/chaos"
@@ -171,11 +172,14 @@ type Cluster struct {
 	h            *clusterHandles
 
 	// Sharded tick. shards holds each shard's partition of nodes and
-	// apps and fan the fan-out's counters (see shard.go); hot is the
-	// dense SoA mirror the tick runs on (hotstate.go).
-	shards []*shardState
-	fan    fanState
-	hot    hotState
+	// apps; fanWorkers is the effective worker count (<= 1 runs every
+	// phase inline) and fanWG the barrier a parallel phase waits on (see
+	// shard.go); hot is the dense SoA mirror the tick runs on
+	// (hotstate.go).
+	shards     []*shardState
+	fanWorkers int
+	fanWG      sync.WaitGroup
+	hot        hotState
 
 	// phases, when non-nil, accumulates the per-tick phase timing
 	// breakdown (EnablePhaseTiming); traceBuf stages PLO trace events
@@ -261,15 +265,8 @@ func (c *Cluster) EnablePhaseTiming() *perf.PhaseBreakdown {
 }
 
 // Run advances the simulation until the clock reaches the absolute time
-// until and returns the number of events executed. The shard clock
-// follows the engine's to until, as the checkpoint records it.
-func (c *Cluster) Run(until time.Duration) uint64 {
-	n := c.eng.Run(until)
-	if !c.eng.Stopped() && c.fan.clock < until {
-		c.fan.clock = until
-	}
-	return n
-}
+// until and returns the number of events executed.
+func (c *Cluster) Run(until time.Duration) uint64 { return c.eng.Run(until) }
 
 // Tracer returns the cluster's decision tracer (the shared no-op tracer
 // until SetTracer installs a real one).

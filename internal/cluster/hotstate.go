@@ -137,6 +137,16 @@ func (c *Cluster) rebuildAppCache(st *appState, now time.Duration) {
 	rc.ok = true
 }
 
+// runCache returns the app's ready aggregate at now, rebuilding it first
+// if it is stale: invalidated by a mutation, or its readiness horizon
+// reached.
+func (c *Cluster) runCache(st *appState, now time.Duration) *appRunCache {
+	if rc := &st.rc; !rc.ok || rc.horizon <= now {
+		c.rebuildAppCache(st, now)
+	}
+	return &st.rc
+}
+
 // evalApp is one app's share of P2: the cached aggregate replaces the
 // per-pod walk, slowdowns gather from hot.slow by slot, the result lands
 // in hot.appUsage, and no per-pod usage writes or version stamps happen;
@@ -147,10 +157,7 @@ func (c *Cluster) evalApp(st *appState, now time.Duration) {
 	if lambda < 0 {
 		lambda = 0
 	}
-	rc := &st.rc
-	if !rc.ok || rc.horizon <= now {
-		c.rebuildAppCache(st, now)
-	}
+	rc := c.runCache(st, now)
 
 	var result perf.Result
 	if rc.ready == 0 {

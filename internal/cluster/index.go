@@ -74,6 +74,40 @@ func podRemove(s []*PodObject, p *PodObject, less func(a, b *PodObject) bool) []
 	return s[:len(s)-1]
 }
 
+// indexAppendPod and sortPodIndexes are the bulk index builder. The
+// bulk paths (ProvisionBulk, CkptLoad) append each pod to the indexes it
+// belongs in, unsorted, and sort every index once at the end, instead of
+// inserting each pod at its sorted position. Sorting an index that is
+// already in order is linear, so only the indexes a bulk path appended
+// to cost a full sort.
+func (c *Cluster) indexAppendPod(p *PodObject) {
+	c.byName = append(c.byName, p)
+	if !p.IsTask() {
+		c.byApp[p.App] = append(c.byApp[p.App], p)
+	}
+	switch {
+	case p.Node != "":
+		c.byNode[p.Node] = append(c.byNode[p.Node], p)
+	case p.Phase == Pending:
+		c.pending = append(c.pending, p)
+	}
+}
+
+func (c *Cluster) sortPodIndexes() {
+	sortPods(c.byName, byNameLess)
+	sortPods(c.pending, pendingLess)
+	for _, s := range c.byApp {
+		sortPods(s, byCreationLess)
+	}
+	for _, s := range c.byNode {
+		sortPods(s, byNameLess)
+	}
+}
+
+func sortPods(s []*PodObject, less func(a, b *PodObject) bool) {
+	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
+}
+
 // indexAddPod registers a freshly created pod (always Pending) in the
 // name, app and pending indexes. Call after inserting into c.pods.
 func (c *Cluster) indexAddPod(p *PodObject) {

@@ -27,12 +27,53 @@ import (
 //     per-pod usage as syncPodUsage materialises it: the app's usage on
 //     replicas serving at the last tick, zero elsewhere, the full grant
 //     on running tasks;
-//   - the pending queue: exactly the live Pending pods, strictly in
-//     scheduling order (so free of duplicates).
+//   - the pod indexes (index.go), re-derived from the pod map: byName,
+//     each node's byNode and each service's byApp hold exactly the live
+//     pods they should, strictly in their order (so free of duplicates);
+//     the pending queue exactly the live Pending pods, strictly in
+//     scheduling order.
 //
 // Test and soak hook: read-only, O(pods + nodes), allocates.
 func (c *Cluster) CheckInvariants() error {
 	now := c.now()
+	// byName holds exactly the pods of the pod map, strictly in name
+	// order, each at a version the cluster has issued, bound only to
+	// known nodes (and bound if running) and, for service replicas,
+	// owned by a known service. The walk counts what the other indexes
+	// must hold: each service's replicas, each node's bound pods and the
+	// Pending pods.
+	if len(c.byName) != len(c.pods) {
+		return fmt.Errorf("cluster: byName indexes %d pods, the pod map holds %d", len(c.byName), len(c.pods))
+	}
+	replicas := make(map[string]int, len(c.appList))
+	bound := make(map[string]int, len(c.nodeList))
+	pending := 0
+	for i, p := range c.byName {
+		if c.pods[p.Name] != p {
+			return fmt.Errorf("cluster: pod %s indexed but not in the pod map", p.Name)
+		}
+		if i > 0 && !byNameLess(c.byName[i-1], p) {
+			return fmt.Errorf("cluster: byName[%d] %s does not sort after %s", i, p.Name, c.byName[i-1].Name)
+		}
+		if p.ResourceVersion == 0 || p.ResourceVersion > c.version {
+			return fmt.Errorf("cluster: pod %s has version %d, the cluster is at %d", p.Name, p.ResourceVersion, c.version)
+		}
+		if !p.IsTask() {
+			if _, ok := c.apps[p.App]; !ok {
+				return fmt.Errorf("cluster: pod %s belongs to unknown service %s", p.Name, p.App)
+			}
+			replicas[p.App]++
+		}
+		if _, ok := c.nodes[p.Node]; !ok && (p.Node != "" || p.Phase == Running) {
+			return fmt.Errorf("cluster: pod %s (phase %v) bound to unknown node %q", p.Name, p.Phase, p.Node)
+		}
+		if p.Node != "" {
+			bound[p.Node]++
+		}
+		if p.Phase == Pending {
+			pending++
+		}
+	}
 	h := &c.hot
 	if len(h.slow) != len(c.nodeList) {
 		return fmt.Errorf("cluster: hot.slow has %d slots for %d nodes", len(h.slow), len(c.nodeList))
@@ -46,7 +87,7 @@ func (c *Cluster) CheckInvariants() error {
 		if want := c.nodeSlowdown(n); h.slow[n.slot] != want {
 			return fmt.Errorf("cluster: node %s: hot.slow[%d] = %v, its usage gives %v", n.Name, n.slot, h.slow[n.slot], want)
 		}
-		if err := c.checkNode(n, now); err != nil {
+		if err := c.checkNode(n, now, bound[n.Name]); err != nil {
 			return err
 		}
 	}
@@ -59,34 +100,17 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("cluster: service %s: hot index %d out of range or shared", st.obj.Spec.Name, st.hotIdx)
 		}
 		idxOwner[st.hotIdx] = st
-		if err := c.checkApp(st, now); err != nil {
+		if err := c.checkApp(st, now, replicas[st.obj.Spec.Name]); err != nil {
 			return err
 		}
 	}
-	if len(c.byName) != len(c.pods) {
-		return fmt.Errorf("cluster: byName indexes %d pods, the pod map holds %d", len(c.byName), len(c.pods))
-	}
-	for _, p := range c.byName {
-		if c.pods[p.Name] != p {
-			return fmt.Errorf("cluster: pod %s indexed but not in the pod map", p.Name)
-		}
-		if p.ResourceVersion == 0 || p.ResourceVersion > c.version {
-			return fmt.Errorf("cluster: pod %s has version %d, the cluster is at %d", p.Name, p.ResourceVersion, c.version)
-		}
-	}
-	return c.checkPending()
+	return c.checkPending(pending)
 }
 
 // checkPending re-derives the pending queue: every entry a live Pending
-// pod, each strictly after the one before, and as many entries as there
-// are Pending pods.
-func (c *Cluster) checkPending() error {
-	want := 0
-	for _, p := range c.byName {
-		if p.Phase == Pending {
-			want++
-		}
-	}
+// pod, each strictly after the one before, and want entries, as many as
+// there are Pending pods.
+func (c *Cluster) checkPending(want int) error {
 	for i, p := range c.pending {
 		if p.Phase != Pending || c.pods[p.Name] != p {
 			return fmt.Errorf("cluster: pending[%d] is %s, phase %v, live %v", i, p.Name, p.Phase, c.pods[p.Name] == p)
@@ -111,17 +135,25 @@ func (c *Cluster) servedUsage(st *appState, p *PodObject) resource.Vector {
 	return resource.Vector{}
 }
 
-// checkNode verifies one node's accounting and, when they are live, its
-// pod cache and usage.
-func (c *Cluster) checkNode(n *NodeObject, now time.Duration) error {
+// checkNode verifies one node's pod index, which must hold its bound
+// live pods, its accounting and, when they are live, its pod cache and
+// usage.
+func (c *Cluster) checkNode(n *NodeObject, now time.Duration, bound int) error {
 	var alloc, usage resource.Vector
 	var entries []int32
 	var tasks []*PodObject
 	running := 0
 	horizon := farFuture
-	for _, p := range c.byNode[n.Name] {
-		if p.Node != n.Name || p.Phase != Running {
-			return fmt.Errorf("cluster: node %s indexes pod %s (node %q, phase %v)", n.Name, p.Name, p.Node, p.Phase)
+	pods := c.byNode[n.Name]
+	if len(pods) != bound {
+		return fmt.Errorf("cluster: byNode[%s] holds %d pods, %d are bound to it", n.Name, len(pods), bound)
+	}
+	for i, p := range pods {
+		if p.Node != n.Name || p.Phase != Running || c.pods[p.Name] != p {
+			return fmt.Errorf("cluster: node %s indexes pod %s (node %q, phase %v, live %v)", n.Name, p.Name, p.Node, p.Phase, c.pods[p.Name] == p)
+		}
+		if i > 0 && !byNameLess(pods[i-1], p) {
+			return fmt.Errorf("cluster: byNode[%s][%d] %s does not sort after %s", n.Name, i, p.Name, pods[i-1].Name)
 		}
 		if !n.Ready {
 			return fmt.Errorf("cluster: unready node %s hosts pod %s", n.Name, p.Name)
@@ -137,10 +169,7 @@ func (c *Cluster) checkNode(n *NodeObject, now time.Duration) error {
 			tasks = append(tasks, p)
 			continue
 		}
-		st, ok := c.apps[p.App]
-		if !ok {
-			return fmt.Errorf("cluster: pod %s belongs to unknown service %s", p.Name, p.App)
-		}
+		st := c.apps[p.App]
 		if p.ReadyAt <= c.hot.lastPhaseAt {
 			usage = usage.Add(c.servedUsage(st, p))
 		}
@@ -192,9 +221,10 @@ func (c *Cluster) checkNode(n *NodeObject, now time.Duration) error {
 	return nil
 }
 
-// checkApp verifies one service's dense usage, its replicas' usage and,
-// when it is live, its run cache.
-func (c *Cluster) checkApp(st *appState, now time.Duration) error {
+// checkApp verifies one service's replica index, which must hold its
+// replicas live replicas, its dense usage, its replicas' usage and, when
+// it is live, its run cache.
+func (c *Cluster) checkApp(st *appState, now time.Duration, replicas int) error {
 	name := st.obj.Spec.Name
 	h := &c.hot
 	if st.h.frame != nil {
@@ -207,9 +237,16 @@ func (c *Cluster) checkApp(st *appState, now time.Duration) error {
 	var slots []int32
 	var alloc resource.Vector
 	horizon := farFuture
-	for _, p := range c.byApp[name] {
-		if p.App != name || p.IsTask() {
-			return fmt.Errorf("cluster: service %s indexes pod %s (app %q)", name, p.Name, p.App)
+	pods := c.byApp[name]
+	if len(pods) != replicas {
+		return fmt.Errorf("cluster: byApp[%s] holds %d pods, the service has %d replicas", name, len(pods), replicas)
+	}
+	for i, p := range pods {
+		if p.App != name || p.IsTask() || c.pods[p.Name] != p {
+			return fmt.Errorf("cluster: service %s indexes pod %s (app %q, live %v)", name, p.Name, p.App, c.pods[p.Name] == p)
+		}
+		if i > 0 && !byCreationLess(pods[i-1], p) {
+			return fmt.Errorf("cluster: byApp[%s][%d] %s does not sort after %s", name, i, p.Name, pods[i-1].Name)
 		}
 		if p.Phase != Running {
 			if !p.Usage.IsZero() {
@@ -228,11 +265,7 @@ func (c *Cluster) checkApp(st *appState, now time.Duration) error {
 			}
 			continue
 		}
-		n, ok := c.nodes[p.Node]
-		if !ok {
-			return fmt.Errorf("cluster: running pod %s on unknown node %q", p.Name, p.Node)
-		}
-		slots = append(slots, n.slot)
+		slots = append(slots, c.nodes[p.Node].slot)
 		alloc = alloc.Add(p.Requests)
 	}
 	rc := &st.rc

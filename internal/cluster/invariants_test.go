@@ -319,9 +319,10 @@ func TestObservationInvariants(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesCorruption plants one wrong value in each
-// dense cache of a warm cluster and demands that CheckInvariants both
-// fails and names the corrupted cache. Without these cases a checker
-// that compared nothing would pass every soak.
+// dense cache and pod index of a warm cluster and demands that
+// CheckInvariants both fails and names the corrupted cache or index.
+// Without these cases a checker that compared nothing would pass every
+// soak.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	warm := func(t *testing.T) *Cluster {
 		t.Helper()
@@ -379,6 +380,11 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		{"pod version", func(c *Cluster) {
 			c.pods["batch-0"].ResourceVersion = c.version + 1
 		}, "version"},
+		{"byName order", func(c *Cluster) { swapFirstTwo(t, c.byName) }, "byName[1]"},
+		{"byApp order", func(c *Cluster) { swapFirstTwo(t, c.byApp["web"]) }, "byApp[web][1]"},
+		{"byNode order", func(c *Cluster) { swapFirstTwo(t, c.byNode["node-0"]) }, "byNode[node-0][1]"},
+		{"byApp membership", func(c *Cluster) { c.byApp["web"] = c.byApp["web"][1:] }, "byApp[web] holds 2 pods"},
+		{"byNode membership", func(c *Cluster) { c.byNode["node-0"] = c.byNode["node-0"][1:] }, "byNode[node-0] holds"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := warm(t)
@@ -392,4 +398,13 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// swapFirstTwo mis-sorts a pod index by swapping its first two entries.
+func swapFirstTwo(t *testing.T, s []*PodObject) {
+	t.Helper()
+	if len(s) < 2 {
+		t.Fatalf("index holds %d pods, want at least 2", len(s))
+	}
+	s[0], s[1] = s[1], s[0]
 }

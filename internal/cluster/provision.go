@@ -123,7 +123,6 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 	}
 
 	now := c.now()
-	touchedNodes := make(map[string]struct{})
 	var placed, unplaced uint64
 	for _, spec := range p.Services {
 		obj := &AppObject{
@@ -160,7 +159,6 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 				pod.BoundAt = now
 				pod.ReadyAt = now // provisioned replicas come up serving
 				n.Allocated = n.Allocated.Add(pod.Requests)
-				touchedNodes[n.Name] = struct{}{}
 				placed++
 			} else {
 				unplaced++
@@ -168,30 +166,15 @@ func (c *Cluster) ProvisionBulk(p Provision) error {
 			cursor++
 			c.create(&pod.Meta)
 			c.pods[pod.Name] = pod
-			c.byName = append(c.byName, pod)
-			c.byApp[spec.Name] = append(c.byApp[spec.Name], pod)
-			if pod.Node != "" {
-				c.byNode[pod.Node] = append(c.byNode[pod.Node], pod)
-			} else {
-				c.pending = append(c.pending, pod)
-			}
+			c.indexAppendPod(pod)
 		}
-		sort.Slice(c.byApp[spec.Name], func(i, j int) bool {
-			s := c.byApp[spec.Name]
-			return byCreationLess(s[i], s[j])
-		})
 	}
 
 	// One sort per index restores the invariants of index.go.
 	if len(p.Services) > 0 {
 		sort.Slice(c.appList, func(i, j int) bool { return c.appList[i].obj.Spec.Name < c.appList[j].obj.Spec.Name })
 		c.reshardApps()
-		sort.Slice(c.byName, func(i, j int) bool { return byNameLess(c.byName[i], c.byName[j]) })
-		sort.Slice(c.pending, func(i, j int) bool { return pendingLess(c.pending[i], c.pending[j]) })
-		for name := range touchedNodes {
-			s := c.byNode[name]
-			sort.Slice(s, func(i, j int) bool { return byNameLess(s[i], s[j]) })
-		}
+		c.sortPodIndexes()
 	}
 	c.met.Counter("provision/pods").Add(placed)
 	c.met.Counter("provision/unplaced").Add(unplaced)

@@ -399,19 +399,13 @@ func (c *Cluster) Observe(app string) (control.Observation, error) {
 	}
 	now := c.now()
 	spec := st.obj.Spec
-	ready := 0
-	for _, p := range c.byApp[app] {
-		if p.Phase == Running && p.ReadyAt <= now {
-			ready++
-		}
-	}
 	obs := control.Observation{
 		App:           app,
 		Now:           now,
 		Interval:      now - st.lastObserve,
 		PLO:           spec.PLO,
 		Replicas:      st.obj.DesiredReplicas,
-		ReadyReplicas: ready,
+		ReadyReplicas: c.runCache(st, now).ready,
 		Alloc:         st.obj.Alloc,
 		Limits: control.Limits{
 			MinAlloc:    spec.MinAlloc,

@@ -3,7 +3,6 @@ package cluster
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"evolve/internal/chaos"
@@ -44,22 +43,9 @@ type shardState struct {
 	idx   int           // shard index, for phase-timing attribution
 	apps  []*appState   // this shard's services, name order
 	nodes []*NodeObject // this shard's nodes, name order
-	runs  uint64        // phases this shard has run (ScaleRow.ShardEvents)
 
 	jobPhase int
 	jobNow   time.Duration
-}
-
-// fanState is what the world observes of the fan-out: the round
-// counters (one round per phase, three per tick) that phase spans,
-// Figure 6 and the checkpoint read, and the shard clock the checkpoint
-// records. The marks are the counters at the last phase span.
-type fanState struct {
-	workers             int // effective workers; <= 1 runs every phase inline
-	wg                  sync.WaitGroup
-	rounds, parRounds   uint64
-	roundsMark, parMark uint64
-	clock               time.Duration
 }
 
 // initShards builds the (initially empty) shard partitions;
@@ -71,7 +57,7 @@ func (c *Cluster) initShards(n, workers int) {
 	if workers <= 0 {
 		workers = min(runtime.GOMAXPROCS(0), n)
 	}
-	c.fan.workers = workers
+	c.fanWorkers = workers
 	c.shards = make([]*shardState, n)
 	for i := range c.shards {
 		c.shards[i] = &shardState{c: c, idx: i}
@@ -105,17 +91,13 @@ func (sh *shardState) addApp(st *appState) {
 // calling goroutine and the rest on the par pool behind one WaitGroup.
 // Phases write only shard-owned state, so both give the same bytes.
 func (c *Cluster) fanOut(phase int, now time.Duration) {
-	f := &c.fan
-	f.rounds++
-	f.clock = now
-	if f.workers <= 1 || len(c.shards) == 1 {
+	if c.fanWorkers <= 1 || len(c.shards) == 1 {
 		for _, sh := range c.shards {
 			sh.run(phase, now)
 		}
 		return
 	}
-	f.parRounds++
-	f.wg.Add(len(c.shards) - 1)
+	c.fanWG.Add(len(c.shards) - 1)
 	for _, sh := range c.shards[1:] {
 		sh.jobPhase, sh.jobNow = phase, now
 		par.Submit(sh)
@@ -125,7 +107,7 @@ func (c *Cluster) fanOut(phase int, now time.Duration) {
 	if c.phases != nil {
 		w0 = time.Now()
 	}
-	f.wg.Wait()
+	c.fanWG.Wait()
 	if c.phases != nil {
 		c.phases.Add(perf.PhaseBarrier, time.Since(w0).Nanoseconds())
 	}
@@ -134,7 +116,7 @@ func (c *Cluster) fanOut(phase int, now time.Duration) {
 // Run is the par.Job side of a parallel phase.
 func (sh *shardState) Run() {
 	sh.run(sh.jobPhase, sh.jobNow)
-	sh.c.fan.wg.Done()
+	sh.c.fanWG.Done()
 }
 
 // run executes one phase over the shard's entities:
@@ -167,38 +149,6 @@ func (sh *shardState) run(phase int, now time.Duration) {
 	if c.phases != nil {
 		c.phases.AddShard(sh.idx, phase, time.Since(t0).Nanoseconds())
 	}
-	sh.runs++
-}
-
-// KernelState is the sharded tick's checkpointed state: the round
-// counters, their phase-span marks and the shard clock.
-type KernelState struct {
-	Rounds, ParRounds   uint64
-	RoundsMark, ParMark uint64
-	Clock               time.Duration
-}
-
-// KernelState returns the fan-out's counters and shard clock.
-func (c *Cluster) KernelState() KernelState {
-	f := &c.fan
-	return KernelState{
-		Rounds: f.rounds, ParRounds: f.parRounds,
-		RoundsMark: f.roundsMark, ParMark: f.parMark,
-		Clock: f.clock,
-	}
-}
-
-// RestoreKernelState rewinds the fan-out to a checkpointed state. Every
-// shard runs in every round, so each shard's run count is the round
-// count.
-func (c *Cluster) RestoreKernelState(st KernelState) {
-	f := &c.fan
-	f.rounds, f.parRounds = st.Rounds, st.ParRounds
-	f.roundsMark, f.parMark = st.RoundsMark, st.ParMark
-	f.clock = st.Clock
-	for _, sh := range c.shards {
-		sh.runs = st.Rounds
-	}
 }
 
 // NumShards returns the shard count.
@@ -206,15 +156,7 @@ func (c *Cluster) NumShards() int { return len(c.shards) }
 
 // EffectiveWorkers returns how many workers a phase may use: 1 means
 // every phase runs inline.
-func (c *Cluster) EffectiveWorkers() int { return c.fan.workers }
-
-// ShardRuns appends each shard's phase-run count to dst and returns it.
-func (c *Cluster) ShardRuns(dst []uint64) []uint64 {
-	for _, sh := range c.shards {
-		dst = append(dst, sh.runs)
-	}
-	return dst
-}
+func (c *Cluster) EffectiveWorkers() int { return c.fanWorkers }
 
 // appTelemetry is the telemetry half of P2 — noise, chaos sampling,
 // window appends, metric handles, PLO tracking. Everything it writes is

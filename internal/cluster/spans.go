@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"evolve/internal/obs"
@@ -84,11 +83,8 @@ func (c *Cluster) emitSegmentSpan(p *PodObject, node, reason string) {
 // perf.PhaseBreakdown as instant spans (WallNs carries the measured
 // time) and feeds the tracer's phase histograms. Runs only when phase
 // timing AND tracing are both on — a bench/debug configuration, never
-// the determinism suites — so the fmt/formatting cost is acceptable.
+// the determinism suites.
 func (c *Cluster) emitPhaseSpans(now time.Duration, pb *perf.PhaseBreakdown) {
-	f := &c.fan
-	rounds := f.rounds - f.roundsMark
-	f.roundsMark, f.parMark = f.rounds, f.parRounds
 	for ph := 0; ph < perf.NumPhases; ph++ {
 		total := pb.PhaseTotalNs(ph)
 		delta := total - c.phasePrev[ph]
@@ -96,12 +92,8 @@ func (c *Cluster) emitPhaseSpans(now time.Duration, pb *perf.PhaseBreakdown) {
 		if delta <= 0 {
 			continue
 		}
-		detail := ""
-		if ph == perf.PhaseBarrier && rounds > 0 {
-			detail = fmt.Sprintf("rounds=%d", rounds)
-		}
 		id := c.tracer.RecordSpan(obs.Span{
-			Kind: obs.SpanPhase, Object: perf.PhaseNames[ph], Detail: detail,
+			Kind: obs.SpanPhase, Object: perf.PhaseNames[ph],
 			Shard: -1, Start: now, End: now, WallNs: delta,
 		})
 		c.tracer.ObservePhaseLatency(ph, perf.PhaseNames[ph], float64(delta)/1e9, id)

@@ -216,9 +216,6 @@ func (e *Engine) Every(interval time.Duration, fn func()) Canceler {
 // simulation on a fatal error instead of panicking.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // step pops and executes the next event. Dead (cancelled) events are
 // skipped and not counted; executed reports whether a live callback ran.
 // Run and RunAll share this so their step accounting cannot diverge.

@@ -336,9 +336,6 @@ func TestEngineStop(t *testing.T) {
 	if n != 2 || len(fired) != 2 {
 		t.Errorf("ran %d events (%v), want exactly 2", n, fired)
 	}
-	if !e.Stopped() {
-		t.Error("Stopped() should report true after Stop")
-	}
 	// The clock must not advance to the horizon after an abort: the
 	// harness reports the failure at its virtual time of occurrence.
 	if e.Now() != 2*time.Second {
