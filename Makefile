@@ -27,7 +27,7 @@ bench:
 # the trailing summary line carries its raw rows (with per-phase
 # breakdown) plus Figure 12's control-plane rows.
 bench-json:
-	$(GO) run ./cmd/evolve-bench -json > BENCH_16.json
+	$(GO) run ./cmd/evolve-bench -json > BENCH_28.json
 
 # bench-shard is the sharded-kernel regression smoke at CI scale: the
 # first three points of the Figure 6 ladder under shard counts {1, 4},
@@ -58,7 +58,7 @@ bench-control:
 # within-record speedup regress (the checks disagreeing means the
 # shared 1-shard baseline moved, not the row — see cmd/bench-compare).
 bench-compare:
-	$(GO) run ./cmd/bench-compare -old BENCH_15.json -new BENCH_16.json
+	$(GO) run ./cmd/bench-compare -old BENCH_16.json -new BENCH_28.json
 
 # bench-sched is the scheduler hot-path regression smoke: the sched
 # benchmarks at a fixed iteration count (so -benchtime noise cannot mask

@@ -23,7 +23,7 @@ import (
 // re-attach on restore), the kernel shard count, the batch runner, the
 // HPC queue, the cluster substrate (whose metric history is one record
 // per metrics frame), the hardened control loop, the chaos injector and
-// the tracer rings. Format version 7; older files are refused.
+// the tracer rings. Format version 8; older files are refused.
 // Restore runs against a freshly constructed Cluster built with the
 // same Options and the same AddService / SetLoad / Submit* calls —
 // construction-time configuration (topology, specs, load functions,
@@ -79,15 +79,9 @@ func (cl *Cluster) LastCheckpoint() []byte {
 }
 
 // captureLoopState refreshes the controller-process blob the ctrl-crash
-// restore path uses (the control plane's own checkpoint file).
-func (cl *Cluster) captureLoopState() {
-	blob, err := cl.w.Loop.SaveState()
-	if err != nil {
-		cl.w.Fail(fmt.Errorf("controller state capture: %w", err))
-		return
-	}
-	cl.lastLoopState = blob
-}
+// restore path uses (the control plane's own checkpoint file). A
+// periodic firing refreshes it as it encodes the loop section instead.
+func (cl *Cluster) captureLoopState() { cl.lastLoopState = cl.w.Loop.SaveState() }
 
 // armCheckpoints schedules the periodic checkpoint timer. It is armed
 // after the tick and loop timers (see start), so at shared timestamps a
@@ -115,18 +109,18 @@ func (cl *Cluster) checkpointTick() {
 	cl.takeCheckpoint()
 }
 
-// takeCheckpoint is one periodic firing after its re-arm: it refreshes
-// the controller-process state, encodes the world into segments that
-// become lastCkpt, and writes them to the checkpoint directory, if any.
+// takeCheckpoint is one periodic firing after its re-arm: it encodes the
+// world into segments that become lastCkpt, keeping the controller-process
+// state it encoded as the new restart point, and writes them to the
+// checkpoint directory, if any.
 // The segments reference the tracer rings' chunks instead of copying
 // them, and the rest of the world is encoded into the buffers of the
 // checkpoint before last, so a firing costs what changed in the rings
 // plus the rest of the world. The previous checkpoint stays the restart
 // point until this one is complete.
 func (cl *Cluster) takeCheckpoint() {
-	cl.captureLoopState()
 	cw := ckpt.NewBufferWriter(cl.ckptSpare)
-	if err := cl.encode(cw); err != nil {
+	if err := cl.encode(cw, true); err != nil {
 		cl.w.Fail(fmt.Errorf("checkpoint at %v: %w", cl.w.Engine.Now(), err))
 		return
 	}
@@ -257,11 +251,15 @@ func (cl *Cluster) armCtrlCrash() {
 // at a tick barrier — any point between Run calls, or inside the
 // periodic checkpoint timer, qualifies.
 func (cl *Cluster) Checkpoint(w io.Writer) error {
-	return cl.encode(ckpt.NewWriter(w))
+	return cl.encode(ckpt.NewWriter(w), false)
 }
 
-// encode writes the world's sections to cw and closes it.
-func (cl *Cluster) encode(cw *ckpt.Writer) error {
+// encode writes the world's sections to cw and closes it. A periodic
+// encoding makes the controller-process state of its loop section the
+// new restart point. The trailer holds the restart point: a flag when it
+// is the loop section's state, as after every periodic encoding, else
+// the older blob whole.
+func (cl *Cluster) encode(cw *ckpt.Writer, periodic bool) error {
 	if !cl.started {
 		return fmt.Errorf("evolve: nothing to checkpoint before the first Run")
 	}
@@ -288,7 +286,10 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 	cl.w.Runner.CkptSave(cw)
 	cl.w.Queue.CkptSave(cw)
 	cl.w.Cluster.CkptSave(cw)
-	cl.w.Loop.CkptSave(cw)
+	ctrlState := cl.w.Loop.CkptSave(cw)
+	if periodic {
+		cl.lastLoopState = ctrlState
+	}
 	inj := cl.w.Cluster.Chaos()
 	cw.Bool(inj != nil)
 	if inj != nil {
@@ -298,7 +299,11 @@ func (cl *Cluster) encode(cw *ckpt.Writer) error {
 	if cl.tracer.Enabled() {
 		cl.tracer.CkptSave(cw)
 	}
-	cw.Bytes(cl.lastLoopState)
+	inLoop := bytes.Equal(cl.lastLoopState, ctrlState)
+	cw.Bool(inLoop)
+	if !inLoop {
+		cw.Bytes(cl.lastLoopState)
+	}
 	return cw.Close()
 }
 
@@ -406,7 +411,8 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 			return fmt.Errorf("evolve: checkpoint clock %v precedes the newest sample of %q at %v", now, name, s.At)
 		}
 	}
-	if err := cl.w.Loop.CkptLoad(cr); err != nil {
+	ctrlState, err := cl.w.Loop.CkptLoad(cr)
+	if err != nil {
 		return err
 	}
 	inj := cl.w.Cluster.Chaos()
@@ -432,7 +438,9 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 			return err
 		}
 	}
-	if blob := cr.Bytes(); len(blob) > 0 {
+	if cr.Bool() {
+		cl.lastLoopState = ctrlState
+	} else if blob := cr.Bytes(); len(blob) > 0 {
 		cl.lastLoopState = blob
 	}
 	if err := cr.Close(); err != nil {
@@ -451,9 +459,7 @@ func (cl *Cluster) restore(blob []byte) (err error) {
 	if err := cl.w.Engine.RestoreTimers(now, seq, nsteps, timers, rebuild); err != nil {
 		return err
 	}
-	if err := cl.w.Engine.RNG().Burn(draws); err != nil {
-		return err
-	}
+	cl.w.Engine.RNG().Seek(draws)
 	// After a restore, LastCheckpoint is the snapshot this world came
 	// from, so a process that restores and then crashes again before the
 	// next periodic checkpoint still has a valid restart point.

@@ -633,6 +633,60 @@ func TestRestoreRefusesKernelClocks(t *testing.T) {
 	}
 }
 
+// TestCheckpointRestoresAnyStreamPosition: a random stream's position
+// is a counter that a restore seeks to, so how many draws a run made
+// before its checkpoint does not bound restoring it. The engine stream's
+// position in a real checkpoint is moved to 2^40 draws and resealed; two
+// twins restore it at that position and run one more simulated minute
+// to the same report.
+func TestCheckpointRestoresAnyStreamPosition(t *testing.T) {
+	half := ckptWorld(t, 0, "mixed")
+	if err := half.Run(30 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := half.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	blob := snap.Bytes()
+
+	// The engine header ends with the stream position.
+	var head ckpt.Appender
+	head.Str("evolve")
+	head.I64(half.opts.Seed)
+	head.Str(half.policy)
+	head.Dur(half.opts.History)
+	head.Dur(half.Now())
+	head.U64(half.w.Engine.Seq())
+	head.U64(half.w.Engine.Steps())
+	head.U64(half.w.Engine.RNG().Draws())
+	at := bytes.Index(blob, head.Buf)
+	if at < 0 {
+		t.Fatal("engine stream position not found in the checkpoint")
+	}
+	const pos = 1 << 40
+	binary.LittleEndian.PutUint64(blob[at+len(head.Buf)-8:], pos)
+	ckpt.Seal(blob)
+
+	var reports [2]string
+	for i := range reports {
+		c := ckptWorld(t, 0, "mixed")
+		if err := c.Restore(bytes.NewReader(blob)); err != nil {
+			t.Fatalf("twin %d: restore at stream position 2^40: %v", i, err)
+		}
+		if got := c.w.Engine.RNG().Draws(); got != pos {
+			t.Fatalf("twin %d: engine stream at position %d, want %d", i, got, uint64(pos))
+		}
+		if err := c.Run(31 * time.Minute); err != nil {
+			t.Fatalf("twin %d: %v", i, err)
+		}
+		reports[i] = c.Report().String()
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("twins restored at stream position 2^40 diverged:\n%s\nvs\n%s", reports[0], reports[1])
+	}
+}
+
 // TestRestoreRefusesPodOnUnknownNode: the tick looks a bound pod's node
 // and a replica's service up without a check, so a resealed checkpoint
 // whose pod record names a node or service this world lacks fails

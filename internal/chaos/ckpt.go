@@ -24,7 +24,7 @@ func (inj *Injector) CkptSave(w *ckpt.Writer) {
 // from the same plan and seed.
 func (inj *Injector) CkptLoad(r *ckpt.Reader) error {
 	r.Begin("chaos")
-	draws := r.U64()
+	inj.rng.Seek(r.U64())
 	inj.stats.SamplesDropped = r.U64()
 	inj.stats.SamplesFrozen = r.U64()
 	inj.stats.SamplesSpiked = r.U64()
@@ -35,8 +35,5 @@ func (inj *Injector) CkptLoad(r *ckpt.Reader) error {
 	inj.stats.NodeRestores = r.U64()
 	inj.stats.CtrlCrashes = r.U64()
 	inj.stats.CtrlRestarts = r.U64()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	return inj.rng.Burn(draws)
+	return r.Err()
 }

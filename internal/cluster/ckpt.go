@@ -262,16 +262,11 @@ func (c *Cluster) loadAppState(r *ckpt.Reader, st *appState) error {
 	st.wasViolated = r.Bool()
 	st.decisionAt = r.Dur()
 	st.decisionSpan = r.U64()
-	noise, chaos := r.U64(), r.U64()
+	st.noise.Seek(r.U64())
+	st.chaosRNG.Seek(r.U64())
 	st.rc.contrib = r.Int()
 	st.rc.ok = false
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if err := st.noise.Burn(noise); err != nil {
-		return err
-	}
-	return st.chaosRNG.Burn(chaos)
+	return r.Err()
 }
 
 // CkptSave serialises the cluster's full mutable state. Must be called

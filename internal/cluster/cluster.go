@@ -236,7 +236,7 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		// New, so the derived streams do not depend on cluster topology
 		// or shard count.
 		prng:  sim.NewPartitionedRNG(eng.RNG().Int63()),
-		met:   metrics.NewWindowedRegistry(cfg.MetricsHistory),
+		met:   metrics.NewWindowedRegistry(cfg.MetricsHistory, cfg.MetricsInterval),
 		cfg:   cfg,
 		sch:   sch,
 		nodes: make(map[string]*NodeObject),

@@ -136,13 +136,15 @@ func (l *Loop) loadCtrlState(r *ckpt.Reader) error {
 	return r.Err()
 }
 
-// CkptSave writes the loop's full state into a world checkpoint:
-// controller-process state plus the world-timeline bookkeeping (jitter
-// RNG position, retry generations in app order, pending retry
+// CkptSave writes the loop's full state into a world checkpoint: the
+// controller-process state as a SaveState blob, which it returns for the
+// caller to keep as a restart point, then the world-timeline bookkeeping
+// (jitter RNG position, retry generations in app order, pending retry
 // descriptors, stats).
-func (l *Loop) CkptSave(w *ckpt.Writer) {
+func (l *Loop) CkptSave(w *ckpt.Writer) (ctrlState []byte) {
+	ctrlState = l.SaveState()
 	w.Begin("loop")
-	l.saveCtrlState(w)
+	w.Bytes(ctrlState)
 	w.U64(l.rng.Draws())
 	for _, app := range l.apps() {
 		w.U64(l.ctrl[app].retryGen)
@@ -169,27 +171,27 @@ func (l *Loop) CkptSave(w *ckpt.Writer) {
 	w.U64(l.stats.Abandoned)
 	w.Bool(l.started)
 	w.Bool(l.killed)
+	return ctrlState
 }
 
-// CkptLoad restores the loop's full state from a world checkpoint.
-func (l *Loop) CkptLoad(r *ckpt.Reader) error {
+// CkptLoad restores the loop's full state from a world checkpoint and
+// returns the SaveState blob of the controller-process state it held.
+func (l *Loop) CkptLoad(r *ckpt.Reader) (ctrlState []byte, err error) {
 	r.Begin("loop")
-	if err := l.loadCtrlState(r); err != nil {
-		return err
-	}
-	draws := r.U64()
+	ctrlState = r.Bytes()
 	if r.Err() != nil {
-		return r.Err()
+		return nil, r.Err()
 	}
-	if err := l.rng.Burn(draws); err != nil {
-		return err
+	if err := l.LoadState(ctrlState); err != nil {
+		return nil, err
 	}
+	l.rng.Seek(r.U64())
 	for _, app := range l.apps() {
 		l.ctrl[app].retryGen = r.U64()
 	}
 	np := r.Count(16)
 	if r.Err() != nil {
-		return r.Err()
+		return nil, r.Err()
 	}
 	l.pendingRetries = make(map[string]retryEntry, np)
 	for i := 0; i < np; i++ {
@@ -205,7 +207,7 @@ func (l *Loop) CkptLoad(r *ckpt.Reader) error {
 	l.stats.Abandoned = r.U64()
 	l.started = r.Bool()
 	l.killed = r.Bool()
-	return r.Err()
+	return ctrlState, r.Err()
 }
 
 // RebuildTimer returns the callback for a checkpointed loop timer, keyed
@@ -238,14 +240,12 @@ func (l *Loop) RebuildTimer(kind, key string) (func(), error) {
 // models the control plane's own checkpoint file: controllers, health
 // wrappers and last decisions, but nothing about world-timeline timers.
 // The blob is a copy; the encoding buffers are kept for the next call.
-func (l *Loop) SaveState() ([]byte, error) {
+func (l *Loop) SaveState() []byte {
 	w := ckpt.NewBufferWriter(l.stateBufs)
 	l.saveCtrlState(w)
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
+	w.Close() // a buffer writer has no write to fail
 	l.stateBufs = w.Buffers()
-	return w.Segments().Bytes(), nil
+	return w.Segments().Bytes()
 }
 
 // LoadState restores controller-process state from a SaveState blob; the

@@ -115,7 +115,7 @@ func TestLoopCkptRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reader: %v", err)
 	}
-	if err := l2.CkptLoad(r); err != nil {
+	if _, err := l2.CkptLoad(r); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if err := r.Close(); err != nil {
@@ -154,10 +154,7 @@ func TestLoopKillRestart(t *testing.T) {
 	if got := len(plant.applied["a"]); got != 5 {
 		t.Fatalf("pre-kill applies = %d, want 5", got)
 	}
-	blob, err := l.SaveState()
-	if err != nil {
-		t.Fatalf("SaveState: %v", err)
-	}
+	blob := l.SaveState()
 
 	l.Kill()
 	if !l.Killed() {

@@ -333,6 +333,9 @@ func (l *Loop) Start() {
 		return
 	}
 	l.started = true
+	// Size the evaluate scratch for the apps registered so far, so the
+	// first period does not grow it.
+	l.evalBuf = make([]ctrlEval, 0, len(l.ctrl))
 	l.eng.TagNext("loop", "")
 	l.cancel = l.eng.Every(l.cfg.Interval, l.step)
 }

@@ -186,7 +186,7 @@ func (r *Registry) loadFrame(cr *ckpt.Reader) error {
 		}
 		names[j] = name
 	}
-	f := newFrame(r.history, names...)
+	f := newFrame(r.history, 0, names...)
 	f.count, f.at = cr.Int(), cr.Dur()
 	for j := range f.agg {
 		f.agg[j] = colAgg{sum: cr.F64(), area: cr.F64(), cur: cr.F64()}

@@ -50,7 +50,7 @@ func TestFrameColumnsMatchKeepAllTwins(t *testing.T) {
 	for trial := range 30 {
 		history := time.Duration(1+rng.Intn(40)) * time.Second
 		names := colNames(1 + rng.Intn(17))
-		f, err := NewWindowedRegistry(history).Frame(names...)
+		f, err := NewWindowedRegistry(history, 0).Frame(names...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestFrameCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	names := colNames(17)
 	stream := randomStream(rng, 600, history)
-	orig := NewWindowedRegistry(history)
+	orig := NewWindowedRegistry(history, 0)
 	f, err := orig.Frame(names...)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestFrameCheckpointRoundTrip(t *testing.T) {
 	}
 	blob := saved(t, orig.CkptSave)
 
-	restored := NewWindowedRegistry(history)
+	restored := NewWindowedRegistry(history, 0)
 	if err := restored.CkptLoad(reader(t, blob)); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestCkptLoadRefusesBadFrameRecord(t *testing.T) {
 		{"row outside the window", "app/c00", []frameRecord{{names, []time.Duration{sec(1), sec(2), sec(20)}, 0}}},
 		{"clock past the newest row", "app/c00", []frameRecord{{names, rows, time.Hour}}},
 	} {
-		err := NewWindowedRegistry(10 * time.Second).CkptLoad(reader(t, frameSection(t, c.recs...)))
+		err := NewWindowedRegistry(10*time.Second, 0).CkptLoad(reader(t, frameSection(t, c.recs...)))
 		if err == nil || !strings.Contains(err.Error(), `"`+c.want+`"`) {
 			t.Errorf("%s: CkptLoad = %v, want an error naming %q", c.name, err, c.want)
 		}
@@ -384,6 +384,53 @@ func TestHistogramCachedLogBucket(t *testing.T) {
 			if got := h.bucket(v); got != want {
 				t.Fatalf("bucket(%v) = %d, formula %d", v, got, want)
 			}
+		}
+	}
+}
+
+// TestReservedFrameAppendsWithoutAllocating: a registry sized for one
+// row per tick creates windowed frames that append one row per tick
+// over several windows without allocating, and every column still
+// answers like a keep-all twin. A keep-all frame, and a window of more
+// than 4,096 rows, are left to grow by appending.
+func TestReservedFrameAppendsWithoutAllocating(t *testing.T) {
+	const (
+		history = 15 * time.Minute
+		every   = 5 * time.Second
+	)
+	names := colNames(17)
+	f, err := NewWindowedRegistry(history, every).Frame(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(f.times); got != 256 {
+		t.Fatalf("a 180-row window reserved %d rows, want 256", got)
+	}
+	value := func(at time.Duration, j int) float64 { return math.Sin(at.Seconds()/60) + float64(j) }
+	row := make([]float64, len(names))
+	at := time.Duration(0)
+	allocs := testing.AllocsPerRun(3*int(history/every), func() {
+		at += every
+		for j := range row {
+			row[j] = value(at, j)
+		}
+		f.Add(at, row)
+	})
+	if allocs != 0 {
+		t.Fatalf("reserved frame allocated %v times per append", allocs)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for j := range names {
+		twin := NewSeries("twin")
+		for s := every; s <= at; s += every {
+			twin.Add(s, value(s, j))
+		}
+		checkAgainstTwin(t, rng, f.Column(j), twin)
+	}
+
+	for _, r := range []*Registry{NewWindowedRegistry(0, every), NewWindowedRegistry(4097*every, every)} {
+		if s := r.Series("alone"); cap(s.f.times) != 0 {
+			t.Fatalf("history %v reserved %d rows, want 0", r.history, cap(s.f.times))
 		}
 	}
 }

@@ -65,15 +65,37 @@ type colAgg struct {
 }
 
 // newFrame returns an empty frame whose columns are new series with the
-// given names.
-func newFrame(history time.Duration, names ...string) *Frame {
+// given names. A windowed frame that gains one row per every is sized
+// for its whole window now (see reservedRows), so its appends never
+// allocate; with every 0 it grows by appending.
+func newFrame(history, every time.Duration, names ...string) *Frame {
 	f := &Frame{history: history, agg: make([]colAgg, len(names)), cols: make([]*Series, len(names))}
 	views := make([]Series, len(names))
 	for j, name := range names {
 		views[j] = Series{Name: name, f: f, col: j}
 		f.cols[j] = &views[j]
 	}
+	if c := reservedRows(history, every); c > 0 {
+		f.times, f.vals = make([]time.Duration, 0, c), make([]float64, c*len(names))
+	}
 	return f
+}
+
+// reservedRows is the capacity of a window of history at one row per
+// every: the smallest power of two that leaves a quarter of the window
+// spare, so the compaction that copies the window down comes at most
+// once per quarter window. It is 0 (grow by appending) for a keep-all
+// frame, an unknown cadence, or a window of more than 4,096 rows, which
+// a short run may never fill.
+func reservedRows(history, every time.Duration) int {
+	if history <= 0 || every <= 0 || history/every > 1<<12 {
+		return 0
+	}
+	w, c := int(history/every), 1
+	for c < w+w/4+1 {
+		c *= 2
+	}
+	return c
 }
 
 // Column returns the series view of column j.
@@ -228,7 +250,7 @@ func NewSeries(name string) *Series { return NewWindowedSeries(name, 0) }
 // NewWindowedSeries returns an empty named series that retains the
 // samples of the last history (0 keeps everything).
 func NewWindowedSeries(name string, history time.Duration) *Series {
-	return newFrame(history, name).cols[0]
+	return newFrame(history, 0, name).cols[0]
 }
 
 // Add appends an observation to a standalone series. Samples must arrive
@@ -618,20 +640,23 @@ func (c *Counter) Value() uint64    { return c.n }
 type Registry struct {
 	mu         sync.Mutex
 	history    time.Duration // every series' retention window; 0 keeps everything
+	every      time.Duration // the cadence new frames are sized for; 0 grows them by appending
 	series     map[string]*Series
 	histograms map[string]*Histogram
 	counters   map[string]*Counter
 }
 
 // NewRegistry returns an empty registry whose series keep every sample.
-func NewRegistry() *Registry { return NewWindowedRegistry(0) }
+func NewRegistry() *Registry { return NewWindowedRegistry(0, 0) }
 
 // NewWindowedRegistry returns an empty registry whose series retain the
 // samples of the last history (0 keeps everything) plus their exact
-// whole-run aggregates.
-func NewWindowedRegistry(history time.Duration) *Registry {
+// whole-run aggregates. Each new frame is sized for its window at one
+// row per every, the cadence most series are sampled at (see newFrame).
+func NewWindowedRegistry(history, every time.Duration) *Registry {
 	return &Registry{
 		history:    history,
+		every:      every,
 		series:     make(map[string]*Series),
 		histograms: make(map[string]*Histogram),
 		counters:   make(map[string]*Counter),
@@ -644,7 +669,7 @@ func (r *Registry) Series(name string) *Series {
 	r.mu.Lock()
 	s, ok := r.series[name]
 	if !ok {
-		s = NewWindowedSeries(name, r.history)
+		s = newFrame(r.history, r.every, name).cols[0]
 		r.series[name] = s
 	}
 	r.mu.Unlock()
@@ -688,7 +713,7 @@ func (r *Registry) Frame(names ...string) (*Frame, error) {
 		}
 		return s.f, nil
 	}
-	f := newFrame(r.history, names...)
+	f := newFrame(r.history, r.every, names...)
 	for j, name := range names {
 		r.series[name] = f.cols[j]
 	}

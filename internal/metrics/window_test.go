@@ -157,7 +157,7 @@ func TestWindowedCheckpointContinues(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const history = 30 * time.Second
 	stream := randomStream(rng, 600, history)
-	orig := NewWindowedRegistry(history)
+	orig := NewWindowedRegistry(history, 0)
 	twin := NewSeries("twin")
 	for _, sm := range stream[:300] {
 		orig.Series("s").Add(sm.At, sm.Value)
@@ -172,7 +172,7 @@ func TestWindowedCheckpointContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewWindowedRegistry(history)
+	restored := NewWindowedRegistry(history, 0)
 	if err := restored.CkptLoad(cr); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestWindowedCheckpointRejectsStaleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewWindowedRegistry(5 * time.Second).CkptLoad(cr); err == nil || !strings.Contains(err.Error(), "retention window") {
+	if err := NewWindowedRegistry(5*time.Second, 0).CkptLoad(cr); err == nil || !strings.Contains(err.Error(), "retention window") {
 		t.Errorf("loading a keep-all window into a 5s registry: %v, want a retention-window error", err)
 	}
 }

@@ -8,12 +8,13 @@ import (
 
 // Checkpoint support for the kernel. A deterministic snapshot needs three
 // things from the engine: the clock counters (now, seq, nsteps), the RNG
-// stream position (RNG.Draws/Burn), and the set of pending timers. Timers
-// carry closures, which cannot be serialised — instead every long-lived
-// timer is tagged with a TimerTag naming what it is, the checkpoint
-// records (at, seq, tag) triples, and the restore re-attaches behaviour
-// by matching tags against the freshly constructed world's own timers
-// (or a rebuild callback for timers the fresh world does not re-arm).
+// stream position (RNG.Draws, restored in O(1) by RNG.Seek), and the set
+// of pending timers. Timers carry closures, which cannot be serialised —
+// instead every long-lived timer is tagged with a TimerTag naming what it
+// is, the checkpoint records (at, seq, tag) triples, and the restore
+// re-attaches behaviour by matching tags against the freshly constructed
+// world's own timers (or a rebuild callback for timers the fresh world
+// does not re-arm).
 // Preserving the original seq values is what makes the restored run
 // byte-identical: heap order among same-timestamp events is (at, seq).
 

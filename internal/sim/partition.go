@@ -1,8 +1,7 @@
 package sim
 
 // PartitionedRNG derives one independent, stable random stream per
-// string key. Unlike Fork — whose result depends on how many forks
-// preceded it — Stream(key) depends only on (seed, key), so any shard
+// string key. Stream(key) depends only on (seed, key), so any shard
 // layout, and any order of stream creation, observes byte-identical
 // randomness for the same entity. This is what lets a sharded
 // simulation replay exactly against the 1-shard baseline: per-entity
@@ -49,10 +48,15 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// splitmix64 is the finalising mixer from the SplitMix64 generator; it
-// is bijective, so distinct hash inputs keep distinct seeds.
+// golden is SplitMix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// splitmix64 is one step of the SplitMix64 generator from state x: it
+// adds golden and finalises through a bijective mixer, so distinct hash
+// inputs keep distinct seeds, and splitmix64(seed + n·golden) is draw n
+// of the stream rooted at seed (see RNG).
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += golden
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)

@@ -274,79 +274,47 @@ func (e *Engine) RunAll() uint64 {
 	return n
 }
 
-// RNG is a deterministic random source with the distribution helpers the
-// workload generators need. It wraps math/rand with an explicit seed so
-// simulations never touch global randomness.
+// RNG is a deterministic random stream with the distribution helpers the
+// workload generators need. Its whole state is (seed, position): draw n
+// is splitmix64(seed + n·golden), so seeking to any position is O(1) and a
+// checkpoint records a stream as one counter. math/rand's Rand sits on
+// top for the distribution helpers; it keeps no state of its own that
+// the helpers read, so the source's position is the stream's position.
 type RNG struct {
-	r    *rand.Rand
-	src  *countSource
-	seed int64
+	src counterSource
+	r   *rand.Rand
 }
 
-// countSource wraps math/rand's seeded source and counts state steps.
-// Both Int63 and Uint64 advance the generator state exactly once, so the
-// count is the stream position: re-seeding and burning Draws() steps
-// reproduces the stream exactly (see Burn). rand.New takes the Source64
-// path when offered, so values are bit-identical to an unwrapped source.
-type countSource struct {
-	src rand.Source64
-	n   uint64
+// counterSource is SplitMix64 written as a counter. Int63 and Uint64
+// each consume exactly one draw.
+type counterSource struct {
+	seed, n uint64
 }
 
-func (c *countSource) Int63() int64 {
+func (c *counterSource) Uint64() uint64 {
+	x := splitmix64(c.seed + c.n*golden)
 	c.n++
-	return c.src.Int63()
+	return x
 }
 
-func (c *countSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
+func (c *counterSource) Int63() int64 { return int64(c.Uint64() >> 1) }
 
-func (c *countSource) Seed(seed int64) { c.src.Seed(seed) }
+func (c *counterSource) Seed(seed int64) { c.seed, c.n = uint64(seed), 0 }
 
-// NewRNG returns a source seeded with seed.
+// NewRNG returns a stream seeded with seed, at position 0.
 func NewRNG(seed int64) *RNG {
-	src := &countSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &RNG{r: rand.New(src), src: src, seed: seed}
+	g := &RNG{src: counterSource{seed: uint64(seed)}}
+	g.r = rand.New(&g.src)
+	return g
 }
 
-// Seed returns the seed this source was created with.
-func (g *RNG) Seed() int64 { return g.seed }
-
-// Draws returns the number of state steps consumed so far — the stream
+// Draws returns the number of draws consumed so far — the stream
 // position a checkpoint records.
 func (g *RNG) Draws() uint64 { return g.src.n }
 
-// maxDraws bounds a restored stream position. The streams a world
-// checkpoints draw a few values per tick at most, so 2^28 draws is years
-// of virtual time, and replaying them takes about a second; the bound
-// turns a corrupt position into an error instead of a long spin.
-const maxDraws = 1 << 28
-
-// Burn advances the source to stream position n (absolute, not
-// relative): a restore seeds a fresh RNG and burns it to the
-// checkpointed Draws. A position behind the current one (the restored
-// stream would silently rewind) or beyond maxDraws is an error.
-func (g *RNG) Burn(n uint64) error {
-	if n < g.src.n {
-		return fmt.Errorf("sim: RNG position %d is behind the current %d", n, g.src.n)
-	}
-	if n > maxDraws {
-		return fmt.Errorf("sim: RNG position %d exceeds the %d-draw limit", n, uint64(maxDraws))
-	}
-	for g.src.n < n {
-		g.src.n++
-		g.src.src.Uint64()
-	}
-	return nil
-}
-
-// Fork derives an independent child source; use one child per model
-// component so adding a component does not perturb the streams of others.
-func (g *RNG) Fork() *RNG {
-	return NewRNG(g.r.Int63())
-}
+// Seek moves the stream to position n (absolute): the next draw is the
+// one a fresh stream would make after n draws. Every position is valid.
+func (g *RNG) Seek(n uint64) { g.src.n = n }
 
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }

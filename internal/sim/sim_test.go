@@ -158,12 +158,59 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
-func TestRNGForkIndependence(t *testing.T) {
-	parent := NewRNG(7)
-	child1 := parent.Fork()
-	child2 := parent.Fork()
-	if child1.Float64() == child2.Float64() && child1.Float64() == child2.Float64() {
-		t.Error("forked children should be independent")
+// TestRNGSeekEqualsStepping: a stream seeked to position n continues
+// exactly as a fresh stream that reached n by drawing through the
+// distribution helpers, and seeking back replays what followed. Normal
+// and Exp reject some ziggurat samples and Poisson loops, so the
+// helpers consume a varying number of draws per sample; the test checks
+// that such samples occurred, or the positions would be mere multiples
+// of the call count.
+func TestRNGSeekEqualsStepping(t *testing.T) {
+	var calls, draws uint64
+	prop := func(seed int64, steps uint16) bool {
+		stepped := NewRNG(seed)
+		for i := 0; i < int(steps); i++ {
+			switch i % 4 {
+			case 0:
+				stepped.Normal(0, 1)
+			case 1:
+				stepped.Exp(1)
+			case 2:
+				stepped.Poisson(3)
+			default:
+				stepped.Intn(7)
+			}
+		}
+		n := stepped.Draws()
+		seeked := NewRNG(seed)
+		seeked.Seek(n)
+		var next [8]float64
+		for j := range next {
+			a, b := stepped.Normal(0, 1), seeked.Normal(0, 1)
+			if a != b || stepped.Exp(2) != seeked.Exp(2) {
+				return false
+			}
+			next[j] = a
+		}
+		calls += 2 * uint64(len(next))
+		draws += stepped.Draws() - n
+		if stepped.Draws() != seeked.Draws() {
+			return false
+		}
+		seeked.Seek(n)
+		for _, want := range next {
+			if seeked.Normal(0, 1) != want {
+				return false
+			}
+			seeked.Exp(2)
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if draws <= calls {
+		t.Errorf("%d Normal/Exp samples took %d draws: no sample took more than one, so nothing varied", calls, draws)
 	}
 }
 
